@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from .evaluation import compare, macro_auc, pr_auc, render_table, run_ablation, 
 from .numerics import make_rng
 from .predicates import count_params, model_from_spec, model_to_spec
 from .tasks import DEFAULT_B_PARTOF, DEFAULT_B_TYPES, DEFAULT_K, partof_scores, type_scores
-from .training import TrainConfig
+from .training import TrainConfig, TrainingError
 from .verify import run_verification
 
 
@@ -104,9 +105,7 @@ def cmd_train(args) -> int:
         "split_seed": split_seed,
         "split_ratio": args.split_ratio,
         "shared_encoder": bool(args.shared_encoder),
-        "train_config": {"epochs": cfg.epochs, "l2": cfg.l2, "learning_rate": cfg.learning_rate,
-                         "rmsprop_decay": cfg.rmsprop_decay, "rmsprop_eps": cfg.rmsprop_eps,
-                         "instantiation_budget": cfg.instantiation_budget, "seed": cfg.seed},
+        "train_config": asdict(cfg),
         "predicates": model_specs,
     }
     _dump_json(bundle, out)
@@ -306,7 +305,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, DatasetError, ValueError, OSError, KeyError) as e:
+    except (CliError, DatasetError, TrainingError, ValueError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -75,6 +75,8 @@ class Dataset:
         for r in self.records:
             if len(r.features) != self.n:
                 raise DatasetError(f"record {r.id}: feature length {len(r.features)} != n={self.n}")
+            if not np.all(np.isfinite(r.features)):
+                raise DatasetError(f"record {r.id}: non-finite feature value")
             for lab in r.labels:
                 if lab not in names:
                     raise DatasetError(f"record {r.id}: unknown label {lab!r}")

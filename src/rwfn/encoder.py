@@ -94,20 +94,34 @@ def _warn_range(x: np.ndarray) -> None:
         )
 
 
+# The branches work in place and can write into a caller's array, so that
+# encoding a batch holds one (n, B) temporary besides its (n, 2B) result.
+
+
+def _albm(enc: RwfnEncoder, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    vbar = x @ enc.gate
+    vbar -= enc.config.inhibition_strength * vbar.mean(axis=1, keepdims=True)
+    return np.maximum(0.0, vbar, out=vbar if out is None else out)
+
+
+def _fourier(enc: RwfnEncoder, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    z = x @ enc.fourier
+    z += enc.phase
+    np.cos(z, out=z)
+    return np.multiply(np.sqrt(2.0 / enc.hidden_width), z, out=z if out is None else out)
+
+
 def albm_features(enc: RwfnEncoder, v: np.ndarray) -> np.ndarray:
     """Sparse gated projection, centered by global inhibition, then ReLU."""
     x, single = _as_batch(v, enc.input_dim)
-    vbar = x @ enc.gate
-    mu = vbar.mean(axis=1, keepdims=True)
-    h1 = np.maximum(0.0, vbar - enc.config.inhibition_strength * mu)
+    h1 = _albm(enc, x)
     return h1[0] if single else h1
 
 
 def fourier_features(enc: RwfnEncoder, v: np.ndarray) -> np.ndarray:
     """sqrt(2/B) * cos(R^T v + b); inner products approximate exp(-|x-y|^2/2)."""
     x, single = _as_batch(v, enc.input_dim)
-    b = enc.hidden_width
-    h2 = np.sqrt(2.0 / b) * np.cos(x @ enc.fourier + enc.phase)
+    h2 = _fourier(enc, x)
     return h2[0] if single else h2
 
 
@@ -116,7 +130,11 @@ def encode(enc: RwfnEncoder, v: np.ndarray, validate: bool = True) -> np.ndarray
     x, single = _as_batch(v, enc.input_dim)
     if validate:
         _warn_range(x)
-    h = np.tanh(np.concatenate([albm_features(enc, x), fourier_features(enc, x)], axis=1))
+    b = enc.hidden_width
+    h = np.empty((len(x), 2 * b))
+    _albm(enc, x, out=h[:, :b])
+    _fourier(enc, x, out=h[:, b:])
+    np.tanh(h, out=h)
     return h[0] if single else h
 
 
@@ -131,11 +149,12 @@ def hidden_features(enc: RwfnEncoder, v: np.ndarray, mode: str = "full") -> np.n
         return encode(enc, v, validate=False)
     x, single = _as_batch(v, enc.input_dim)
     if mode == "albm":
-        h = np.tanh(albm_features(enc, x))
+        h = _albm(enc, x)
     elif mode == "rff":
-        h = np.tanh(fourier_features(enc, x))
+        h = _fourier(enc, x)
     else:
         raise ValueError(f"unknown encoder mode {mode!r}")
+    np.tanh(h, out=h)
     return h[0] if single else h
 
 

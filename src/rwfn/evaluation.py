@@ -8,7 +8,7 @@ trapezoidally over recall with tied scores entering the sweep together.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -208,7 +208,7 @@ def compare(ds: Dataset, models=("ltn", "rwfn", "rwfn-shared"), repeats: int = 5
 
     for seed in run_seeds:
         sp = split(ds, ratio, make_rng(seed))
-        run_cfg = _with_seed(cfg, seed)
+        run_cfg = replace(cfg, seed=seed)
         ir_scores, ir_labels = baseline_ir_scores(sp.test)
         acc["ir-baseline"]["partof"].append(pr_auc(ir_scores, ir_labels))
         for name in models:
@@ -252,19 +252,10 @@ def compare(ds: Dataset, models=("ltn", "rwfn", "rwfn-shared"), repeats: int = 5
         "repeats": repeats,
         "run_seeds": run_seeds,
         "auc_mode": "macro",
-        "config": {"epochs": cfg.epochs, "l2": cfg.l2, "learning_rate": cfg.learning_rate,
-                   "rmsprop_decay": cfg.rmsprop_decay, "rmsprop_eps": cfg.rmsprop_eps,
-                   "instantiation_budget": cfg.instantiation_budget, "seed": cfg.seed,
-                   "b_types": b_types, "b_partof": b_partof, "k": k, "split_ratio": ratio},
+        "config": {**asdict(cfg), "b_types": b_types, "b_partof": b_partof, "k": k,
+                   "split_ratio": ratio},
         "rows": rows,
     }
-
-
-def _with_seed(cfg: TrainConfig, seed: int) -> TrainConfig:
-    return TrainConfig(epochs=cfg.epochs, l2=cfg.l2, learning_rate=cfg.learning_rate,
-                       rmsprop_decay=cfg.rmsprop_decay, rmsprop_eps=cfg.rmsprop_eps,
-                       instantiation_budget=cfg.instantiation_budget, seed=seed,
-                       log_every=cfg.log_every)
 
 
 def render_table(report: dict) -> str:

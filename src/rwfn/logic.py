@@ -265,81 +265,85 @@ def luk_implies(a: float, b: float) -> float:
     return min(1.0, 1.0 - a + b)
 
 
-def eval_connectives(op: str, a: float, b: float | None = None) -> float:
-    if op == "not":
-        return luk_not(a)
-    if b is None:
-        raise ValueError(f"binary connective {op!r} needs two arguments")
-    return {"and": luk_and, "or": luk_or, "implies": luk_implies}[op](a, b)
-
-
 def hmean(values: np.ndarray) -> float:
-    """Harmonic mean with epsilon-stabilized reciprocals."""
+    """Harmonic mean with epsilon-stabilized reciprocals, capped at 1: the
+    epsilon alone lifts the mean of all-ones to 1 + 1e-12."""
     v = np.asarray(values, dtype=np.float64)
-    return float(len(v) / np.sum(1.0 / (v + HMEAN_EPS)))
+    return float(np.minimum(1.0, len(v) / np.sum(1.0 / (v + HMEAN_EPS))))
 
 
 # ---------------------------------------------------------------------------
-# Ground plans: formulas expanded over their (possibly sampled) instantiations
-# into explicit trees whose leaves are predicate calls. One plan fixes the
-# instantiation sample; evaluation and backprop reuse it.
+# Ground plans. Each formula compiles to a post-order list of array ops;
+# formulas with the same ops (the same connectives and quantifiers, whatever
+# their predicates, constants and variables) form one group, evaluated as
+# one batch with a row per formula. A quantifier with m instantiations runs
+# its body on rows*m rows and reduces them to rows. The instantiation sample
+# is fixed for the lifetime of one plan, so evaluation and backprop reuse it.
+
+_KIND = {Not: "not", And: "and", Or: "or", Implies: "implies", ForAll: "forall", Exists: "exists"}
 
 
-class _G:
-    """Ground expression node.
+class _Group:
+    """Formulas that compile to the same ops.
 
-    For "vhmean"/"vmax" nodes (vectorized quantifiers) children holds a
-    single body template whose atom leaves index template slots, and
-    slot_atoms maps (instantiation, slot) to global atom indices. Template
-    nodes carry per-instantiation value arrays in varr.
+    ops[i] is (kind, *operands): ("atom", leaf), (connective, child, child),
+    ("not", child) or (quantifier, body, m), with children earlier in the
+    list; the last op is the formula. Leaf k gathers atoms[k] and its
+    gradient goes to the plan-wide occurrence slots pos[k].
     """
 
-    __slots__ = ("kind", "children", "atom_index", "value", "slot_atoms", "varr")
-
-    def __init__(self, kind, children=(), atom_index=None, slot_atoms=None):
-        self.kind = kind          # atom|not|and|or|implies|hmean|max|vhmean|vmax
-        self.children = children
-        self.atom_index = atom_index
-        self.value = 0.0
-        self.slot_atoms = slot_atoms
-        self.varr = None
-
-
-def _has_quantifier(f: Formula) -> bool:
-    if isinstance(f, (ForAll, Exists)):
-        return True
-    if isinstance(f, Not):
-        return _has_quantifier(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return _has_quantifier(f.left) or _has_quantifier(f.right)
-    return False
+    def __init__(self, ops: tuple):
+        self.ops = ops
+        self.rows: list = []                                      # root positions
+        self.pos: list = [[] for op in ops if op[0] == "atom"]    # per leaf, row-major
+        self.atoms: list = []                                     # per leaf, row-major
 
 
 class GroundPlan:
     def __init__(self, gt: GroundedTheory, budget: int, rng: np.random.Generator | None):
         if not gt.kb.formulas:
             raise ValueError("cannot evaluate satisfiability of an empty knowledge base")
+        if budget < 1:
+            raise ValueError(f"instantiation budget must be >= 1, got {budget}")
         self.gt = gt
         self.budget = budget
         rng = rng if rng is not None else make_rng(0)
         self._domain = sorted(gt.constants)
         self._atom_index: dict[tuple, int] = {}
         self._atoms: list[tuple] = []  # (pred, args)
-        self.roots = [self._ground(f, {}, rng) for f in gt.kb.formulas]
-        # batch inputs per predicate, built once
+        self.roots = list(gt.kb.formulas)  # formula_values() follows this order
+        occurrences: list[int] = []    # atom index of every leaf, in grounding order
+        groups: dict[tuple, _Group] = {}
+        for i, f in enumerate(self.roots):
+            ops: list[tuple] = []
+            self._compile(f, ops, itertools.count())
+            key = tuple(ops)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = _Group(key)
+            group.rows.append(i)
+            self._ground(f, {}, 0, group, occurrences, rng)
+        self._occurrences = np.array(occurrences, dtype=np.int64)
+        for group in groups.values():
+            group.rows = np.array(group.rows, dtype=np.int64)
+            group.pos = [np.array(p, dtype=np.int64) for p in group.pos]
+            group.atoms = [self._occurrences[p] for p in group.pos]
+        self._groups = list(groups.values())
+        # batch inputs per predicate, built once; symbolic truths are fixed
+        self._fixed_values = np.zeros(len(self._atoms))
         self._per_pred: dict[str, dict] = {}
         for pred, group in self._group_atoms().items():
             model = self._model(pred)
-            entry = {"indices": np.array([i for i, _ in group])}
+            indices = np.array([i for i, _ in group])
             if model.symbolic:
-                entry["values"] = np.array([model.truth_of(args) for _, args in group])
-            else:
-                entry["x"] = np.stack([
-                    np.concatenate([gt.constants[a] for a in args]) for _, args in group
-                ])
-                if hasattr(model, "hidden_batch"):
-                    # frozen-encoder models: hidden features never change
-                    entry["hidden"] = model.hidden_batch(entry["x"])
+                self._fixed_values[indices] = [model.truth_of(args) for _, args in group]
+                continue
+            entry = {"indices": indices, "model": model}
+            entry["x"] = np.stack([
+                np.concatenate([gt.constants[a] for a in args]) for _, args in group
+            ])
+            if model.frozen_hidden:
+                entry["hidden"] = model.hidden_batch(entry["x"])
             self._per_pred[pred] = entry
 
     def _model(self, pred: str):
@@ -354,73 +358,64 @@ class GroundPlan:
             groups.setdefault(pred, []).append((i, args))
         return groups
 
-    def _atom_node(self, pred: str, args: tuple) -> _G:
-        for a in args:
-            if a not in self.gt.constants:
-                raise KeyError(f"constant {a!r} has no grounding vector")
+    def _atom(self, pred: str, args: tuple) -> int:
         key = (pred, args)
         idx = self._atom_index.get(key)
         if idx is None:
+            for a in args:
+                if a not in self.gt.constants:
+                    raise KeyError(f"constant {a!r} has no grounding vector")
             idx = len(self._atoms)
             self._atom_index[key] = idx
             self._atoms.append(key)
-        return _G("atom", atom_index=idx)
+        return idx
 
-    def _ground(self, f: Formula, bindings: dict, rng) -> _G:
+    def _compile(self, f: Formula, ops: list, leaves) -> int:
+        """Append f's ops in post-order, numbering atoms left to right;
+        returns the index of f's op."""
         if isinstance(f, Atom):
-            args = []
-            for a in f.args:
-                if a in bindings:
-                    args.append(bindings[a])
-                else:
-                    args.append(a)
-            return self._atom_node(f.pred, tuple(args))
+            op = ("atom", next(leaves))
+        elif isinstance(f, Not):
+            op = ("not", self._compile(f.body, ops, leaves))
+        elif isinstance(f, (And, Or, Implies)):
+            op = (_KIND[type(f)], self._compile(f.left, ops, leaves), self._compile(f.right, ops, leaves))
+        elif isinstance(f, (ForAll, Exists)):
+            body = self._compile(f.body, ops, leaves)
+            op = (_KIND[type(f)], body, self._instantiation_count(len(f.variables)))
+        else:
+            raise TypeError(f"unknown formula node {type(f).__name__}")
+        ops.append(op)
+        return len(ops) - 1
+
+    def _ground(self, f: Formula, bindings: dict, leaf: int, group: _Group,
+                occurrences: list, rng) -> int:
+        """Record f's atoms leaf by leaf, drawing quantifier samples in tree
+        order (inner ones once per enclosing instantiation); returns the
+        number of the next leaf."""
+        if isinstance(f, Atom):
+            group.pos[leaf].append(len(occurrences))
+            args = tuple([bindings.get(a, a) for a in f.args]) if bindings else f.args
+            occurrences.append(self._atom(f.pred, args))
+            return leaf + 1
         if isinstance(f, Not):
-            return _G("not", (self._ground(f.body, bindings, rng),))
+            return self._ground(f.body, bindings, leaf, group, occurrences, rng)
         if isinstance(f, (And, Or, Implies)):
-            kind = {And: "and", Or: "or", Implies: "implies"}[type(f)]
-            return _G(kind, (self._ground(f.left, bindings, rng), self._ground(f.right, bindings, rng)))
-        if isinstance(f, (ForAll, Exists)):
-            tuples = self._instantiations(len(f.variables), rng)
-            if not _has_quantifier(f.body):
-                return self._ground_vectorized(f, tuples, bindings)
-            children = []
-            for combo in tuples:
-                inner = dict(bindings)
-                inner.update(zip(f.variables, combo))
-                children.append(self._ground(f.body, inner, rng))
-            return _G("hmean" if isinstance(f, ForAll) else "max", tuple(children))
-        raise TypeError(f"unknown formula node {type(f).__name__}")
+            leaf = self._ground(f.left, bindings, leaf, group, occurrences, rng)
+            return self._ground(f.right, bindings, leaf, group, occurrences, rng)
+        end = leaf
+        for combo in self._instantiations(len(f.variables), rng):
+            inner = dict(bindings)
+            inner.update(zip(f.variables, combo))
+            end = self._ground(f.body, inner, leaf, group, occurrences, rng)
+        return end
 
-    def _ground_vectorized(self, f, tuples, bindings) -> _G:
-        """Quantifier over a flat body: one template plus an atom-index matrix."""
-        slots: list[Atom] = []
-
-        def template(g: Formula) -> _G:
-            if isinstance(g, Atom):
-                node = _G("atom", atom_index=len(slots))
-                slots.append(g)
-                return node
-            if isinstance(g, Not):
-                return _G("not", (template(g.body),))
-            kind = {And: "and", Or: "or", Implies: "implies"}[type(g)]
-            return _G(kind, (template(g.left), template(g.right)))
-
-        body = template(f.body)
-        slot_atoms = np.empty((len(tuples), len(slots)), dtype=np.int64)
-        for i, combo in enumerate(tuples):
-            env = dict(bindings)
-            env.update(zip(f.variables, combo))
-            for j, atom in enumerate(slots):
-                args = tuple(env.get(a, a) for a in atom.args)
-                slot_atoms[i, j] = self._atom_node(atom.pred, args).atom_index
-        kind = "vhmean" if isinstance(f, ForAll) else "vmax"
-        return _G(kind, (body,), slot_atoms=slot_atoms)
+    def _instantiation_count(self, n_vars: int) -> int:
+        if not self._domain:
+            raise ValueError("quantified formula over an empty constant domain")
+        return min(len(self._domain) ** n_vars, self.budget)
 
     def _instantiations(self, n_vars: int, rng) -> list:
         dom = self._domain
-        if not dom:
-            raise ValueError("quantified formula over an empty constant domain")
         total = len(dom) ** n_vars
         if total <= self.budget:
             return list(itertools.product(dom, repeat=n_vars))
@@ -437,169 +432,107 @@ class GroundPlan:
 
     # -- evaluation --------------------------------------------------------
 
-    def _atom_values(self) -> np.ndarray:
-        values = np.empty(len(self._atoms))
+    def _atom_values(self) -> tuple[np.ndarray, dict]:
+        """Truth of every atom, plus each learnable predicate's hidden layer
+        and truths, for its gradient."""
+        values = self._fixed_values.copy()
+        forward = {}
         for pred, entry in self._per_pred.items():
-            model = self._model(pred)
-            if model.symbolic:
-                values[entry["indices"]] = entry["values"]
-            elif "hidden" in entry:
-                from .predicates import sigmoid
-
-                values[entry["indices"]] = sigmoid(entry["hidden"] @ model.beta)
-            else:
-                values[entry["indices"]] = model.forward_batch(entry["x"])
-        return values
+            model, x = entry["model"], entry["x"]
+            h = entry["hidden"] if "hidden" in entry else model.hidden_batch(x)
+            p = model.forward_batch(x, hidden=h)
+            values[entry["indices"]] = p
+            forward[pred] = (h, p)
+        return values, forward
 
     @staticmethod
-    def _eval_template(node: _G, slot_values: np.ndarray) -> np.ndarray:
-        if node.kind == "atom":
-            arr = slot_values[:, node.atom_index]
-        else:
-            parts = [GroundPlan._eval_template(c, slot_values) for c in node.children]
-            if node.kind == "not":
-                arr = 1.0 - parts[0]
-            elif node.kind == "and":
-                arr = np.maximum(0.0, parts[0] + parts[1] - 1.0)
-            elif node.kind == "or":
-                arr = np.minimum(1.0, parts[0] + parts[1])
-            elif node.kind == "implies":
-                arr = np.minimum(1.0, 1.0 - parts[0] + parts[1])
+    def _eval_group(group: _Group, atom_values: np.ndarray) -> list:
+        out = []
+        for op in group.ops:
+            kind = op[0]
+            if kind == "atom":
+                v = atom_values[group.atoms[op[1]]]
+            elif kind == "not":
+                v = 1.0 - out[op[1]]
+            elif kind == "and":
+                v = np.maximum(0.0, out[op[1]] + out[op[2]] - 1.0)
+            elif kind == "or":
+                v = np.minimum(1.0, out[op[1]] + out[op[2]])
+            elif kind == "implies":
+                v = np.minimum(1.0, 1.0 - out[op[1]] + out[op[2]])
+            elif kind == "forall":
+                body = out[op[1]].reshape(-1, op[2])
+                v = np.minimum(1.0, op[2] / np.sum(1.0 / (body + HMEAN_EPS), axis=1))
             else:
-                raise ValueError(node.kind)
-        node.varr = arr
-        return arr
+                v = out[op[1]].reshape(-1, op[2]).max(axis=1)
+            out.append(v)
+        return out
 
-    def _eval_node(self, node: _G, atom_values: np.ndarray) -> float:
-        if node.kind == "atom":
-            node.value = float(atom_values[node.atom_index])
-            return node.value
-        if node.kind in ("vhmean", "vmax"):
-            inst = self._eval_template(node.children[0], atom_values[node.slot_atoms])
-            node.varr = inst
-            node.value = hmean(inst) if node.kind == "vhmean" else float(inst.max())
-            return node.value
-        vals = [self._eval_node(c, atom_values) for c in node.children]
-        if node.kind == "not":
-            v = 1.0 - vals[0]
-        elif node.kind == "and":
-            v = max(0.0, vals[0] + vals[1] - 1.0)
-        elif node.kind == "or":
-            v = min(1.0, vals[0] + vals[1])
-        elif node.kind == "implies":
-            v = min(1.0, 1.0 - vals[0] + vals[1])
-        elif node.kind == "hmean":
-            v = hmean(vals)
-        elif node.kind == "max":
-            v = max(vals)
-        else:
-            raise ValueError(node.kind)
-        node.value = v
-        return v
+    def _forward(self) -> tuple:
+        atom_values, forward = self._atom_values()
+        per_group = [self._eval_group(g, atom_values) for g in self._groups]
+        values = np.empty(len(self.roots))
+        for group, out in zip(self._groups, per_group):
+            values[group.rows] = out[-1]
+        return values, per_group, forward
 
     def formula_values(self) -> np.ndarray:
-        atom_values = self._atom_values()
-        return np.array([self._eval_node(r, atom_values) for r in self.roots])
+        return self._forward()[0]
 
     def satisfiability(self) -> float:
         return hmean(self.formula_values())
 
     # -- backprop ----------------------------------------------------------
 
-    def _backprop_node(self, node: _G, upstream: float, atom_grads: np.ndarray) -> None:
-        if upstream == 0.0:
-            return
-        if node.kind == "atom":
-            atom_grads[node.atom_index] += upstream
-            return
-        if node.kind in ("vhmean", "vmax"):
-            inst = node.varr
-            if node.kind == "vhmean":
-                h, n = node.value, len(inst)
-                d = upstream * (h * h / n) / ((inst + HMEAN_EPS) ** 2)
-            else:
-                d = np.zeros(len(inst))
-                d[int(np.argmax(inst))] = upstream
-            slot_grads = np.zeros_like(node.slot_atoms, dtype=np.float64)
-            self._backprop_template(node.children[0], d, slot_grads)
-            np.add.at(atom_grads, node.slot_atoms.ravel(), slot_grads.ravel())
-            return
-        c = node.children
-        if node.kind == "not":
-            self._backprop_node(c[0], -upstream, atom_grads)
-        elif node.kind == "and":
-            # right-hand derivative of max(0, x) at the kink is 1
-            if c[0].value + c[1].value - 1.0 >= 0.0:
-                self._backprop_node(c[0], upstream, atom_grads)
-                self._backprop_node(c[1], upstream, atom_grads)
-        elif node.kind == "or":
-            # right-hand derivative of min(1, x) at the kink is 0
-            if c[0].value + c[1].value < 1.0:
-                self._backprop_node(c[0], upstream, atom_grads)
-                self._backprop_node(c[1], upstream, atom_grads)
-        elif node.kind == "implies":
-            if 1.0 - c[0].value + c[1].value < 1.0:
-                self._backprop_node(c[0], -upstream, atom_grads)
-                self._backprop_node(c[1], upstream, atom_grads)
-        elif node.kind == "hmean":
-            h = node.value
-            n = len(c)
-            for child in c:
-                d = (h * h / n) / ((child.value + HMEAN_EPS) ** 2)
-                self._backprop_node(child, upstream * d, atom_grads)
-        elif node.kind == "max":
-            best = max(range(len(c)), key=lambda i: c[i].value)
-            self._backprop_node(c[best], upstream, atom_grads)
-        else:
-            raise ValueError(node.kind)
-
     @staticmethod
-    def _backprop_template(node: _G, upstream: np.ndarray, slot_grads: np.ndarray) -> None:
-        if node.kind == "atom":
-            slot_grads[:, node.atom_index] += upstream
-            return
-        c = node.children
-        if node.kind == "not":
-            GroundPlan._backprop_template(c[0], -upstream, slot_grads)
-        elif node.kind == "and":
-            mask = (c[0].varr + c[1].varr - 1.0) >= 0.0
-            GroundPlan._backprop_template(c[0], upstream * mask, slot_grads)
-            GroundPlan._backprop_template(c[1], upstream * mask, slot_grads)
-        elif node.kind == "or":
-            mask = (c[0].varr + c[1].varr) < 1.0
-            GroundPlan._backprop_template(c[0], upstream * mask, slot_grads)
-            GroundPlan._backprop_template(c[1], upstream * mask, slot_grads)
-        elif node.kind == "implies":
-            mask = (1.0 - c[0].varr + c[1].varr) < 1.0
-            GroundPlan._backprop_template(c[0], -upstream * mask, slot_grads)
-            GroundPlan._backprop_template(c[1], upstream * mask, slot_grads)
-        else:
-            raise ValueError(node.kind)
+    def _backprop_group(group: _Group, out: list, upstream: np.ndarray, occ_grads: np.ndarray) -> None:
+        grads = [None] * len(out)
+        grads[-1] = upstream
+        for i in range(len(out) - 1, -1, -1):
+            op, g = group.ops[i], grads[i]
+            kind = op[0]
+            if kind == "atom":
+                occ_grads[group.pos[op[1]]] = g
+            elif kind == "not":
+                grads[op[1]] = -g
+            elif kind in ("and", "or", "implies"):
+                a, b = out[op[1]], out[op[2]]
+                # subgradients at the kinks: max(0, .) passes at 0, min(1, .) stops at 1
+                if kind == "and":
+                    g = g * ((a + b - 1.0) >= 0.0)
+                elif kind == "or":
+                    g = g * ((a + b) < 1.0)
+                else:
+                    g = g * ((1.0 - a + b) < 1.0)
+                grads[op[1]] = -g if kind == "implies" else g
+                grads[op[2]] = g
+            elif kind == "forall":
+                m = op[2]
+                body = out[op[1]].reshape(-1, m)
+                h = out[i]
+                grads[op[1]] = ((g * (h * h / m))[:, None] / (body + HMEAN_EPS) ** 2).ravel()
+            else:
+                body = out[op[1]].reshape(-1, op[2])
+                d = np.zeros_like(body)
+                d[np.arange(len(body)), np.argmax(body, axis=1)] = g  # first maximum
+                grads[op[1]] = d.ravel()
 
     def satisfiability_with_grads(self) -> tuple[float, dict]:
         """Returns (sat, {pred: {param: grad}}) for learnable predicates."""
-        values = self.formula_values()
+        values, per_group, forward = self._forward()
         sat = hmean(values)
-        atom_grads = np.zeros(len(self._atoms))
-        n = len(self.roots)
-        for root, v in zip(self.roots, values):
-            d = (sat * sat / n) / ((v + HMEAN_EPS) ** 2)
-            self._backprop_node(root, d, atom_grads)
+        upstream = (sat * sat / len(values)) / (values + HMEAN_EPS) ** 2
+        occ_grads = np.empty(len(self._occurrences))
+        for group, out in zip(self._groups, per_group):
+            self._backprop_group(group, out, upstream[group.rows], occ_grads)
+        # summed in grounding order, whatever the grouping
+        atom_grads = np.bincount(self._occurrences, weights=occ_grads, minlength=len(self._atoms))
         grads: dict = {}
         for pred, entry in self._per_pred.items():
-            model = self._model(pred)
-            if model.symbolic:
-                continue
-            upstream = atom_grads[entry["indices"]]
-            grads[pred] = model.gradient_batch(entry["x"], upstream, hidden=entry.get("hidden"))
+            h, p = forward[pred]
+            grads[pred] = entry["model"].gradient_batch(
+                entry["x"], atom_grads[entry["indices"]], hidden=h, truth=p)
         return sat, grads
-
-    def refresh_hidden_cache(self) -> None:
-        """Recompute cached hidden features (after an encoder swap)."""
-        for pred, entry in self._per_pred.items():
-            model = self._model(pred)
-            if "hidden" in entry:
-                entry["hidden"] = model.hidden_batch(entry["x"])
 
 
 # ---------------------------------------------------------------------------

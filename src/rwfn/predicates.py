@@ -2,8 +2,13 @@
 
 Two learnable families: the random-feature model (frozen encoder, trainable
 linear decoder beta) and the tensor-network baseline (u, W, V, b all
-trainable). A third, non-learnable family grounds predicates directly from
-dataset labels; it is used for ontology axioms whose truth is known.
+trainable). Both are a hidden layer followed by sigma(hidden . weights) and
+share one batch interface: hidden_batch(x), forward_batch(x, hidden) and
+gradient_batch(x, upstream, hidden, truth), so a caller computes the hidden
+layer and the forward truths once and passes them on; frozen_hidden marks
+models whose hidden layer never changes and can be cached. A third, non-learnable family grounds
+predicates directly from dataset labels; it is used for ontology axioms
+whose truth is known.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ from .numerics import make_rng
 
 
 def sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+    # exp(709) is finite; below z = -709 the clamp only moves a result that
+    # is already under 1e-307
+    return 1.0 / (1.0 + np.exp(np.minimum(-z, 709.0)))
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,7 @@ class RwfnPredicate:
     beta: np.ndarray
     mode: str = "full"  # "full" | "albm" | "rff"
     symbolic = False
+    frozen_hidden = True
 
     @classmethod
     def create(cls, encoder: RwfnEncoder, mode: str = "full") -> "RwfnPredicate":
@@ -51,16 +59,19 @@ class RwfnPredicate:
     def hidden_batch(self, x: np.ndarray) -> np.ndarray:
         return hidden_features(self.encoder, x, self.mode)
 
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        return sigmoid(self.hidden_batch(x) @ self.beta)
+    def forward_batch(self, x: np.ndarray, hidden: np.ndarray | None = None) -> np.ndarray:
+        h = self.hidden_batch(x) if hidden is None else hidden
+        return sigmoid(h @ self.beta)
 
     def forward(self, v: np.ndarray) -> float:
         return float(self.forward_batch(np.asarray(v, dtype=np.float64)[None, :])[0])
 
-    def gradient_batch(self, x: np.ndarray, upstream: np.ndarray, hidden: np.ndarray | None = None) -> dict:
-        """d(sum_i upstream_i * out_i)/d beta. The encoder receives no gradient."""
+    def gradient_batch(self, x: np.ndarray, upstream: np.ndarray, hidden: np.ndarray | None = None,
+                       truth: np.ndarray | None = None) -> dict:
+        """d(sum_i upstream_i * out_i)/d beta, with truth = forward_batch(x)
+        when the caller has it. The encoder receives no gradient."""
         h = self.hidden_batch(x) if hidden is None else hidden
-        p = sigmoid(h @ self.beta)
+        p = sigmoid(h @ self.beta) if truth is None else truth
         return {"beta": h.T @ (np.asarray(upstream) * p * (1.0 - p))}
 
     def gradient(self, v: np.ndarray, upstream: float) -> np.ndarray:
@@ -82,6 +93,7 @@ class NtnPredicate:
     v: np.ndarray  # (k, d)
     b: np.ndarray  # (k,)
     symbolic = False
+    frozen_hidden = False
 
     def __post_init__(self):
         k, d = self.v.shape
@@ -96,25 +108,26 @@ class NtnPredicate:
     def input_dim(self) -> int:
         return self.v.shape[1]
 
-    def _pre(self, x: np.ndarray) -> np.ndarray:
-        # s[n, i] = x_n^T W_i x_n + (V x_n)_i + b_i
-        t = np.tensordot(x, self.w, axes=([1], [1]))  # (n, k, d)
-        return (t * x[:, None, :]).sum(axis=2) + x @ self.v.T + self.b
-
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
+    def hidden_batch(self, x: np.ndarray) -> np.ndarray:
+        """tanh(s), s[n, i] = x_n^T W_i x_n + (V x_n)_i + b_i."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1] != self.input_dim:
             raise ValueError(f"input dim {x.shape[1]} != {self.input_dim}")
-        return sigmoid(np.tanh(self._pre(x)) @ self.u)
+        t = np.tensordot(x, self.w, axes=([1], [1]))  # (n, k, d)
+        return np.tanh((t * x[:, None, :]).sum(axis=2) + x @ self.v.T + self.b)
+
+    def forward_batch(self, x: np.ndarray, hidden: np.ndarray | None = None) -> np.ndarray:
+        t = self.hidden_batch(x) if hidden is None else hidden
+        return sigmoid(t @ self.u)
 
     def forward(self, v: np.ndarray) -> float:
         return float(self.forward_batch(np.asarray(v, dtype=np.float64)[None, :])[0])
 
-    def gradient_batch(self, x: np.ndarray, upstream: np.ndarray, hidden=None) -> dict:
+    def gradient_batch(self, x: np.ndarray, upstream: np.ndarray, hidden: np.ndarray | None = None,
+                       truth: np.ndarray | None = None) -> dict:
         x = np.asarray(x, dtype=np.float64)
-        s = self._pre(x)
-        t = np.tanh(s)
-        p = sigmoid(t @ self.u)
+        t = self.hidden_batch(x) if hidden is None else hidden
+        p = sigmoid(t @ self.u) if truth is None else truth
         dz = np.asarray(upstream) * p * (1.0 - p)          # (n,)
         du = t.T @ dz                                      # (k,)
         ds = dz[:, None] * self.u[None, :] * (1.0 - t * t)  # (n, k)

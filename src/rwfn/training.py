@@ -32,7 +32,6 @@ class TrainConfig:
     rmsprop_eps: float = 1e-8
     instantiation_budget: int = 10_000
     seed: int = 0
-    log_every: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -158,7 +157,7 @@ def train_multi_shared(theories: list, cfg: TrainConfig) -> list:
     encoders = set()
     for gt in theories:
         for model in gt.learnable_predicates().values():
-            if not hasattr(model, "encoder"):
+            if not model.frozen_hidden:
                 raise TrainingError("train_multi_shared requires frozen-encoder models")
             encoders.add(id(model.encoder))
     if len(encoders) != 1:

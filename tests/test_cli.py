@@ -124,6 +124,25 @@ class TestTrainEval:
         assert run_cli(["eval", "--model", str(model), "--data", str(bad),
                         "-o", str(tmp_path / "r.json")]) == 1
 
+    def test_failed_fit_runtime_error(self, dataset_path, tmp_path, capsys):
+        # an infinite L2 weight makes the first loss NaN, which training rejects
+        code = run_cli(["train", "--model", "rwfn", "--task", "types",
+                        "--data", str(dataset_path), "--b", "8", "--epochs", "2",
+                        "--l2", "inf", "-o", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "error: non-finite loss" in capsys.readouterr().err
+
+    def test_non_finite_feature_runtime_error(self, dataset_path, tmp_path, capsys):
+        obj = json.loads(dataset_path.read_text())
+        obj["records"][0]["features"][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(obj))
+        code = run_cli(["train", "--model", "rwfn", "--task", "types",
+                        "--data", str(bad), "--b", "8", "--epochs", "2",
+                        "-o", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "non-finite feature" in capsys.readouterr().err
+
     def test_missing_dataset_runtime_error(self, tmp_path):
         assert run_cli(["train", "--model", "rwfn", "--task", "types",
                         "--data", str(tmp_path / "nope.json"),

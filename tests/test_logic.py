@@ -1,21 +1,25 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rwfn.data import SyntheticConfig, gen_synthetic
 from rwfn.encoder import EncoderConfig, build_encoder
 from rwfn.logic import (
     Atom,
     And,
     Exists,
     ForAll,
+    Formula,
     GroundedTheory,
+    GroundPlan,
     Implies,
     KbSyntaxError,
     KnowledgeBase,
     Not,
     Or,
-    eval_connectives,
     eval_formula,
     hmean,
     luk_and,
@@ -28,6 +32,7 @@ from rwfn.logic import (
 )
 from rwfn.numerics import make_rng
 from rwfn.predicates import LabelPredicate, RwfnPredicate
+from rwfn.tasks import build_partof_theory, make_ltn_classifier, make_rwfn_classifier
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -109,12 +114,6 @@ class TestConnectives:
     def test_range_check(self):
         with pytest.raises(ValueError):
             luk_not(1.5)
-
-    def test_dispatch(self):
-        assert eval_connectives("not", 0.3) == pytest.approx(0.7)
-        assert eval_connectives("and", 0.8, 0.7) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            eval_connectives("and", 0.5)
 
     @given(unit, unit)
     @settings(max_examples=500)
@@ -359,3 +358,232 @@ def test_quantified_rwfn_gradient_matches_fd():
         numeric[i] = (hi - lo) / (2 * step)
     denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
     assert np.linalg.norm(analytic - numeric) / denom < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Compiled ground plans against a slow recursive oracle
+
+DOMAIN = ("a", "b", "c")
+SIGNATURES = {"P": 1, "Q": 1, "R": 2}  # P symbolic, Q and R random-feature models
+
+
+def oracle_theory(seed: int) -> GroundedTheory:
+    rng = make_rng(seed)
+    constants = {c: rng.random(3) for c in DOMAIN}
+    p = LabelPredicate({(c,): float(v) for c, v in zip(DOMAIN, rng.random(len(DOMAIN)))})
+    q = RwfnPredicate(encoder=build_encoder(EncoderConfig(input_dim=3, hidden_width=4, fan_in=2, seed=seed)),
+                      beta=rng.standard_normal(8))
+    r = RwfnPredicate(encoder=build_encoder(EncoderConfig(input_dim=6, hidden_width=4, fan_in=3, seed=seed + 1)),
+                      beta=rng.standard_normal(8))
+    return GroundedTheory(kb=KnowledgeBase(signatures=dict(SIGNATURES)), constants=constants,
+                          predicates={"P": p, "Q": q, "R": r})
+
+
+@st.composite
+def formulas(draw, bound=(), depth=0):
+    if depth == 3 or (depth > 0 and draw(st.booleans())):
+        pred = draw(st.sampled_from(sorted(SIGNATURES)))
+        terms = st.sampled_from(DOMAIN + bound)
+        return Atom(pred, tuple(draw(terms) for _ in range(SIGNATURES[pred])))
+    kind = draw(st.sampled_from((Not, And, Or, Implies, ForAll, Exists)))
+    if kind is Not:
+        return Not(draw(formulas(bound, depth + 1)))
+    if kind in (ForAll, Exists):
+        fresh = tuple(f"v{len(bound) + i}" for i in range(draw(st.integers(1, 2))))
+        return kind(fresh, draw(formulas(bound + fresh, depth + 1)))
+    return kind(draw(formulas(bound, depth + 1)), draw(formulas(bound, depth + 1)))
+
+
+def rename_constants(f: Formula):
+    """Same shape, each constant replaced by the next one in DOMAIN."""
+    if isinstance(f, Atom):
+        return Atom(f.pred, tuple(DOMAIN[(DOMAIN.index(a) + 1) % 3] if a in DOMAIN else a for a in f.args))
+    if isinstance(f, Not):
+        return Not(rename_constants(f.body))
+    if isinstance(f, (ForAll, Exists)):
+        return type(f)(f.variables, rename_constants(f.body))
+    return type(f)(rename_constants(f.left), rename_constants(f.right))
+
+
+def oracle_truth(gt: GroundedTheory, f, env: dict, kinks: list) -> float:
+    """Scalar Lukasiewicz semantics over every instantiation. Appends to
+    kinks how far each connective's clamped argument and each maximum's
+    runner-up sit from the point where the subgradient switches."""
+    if isinstance(f, Atom):
+        args = tuple(env.get(a, a) for a in f.args)
+        model = gt.predicates[f.pred]
+        if model.symbolic:
+            return model.truth_of(args)
+        return model.forward(np.concatenate([gt.constants[a] for a in args]))
+    if isinstance(f, Not):
+        return luk_not(oracle_truth(gt, f.body, env, kinks))
+    if isinstance(f, (ForAll, Exists)):
+        values = []
+        for combo in itertools.product(sorted(gt.constants), repeat=len(f.variables)):
+            values.append(oracle_truth(gt, f.body, {**env, **dict(zip(f.variables, combo))}, kinks))
+        if isinstance(f, ForAll):
+            return hmean(values)
+        best = max(values)
+        below = [v for v in values if v != best]  # equal values come from identical atoms
+        if below:
+            kinks.append(best - max(below))
+        return best
+    a = oracle_truth(gt, f.left, env, kinks)
+    b = oracle_truth(gt, f.right, env, kinks)
+    if isinstance(f, Implies):
+        kinks.append(b - a)
+        return luk_implies(a, b)
+    kinks.append(a + b - 1.0)
+    return luk_and(a, b) if isinstance(f, And) else luk_or(a, b)
+
+
+kbs = st.lists(formulas(), min_size=1, max_size=3)
+
+
+class TestCompiledPlanOracle:
+    @given(kbs, st.integers(0, 50))
+    @settings(max_examples=60, deadline=None)
+    def test_satisfiability_matches_oracle(self, fs, seed):
+        gt = oracle_theory(seed)
+        gt.kb.formulas = fs + [rename_constants(f) for f in fs]
+        expected = [oracle_truth(gt, f, {}, []) for f in gt.kb.formulas]
+        plan = GroundPlan(gt, budget=10**6, rng=make_rng(0))
+        assert np.allclose(plan.formula_values(), expected, rtol=0.0, atol=1e-12)
+        assert abs(plan.satisfiability() - hmean(expected)) <= 1e-12
+
+    @given(kbs, st.integers(0, 50))
+    @settings(max_examples=40, deadline=None)
+    def test_gradients_match_finite_differences(self, fs, seed):
+        gt = oracle_theory(seed)
+        gt.kb.formulas = fs + [rename_constants(f) for f in fs]
+        kinks: list = []
+        for f in gt.kb.formulas:
+            oracle_truth(gt, f, {}, kinks)
+        # an argument exactly at a kink is constant in beta (e.g. P(a) -> P(a))
+        assume(all(k == 0.0 or abs(k) > 1e-4 for k in kinks))
+        sat, grads = GroundPlan(gt, budget=10**6, rng=make_rng(0)).satisfiability_with_grads()
+        step = 1e-6
+        for name in ("Q", "R"):
+            model = gt.predicates[name]
+            numeric = np.zeros_like(model.beta)
+            for i in range(len(model.beta)):
+                saved = model.beta[i]
+                model.beta[i] = saved + step
+                hi = satisfiability(gt, instantiation_budget=10**6)
+                model.beta[i] = saved - step
+                lo = satisfiability(gt, instantiation_budget=10**6)
+                model.beta[i] = saved
+                numeric[i] = (hi - lo) / (2 * step)
+            analytic = grads[name]["beta"] if name in grads else np.zeros_like(numeric)
+            assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
+
+
+def test_sampled_plan_deterministic():
+    gt = oracle_theory(3)
+    gt.kb.formulas = parse_kb("pred Q/1\npred R/2\n"
+                              "forall x: exists y,z: R(x,y) & Q(z)\n"
+                              "exists x,y: R(x,y) -> (forall z: R(y,z))\n").formulas
+    # budget 4 < 9 pairs: every two-variable quantifier samples
+    plans = [GroundPlan(gt, budget=4, rng=make_rng(8)) for _ in range(2)]
+    assert plans[0]._atoms == plans[1]._atoms
+    (sat0, g0), (sat1, g1) = (p.satisfiability_with_grads() for p in plans)
+    assert sat0 == sat1
+    for name in g0:
+        assert np.array_equal(g0[name]["beta"], g1[name]["beta"])
+    assert plans[0].satisfiability_with_grads()[0] == sat0  # re-evaluation reuses the sample
+
+
+def kink_theory(text: str) -> GroundedTheory:
+    """P(a) = 0.5 exactly, and Q = sigmoid(beta . h) = 0.5 exactly at beta = 0."""
+    gt = oracle_theory(4)
+    gt.predicates["P"] = LabelPredicate({(c,): 0.5 for c in DOMAIN})
+    gt.predicates["Q"].beta = np.zeros(8)
+    gt.kb.formulas = parse_kb("pred P/1\npred Q/1\n" + text).formulas
+    return gt
+
+
+@pytest.mark.parametrize("text, passes", [
+    ("P(a) & Q(b)", True),    # max(0, a + b - 1) takes its right-hand slope at 0
+    ("P(a) | Q(b)", False),   # min(1, a + b) takes its right-hand slope at 1
+    ("P(a) -> Q(b)", False),  # likewise min(1, 1 - a + b)
+])
+def test_kink_subgradients(text, passes):
+    _, grads = satisfiability_gradient(kink_theory(text))
+    assert np.any(grads["Q"]["beta"] != 0.0) == passes
+
+
+def test_exists_tie_goes_to_first_instantiation():
+    _, tied = satisfiability_gradient(kink_theory("exists x: Q(x)"))
+    _, first = satisfiability_gradient(kink_theory("Q(a)"))
+    assert np.any(first["Q"]["beta"] != 0.0)
+    assert np.array_equal(tied["Q"]["beta"], first["Q"]["beta"])
+
+
+# sat and gradients computed with the scalar tree evaluator the compiled plan
+# replaced; the plans sample (budget below |D|^2), so they also pin the order
+# in which instantiation samples are drawn
+
+def golden_partof_theory(kind: str) -> GroundedTheory:
+    ds = gen_synthetic(SyntheticConfig(num_scenes=4, num_whole_classes=2, negative_ratio=2.0, seed=21))
+    if kind == "rwfn":
+        model = make_rwfn_classifier(2 * ds.n, 4, seed=5)
+        model.beta = make_rng(6).standard_normal(8)
+    else:
+        model = make_ltn_classifier(2 * ds.n, seed=5, k=2)
+    return build_partof_theory(ds, model)
+
+
+def golden_nested_theory() -> GroundedTheory:
+    gt = oracle_theory(11)
+    gt.kb.formulas = parse_kb("pred P/1\npred Q/1\npred R/2\n"
+                              "forall x: exists y: R(x,y) | ~Q(y)\n"
+                              "exists x: forall y,z: R(x,y) -> (P(z) | Q(y))\n"
+                              "Q(a) | (forall x,y: R(x,y))\n"
+                              "forall x: Q(x) -> (exists y,z: R(y,x) & P(z))\n"
+                              "~R(b,c)\n").formulas
+    return gt
+
+
+GOLDEN = {
+    "nested": (0.7167242690143644, {
+        "Q.beta": [
+            0.0, 0.0, 0.0,
+            -0.05547231681371418, 0.014554112172749224, 0.05269811272860948,
+            0.012468360924135675, 0.00036168806973630764,
+        ],
+        "R.beta": [
+            -0.013192058240274588, 0.001848895269959517, 0.0,
+            0.0, 0.0012077569266806046, 0.011066013980833182,
+            0.005200383173451589, -0.003073882264032674,
+        ],
+    }),
+    "partof-ltn": (0.5362993441835185, {
+        "partOf.u": [
+            -0.04524768866732736, 0.024574269587909908,
+        ],
+        "partOf.b": [
+            0.010389824758087324, 0.020900237307622943,
+        ],
+    }),
+    "partof-rwfn": (0.21958681258314577, {
+        "partOf.beta": [
+            -0.009300612009521187, -0.015099407198970155, 0.06982702607243335,
+            0.10173555944506818, -0.03663702268550815, -0.04474184003730462,
+            -0.07121745117098503, -0.07909966129620004,
+        ],
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_values(name):
+    sat_expected, grads_expected = GOLDEN[name]
+    if name == "nested":
+        gt, budget = golden_nested_theory(), 4
+    else:
+        gt, budget = golden_partof_theory(name.split("-")[1]), 60
+    sat, grads = GroundPlan(gt, budget, make_rng(2)).satisfiability_with_grads()
+    assert abs(sat - sat_expected) <= 1e-12
+    for key, expected in grads_expected.items():
+        pred, param = key.split(".")
+        assert np.allclose(grads[pred][param], expected, rtol=0.0, atol=1e-12)

@@ -16,6 +16,17 @@ from rwfn.predicates import (
 )
 
 
+def test_sigmoid_finite_for_any_input():
+    # with RuntimeWarnings as errors an overflowing exp fails this test
+    z = np.array([-np.inf, -1e308, -800.0, -709.0, 0.0, 800.0, np.inf])
+    out = sigmoid(z)
+    assert np.all((out >= 0.0) & (out <= 1.0))
+    assert out[0] < 1e-300 and out[-1] == 1.0
+    # unchanged from 1 / (1 + exp(-z)) wherever that form does not overflow
+    z = np.linspace(-709.0, 40.0, 10001)
+    assert np.array_equal(sigmoid(z), 1.0 / (1.0 + np.exp(-z)))
+
+
 def small_encoder(seed=0):
     return build_encoder(EncoderConfig(input_dim=8, hidden_width=16, fan_in=3, seed=seed))
 
