@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -226,11 +227,18 @@ def positive_int(text: str) -> int:
     return value
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _add_train_flags(p, epochs_default=1000):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=positive_int, default=epochs_default)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--l2", type=float, default=1e-10)
+    p.add_argument("--lr", type=finite_float, default=0.01)
+    p.add_argument("--l2", type=finite_float, default=1e-10)
     p.add_argument("--budget", type=int, default=10_000, help="quantifier instantiation budget")
     p.add_argument("--split-ratio", type=float, default=0.8)
     p.add_argument("--k", type=int, default=DEFAULT_K)

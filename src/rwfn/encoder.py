@@ -2,8 +2,9 @@
 plus random Fourier features approximating a Gaussian kernel.
 
 The encoder is drawn once from a seed and never trained. Inputs are assumed
-scaled to [0,1] per coordinate; out-of-range inputs only trigger a warning
-because the Fourier branch is calibrated for unit bandwidth.
+scaled to [0,1] per coordinate; out-of-range inputs only trigger a warning,
+once per hidden-feature build, because the Fourier branch is calibrated for
+unit bandwidth.
 """
 
 from __future__ import annotations
@@ -125,17 +126,9 @@ def fourier_features(enc: RwfnEncoder, v: np.ndarray) -> np.ndarray:
     return h2[0] if single else h2
 
 
-def encode(enc: RwfnEncoder, v: np.ndarray, validate: bool = True) -> np.ndarray:
+def encode(enc: RwfnEncoder, v: np.ndarray) -> np.ndarray:
     """Final hidden representation: tanh of the concatenated branches, length 2B."""
-    x, single = _as_batch(v, enc.input_dim)
-    if validate:
-        _warn_range(x)
-    b = enc.hidden_width
-    h = np.empty((len(x), 2 * b))
-    _albm(enc, x, out=h[:, :b])
-    _fourier(enc, x, out=h[:, b:])
-    np.tanh(h, out=h)
-    return h[0] if single else h
+    return hidden_features(enc, v, "full")
 
 
 def hidden_features(enc: RwfnEncoder, v: np.ndarray, mode: str = "full") -> np.ndarray:
@@ -143,12 +136,17 @@ def hidden_features(enc: RwfnEncoder, v: np.ndarray, mode: str = "full") -> np.n
 
     mode: "full" (tanh of [h1; h2], length 2B), "albm" (tanh h1, length B),
     or "rff" (tanh h2, length B). Ablated branches keep the tanh squashing
-    so decoders see the same value range as the full model.
+    so decoders see the same value range as the full model. Warns if any
+    input lies outside [0,1].
     """
-    if mode == "full":
-        return encode(enc, v, validate=False)
     x, single = _as_batch(v, enc.input_dim)
-    if mode == "albm":
+    _warn_range(x)
+    if mode == "full":
+        b = enc.hidden_width
+        h = np.empty((len(x), 2 * b))
+        _albm(enc, x, out=h[:, :b])
+        _fourier(enc, x, out=h[:, b:])
+    elif mode == "albm":
         h = _albm(enc, x)
     elif mode == "rff":
         h = _fourier(enc, x)

@@ -74,13 +74,6 @@ def pr_auc(scores, labels) -> float:
     return auc(pr_curve(scores, labels))
 
 
-def classify(score: float, th: float = 0.7) -> bool:
-    """Strict threshold decision: positive iff score > th."""
-    if not 0.0 <= score <= 1.0:
-        raise ValueError(f"score {score} outside [0,1]")
-    return score > th
-
-
 def macro_auc(per_class: dict) -> tuple:
     """Macro-average AUC over classes having both label values; returns
     (macro, {class: auc}) and skips degenerate classes."""

@@ -1,9 +1,8 @@
-"""Dense array helpers and deterministic random sampling.
+"""Deterministic random sampling.
 
 All randomness in the package flows through numpy's PCG64 generator seeded
 from a single 64-bit integer, so a seed fully determines every random block
-drawn anywhere. Normal draws use numpy's standard_normal (ziggurat);
-independent child streams come from Generator.spawn (SeedSequence-based).
+drawn anywhere. Normal draws use numpy's standard_normal (ziggurat).
 """
 
 from __future__ import annotations
@@ -18,22 +17,6 @@ PRNG_ID = "numpy-pcg64/standard_normal-ziggurat/v1"
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator for a 64-bit seed."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
-def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Derive n independent child streams from rng."""
-    return rng.spawn(n)
-
-
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with explicit shape validation."""
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if m.ndim != 2 or v.ndim != 1:
-        raise ValueError(f"matvec expects a 2-d matrix and 1-d vector, got {m.ndim}-d and {v.ndim}-d")
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix is {m.shape}, vector has length {v.shape[0]}")
-    return m @ v
 
 
 def sample_normal_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -9,6 +9,7 @@ every atom, so their epochs cost only decoder-sized dot products.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -36,12 +37,17 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        for name in ("l2", "learning_rate", "rmsprop_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.l2 < 0:
             raise ValueError("l2 must be >= 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if not 0.0 < self.rmsprop_decay < 1.0:
             raise ValueError("rmsprop_decay must be in (0,1)")
+        if self.rmsprop_eps <= 0:
+            raise ValueError("rmsprop_eps must be > 0")
 
 
 @dataclass

@@ -110,6 +110,12 @@ class TestTrainEval:
                         "--data", str(dataset_path), "--epochs", "0",
                         "-o", str(tmp_path / "m.json")]) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--l2", "inf"), ("--lr", "nan")])
+    def test_non_finite_hyperparameter_usage_error(self, dataset_path, tmp_path, flag, value):
+        assert run_cli(["train", "--model", "rwfn", "--task", "types",
+                        "--data", str(dataset_path), flag, value,
+                        "-o", str(tmp_path / "m.json")]) == 2
+
     def test_eval_unlabeled_records_runtime_error(self, dataset_path, tmp_path):
         model = tmp_path / "m.json"
         assert run_cli(["train", "--model", "rwfn", "--task", "types",
@@ -125,10 +131,11 @@ class TestTrainEval:
                         "-o", str(tmp_path / "r.json")]) == 1
 
     def test_failed_fit_runtime_error(self, dataset_path, tmp_path, capsys):
-        # an infinite L2 weight makes the first loss NaN, which training rejects
-        code = run_cli(["train", "--model", "rwfn", "--task", "types",
-                        "--data", str(dataset_path), "--b", "8", "--epochs", "2",
-                        "--l2", "inf", "-o", str(tmp_path / "m.json")])
+        # a finite but huge L2 weight times the NTN's initial squared norm
+        # overflows the first loss to inf, which training rejects
+        code = run_cli(["train", "--model", "ltn", "--task", "types",
+                        "--data", str(dataset_path), "--epochs", "2",
+                        "--l2", "1e308", "-o", str(tmp_path / "m.json")])
         assert code == 1
         assert "error: non-finite loss" in capsys.readouterr().err
 

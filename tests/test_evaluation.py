@@ -9,7 +9,6 @@ from rwfn.data import SyntheticConfig, gen_synthetic
 from rwfn.evaluation import (
     PrCurve,
     auc,
-    classify,
     compare,
     macro_auc,
     pr_auc,
@@ -144,21 +143,6 @@ class TestAuc:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             auc(PrCurve(recalls=np.array([]), precisions=np.array([]), thresholds=np.array([])))
-
-
-class TestClassify:
-    def test_strict_threshold(self):
-        assert classify(0.70) is False
-        assert classify(0.71) is True
-        assert classify(0.0) is False
-
-    def test_monotone(self):
-        decisions = [classify(s) for s in np.linspace(0, 1, 101)]
-        assert decisions == sorted(decisions)
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            classify(1.2)
 
 
 class TestMacroAuc:

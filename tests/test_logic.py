@@ -318,6 +318,16 @@ class TestSatisfiabilityGradient:
         assert sat == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(grads["P"]["beta"], 0.0)
 
+    def test_out_of_range_feature_warns_at_plan_build(self):
+        enc = build_encoder(EncoderConfig(input_dim=2, hidden_width=4, fan_in=1, seed=0))
+        gt = GroundedTheory(
+            kb=parse_kb("pred P/1\nP(a) & P(b)\n"),
+            constants={"a": np.array([0.2, 0.9]), "b": np.array([5.0, 0.1])},
+            predicates={"P": RwfnPredicate.create(enc)},
+        )
+        with pytest.warns(UserWarning, match=r"outside \[0,1\]"):
+            GroundPlan(gt, budget=10, rng=make_rng(0))
+
     def test_gradient_ascent_increases_sat(self):
         gt, model = rwfn_literal_theory([True, True, False])
         before, grads = satisfiability_gradient(gt)

@@ -1,42 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rwfn.numerics import (
     make_rng,
-    matvec,
     sample_normal_matrix,
     sample_sparse_binary,
     sample_uniform_vector,
-    split_rng,
 )
-
-
-class TestMatvec:
-    def test_identity(self):
-        assert np.array_equal(matvec(np.eye(2), np.array([3.0, 4.0])), [3.0, 4.0])
-
-    def test_zero(self):
-        assert np.array_equal(matvec(np.zeros((2, 2)), np.array([3.0, 4.0])), [0.0, 0.0])
-
-    def test_basic(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matvec(m, np.array([1.0, 1.0])), [3.0, 7.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matvec(np.eye(2), np.ones(3))
-
-    @given(st.integers(0, 2**32), st.floats(-3, 3), st.floats(-3, 3))
-    @settings(max_examples=50)
-    def test_linearity(self, seed, a, b):
-        rng = make_rng(seed)
-        m = rng.standard_normal((4, 5))
-        x, y = rng.standard_normal(5), rng.standard_normal(5)
-        lhs = matvec(m, a * x + b * y)
-        rhs = a * matvec(m, x) + b * matvec(m, y)
-        assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 class TestNormal:
@@ -104,8 +74,3 @@ class TestSparseBinary:
             sample_sparse_binary(10, 20, 3, make_rng(5)),
         )
 
-
-def test_split_rng_streams_differ():
-    rng = make_rng(0)
-    a, b = split_rng(rng, 2)
-    assert (a.random(10) != b.random(10)).any()

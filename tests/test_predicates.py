@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rwfn.encoder import EncoderConfig, build_encoder, encode
 from rwfn.numerics import make_rng
 from rwfn.predicates import (
+    BLOCK_ROWS,
     LabelPredicate,
     NtnPredicate,
     ParamCount,
@@ -150,6 +153,65 @@ class TestNtnGradient:
                 a = analytic[pname].ravel()
                 denom = max(np.linalg.norm(a), np.linalg.norm(nflat), 1e-12)
                 assert np.linalg.norm(a - nflat) / denom < 1e-4, pname
+
+
+def ntn_hidden_oracle(model, x):
+    """The unblocked form: one (n, k, d) tensordot over all rows."""
+    t = np.tensordot(x, model.w, axes=([1], [1]))
+    return np.tanh((t * x[:, None, :]).sum(axis=2) + x @ model.v.T + model.b)
+
+
+def ntn_gradient_oracle(model, x, upstream):
+    t = ntn_hidden_oracle(model, x)
+    p = sigmoid(t @ model.u)
+    dz = upstream * p * (1.0 - p)
+    ds = dz[:, None] * model.u[None, :] * (1.0 - t * t)
+    return {
+        "u": t.T @ dz,
+        "w": np.tensordot(ds[:, :, None] * x[:, None, :], x, axes=([0], [0])),
+        "v": ds.T @ x,
+        "b": ds.sum(axis=0),
+    }
+
+
+def assert_close_rel(actual, expected, rel=1e-12):
+    np.testing.assert_allclose(actual, expected, rtol=rel, atol=rel * np.abs(expected).max())
+
+
+class TestNtnBlockedKernels:
+    @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("d", [4, 44])
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_match_unblocked_oracle(self, n, d, k):
+        rng = make_rng(n + 100 * d + 10_000 * k)
+        model = init_ntn(k, d, rng)
+        x, upstream = rng.random((n, d)), rng.standard_normal(n)
+        hidden = ntn_hidden_oracle(model, x)
+        assert_close_rel(model.hidden_batch(x), hidden)
+        assert_close_rel(model.forward_batch(x), sigmoid(hidden @ model.u))
+        expected = ntn_gradient_oracle(model, x, upstream)
+        grads = model.gradient_batch(x, upstream)
+        assert grads.keys() == expected.keys()
+        for name, g in grads.items():
+            assert g.shape == model.learnable_params()[name].shape
+            assert_close_rel(g, expected[name])
+
+    def test_memory_stays_at_block_size(self):
+        # one (n, k, d) float64 temporary is 42 MB here; the unblocked kernels
+        # peaked at about twice that
+        n, d, k = 20_000, 44, 6
+        rng = make_rng(3)
+        model = init_ntn(k, d, rng)
+        x, upstream = rng.random((n, d)), rng.standard_normal(n)
+        bound = n * k * d * 8 // 4
+        for call in (lambda: model.hidden_batch(x), lambda: model.gradient_batch(x, upstream)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
 
 class TestInit:

@@ -85,6 +85,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(rmsprop_decay=1.0)
 
+    @pytest.mark.parametrize("field", ["l2", "learning_rate", "rmsprop_eps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0])
+    def test_non_positive_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="rmsprop_eps"):
+            TrainConfig(rmsprop_eps=eps)
+
 
 class TestTrain:
     def test_sat_strictly_increases_single_literal(self):
