@@ -39,7 +39,7 @@ def _dump_json(obj, path: Path) -> None:
 
 
 def _write_manifest(path: Path, command: str, args: argparse.Namespace,
-                    artifacts: dict, wall_ms: float, seeds: dict) -> None:
+                    artifacts: dict, wall_ms: float, seeds: dict, extra: dict | None = None) -> None:
     manifest = {
         "command": command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
@@ -47,6 +47,7 @@ def _write_manifest(path: Path, command: str, args: argparse.Namespace,
         "artifacts": {k: str(v) for k, v in artifacts.items()},
         "tool_version": __version__,
         "wall_ms": wall_ms,
+        **(extra or {}),
     }
     for p in artifacts.values():
         if not Path(p).exists():
@@ -115,7 +116,8 @@ def cmd_train(args) -> int:
     artifacts = {"model": out, "trace": trace_path}
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "train", args, artifacts,
                     (time.perf_counter() - t0) * 1000.0,
-                    {"seed": args.seed, "split_seed": split_seed})
+                    {"seed": args.seed, "split_seed": split_seed},
+                    {"plans": {name: tr.plan for name, tr in res.traces.items()}})
     pc = res.params
     print(f"wrote {out}: {args.model}/{args.task}, test AUC {res.auc:.3f}, "
           f"params {pc.learnable}/{pc.total} learnable/total")

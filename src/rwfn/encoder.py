@@ -173,10 +173,22 @@ def gate_checksum(enc: RwfnEncoder) -> str:
     return hashlib.sha256(enc.gate.astype(np.uint8).tobytes()).hexdigest()
 
 
+def _float_checksum(block: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(block, dtype="<f8").tobytes()).hexdigest()
+
+
+# spec key -> checksum of the random block it guards
+CHECKSUMS = {
+    "gate_checksum": gate_checksum,
+    "fourier_checksum": lambda enc: _float_checksum(enc.fourier),
+    "phase_checksum": lambda enc: _float_checksum(enc.phase),
+}
+
+
 def encoder_to_spec(enc: RwfnEncoder) -> dict:
     """Seed-based descriptor; reconstruction re-samples the random blocks."""
     c = enc.config
-    return {
+    spec = {
         "input_dim": c.input_dim,
         "hidden_width": c.hidden_width,
         "fan_in": c.fan_in,
@@ -184,11 +196,14 @@ def encoder_to_spec(enc: RwfnEncoder) -> dict:
         "kernel_scale": c.kernel_scale,
         "seed": c.seed,
         "prng_id": PRNG_ID,
-        "gate_checksum": gate_checksum(enc),
     }
+    spec.update((key, checksum(enc)) for key, checksum in CHECKSUMS.items())
+    return spec
 
 
 def encoder_from_spec(spec: dict) -> RwfnEncoder:
+    """Re-sample the encoder and check it against every checksum the spec
+    carries."""
     if spec.get("prng_id") != PRNG_ID:
         raise ValueError(f"unsupported prng_id {spec.get('prng_id')!r}, expected {PRNG_ID!r}")
     cfg = EncoderConfig(
@@ -200,6 +215,8 @@ def encoder_from_spec(spec: dict) -> RwfnEncoder:
         seed=spec["seed"],
     )
     enc = build_encoder(cfg)
-    if spec.get("gate_checksum") is not None and gate_checksum(enc) != spec["gate_checksum"]:
-        raise ValueError("gate checksum mismatch: encoder could not be reconstructed from seed")
+    for key, checksum in CHECKSUMS.items():
+        if spec.get(key) is not None and checksum(enc) != spec[key]:
+            block = key.removesuffix("_checksum")
+            raise ValueError(f"{block} checksum mismatch: encoder could not be reconstructed from seed")
     return enc

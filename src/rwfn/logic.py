@@ -10,7 +10,6 @@ plan are deterministic and gradient checks see a fixed function.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -108,8 +107,15 @@ class KbSyntaxError(ValueError):
 
 _TOKEN_RE = re.compile(r"\s*(->|[(),:~&|]|[A-Za-z_][A-Za-z0-9_]*|\S)")
 
+# Grounding walks formulas recursively, so a formula may nest at most this
+# many levels: each connective, negation, quantifier and parenthesis counts.
+MAX_DEPTH = 100
+
 
 class _Parser:
+    """Recursive descent; each rule returns (formula, height), the height
+    being the number of connective and quantifier levels in the formula."""
+
     def __init__(self, text: str, line_no: int, signatures: dict):
         self.line_no = line_no
         self.signatures = signatures
@@ -139,55 +145,66 @@ class _Parser:
         return tok, col
 
     def parse(self) -> Formula:
-        f = self.formula(frozenset())
+        f, _ = self.formula(frozenset(), 0)
         if self.i < len(self.tokens):
             raise KbSyntaxError(f"trailing input {self.peek()!r}", self.line_no, self.col())
         return f
 
-    def formula(self, bound) -> Formula:
+    def nest(self, levels: int, col: int) -> int:
+        """levels, after checking it against MAX_DEPTH; checked on the way
+        down (open constructs) and on the way up (formula heights)."""
+        if levels > MAX_DEPTH:
+            raise KbSyntaxError(f"formula nested deeper than {MAX_DEPTH} levels", self.line_no, col)
+        return levels
+
+    def formula(self, bound, depth: int) -> tuple:
         if self.peek() in ("forall", "exists"):
-            kind, _ = self.take()
+            kind, col = self.take()
             variables = [self.ident("variable name")]
             while self.peek() == ",":
                 self.take(",")
                 variables.append(self.ident("variable name"))
             self.take(":")
-            body = self.formula(bound | set(variables))
+            body, h = self.formula(bound | set(variables), self.nest(depth + 1, col))
             cls = ForAll if kind == "forall" else Exists
-            return cls(tuple(variables), body)
-        return self.implies(bound)
+            return cls(tuple(variables), body), self.nest(h + 1, col)
+        return self.implies(bound, depth)
 
-    def implies(self, bound) -> Formula:
-        left = self.disj(bound)
+    def implies(self, bound, depth: int) -> tuple:
+        left, h = self.disj(bound, depth)
         if self.peek() == "->":
-            self.take("->")
-            return Implies(left, self.implies(bound))
-        return left
+            _, col = self.take("->")
+            right, hr = self.implies(bound, self.nest(depth + 1, col))
+            return Implies(left, right), self.nest(max(h, hr) + 1, col)
+        return left, h
 
-    def disj(self, bound) -> Formula:
-        f = self.conj(bound)
+    def disj(self, bound, depth: int) -> tuple:
+        f, h = self.conj(bound, depth)
         while self.peek() == "|":
-            self.take("|")
-            f = Or(f, self.conj(bound))
-        return f
+            _, col = self.take("|")
+            right, hr = self.conj(bound, depth)
+            f, h = Or(f, right), self.nest(max(h, hr) + 1, col)
+        return f, h
 
-    def conj(self, bound) -> Formula:
-        f = self.unary(bound)
+    def conj(self, bound, depth: int) -> tuple:
+        f, h = self.unary(bound, depth)
         while self.peek() == "&":
-            self.take("&")
-            f = And(f, self.unary(bound))
-        return f
+            _, col = self.take("&")
+            right, hr = self.unary(bound, depth)
+            f, h = And(f, right), self.nest(max(h, hr) + 1, col)
+        return f, h
 
-    def unary(self, bound) -> Formula:
+    def unary(self, bound, depth: int) -> tuple:
         if self.peek() == "~":
-            self.take("~")
-            return Not(self.unary(bound))
+            _, col = self.take("~")
+            body, h = self.unary(bound, self.nest(depth + 1, col))
+            return Not(body), self.nest(h + 1, col)
         if self.peek() == "(":
-            self.take("(")
-            f = self.formula(bound)
+            _, col = self.take("(")
+            f, h = self.formula(bound, self.nest(depth + 1, col))
             self.take(")")
-            return f
-        return self.atom(bound)
+            return f, h
+        return self.atom(bound), 0
 
     def ident(self, what):
         tok, col = self.take()
@@ -225,6 +242,8 @@ def parse_kb(text: str) -> KnowledgeBase:
             continue
         decl = _DECL_RE.match(line)
         if decl:
+            if len(decl.group(2)) > 9:  # int() refuses strings of over 4300 digits
+                raise KbSyntaxError("arity out of range", line_no, decl.start(2) + 1)
             name, arity = decl.group(1), int(decl.group(2))
             if arity < 1:
                 raise KbSyntaxError("arity must be >= 1", line_no, 1)
@@ -279,8 +298,15 @@ def hmean(values: np.ndarray) -> float:
 # one batch with a row per formula. A quantifier with m instantiations runs
 # its body on rows*m rows and reduces them to rows. The instantiation sample
 # is fixed for the lifetime of one plan, so evaluation and backprop reuse it.
+#
+# Grounding works on integer keys. Constant c is its position in the sorted
+# domain D; an atom's argument code is sum_j pos(arg_j) * |D|**j, and its key
+# is pred_index * span + code, with span = |D|**(largest arity). Keys are
+# interned with one np.unique, ranked by first occurrence.
 
 _KIND = {Not: "not", And: "and", Or: "or", Implies: "implies", ForAll: "forall", Exists: "exists"}
+_QUANTIFIERS = ("forall", "exists")
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class _Group:
@@ -289,14 +315,18 @@ class _Group:
     ops[i] is (kind, *operands): ("atom", leaf), (connective, child, child),
     ("not", child) or (quantifier, body, m), with children earlier in the
     list; the last op is the formula. Leaf k gathers atoms[k] and its
-    gradient goes to the plan-wide occurrence slots pos[k].
+    gradient goes to the plan-wide occurrence slots pos[k]. Leaf k is also
+    plan-wide leaf slot + k, which sorts occurrences into pos.
     """
 
-    def __init__(self, ops: tuple):
+    def __init__(self, ops: tuple, slot: int):
         self.ops = ops
-        self.rows: list = []                                      # root positions
-        self.pos: list = [[] for op in ops if op[0] == "atom"]    # per leaf, row-major
-        self.atoms: list = []                                     # per leaf, row-major
+        self.leaves = sum(op[0] == "atom" for op in ops)
+        self.quantified = any(op[0] in _QUANTIFIERS for op in ops)
+        self.slot = slot
+        self.rows: list = []   # root positions
+        self.pos: list = []    # per leaf, row-major
+        self.atoms: list = []  # per leaf, row-major
 
 
 class GroundPlan:
@@ -309,39 +339,66 @@ class GroundPlan:
         self.budget = budget
         rng = rng if rng is not None else make_rng(0)
         self._domain = sorted(gt.constants)
-        self._atom_index: dict[tuple, int] = {}
-        self._atoms: list[tuple] = []  # (pred, args)
+        self._index = {c: i for i, c in enumerate(self._domain)}
+        self._preds: dict[str, int] = {}  # name -> arity, in order of first occurrence
+        self._pids: dict[str, int] = {}   # name -> index in _preds
+        self._quantifiers: list = []      # (root, variables, instantiations, sampled)
         self.roots = list(gt.kb.formulas)  # formula_values() follows this order
-        occurrences: list[int] = []    # atom index of every leaf, in grounding order
         groups: dict[tuple, _Group] = {}
+        slots = 0
+        # per atom occurrence, in grounding order: predicate, argument code,
+        # leaf slot; quantifier-free formulas add Python ints, the others arrays
+        chunks: list = []
+        closed: tuple = ([], [], [])
         for i, f in enumerate(self.roots):
             ops: list[tuple] = []
-            self._compile(f, ops, itertools.count())
+            nodes: list = []
+            atoms: list = []
+            self._compile(f, ops, nodes, atoms)
             key = tuple(ops)
             group = groups.get(key)
             if group is None:
-                group = groups[key] = _Group(key)
+                group = groups[key] = _Group(key, slots)
+                slots += group.leaves
             group.rows.append(i)
-            self._ground(f, {}, 0, group, occurrences, rng)
-        self._occurrences = np.array(occurrences, dtype=np.int64)
+            if group.quantified:
+                chunks.append(closed)
+                closed = ([], [], [])
+                codes, leaves = self._ground(i, ops, nodes, rng)
+                pids = np.array([self._pids[atom.pred] for atom in atoms])
+                chunks.append((pids[leaves], codes, group.slot + leaves))
+                continue
+            pids, codes, leaf_slots = closed
+            leaf_slots.extend(range(group.slot, group.slot + group.leaves))
+            for atom in atoms:
+                pids.append(self._pids[atom.pred])
+                codes.append(self._code(atom.args))
+        chunks.append(closed)
+        pids, codes, leaf_slots = (np.concatenate([np.asarray(c[j], dtype=np.int64) for c in chunks])
+                                   for j in range(3))
+        self._intern(pids, codes)
+        order = np.argsort(leaf_slots, kind="stable")
+        pos = np.split(order, np.cumsum(np.bincount(leaf_slots, minlength=slots))[:-1])
         for group in groups.values():
             group.rows = np.array(group.rows, dtype=np.int64)
-            group.pos = [np.array(p, dtype=np.int64) for p in group.pos]
+            group.pos = pos[group.slot:group.slot + group.leaves]
             group.atoms = [self._occurrences[p] for p in group.pos]
         self._groups = list(groups.values())
         # batch inputs per predicate, built once; symbolic truths are fixed
         self._fixed_values = np.zeros(len(self._atoms))
         self._per_pred: dict[str, dict] = {}
-        for pred, group in self._group_atoms().items():
+        pred_of, code_of = np.divmod(self._atoms, self._span)
+        constants = None
+        for pid, (pred, arity) in enumerate(self._preds.items()):
             model = self._model(pred)
-            indices = np.array([i for i, _ in group])
+            indices = np.flatnonzero(pred_of == pid)
+            args = self._args(code_of[indices], arity)
             if model.symbolic:
-                self._fixed_values[indices] = [model.truth_of(args) for _, args in group]
+                self._fixed_values[indices] = model.truth_batch(args, self._index)
                 continue
-            entry = {"indices": indices, "model": model}
-            entry["x"] = np.stack([
-                np.concatenate([gt.constants[a] for a in args]) for _, args in group
-            ])
+            if constants is None:
+                constants = np.stack([gt.constants[c] for c in self._domain])
+            entry = {"indices": indices, "model": model, "x": constants[args].reshape(len(indices), -1)}
             if model.frozen_hidden:
                 entry["hidden"] = model.hidden_batch(entry["x"])
             self._per_pred[pred] = entry
@@ -352,83 +409,171 @@ class GroundPlan:
         except KeyError:
             raise KeyError(f"predicate {pred!r} has no grounding") from None
 
-    def _group_atoms(self) -> dict:
-        groups: dict[str, list] = {}
-        for i, (pred, args) in enumerate(self._atoms):
-            groups.setdefault(pred, []).append((i, args))
-        return groups
-
-    def _atom(self, pred: str, args: tuple) -> int:
-        key = (pred, args)
-        idx = self._atom_index.get(key)
-        if idx is None:
-            for a in args:
-                if a not in self.gt.constants:
-                    raise KeyError(f"constant {a!r} has no grounding vector")
-            idx = len(self._atoms)
-            self._atom_index[key] = idx
-            self._atoms.append(key)
-        return idx
-
-    def _compile(self, f: Formula, ops: list, leaves) -> int:
-        """Append f's ops in post-order, numbering atoms left to right;
+    def _compile(self, f: Formula, ops: list, nodes: list, atoms: list) -> int:
+        """Append f's ops in post-order, the formula node of each op to
+        nodes, and its atoms left to right to atoms (leaf k is atoms[k]);
         returns the index of f's op."""
         if isinstance(f, Atom):
-            op = ("atom", next(leaves))
+            self._register(f)
+            op = ("atom", len(atoms))
+            atoms.append(f)
         elif isinstance(f, Not):
-            op = ("not", self._compile(f.body, ops, leaves))
+            op = ("not", self._compile(f.body, ops, nodes, atoms))
         elif isinstance(f, (And, Or, Implies)):
-            op = (_KIND[type(f)], self._compile(f.left, ops, leaves), self._compile(f.right, ops, leaves))
+            op = (_KIND[type(f)], self._compile(f.left, ops, nodes, atoms),
+                  self._compile(f.right, ops, nodes, atoms))
         elif isinstance(f, (ForAll, Exists)):
-            body = self._compile(f.body, ops, leaves)
-            op = (_KIND[type(f)], body, self._instantiation_count(len(f.variables)))
+            body = self._compile(f.body, ops, nodes, atoms)
+            op = (_KIND[type(f)], body, self._instantiation_count(f.variables))
         else:
             raise TypeError(f"unknown formula node {type(f).__name__}")
         ops.append(op)
+        nodes.append(f)
         return len(ops) - 1
 
-    def _ground(self, f: Formula, bindings: dict, leaf: int, group: _Group,
-                occurrences: list, rng) -> int:
-        """Record f's atoms leaf by leaf, drawing quantifier samples in tree
-        order (inner ones once per enclosing instantiation); returns the
-        number of the next leaf."""
-        if isinstance(f, Atom):
-            group.pos[leaf].append(len(occurrences))
-            args = tuple([bindings.get(a, a) for a in f.args]) if bindings else f.args
-            occurrences.append(self._atom(f.pred, args))
-            return leaf + 1
-        if isinstance(f, Not):
-            return self._ground(f.body, bindings, leaf, group, occurrences, rng)
-        if isinstance(f, (And, Or, Implies)):
-            leaf = self._ground(f.left, bindings, leaf, group, occurrences, rng)
-            return self._ground(f.right, bindings, leaf, group, occurrences, rng)
-        end = leaf
-        for combo in self._instantiations(len(f.variables), rng):
-            inner = dict(bindings)
-            inner.update(zip(f.variables, combo))
-            end = self._ground(f.body, inner, leaf, group, occurrences, rng)
-        return end
+    def _register(self, atom: Atom) -> None:
+        arity = self._preds.get(atom.pred)
+        if arity is None:
+            arity = self._preds[atom.pred] = len(atom.args)
+            self._pids[atom.pred] = len(self._pids)
+            if len(self._domain) ** arity > _INT64_MAX:
+                raise ValueError(f"the {len(self._domain)}^{arity} argument tuples of predicate "
+                                 f"{atom.pred!r} exceed the int64 atom key range")
+        elif arity != len(atom.args):
+            raise ValueError(f"predicate {atom.pred!r} is used with {arity} and {len(atom.args)} arguments")
 
-    def _instantiation_count(self, n_vars: int) -> int:
+    def _constant(self, c) -> int:
+        try:
+            return self._index[c]
+        except KeyError:
+            raise KeyError(f"constant {c!r} has no grounding vector") from None
+
+    def _code(self, args: tuple) -> int:
+        code = 0
+        for a in reversed(args):
+            code = code * len(self._domain) + self._constant(a)
+        return code
+
+    def _args(self, codes: np.ndarray, arity: int) -> np.ndarray:
+        """(len(codes), arity) constant positions of argument codes."""
+        out = np.empty((len(codes), arity), dtype=np.int64)
+        for j in range(arity):
+            codes, out[:, j] = np.divmod(codes, len(self._domain))
+        return out
+
+    def _intern(self, pids: np.ndarray, codes: np.ndarray) -> None:
+        """Atom keys in order of first occurrence, and each occurrence's atom."""
+        self._span = max(len(self._domain), 1) ** max(self._preds.values())
+        if len(self._preds) * self._span > _INT64_MAX + 1:
+            raise ValueError(f"{len(self._preds)} predicates over {len(self._domain)} constants "
+                             f"exceed the int64 atom key range")
+        keys, first, inverse = np.unique(pids * self._span + codes, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self._atoms = keys[order]
+        self._occurrences = rank[inverse]
+
+    def _ground(self, root: int, ops: list, nodes: list, rng) -> tuple:
+        """Argument codes and leaf numbers of a quantified formula's atom
+        occurrences, in grounding order: depth first, each quantifier body
+        once per instantiation. Samples are drawn first, in the same order."""
+        draws = []  # whether the subtree of op j draws a sample
+        for op, node in zip(ops, nodes):
+            if op[0] == "atom":
+                draws.append(False)
+            elif op[0] in _QUANTIFIERS:
+                draws.append(self._sampled(node.variables) or draws[op[1]])
+            else:
+                draws.append(any(draws[c] for c in op[1:]))
+        samples: dict = {}  # op -> one (m, k) sample per enclosing instantiation
+        if draws[-1]:
+            self._draw(ops, nodes, draws, len(ops) - 1, rng, samples)
+        codes, leaves = self._keys(root, ops, nodes, samples, len(ops) - 1, {}, 1)
+        return codes[0], leaves
+
+    def _draw(self, ops: list, nodes: list, draws: list, j: int, rng, samples: dict) -> None:
+        """Draw op j's samples for one enclosing instantiation, in tree order;
+        a nested sampled quantifier draws once per enclosing instantiation."""
+        op = ops[j]
+        if op[0] in _QUANTIFIERS:
+            variables = nodes[j].variables
+            if self._sampled(variables):
+                samples.setdefault(j, []).append(self._instantiations(len(variables), rng))
+            if draws[op[1]]:
+                for _ in range(op[2]):
+                    self._draw(ops, nodes, draws, op[1], rng, samples)
+            return
+        for child in op[1:]:
+            if draws[child]:
+                self._draw(ops, nodes, draws, child, rng, samples)
+
+    def _keys(self, root: int, ops: list, nodes: list, samples: dict, j: int, env: dict, rows: int) -> tuple:
+        """(rows, L) argument codes and (L,) leaf numbers of op j's subtree,
+        where env holds each bound variable's constant position per row."""
+        op, node = ops[j], nodes[j]
+        if op[0] == "atom":
+            code = np.zeros(rows, dtype=np.int64)
+            for k, a in enumerate(node.args):
+                code += (env[a] if a in env else self._constant(a)) * len(self._domain) ** k
+            return code[:, None], np.array([op[1]])
+        if op[0] == "not":
+            return self._keys(root, ops, nodes, samples, op[1], env, rows)
+        if op[0] in _QUANTIFIERS:
+            m = op[2]
+            if j in samples:
+                inst = np.concatenate(samples[j])
+            else:
+                inst = np.tile(self._instantiations(len(node.variables), None), (rows, 1))
+            self._quantifiers.append((root, node.variables, rows * m, j in samples))
+            inner = {v: np.repeat(a, m) for v, a in env.items()}
+            inner.update(zip(node.variables, inst.T))
+            body, leaves = self._keys(root, ops, nodes, samples, op[1], inner, rows * m)
+            return body.reshape(rows, -1), np.tile(leaves, m)
+        left, ll = self._keys(root, ops, nodes, samples, op[1], env, rows)
+        right, lr = self._keys(root, ops, nodes, samples, op[2], env, rows)
+        return np.hstack((left, right)), np.concatenate((ll, lr))
+
+    def _instantiation_count(self, variables: tuple) -> int:
         if not self._domain:
             raise ValueError("quantified formula over an empty constant domain")
-        return min(len(self._domain) ** n_vars, self.budget)
+        total = len(self._domain) ** len(variables)
+        if total > _INT64_MAX:
+            raise ValueError(f"quantifier over {', '.join(variables)}: {len(self._domain)}^{len(variables)} "
+                             f"instantiations exceed the int64 range")
+        return min(total, self.budget)
 
-    def _instantiations(self, n_vars: int, rng) -> list:
-        dom = self._domain
-        total = len(dom) ** n_vars
+    def _sampled(self, variables: tuple) -> bool:
+        return len(self._domain) ** len(variables) > self.budget
+
+    def _instantiations(self, n_vars: int, rng) -> np.ndarray:
+        """(m, n_vars) constant positions: every tuple in itertools.product
+        order when they fit the budget, else a sorted sample drawn from rng
+        whose flat index has the first variable as its lowest digit."""
+        d = len(self._domain)
+        total = d ** n_vars
         if total <= self.budget:
-            return list(itertools.product(dom, repeat=n_vars))
-        picks = rng.choice(total, size=self.budget, replace=False)
-        picks.sort()
-        out = []
-        for flat in picks:
-            combo = []
-            for _ in range(n_vars):
-                flat, r = divmod(flat, len(dom))
-                combo.append(dom[r])
-            out.append(tuple(combo))
+            flat, digits = np.arange(total), range(n_vars - 1, -1, -1)
+        else:
+            flat, digits = np.sort(rng.choice(total, size=self.budget, replace=False)), range(n_vars)
+        out = np.empty((len(flat), n_vars), dtype=np.int64)
+        for j in digits:
+            flat, out[:, j] = np.divmod(flat, d)
         return out
+
+    def stats(self) -> dict:
+        """What the plan grounded: atoms per predicate, formulas, groups, the
+        instantiations of each quantifier (counting every enclosing one) and
+        whether they were sampled, and the bytes of cached hidden layers."""
+        counts = np.bincount(self._atoms // self._span, minlength=len(self._preds))
+        return {
+            "atoms": {pred: int(n) for pred, n in zip(self._preds, counts)},
+            "roots": len(self.roots),
+            "groups": len(self._groups),
+            "quantifiers": [{"formula": i, "variables": list(v), "instantiations": n, "sampled": s}
+                            for i, v, n, s in self._quantifiers],
+            "hidden_cache_bytes": sum(e["hidden"].nbytes for e in self._per_pred.values() if "hidden" in e),
+        }
 
     # -- evaluation --------------------------------------------------------
 

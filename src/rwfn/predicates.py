@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import RwfnEncoder, build_encoder, encoder_from_spec, encoder_to_spec, hidden_dim, hidden_features
+from .encoder import CHECKSUMS, RwfnEncoder, build_encoder, encoder_from_spec, encoder_to_spec, hidden_dim, hidden_features
 from .numerics import make_rng
 
 
@@ -185,6 +185,32 @@ class LabelPredicate:
     def truth_of(self, args: tuple) -> float:
         return float(self.truths.get(tuple(args), self.default))
 
+    def truth_batch(self, args: np.ndarray, index: dict) -> np.ndarray:
+        """truth_of for each row of args, a row being the positions of an
+        atom's constants; index maps each constant id to its position."""
+        n, arity = args.shape
+        base = len(index)
+        table = {}
+        for key, value in self.truths.items():
+            if isinstance(key, tuple) and len(key) == arity and all(a in index for a in key):
+                code = 0
+                for a in reversed(key):
+                    code = code * base + index[a]
+                table[code] = float(value)
+        out = np.full(n, float(self.default))
+        if table:
+            keys = np.fromiter(table, dtype=np.int64, count=len(table))
+            values = np.fromiter(table.values(), dtype=np.float64, count=len(table))
+            order = np.argsort(keys)
+            keys, values = keys[order], values[order]
+            codes = np.zeros(n, dtype=np.int64)
+            for j in range(arity - 1, -1, -1):
+                codes = codes * base + args[:, j]
+            at = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
+            hit = keys[at] == codes
+            out[hit] = values[at[hit]]
+        return out
+
     def learnable_params(self) -> dict:
         return {}
 
@@ -208,7 +234,9 @@ def count_params(model) -> ParamCount:
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
-MODEL_FORMAT_VERSION = 1
+# Version 2 checksums every random encoder block; version 1 files carry the
+# gate checksum only, and still load with that check alone.
+MODEL_FORMAT_VERSION = 2
 
 
 def model_to_spec(model) -> dict:
@@ -235,11 +263,16 @@ def model_to_spec(model) -> dict:
 
 
 def model_from_spec(spec: dict, encoder: RwfnEncoder | None = None):
-    if spec.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {spec.get('format_version')!r}")
+    version = spec.get("format_version")
+    if version not in (1, MODEL_FORMAT_VERSION):
+        raise ValueError(f"unsupported model format version {version!r}")
     if spec["kind"] == "rwfn":
-        enc = encoder if encoder is not None else encoder_from_spec(spec["encoder"])
-        return RwfnPredicate(encoder=enc, beta=np.asarray(spec["beta"], dtype=np.float64), mode=spec["mode"])
+        if encoder is None:
+            missing = [key for key in CHECKSUMS if spec["encoder"].get(key) is None]
+            if version == MODEL_FORMAT_VERSION and missing:
+                raise ValueError(f"model format {version} encoder spec lacks {', '.join(missing)}")
+            encoder = encoder_from_spec(spec["encoder"])
+        return RwfnPredicate(encoder=encoder, beta=np.asarray(spec["beta"], dtype=np.float64), mode=spec["mode"])
     if spec["kind"] == "ntn":
         return NtnPredicate(
             u=np.asarray(spec["u"], dtype=np.float64),

@@ -79,6 +79,7 @@ class TrainTrace:
     loss: list = field(default_factory=list)
     sat: list = field(default_factory=list)
     ms: list = field(default_factory=list)
+    plan: dict = field(default_factory=dict)  # GroundPlan.stats(), for run manifests
 
     def to_json(self, include_ms: bool = False) -> dict:
         # wall-clock times live in run manifests; the artifact payload stays
@@ -101,7 +102,7 @@ def train(gt: GroundedTheory, cfg: TrainConfig, plan: GroundPlan | None = None) 
     if plan is None:
         plan = GroundPlan(gt, cfg.instantiation_budget, make_rng(cfg.seed))
     states = {name: RmsPropState() for name in models}
-    trace = TrainTrace()
+    trace = TrainTrace(plan=plan.stats())
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         sat, sat_grads = plan.satisfiability_with_grads()

@@ -76,6 +76,25 @@ class TestTrainEval:
         bundle = json.loads(model.read_text())
         assert len(bundle["predicates"]["partOf"]["beta"]) == 800  # 2B at B=400
 
+    def test_train_manifest_reports_plan(self, dataset_path, tmp_path):
+        model = tmp_path / "m.json"
+        assert run_cli(["train", "--model", "rwfn", "--task", "partof",
+                        "--data", str(dataset_path), "--b", "8",
+                        "--epochs", "2", "--budget", "100", "--seed", "0",
+                        "-o", str(model)]) == 0
+        plan = json.loads((tmp_path / "m.json.manifest.json").read_text())["plans"]["partOf"]
+        # pair literals first, then 3 + 2 axioms over (x, y), each sampling
+        # 100 of the |D|^2 pairs; 4 shapes: P, ~P and the two axiom forms
+        first = plan["roots"] - 5
+        assert plan["quantifiers"] == [
+            {"formula": first + i, "variables": ["x", "y"], "instantiations": 100, "sampled": True}
+            for i in range(5)
+        ]
+        assert plan["groups"] == 4
+        assert plan["hidden_cache_bytes"] == plan["atoms"]["partOf"] * 16 * 8  # 2B features at B=8
+        assert "plans" not in model.read_text()
+        assert "plans" not in (tmp_path / "m.json.trace.json").read_text()
+
     def test_train_determinism(self, dataset_path, tmp_path):
         outs = []
         for name in ("m1.json", "m2.json"):

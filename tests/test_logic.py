@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from rwfn.logic import (
     GroundedTheory,
     GroundPlan,
     Implies,
+    MAX_DEPTH,
     KbSyntaxError,
     KnowledgeBase,
     Not,
@@ -93,6 +96,50 @@ class TestParser:
     def test_quantifier_scopes_variables(self):
         f = parse_kb("pred P/2\nforall x: P(x, b1)\n").formulas[0]
         assert f.body.args == ("x", "b1")
+
+    @pytest.mark.parametrize("text, col", [
+        ("~" * 5000 + "P(a)", 101),
+        ("(" * 5000 + "P(a)" + ")" * 5000, 101),
+        (" & ".join(["P(a)"] * 1501), 1 + 7 * 101 - 2),  # the 101st '&'
+        ("forall x: " * 101 + "P(x)", 1 + 10 * 100),
+        ("P(a) -> " * 101 + "P(b)", 1 + 8 * 100 + 5),
+    ])
+    def test_nesting_limit(self, text, col):
+        with pytest.raises(KbSyntaxError, match="nested deeper than") as e:
+            parse_kb("pred P/1\n\n" + text + "\n")
+        assert (e.value.line, e.value.col) == (3, col)
+
+    @pytest.mark.parametrize("text", [
+        "~" * MAX_DEPTH + "P(a)",
+        "(" * MAX_DEPTH + "P(a)" + ")" * MAX_DEPTH,
+        " & ".join(["P(a)"] * (MAX_DEPTH + 1)),
+        " | ".join(["~P(a)"] * MAX_DEPTH),
+    ])
+    def test_nesting_at_the_limit_grounds(self, text):
+        gt = const_theory("pred P/1\n" + text + "\n", {"P": {("a",): 0.5}})
+        sat, _ = satisfiability_gradient(gt)
+        assert 0.0 <= sat <= 1.0
+
+    def test_huge_arity_is_a_syntax_error(self):
+        with pytest.raises(KbSyntaxError, match="arity out of range"):
+            parse_kb("pred P/" + "9" * 5000 + "\n")
+
+    token_text = st.lists(st.sampled_from(["forall", "exists", "x", "y", "a", "P", "R", "pred", ",", ":", "(",
+                                           ")", "~", "&", "|", "->", "-", ">", "/", "1", "2", "0", " ", "\n",
+                                           "#"]), max_size=40).map("".join)
+
+    @given(st.one_of(
+        st.text(),
+        token_text,
+        st.builds(lambda unit, n, tail: unit * n + tail,
+                  st.sampled_from(["~", "(", "forall x: ", "P(a) & ", "P(a) -> "]), st.integers(0, 2000), token_text),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_raises_only_syntax_errors(self, text):
+        try:
+            parse_kb("pred P/1\npred R/2\n" + text)
+        except KbSyntaxError:
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +542,197 @@ def test_sampled_plan_deterministic():
                               "exists x,y: R(x,y) -> (forall z: R(y,z))\n").formulas
     # budget 4 < 9 pairs: every two-variable quantifier samples
     plans = [GroundPlan(gt, budget=4, rng=make_rng(8)) for _ in range(2)]
-    assert plans[0]._atoms == plans[1]._atoms
+    assert np.array_equal(plans[0]._atoms, plans[1]._atoms)
     (sat0, g0), (sat1, g1) = (p.satisfiability_with_grads() for p in plans)
     assert sat0 == sat1
     for name in g0:
         assert np.array_equal(g0[name]["beta"], g1[name]["beta"])
     assert plans[0].satisfiability_with_grads()[0] == sat0  # re-evaluation reuses the sample
+
+
+# ---------------------------------------------------------------------------
+# Array grounding against the recursive grounder it replaced
+
+
+def oracle_grounding(gt: GroundedTheory, budget: int, rng) -> dict:
+    """Ground gt one Python call per formula node and instantiation, drawing
+    samples in tree order (an inner quantifier once per enclosing
+    instantiation). Returns atoms as (pred, args) in order of first
+    occurrence, each occurrence's atom, and per formula shape the rows and
+    per leaf the occurrence positions, plus batch inputs and symbolic truths."""
+    domain = sorted(gt.constants)
+    atoms: list = []
+    index: dict = {}
+    occurrences: list = []
+    groups: dict = {}
+
+    def instantiations(n_vars):
+        total = len(domain) ** n_vars
+        if total <= budget:
+            return list(itertools.product(domain, repeat=n_vars))
+        picks = rng.choice(total, size=budget, replace=False)
+        picks.sort()
+        out = []
+        for flat in picks:
+            combo = []
+            for _ in range(n_vars):
+                flat, r = divmod(flat, len(domain))
+                combo.append(domain[r])
+            out.append(tuple(combo))
+        return out
+
+    def shape(f):
+        if isinstance(f, Atom):
+            return ("atom",)
+        if isinstance(f, Not):
+            return ("not", shape(f.body))
+        if isinstance(f, (ForAll, Exists)):
+            return (type(f).__name__, shape(f.body), min(len(domain) ** len(f.variables), budget))
+        return (type(f).__name__, shape(f.left), shape(f.right))
+
+    def ground(f, bindings, leaf, pos):
+        if isinstance(f, Atom):
+            key = (f.pred, tuple(bindings.get(a, a) for a in f.args))
+            if key not in index:
+                index[key] = len(atoms)
+                atoms.append(key)
+            pos.setdefault(leaf, []).append(len(occurrences))
+            occurrences.append(index[key])
+            return leaf + 1
+        if isinstance(f, Not):
+            return ground(f.body, bindings, leaf, pos)
+        if isinstance(f, (And, Or, Implies)):
+            return ground(f.right, bindings, ground(f.left, bindings, leaf, pos), pos)
+        end = leaf
+        for combo in instantiations(len(f.variables)):
+            end = ground(f.body, {**bindings, **dict(zip(f.variables, combo))}, leaf, pos)
+        return end
+
+    for i, f in enumerate(gt.kb.formulas):
+        rows, pos = groups.setdefault(shape(f), ([], {}))
+        rows.append(i)
+        ground(f, {}, 0, pos)
+    inputs, truths = {}, np.zeros(len(atoms))
+    for i, (pred, args) in enumerate(atoms):
+        model = gt.predicates[pred]
+        if model.symbolic:
+            truths[i] = model.truth_of(args)
+        else:
+            indices, rows = inputs.setdefault(pred, ([], []))
+            indices.append(i)
+            rows.append(np.concatenate([gt.constants[a] for a in args]))
+    return {"atoms": atoms, "occurrences": occurrences, "truths": truths,
+            "groups": {rows[0]: (rows, [pos[k] for k in sorted(pos)]) for rows, pos in groups.values()},
+            "inputs": {pred: (indices, np.stack(rows)) for pred, (indices, rows) in inputs.items()}}
+
+
+def atom_keys(atoms: list, domain: list) -> np.ndarray:
+    """GroundPlan's atom keys: pred index * |D|**(largest arity) + sum_j
+    pos(arg_j) * |D|**j, predicates indexed in order of first occurrence."""
+    preds = list(dict.fromkeys(pred for pred, _ in atoms))
+    span = len(domain) ** max(len(args) for _, args in atoms)
+    return np.array([preds.index(pred) * span + sum(domain.index(a) * len(domain) ** j for j, a in enumerate(args))
+                     for pred, args in atoms], dtype=np.int64)
+
+
+@st.composite
+def side_by_side(draw):
+    """An outer quantifier over two inner ones, both sampled when the budget
+    is under |D|^2, joined by a connective; an inner (x, y) shadows x."""
+    inner = []
+    for _ in range(2):
+        variables = draw(st.sampled_from((("y", "z"), ("x", "y"))))
+        kind = draw(st.sampled_from((ForAll, Exists)))
+        inner.append(kind(variables, draw(formulas(("x",) + variables, 2))))
+    joined = draw(st.sampled_from((And, Or, Implies)))(*inner)
+    return draw(st.sampled_from((ForAll, Exists)))(("x",), joined)
+
+
+@st.composite
+def repeated(draw):
+    """A connective over one formula twice: every atom repeats."""
+    f = draw(formulas())
+    return draw(st.sampled_from((And, Or, Implies)))(f, f)
+
+
+grounding_kbs = st.lists(st.one_of(formulas(), side_by_side(), repeated()), min_size=1, max_size=4)
+
+
+@given(grounding_kbs, st.integers(0, 50), st.sampled_from([1, 2, 4, 8, 9, 10, 10**6]), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_grounding_matches_recursive_oracle(fs, seed, budget, rng_seed):
+    gt = oracle_theory(seed)
+    gt.kb.formulas = fs + [rename_constants(f) for f in fs]
+    plan = GroundPlan(gt, budget, make_rng(rng_seed))
+    want = oracle_grounding(gt, budget, make_rng(rng_seed))
+    assert np.array_equal(plan._atoms, atom_keys(want["atoms"], sorted(gt.constants)))
+    assert np.array_equal(plan._occurrences, want["occurrences"])
+    assert {int(g.rows[0]): (g.rows.tolist(), [p.tolist() for p in g.pos]) for g in plan._groups} == want["groups"]
+    for g in plan._groups:
+        assert all(np.array_equal(a, plan._occurrences[p]) for a, p in zip(g.atoms, g.pos))
+    assert np.array_equal(plan._fixed_values, want["truths"])
+    assert list(plan._per_pred) == list(want["inputs"])
+    for pred, (indices, x) in want["inputs"].items():
+        assert np.array_equal(plan._per_pred[pred]["indices"], indices)
+        assert np.array_equal(plan._per_pred[pred]["x"], x)
+
+
+def test_plan_is_freed_without_the_cycle_collector():
+    # a plan holds its hidden-feature cache; a reference cycle through it
+    # would keep that cache alive into the next fit, until a gc pass
+    gt = oracle_theory(1)
+    gt.kb.formulas = parse_kb("pred Q/1\npred R/2\nforall x: exists y,z: R(x,y) & Q(z)\n").formulas
+    gc.disable()
+    try:
+        plan = GroundPlan(gt, budget=4, rng=make_rng(0))
+        plan.satisfiability_with_grads()
+        ref = weakref.ref(plan)
+        del plan
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_plan_stats():
+    gt = oracle_theory(2)
+    gt.kb.formulas = parse_kb("pred P/1\npred Q/1\npred R/2\n"
+                              "forall x: exists y,z: R(x,y) & Q(z)\n"
+                              "P(a) | Q(b)\n"
+                              "exists x: P(x)\n").formulas
+    stats = GroundPlan(gt, budget=4, rng=make_rng(0)).stats()
+    # 3 x values, each with a sample of 4 of the 9 (y, z) pairs
+    assert stats["quantifiers"] == [
+        {"formula": 0, "variables": ["x"], "instantiations": 3, "sampled": False},
+        {"formula": 0, "variables": ["y", "z"], "instantiations": 12, "sampled": True},
+        {"formula": 2, "variables": ["x"], "instantiations": 3, "sampled": False},
+    ]
+    assert (stats["roots"], stats["groups"]) == (3, 3)
+    assert list(stats["atoms"]) == ["R", "Q", "P"] and stats["atoms"]["P"] == 3
+    # Q and R cache 2B = 8 float64 hidden features per atom
+    assert stats["hidden_cache_bytes"] == 64 * (stats["atoms"]["Q"] + stats["atoms"]["R"])
+
+
+@pytest.mark.parametrize("text, n_constants, match", [
+    # 300**8 > 2**63 - 1 tuples: rng.choice cannot draw from them
+    ("forall a,b,c,d,e,f,g,h: P(a)", 300, "quantifier over a, b, c, d, e, f, g, h"),
+    ("S(c0,c1,c2,c3,c4,c5,c6,c7)", 300, "argument tuples of predicate 'S'"),
+    # 300**7 fits, but 50 predicates times it do not
+    ("\n".join(f"T{i}(c0,c1,c2,c3,c4,c5,c6)" for i in range(50)), 300, "50 predicates over 300 constants"),
+])
+def test_plan_rejects_keys_beyond_int64(text, n_constants, match):
+    decls = "pred P/1\npred S/8\n" + "".join(f"pred T{i}/7\n" for i in range(50))
+    gt = GroundedTheory(kb=parse_kb(decls + text + "\n"),
+                        constants={f"c{i}": np.zeros(1) for i in range(n_constants)},
+                        predicates={})
+    with pytest.raises(ValueError, match=match):
+        GroundPlan(gt, budget=10, rng=make_rng(0))
+
+
+def test_plan_rejects_mixed_arity():
+    gt = const_theory("pred P/1\nP(a)\n", {"P": {("a",): 1.0}})
+    gt.kb.formulas.append(Atom("P", ("a", "a")))
+    with pytest.raises(ValueError, match="used with 1 and 2 arguments"):
+        GroundPlan(gt, budget=10, rng=make_rng(0))
 
 
 def kink_theory(text: str) -> GroundedTheory:

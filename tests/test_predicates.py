@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -288,6 +289,38 @@ class TestSerialization:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             model_from_spec({"format_version": 1, "kind": "mystery"})
+
+    @pytest.mark.parametrize("block", ["gate", "fourier", "phase"])
+    def test_tampered_block_checksum_refuses_to_load(self, block):
+        spec = model_to_spec(RwfnPredicate.create(small_encoder(5)))
+        spec["encoder"][f"{block}_checksum"] = "0" * 64
+        with pytest.raises(ValueError, match=f"{block} checksum mismatch"):
+            model_from_spec(spec)
+
+    def test_missing_block_checksum_refuses_to_load(self):
+        spec = model_to_spec(RwfnPredicate.create(small_encoder(5)))
+        del spec["encoder"]["fourier_checksum"]
+        with pytest.raises(ValueError, match="lacks fourier_checksum"):
+            model_from_spec(spec)
+
+    def test_version_1_loads_with_gate_check_only(self):
+        model = RwfnPredicate(encoder=small_encoder(5), beta=make_rng(12).standard_normal(32))
+        spec = model_to_spec(model)
+        spec["format_version"] = 1
+        del spec["encoder"]["fourier_checksum"], spec["encoder"]["phase_checksum"]
+        clone = model_from_spec(spec)
+        assert np.array_equal(clone.encoder.fourier, model.encoder.fourier)
+        spec["encoder"]["gate_checksum"] = "0" * 64
+        with pytest.raises(ValueError, match="gate checksum mismatch"):
+            model_from_spec(spec)
+
+    def test_label_truth_batch_matches_truth_of(self):
+        domain = ["a", "b", "c"]
+        p = LabelPredicate({("a", "b"): 0.25, ("c", "c"): 1, ("b", "a"): 0.5, ("z", "a"): 0.75, ("a",): 0.1},
+                           default=0.125)
+        args = np.array(list(itertools.product(range(3), repeat=2)))
+        expected = [p.truth_of(tuple(domain[i] for i in row)) for row in args]
+        assert p.truth_batch(args, {c: i for i, c in enumerate(domain)}).tolist() == expected
 
     def test_version_check(self):
         spec = model_to_spec(init_ntn(2, 4, make_rng(0)))
