@@ -10,6 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
+import resource
 import sys
 import time
 from dataclasses import asdict
@@ -38,6 +41,22 @@ def _dump_json(obj, path: Path) -> None:
         fh.write("\n")
 
 
+def _environment() -> dict:
+    """What the run ran on, for manifests only: artifacts stay byte-identical."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        blas = {}
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+        "peak_rss_mb": peak / (2**20 if sys.platform == "darwin" else 2**10),
+    }
+
+
 def _write_manifest(path: Path, command: str, args: argparse.Namespace,
                     artifacts: dict, wall_ms: float, seeds: dict, extra: dict | None = None) -> None:
     manifest = {
@@ -47,6 +66,7 @@ def _write_manifest(path: Path, command: str, args: argparse.Namespace,
         "artifacts": {k: str(v) for k, v in artifacts.items()},
         "tool_version": __version__,
         "wall_ms": wall_ms,
+        "environment": _environment(),
         **(extra or {}),
     }
     for p in artifacts.values():
@@ -138,7 +158,7 @@ def cmd_eval(args) -> int:
     if any(not r.labels for r in test.records):
         raise CliError("test split contains unlabeled records; cannot evaluate")
 
-    models = {name: model_from_spec(spec) for name, spec in bundle["predicates"].items()}
+    models = {name: model_from_spec(spec, name=name) for name, spec in bundle["predicates"].items()}
     if bundle["task"] == "types":
         macro, per = macro_auc(type_scores(models, test))
         report = {"task": "types", "auc": macro, "auc_mode": "macro", "per_class": per}

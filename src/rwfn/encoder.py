@@ -10,6 +10,7 @@ unit bandwidth.
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,10 +39,10 @@ class EncoderConfig:
             raise ValueError(f"fan_in must satisfy 1 <= fan_in < input_dim, got {self.fan_in} vs {self.input_dim}")
         if self.hidden_width < 1:
             raise ValueError("hidden_width must be >= 1")
-        if self.inhibition_strength <= 0:
-            raise ValueError("inhibition_strength must be > 0")
-        if self.kernel_scale <= 0:
-            raise ValueError("kernel_scale must be > 0")
+        if not 0 < self.inhibition_strength < math.inf:
+            raise ValueError(f"inhibition_strength must be finite and > 0, got {self.inhibition_strength}")
+        if not 0 < self.kernel_scale < math.inf:
+            raise ValueError(f"kernel_scale must be finite and > 0, got {self.kernel_scale}")
 
 
 @dataclass(frozen=True)
@@ -131,16 +132,29 @@ def encode(enc: RwfnEncoder, v: np.ndarray) -> np.ndarray:
     return hidden_features(enc, v, "full")
 
 
-def hidden_features(enc: RwfnEncoder, v: np.ndarray, mode: str = "full") -> np.ndarray:
+def hidden_features(enc: RwfnEncoder, v: np.ndarray, mode: str = "full",
+                    args: np.ndarray | None = None) -> np.ndarray:
     """Hidden representation for a branch selection.
 
     mode: "full" (tanh of [h1; h2], length 2B), "albm" (tanh h1, length B),
     or "rff" (tanh h2, length B). Ablated branches keep the tanh squashing
     so decoders see the same value range as the full model. Warns if any
     input lies outside [0,1].
+
+    With args, an (n, A) array of row positions, v is a table of constants
+    and the inputs are the n rows v[args].reshape(n, A * v.shape[1]), each
+    the concatenation of its A arguments' table rows. For A >= 2 they are
+    never built: see _slot_features.
     """
-    x, single = _as_batch(v, enc.input_dim)
-    _warn_range(x)
+    if args is not None:
+        table, args = _as_slots(v, args, enc.input_dim)
+        _warn_range(table[np.bincount(args.ravel(), minlength=len(table)) > 0])
+        if args.shape[1] > 1:
+            return _slot_features(enc, table, args, mode)
+        x, single = table[args[:, 0]], False
+    else:
+        x, single = _as_batch(v, enc.input_dim)
+        _warn_range(x)
     if mode == "full":
         b = enc.hidden_width
         h = np.empty((len(x), 2 * b))
@@ -154,6 +168,93 @@ def hidden_features(enc: RwfnEncoder, v: np.ndarray, mode: str = "full") -> np.n
         raise ValueError(f"unknown encoder mode {mode!r}")
     np.tanh(h, out=h)
     return h[0] if single else h
+
+
+def _as_slots(table: np.ndarray, args: np.ndarray, input_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    table = np.asarray(table, dtype=np.float64)
+    args = np.asarray(args)
+    if args.ndim != 2 or args.shape[1] < 1 or not np.issubdtype(args.dtype, np.integer):
+        raise ValueError(f"args must be an (n, arity) integer array, got {args.dtype} {args.shape}")
+    if table.ndim != 2 or table.shape[1] * args.shape[1] != input_dim:
+        raise ValueError(f"{args.shape[1]} arguments of a table of shape {table.shape} "
+                         f"do not make inputs of length {input_dim}")
+    if args.size and (args.min() < 0 or args.max() >= len(table)):
+        raise ValueError(f"args must index the {len(table)} table rows")
+    return table, args
+
+
+# Rows per block of _slot_features: each (rows, B) block temporary stays at
+# or under 400 KB for B <= 400.
+SLOT_BLOCK_ROWS = 128
+
+
+def _slot_features(enc: RwfnEncoder, table: np.ndarray, args: np.ndarray, mode: str) -> np.ndarray:
+    """hidden_features of the rows table[args].reshape(n, -1), from tables
+    over the constants, one per argument slot j and branch.
+
+    Both branches are sums of per-slot terms. The ALBM projection of a row
+    is sum_j G_j[arg_j] with G_j = table @ gate_j, gate_j being the gate rows
+    of slot j, and inhibition is linear, so each G_j is centred on its own.
+    The Fourier angle is sum_j F_j[arg_j] (phase folded into F_0), so its
+    cosine follows from cos F_j and sin F_j by the angle-sum identity,
+    (c, s) <- (c cos F_j - s sin F_j, s cos F_j + c sin F_j), with
+    sqrt(2/B) folded into slot 0. Rows are gathered and combined in blocks,
+    so there is no (n, B) temporary and there are |D|*A cosines and sines
+    where the concatenated rows take n*B.
+    """
+    n, arity = args.shape
+    d, b = table.shape[1], enc.hidden_width
+    h = np.empty((n, hidden_dim(enc, mode)))
+    albm, rff = mode != "rff", mode != "albm"
+    gates, cos, sin = [], [], []
+    for j in range(arity):
+        block = slice(j * d, (j + 1) * d)
+        if albm:
+            g = table @ enc.gate[block]
+            g -= enc.config.inhibition_strength * g.mean(axis=1, keepdims=True)
+            gates.append(g)
+        if rff:
+            z = table @ enc.fourier[block]
+            if j == 0:
+                z += enc.phase
+            c, s = np.cos(z), np.sin(z, out=z)
+            if j == 0:
+                c *= np.sqrt(2.0 / b)
+                s *= np.sqrt(2.0 / b)
+            cos.append(c)
+            sin.append(s)
+
+    buffers = np.empty((4, min(n, SLOT_BLOCK_ROWS), b))
+    for lo in range(0, n, SLOT_BLOCK_ROWS):
+        hi = lo + SLOT_BLOCK_ROWS
+        idx = args[lo:hi].T
+        if albm:
+            o = h[lo:hi, :b]
+            acc = _gather(gates[0], idx[0], buffers[0])
+            for j in range(1, arity):
+                acc += _gather(gates[j], idx[j], buffers[1])
+            np.maximum(acc, 0.0, out=o)
+            np.tanh(o, out=o)
+        if rff:
+            o = h[lo:hi, -b:]
+            c, s = _gather(cos[0], idx[0], buffers[0]), _gather(sin[0], idx[0], buffers[1])
+            for j in range(1, arity - 1):
+                cj, sj = _gather(cos[j], idx[j], buffers[2]), _gather(sin[j], idx[j], buffers[3])
+                cs = np.multiply(c, sj, out=o)  # o is free until the last slot
+                c *= cj
+                c -= np.multiply(s, sj, out=sj)
+                s *= cj
+                s += cs
+            np.multiply(c, _gather(cos[-1], idx[-1], buffers[2]), out=o)
+            o -= np.multiply(s, _gather(sin[-1], idx[-1], buffers[3]), out=s)
+            np.tanh(o, out=o)
+    return h
+
+
+def _gather(table: np.ndarray, rows: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    # rows are in range; mode="clip" writes into buffer directly, where the
+    # default mode="raise" gathers into a temporary and copies
+    return np.take(table, rows, axis=0, out=buffer[:len(rows)], mode="clip")
 
 
 def hidden_dim(enc: RwfnEncoder, mode: str = "full") -> int:

@@ -46,6 +46,8 @@ def pr_curve(scores, labels) -> PrCurve:
     labels = np.asarray(labels, dtype=int)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be 1-d and equally long")
+    if np.isnan(scores).any():
+        raise ValueError("scores contain NaN; a NaN score has no rank")
     pos = int(labels.sum())
     if pos == 0 or pos == len(labels):
         raise ValueError("PR curve needs at least one positive and one negative label")

@@ -400,7 +400,7 @@ class GroundPlan:
                 constants = np.stack([gt.constants[c] for c in self._domain])
             entry = {"indices": indices, "model": model, "x": constants[args].reshape(len(indices), -1)}
             if model.frozen_hidden:
-                entry["hidden"] = model.hidden_batch(entry["x"])
+                entry["hidden"] = model.hidden_batch(constants, args)
             self._per_pred[pred] = entry
 
     def _model(self, pred: str):

@@ -3,10 +3,12 @@
 Two learnable families: the random-feature model (frozen encoder, trainable
 linear decoder beta) and the tensor-network baseline (u, W, V, b all
 trainable). Both are a hidden layer followed by sigma(hidden . weights) and
-share one batch interface: hidden_batch(x), forward_batch(x, hidden) and
-gradient_batch(x, upstream, hidden, truth), so a caller computes the hidden
-layer and the forward truths once and passes them on; frozen_hidden marks
-models whose hidden layer never changes and can be cached. A third, non-learnable family grounds
+share one batch interface: hidden_batch(x, args), forward_batch(x, hidden)
+and gradient_batch(x, upstream, hidden, truth), so a caller computes the
+hidden layer and the forward truths once and passes them on; with args,
+hidden_batch reads its input rows as x[args].reshape(len(args), -1), the
+concatenated rows of a table of constants. frozen_hidden marks models
+whose hidden layer never changes and can be cached. A third, non-learnable family grounds
 predicates directly from dataset labels; it is used for ontology axioms
 whose truth is known.
 """
@@ -62,8 +64,8 @@ class RwfnPredicate:
     def input_dim(self) -> int:
         return self.encoder.input_dim
 
-    def hidden_batch(self, x: np.ndarray) -> np.ndarray:
-        return hidden_features(self.encoder, x, self.mode)
+    def hidden_batch(self, x: np.ndarray, args: np.ndarray | None = None) -> np.ndarray:
+        return hidden_features(self.encoder, x, self.mode, args)
 
     def forward_batch(self, x: np.ndarray, hidden: np.ndarray | None = None) -> np.ndarray:
         h = self.hidden_batch(x) if hidden is None else hidden
@@ -114,9 +116,11 @@ class NtnPredicate:
     def input_dim(self) -> int:
         return self.v.shape[1]
 
-    def hidden_batch(self, x: np.ndarray) -> np.ndarray:
+    def hidden_batch(self, x: np.ndarray, args: np.ndarray | None = None) -> np.ndarray:
         """tanh(s), s[n, i] = x_n^T W_i x_n + (V x_n)_i + b_i."""
         x = np.asarray(x, dtype=np.float64)
+        if args is not None:
+            x = x[args].reshape(len(args), -1)
         if x.shape[1] != self.input_dim:
             raise ValueError(f"input dim {x.shape[1]} != {self.input_dim}")
         k, d = self.v.shape
@@ -262,7 +266,9 @@ def model_to_spec(model) -> dict:
     raise TypeError(f"cannot serialize model type {type(model).__name__}")
 
 
-def model_from_spec(spec: dict, encoder: RwfnEncoder | None = None):
+def model_from_spec(spec: dict, encoder: RwfnEncoder | None = None, name: str = "model"):
+    """The model a spec describes; name is the predicate it grounds, for
+    error messages. Non-finite parameter values refuse to load."""
     version = spec.get("format_version")
     if version not in (1, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format version {version!r}")
@@ -272,12 +278,17 @@ def model_from_spec(spec: dict, encoder: RwfnEncoder | None = None):
             if version == MODEL_FORMAT_VERSION and missing:
                 raise ValueError(f"model format {version} encoder spec lacks {', '.join(missing)}")
             encoder = encoder_from_spec(spec["encoder"])
-        return RwfnPredicate(encoder=encoder, beta=np.asarray(spec["beta"], dtype=np.float64), mode=spec["mode"])
-    if spec["kind"] == "ntn":
-        return NtnPredicate(
+        model = RwfnPredicate(encoder=encoder, beta=np.asarray(spec["beta"], dtype=np.float64), mode=spec["mode"])
+    elif spec["kind"] == "ntn":
+        model = NtnPredicate(
             u=np.asarray(spec["u"], dtype=np.float64),
             w=np.asarray(spec["w"], dtype=np.float64),
             v=np.asarray(spec["v"], dtype=np.float64),
             b=np.asarray(spec["b"], dtype=np.float64),
         )
-    raise ValueError(f"unknown model kind {spec['kind']!r}")
+    else:
+        raise ValueError(f"unknown model kind {spec['kind']!r}")
+    for param, value in model.learnable_params().items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"predicate {name!r}: parameter {param!r} has non-finite values")
+    return model

@@ -1,7 +1,10 @@
 import json
+import os
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rwfn.cli import main
@@ -13,6 +16,15 @@ def run_cli(args):
         return main(args)
     except SystemExit as e:
         return int(e.code)
+
+
+def assert_environment(env):
+    assert set(env) == {"python", "numpy", "blas", "cpu_count", "peak_rss_mb"}
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"name", "version"}
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["peak_rss_mb"] > 0
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +50,7 @@ class TestGenSynth:
         assert manifest["command"] == "gen-synth"
         assert manifest["seeds"] == {"seed": 1}
         assert "wall_ms" in manifest
+        assert_environment(manifest["environment"])
 
     def test_missing_output_usage_error(self):
         assert run_cli(["gen-synth", "--scenes", "5"]) == 2
@@ -82,7 +95,9 @@ class TestTrainEval:
                         "--data", str(dataset_path), "--b", "8",
                         "--epochs", "2", "--budget", "100", "--seed", "0",
                         "-o", str(model)]) == 0
-        plan = json.loads((tmp_path / "m.json.manifest.json").read_text())["plans"]["partOf"]
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        assert_environment(manifest["environment"])
+        plan = manifest["plans"]["partOf"]
         # pair literals first, then 3 + 2 axioms over (x, y), each sampling
         # 100 of the |D|^2 pairs; 4 shapes: P, ~P and the two axiom forms
         first = plan["roots"] - 5
@@ -92,8 +107,9 @@ class TestTrainEval:
         ]
         assert plan["groups"] == 4
         assert plan["hidden_cache_bytes"] == plan["atoms"]["partOf"] * 16 * 8  # 2B features at B=8
-        assert "plans" not in model.read_text()
-        assert "plans" not in (tmp_path / "m.json.trace.json").read_text()
+        for artifact in (model, tmp_path / "m.json.trace.json"):
+            assert "plans" not in artifact.read_text()
+            assert "environment" not in artifact.read_text()
 
     def test_train_determinism(self, dataset_path, tmp_path):
         outs = []
@@ -106,6 +122,21 @@ class TestTrainEval:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_eval_non_finite_model_runtime_error(self, dataset_path, tmp_path, capsys):
+        # an all-NaN decoder would otherwise score AUC 1.000 and exit 0
+        model = tmp_path / "m.json"
+        assert run_cli(["train", "--model", "rwfn", "--task", "partof",
+                        "--data", str(dataset_path), "--b", "8",
+                        "--epochs", "2", "--budget", "100", "--seed", "0",
+                        "-o", str(model)]) == 0
+        bundle = json.loads(model.read_text())
+        bundle["predicates"]["partOf"]["beta"] = [float("nan")] * 16
+        model.write_text(json.dumps(bundle))
+        code = run_cli(["eval", "--model", str(model), "--data", str(dataset_path),
+                        "-o", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "predicate 'partOf': parameter 'beta' has non-finite values" in capsys.readouterr().err
 
     def test_eval_determinism(self, dataset_path, tmp_path):
         model = tmp_path / "m.json"

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwfn.encoder import (
+    SLOT_BLOCK_ROWS,
     EncoderConfig,
     RwfnEncoder,
     albm_features,
@@ -17,6 +20,8 @@ from rwfn.encoder import (
     hidden_features,
     kernel_estimate,
 )
+from rwfn.numerics import make_rng
+from rwfn.predicates import init_ntn
 from rwfn.verify import gaussian_kernel
 
 
@@ -44,6 +49,12 @@ class TestBuild:
     def test_bad_fan_in(self):
         with pytest.raises(ValueError):
             EncoderConfig(input_dim=64, hidden_width=10, fan_in=70)
+
+    @pytest.mark.parametrize("field", ["inhibition_strength", "kernel_scale"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_bad_scalars_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            EncoderConfig(input_dim=8, hidden_width=4, **{field: bad})
 
     def test_blocks_immutable(self):
         enc = small_encoder()
@@ -131,6 +142,77 @@ class TestEncode:
         assert hidden_dim(enc, "full") == 32 and hidden_dim(enc, "albm") == 16
         with pytest.raises(ValueError):
             hidden_features(enc, v, "bogus")
+
+
+def slot_case(arity, n, seed=0, constants=7, d=3, b=16):
+    """An encoder over arity * d inputs, a table of constants and n atoms
+    that repeat arguments and never use the last constant."""
+    enc = build_encoder(EncoderConfig(input_dim=arity * d, hidden_width=b, fan_in=2, seed=seed))
+    rng = make_rng(seed + 1)
+    table = rng.random((constants, d))
+    args = rng.integers(0, constants - 1, size=(n, arity))
+    args[::3, 1 % arity] = args[::3, 0]
+    return enc, table, args
+
+
+class TestSlotTables:
+    """Atoms given as argument positions into a table of constants, against
+    the rows concatenated and encoded as one input each."""
+
+    @pytest.mark.parametrize("n", [1, SLOT_BLOCK_ROWS - 1, SLOT_BLOCK_ROWS, SLOT_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("mode", ["full", "albm", "rff"])
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_matches_concatenated_rows(self, arity, mode, n):
+        enc, table, args = slot_case(arity, n)
+        expected = hidden_features(enc, table[args].reshape(n, -1), mode)
+        got = hidden_features(enc, table, mode, args)
+        assert got.shape == expected.shape == (n, hidden_dim(enc, mode))
+        assert np.abs(got - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["full", "albm", "rff"])
+    def test_one_slot_is_bit_identical(self, mode):
+        enc, table, args = slot_case(1, 300)
+        assert np.array_equal(hidden_features(enc, table, mode, args),
+                              hidden_features(enc, table[args[:, 0]], mode))
+
+    def test_ntn_gathers_the_same_rows(self):
+        _, table, args = slot_case(2, 50)
+        model = init_ntn(3, 6, make_rng(4))
+        assert np.array_equal(model.hidden_batch(table, args),
+                              model.hidden_batch(table[args].reshape(50, -1)))
+
+    def test_range_warning_looks_at_used_constants_only(self, recwarn):
+        enc, table, args = slot_case(2, 40)
+        table[-1] = 5.0  # no atom uses the last constant
+        hidden_features(enc, table, "full", args)
+        assert not recwarn.list
+        table[args[0, 1]] = 5.0
+        with pytest.warns(UserWarning, match="outside"):
+            hidden_features(enc, table, "full", args)
+
+    @pytest.mark.parametrize("args, match", [
+        (np.array([[0, 7]]), "index"),
+        (np.array([[-1, 0]]), "index"),
+        (np.array([[0.0, 1.0]]), "integer"),
+        (np.array([0, 1]), "integer"),
+        (np.array([[0, 1, 2]]), "length 6"),
+    ])
+    def test_bad_args_rejected(self, args, match):
+        enc, table, _ = slot_case(2, 1)
+        with pytest.raises(ValueError, match=match):
+            hidden_features(enc, table, "full", args)
+
+    def test_memory_stays_at_the_output(self):
+        # part-of shaped: pairs over a few hundred constants; the output is
+        # the cache a plan keeps, and nothing else (n, B) sized is made
+        enc, table, args = slot_case(2, 20_000, constants=200, d=22, b=200)
+        tracemalloc.start()
+        try:
+            h = hidden_features(enc, table, "full", args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * h.nbytes
 
 
 class TestKernelEstimate:

@@ -68,6 +68,11 @@ class TestPrCurve:
         with pytest.raises(ValueError):
             pr_curve([0.5, 0.2], [1, 1])
 
+    def test_nan_score_rejected(self):
+        # NaN has no rank; argsort would put it last, as the lowest score
+        with pytest.raises(ValueError, match="NaN"):
+            pr_auc([float("nan"), 0.5, 0.2], [1, 0, 1])
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pr_curve([0.5], [1, 0])

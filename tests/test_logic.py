@@ -829,3 +829,34 @@ def test_golden_values(name):
     for key, expected in grads_expected.items():
         pred, param = key.split(".")
         assert np.allclose(grads[pred][param], expected, rtol=0.0, atol=1e-12)
+
+
+def test_traced_run_sees_the_hidden_cache_and_batches(monkeypatch):
+    # the benchmark's traced run times rwfn.predicates.hidden_features and
+    # counts its rows and bytes, and counts len(x) of each forward and
+    # gradient call; the plan has to go through both as it did
+    from rwfn import predicates
+
+    hidden_calls, batch_rows = [], []
+    hidden_features = predicates.hidden_features
+
+    def traced_hidden(*args, **kwargs):
+        h = hidden_features(*args, **kwargs)
+        hidden_calls.append(h.shape)
+        return h
+
+    def counting(method):
+        def wrapper(self, x, *args, **kwargs):
+            batch_rows.append((method.__name__, len(x)))
+            return method(self, x, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(predicates, "hidden_features", traced_hidden)
+    for name in ("forward_batch", "gradient_batch"):
+        monkeypatch.setattr(RwfnPredicate, name, counting(getattr(RwfnPredicate, name)))
+    plan = GroundPlan(golden_partof_theory("rwfn"), 60, make_rng(2))
+    atoms = plan.stats()["atoms"]["partOf"]
+    assert hidden_calls == [(atoms, 8)]  # 2B features at B=4
+    plan.satisfiability_with_grads()
+    assert batch_rows == [("forward_batch", atoms), ("gradient_batch", atoms)]
+    assert hidden_calls == [(atoms, 8)]

@@ -322,6 +322,17 @@ class TestSerialization:
         expected = [p.truth_of(tuple(domain[i] for i in row)) for row in args]
         assert p.truth_batch(args, {c: i for i, c in enumerate(domain)}).tolist() == expected
 
+    @pytest.mark.parametrize("kind, param", [("rwfn", "beta"), ("ntn", "u"), ("ntn", "w"), ("ntn", "v"), ("ntn", "b")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_parameter_refuses_to_load(self, kind, param, bad):
+        model = RwfnPredicate.create(small_encoder(5)) if kind == "rwfn" else init_ntn(2, 4, make_rng(0))
+        spec = model_to_spec(model)
+        values = np.array(spec[param], dtype=np.float64)
+        values.flat[-1] = bad
+        spec[param] = values.tolist()
+        with pytest.raises(ValueError, match=f"predicate 'partOf': parameter '{param}'"):
+            model_from_spec(spec, name="partOf")
+
     def test_version_check(self):
         spec = model_to_spec(init_ntn(2, 4, make_rng(0)))
         spec["format_version"] = 99
