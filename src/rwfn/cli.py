@@ -134,10 +134,13 @@ def cmd_train(args) -> int:
     trace_path = out.with_suffix(out.suffix + ".trace.json")
     _dump_json({name: tr.to_json() for name, tr in res.traces.items()}, trace_path)
     artifacts = {"model": out, "trace": trace_path}
+    extra = {"plans": {name: tr.plan for name, tr in res.traces.items()}}
+    lockstep = next(iter(res.traces.values())).lockstep
+    if lockstep is not None:
+        extra["lockstep"] = lockstep  # the one plan all classes trained on
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "train", args, artifacts,
                     (time.perf_counter() - t0) * 1000.0,
-                    {"seed": args.seed, "split_seed": split_seed},
-                    {"plans": {name: tr.plan for name, tr in res.traces.items()}})
+                    {"seed": args.seed, "split_seed": split_seed}, extra)
     pc = res.params
     print(f"wrote {out}: {args.model}/{args.task}, test AUC {res.auc:.3f}, "
           f"params {pc.learnable}/{pc.total} learnable/total")

@@ -10,12 +10,15 @@ plan are deterministic and gradient checks see a fixed function.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numerics import make_rng
+from .predicates import head, stack
 
 HMEAN_EPS = 1e-12
 
@@ -81,9 +84,33 @@ class GroundedTheory:
     kb: KnowledgeBase
     constants: dict    # record id -> feature vector (np.ndarray)
     predicates: dict   # predicate name -> model
+    parts: list = field(default_factory=list)  # the theories merge_theories joined
 
     def learnable_predicates(self) -> dict:
         return {name: m for name, m in self.predicates.items() if m.learnable_params()}
+
+
+def merge_theories(theories: list) -> GroundedTheory:
+    """Several theories as one, whose parts they are: their formulas in
+    order, their constants united, and each predicate keyed (part, name), so
+    the atoms of different parts stay distinct. A constant id must name one
+    vector. A plan over the result runs every part in one pass, with its
+    own satisfiability, constant domain and quantifier samples."""
+    if not theories:
+        raise ValueError("no theories to merge")
+    constants: dict = {}
+    for i, gt in enumerate(theories):
+        for c, v in gt.constants.items():
+            seen = constants.setdefault(c, v)
+            if seen is not v and not np.array_equal(seen, v):
+                raise ValueError(f"constant {c!r} is bound to different vectors in theory {i} and an earlier one")
+    return GroundedTheory(
+        kb=KnowledgeBase(signatures={(i, name): a for i, gt in enumerate(theories)
+                                     for name, a in gt.kb.signatures.items()},
+                         formulas=[f for gt in theories for f in gt.kb.formulas]),
+        constants=constants,
+        predicates={(i, name): m for i, gt in enumerate(theories) for name, m in gt.predicates.items()},
+        parts=list(theories))
 
 
 # ---------------------------------------------------------------------------
@@ -329,50 +356,85 @@ class _Group:
         self.atoms: list = []  # per leaf, row-major
 
 
+@dataclass
+class _Batch:
+    """Learnable predicates whose atoms read the same rows, evaluated as one
+    model: the predicate's own, or the stack of all of them (one head each,
+    see predicates.stack). indices holds the atom of each row, (n,), or of
+    each row and head, (n, heads), as the model's truths."""
+
+    preds: list  # (part, name) of each head
+    members: list
+    model: object
+    indices: np.ndarray
+    x: np.ndarray
+    hidden: np.ndarray | None = None
+
+
 class GroundPlan:
+    """The compiled grounding of a theory, or of the parts of a merged one
+    (merge_theories): every part's formulas run in the same groups, and
+    each part has its own satisfiability, constant domain and quantifier
+    samples, drawn from its own copy of rng."""
+
     def __init__(self, gt: GroundedTheory, budget: int, rng: np.random.Generator | None):
-        if not gt.kb.formulas:
+        parts = gt.parts or [gt]
+        if not all(part.kb.formulas for part in parts):
             raise ValueError("cannot evaluate satisfiability of an empty knowledge base")
         if budget < 1:
             raise ValueError(f"instantiation budget must be >= 1, got {budget}")
         self.gt = gt
         self.budget = budget
         rng = rng if rng is not None else make_rng(0)
+        self._parts = parts
         self._domain = sorted(gt.constants)
         self._index = {c: i for i, c in enumerate(self._domain)}
-        self._preds: dict[str, int] = {}  # name -> arity, in order of first occurrence
-        self._pids: dict[str, int] = {}   # name -> index in _preds
-        self._quantifiers: list = []      # (root, variables, instantiations, sampled)
+        self._preds: dict = {}          # (part, name) -> arity, in order of first occurrence
+        self._pids: dict = {}           # (part, name) -> index in _preds
+        self._quantifiers: list = []    # (root, variables, instantiations, sampled)
         self.roots = list(gt.kb.formulas)  # formula_values() follows this order
+        self._counts = np.array([len(part.kb.formulas) for part in parts])
+        self._bounds = np.concatenate(([0], np.cumsum(self._counts)))
+        self._equal_parts = bool((self._counts == self._counts[0]).all())
         groups: dict[tuple, _Group] = {}
         slots = 0
         # per atom occurrence, in grounding order: predicate, argument code,
         # leaf slot; quantifier-free formulas add Python ints, the others arrays
         chunks: list = []
         closed: tuple = ([], [], [])
-        for i, f in enumerate(self.roots):
-            ops: list[tuple] = []
-            nodes: list = []
-            atoms: list = []
-            self._compile(f, ops, nodes, atoms)
-            key = tuple(ops)
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = _Group(key, slots)
-                slots += group.leaves
-            group.rows.append(i)
-            if group.quantified:
-                chunks.append(closed)
-                closed = ([], [], [])
-                codes, leaves = self._ground(i, ops, nodes, rng)
-                pids = np.array([self._pids[atom.pred] for atom in atoms])
-                chunks.append((pids[leaves], codes, group.slot + leaves))
-                continue
-            pids, codes, leaf_slots = closed
-            leaf_slots.extend(range(group.slot, group.slot + group.leaves))
-            for atom in atoms:
-                pids.append(self._pids[atom.pred])
-                codes.append(self._code(atom.args))
+        roots = enumerate(self.roots)
+        for self._part, part in enumerate(parts):
+            self._members = part.constants
+            # a part's quantifiers range over its own constants, by position
+            # in its own sorted domain; _positions maps those to the plan's
+            self._size = len(part.constants)
+            self._positions = None if self._size == len(self._domain) else \
+                np.array([self._index[c] for c in sorted(part.constants)], dtype=np.int64)
+            part_rng = copy.deepcopy(rng) if gt.parts else rng
+            for i, f in itertools.islice(roots, len(part.kb.formulas)):
+                ops: list[tuple] = []
+                nodes: list = []
+                atoms: list = []
+                self._compile(f, ops, nodes, atoms)
+                key = tuple(ops)
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = _Group(key, slots)
+                    slots += group.leaves
+                group.rows.append(i)
+                if group.quantified:
+                    chunks.append(closed)
+                    closed = ([], [], [])
+                    codes, leaves = self._ground(i, ops, nodes, part_rng)
+                    pids = np.array([self._pids[self._part, atom.pred] for atom in atoms])
+                    chunks.append((pids[leaves], codes, group.slot + leaves))
+                    continue
+                pids, codes, leaf_slots = closed
+                leaf_slots.extend(range(group.slot, group.slot + group.leaves))
+                for atom in atoms:
+                    pids.append(self._pids[self._part, atom.pred])
+                    codes.append(self._code(atom.args))
+        del self._part, self._members, self._size, self._positions
         chunks.append(closed)
         pids, codes, leaf_slots = (np.concatenate([np.asarray(c[j], dtype=np.int64) for c in chunks])
                                    for j in range(3))
@@ -384,11 +446,11 @@ class GroundPlan:
             group.pos = pos[group.slot:group.slot + group.leaves]
             group.atoms = [self._occurrences[p] for p in group.pos]
         self._groups = list(groups.values())
-        # batch inputs per predicate, built once; symbolic truths are fixed
+        # symbolic truths are fixed; learnable predicates whose atoms have the
+        # same arguments are batched, and each batch's input is built once
         self._fixed_values = np.zeros(len(self._atoms))
-        self._per_pred: dict[str, dict] = {}
         pred_of, code_of = np.divmod(self._atoms, self._span)
-        constants = None
+        same_rows: list = []  # [(pred, model, indices, args), ...] per batch
         for pid, (pred, arity) in enumerate(self._preds.items()):
             model = self._model(pred)
             indices = np.flatnonzero(pred_of == pid)
@@ -396,16 +458,29 @@ class GroundPlan:
             if model.symbolic:
                 self._fixed_values[indices] = model.truth_batch(args, self._index)
                 continue
-            if constants is None:
-                constants = np.stack([gt.constants[c] for c in self._domain])
-            entry = {"indices": indices, "model": model, "x": constants[args].reshape(len(indices), -1)}
+            member = (pred, model, indices, args)
+            for members in same_rows:
+                if members[0][1].stack_key() == model.stack_key() and np.array_equal(members[0][3], args):
+                    members.append(member)
+                    break
+            else:
+                same_rows.append([member])
+        self.batches: list[_Batch] = []
+        constants = np.stack([gt.constants[c] for c in self._domain]) if same_rows else None
+        for members in same_rows:
+            preds, models, indices, args = zip(*members)
+            model = models[0] if len(models) == 1 else stack(models)
+            batch = _Batch(preds=list(preds), members=list(models), model=model,
+                           indices=indices[0] if len(models) == 1 else np.stack(indices, axis=1),
+                           x=constants[args[0]].reshape(len(args[0]), -1))
             if model.frozen_hidden:
-                entry["hidden"] = model.hidden_batch(constants, args)
-            self._per_pred[pred] = entry
+                batch.hidden = model.hidden_batch(constants, args[0])
+            self.batches.append(batch)
 
-    def _model(self, pred: str):
+    def _model(self, key: tuple):
+        part, pred = key
         try:
-            return self.gt.predicates[pred]
+            return self._parts[part].predicates[pred]
         except KeyError:
             raise KeyError(f"predicate {pred!r} has no grounding") from None
 
@@ -432,10 +507,11 @@ class GroundPlan:
         return len(ops) - 1
 
     def _register(self, atom: Atom) -> None:
-        arity = self._preds.get(atom.pred)
+        key = (self._part, atom.pred)
+        arity = self._preds.get(key)
         if arity is None:
-            arity = self._preds[atom.pred] = len(atom.args)
-            self._pids[atom.pred] = len(self._pids)
+            arity = self._preds[key] = len(atom.args)
+            self._pids[key] = len(self._pids)
             if len(self._domain) ** arity > _INT64_MAX:
                 raise ValueError(f"the {len(self._domain)}^{arity} argument tuples of predicate "
                                  f"{atom.pred!r} exceed the int64 atom key range")
@@ -443,10 +519,9 @@ class GroundPlan:
             raise ValueError(f"predicate {atom.pred!r} is used with {arity} and {len(atom.args)} arguments")
 
     def _constant(self, c) -> int:
-        try:
-            return self._index[c]
-        except KeyError:
-            raise KeyError(f"constant {c!r} has no grounding vector") from None
+        if c not in self._members:
+            raise KeyError(f"constant {c!r} has no grounding vector")
+        return self._index[c]
 
     def _code(self, args: tuple) -> int:
         code = 0
@@ -525,6 +600,8 @@ class GroundPlan:
                 inst = np.concatenate(samples[j])
             else:
                 inst = np.tile(self._instantiations(len(node.variables), None), (rows, 1))
+            if self._positions is not None:
+                inst = self._positions[inst]
             self._quantifiers.append((root, node.variables, rows * m, j in samples))
             inner = {v: np.repeat(a, m) for v, a in env.items()}
             inner.update(zip(node.variables, inst.T))
@@ -535,22 +612,23 @@ class GroundPlan:
         return np.hstack((left, right)), np.concatenate((ll, lr))
 
     def _instantiation_count(self, variables: tuple) -> int:
-        if not self._domain:
+        if not self._size:
             raise ValueError("quantified formula over an empty constant domain")
-        total = len(self._domain) ** len(variables)
+        total = self._size ** len(variables)
         if total > _INT64_MAX:
-            raise ValueError(f"quantifier over {', '.join(variables)}: {len(self._domain)}^{len(variables)} "
+            raise ValueError(f"quantifier over {', '.join(variables)}: {self._size}^{len(variables)} "
                              f"instantiations exceed the int64 range")
         return min(total, self.budget)
 
     def _sampled(self, variables: tuple) -> bool:
-        return len(self._domain) ** len(variables) > self.budget
+        return self._size ** len(variables) > self.budget
 
     def _instantiations(self, n_vars: int, rng) -> np.ndarray:
-        """(m, n_vars) constant positions: every tuple in itertools.product
-        order when they fit the budget, else a sorted sample drawn from rng
-        whose flat index has the first variable as its lowest digit."""
-        d = len(self._domain)
+        """(m, n_vars) constant positions in the part's domain: every tuple
+        in itertools.product order when they fit the budget, else a sorted
+        sample drawn from rng whose flat index has the first variable as its
+        lowest digit."""
+        d = self._size
         total = d ** n_vars
         if total <= self.budget:
             flat, digits = np.arange(total), range(n_vars - 1, -1, -1)
@@ -564,30 +642,39 @@ class GroundPlan:
     def stats(self) -> dict:
         """What the plan grounded: atoms per predicate, formulas, groups, the
         instantiations of each quantifier (counting every enclosing one) and
-        whether they were sampled, and the bytes of cached hidden layers."""
+        whether they were sampled, and the bytes of cached hidden layers.
+        A plan over several parts gives its parts, formulas, groups and
+        cache bytes here, and the rest per part (part_stats)."""
+        shared = {"groups": len(self._groups),
+                  "hidden_cache_bytes": sum(b.hidden.nbytes for b in self.batches if b.hidden is not None)}
+        if self.gt.parts:
+            return {"parts": len(self._counts), "roots": len(self.roots), **shared}
+        return {**self.part_stats(0), **shared}
+
+    def part_stats(self, part: int) -> dict:
+        """A part's atoms per predicate, formulas, and quantifiers, with its
+        formulas numbered from 0."""
         counts = np.bincount(self._atoms // self._span, minlength=len(self._preds))
+        lo, hi = self._bounds[part], self._bounds[part + 1]
         return {
-            "atoms": {pred: int(n) for pred, n in zip(self._preds, counts)},
-            "roots": len(self.roots),
-            "groups": len(self._groups),
-            "quantifiers": [{"formula": i, "variables": list(v), "instantiations": n, "sampled": s}
-                            for i, v, n, s in self._quantifiers],
-            "hidden_cache_bytes": sum(e["hidden"].nbytes for e in self._per_pred.values() if "hidden" in e),
+            "atoms": {pred: int(n) for (p, pred), n in zip(self._preds, counts) if p == part},
+            "roots": int(hi - lo),
+            "quantifiers": [{"formula": int(i - lo), "variables": list(v), "instantiations": n, "sampled": s}
+                            for i, v, n, s in self._quantifiers if lo <= i < hi],
         }
 
     # -- evaluation --------------------------------------------------------
 
-    def _atom_values(self) -> tuple[np.ndarray, dict]:
-        """Truth of every atom, plus each learnable predicate's hidden layer
-        and truths, for its gradient."""
+    def _atom_values(self) -> tuple[np.ndarray, list]:
+        """Truth of every atom, plus each batch's hidden layer and truths,
+        for its gradient."""
         values = self._fixed_values.copy()
-        forward = {}
-        for pred, entry in self._per_pred.items():
-            model, x = entry["model"], entry["x"]
-            h = entry["hidden"] if "hidden" in entry else model.hidden_batch(x)
-            p = model.forward_batch(x, hidden=h)
-            values[entry["indices"]] = p
-            forward[pred] = (h, p)
+        forward = []
+        for b in self.batches:
+            h = b.hidden if b.hidden is not None else b.model.hidden_batch(b.x)
+            p = b.model.forward_batch(b.x, hidden=h)
+            values[b.indices] = p
+            forward.append((h, p))
         return values, forward
 
     @staticmethod
@@ -627,6 +714,16 @@ class GroundPlan:
     def satisfiability(self) -> float:
         return hmean(self.formula_values())
 
+    def _part_satisfiabilities(self, values: np.ndarray) -> np.ndarray:
+        """hmean of each part's formula values; a row sum adds in the same
+        order as hmean's sum, so one part gets hmean's value exactly."""
+        recip = 1.0 / (values + HMEAN_EPS)
+        if self._equal_parts:
+            sums = recip.reshape(len(self._counts), -1).sum(axis=1)
+        else:
+            sums = np.array([recip[lo:hi].sum() for lo, hi in zip(self._bounds[:-1], self._bounds[1:])])
+        return np.minimum(1.0, self._counts / sums)
+
     # -- backprop ----------------------------------------------------------
 
     @staticmethod
@@ -662,22 +759,22 @@ class GroundPlan:
                 d[np.arange(len(body)), np.argmax(body, axis=1)] = g  # first maximum
                 grads[op[1]] = d.ravel()
 
-    def satisfiability_with_grads(self) -> tuple[float, dict]:
-        """Returns (sat, {pred: {param: grad}}) for learnable predicates."""
+    def satisfiability_with_grads(self) -> tuple[np.ndarray, list]:
+        """Returns each part's satisfiability, and for each batch the
+        gradient of their sum, {param: grad}, with respect to its model's
+        parameters. A head's atoms lie in one part, so its gradient is that
+        part's alone."""
         values, per_group, forward = self._forward()
-        sat = hmean(values)
-        upstream = (sat * sat / len(values)) / (values + HMEAN_EPS) ** 2
+        sats = self._part_satisfiabilities(values)
+        upstream = np.repeat(sats * sats / self._counts, self._counts) / (values + HMEAN_EPS) ** 2
         occ_grads = np.empty(len(self._occurrences))
         for group, out in zip(self._groups, per_group):
             self._backprop_group(group, out, upstream[group.rows], occ_grads)
         # summed in grounding order, whatever the grouping
         atom_grads = np.bincount(self._occurrences, weights=occ_grads, minlength=len(self._atoms))
-        grads: dict = {}
-        for pred, entry in self._per_pred.items():
-            h, p = forward[pred]
-            grads[pred] = entry["model"].gradient_batch(
-                entry["x"], atom_grads[entry["indices"]], hidden=h, truth=p)
-        return sat, grads
+        grads = [b.model.gradient_batch(b.x, atom_grads[b.indices], hidden=h, truth=p)
+                 for b, (h, p) in zip(self.batches, forward)]
+        return sats, grads
 
 
 # ---------------------------------------------------------------------------
@@ -714,5 +811,11 @@ def satisfiability(gt: GroundedTheory, instantiation_budget: int = 10_000,
 
 def satisfiability_gradient(gt: GroundedTheory, instantiation_budget: int = 10_000,
                             rng: np.random.Generator | None = None) -> tuple[float, dict]:
-    """Satisfiability plus parameter gradients, on one fixed instantiation sample."""
-    return GroundPlan(gt, instantiation_budget, rng).satisfiability_with_grads()
+    """Satisfiability plus {pred: {param: grad}}, on one fixed instantiation sample."""
+    plan = GroundPlan(gt, instantiation_budget, rng)
+    sats, grads = plan.satisfiability_with_grads()
+    by_pred = {}
+    for b, g in zip(plan.batches, grads):
+        by_pred.update((pred, g if len(b.preds) == 1 else head(g, j, b.model.heads_axis))
+                       for j, (_, pred) in enumerate(b.preds))
+    return float(sats[0]), by_pred

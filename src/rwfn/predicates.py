@@ -8,14 +8,16 @@ and gradient_batch(x, upstream, hidden, truth), so a caller computes the
 hidden layer and the forward truths once and passes them on; with args,
 hidden_batch reads its input rows as x[args].reshape(len(args), -1), the
 concatenated rows of a table of constants. frozen_hidden marks models
-whose hidden layer never changes and can be cached. A third, non-learnable family grounds
-predicates directly from dataset labels; it is used for ontology axioms
-whose truth is known.
+whose hidden layer never changes and can be cached. Learnable models with
+equal stack_key() read their rows the same way, so stack(models) makes one
+model of K heads that gives a row's K truths in one pass. A third,
+non-learnable family grounds predicates directly from dataset labels; it is
+used for ontology axioms whose truth is known.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,10 +31,16 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(np.minimum(-z, 709.0)))
 
 
-# Rows per NTN kernel block. A block's (rows, k*d) temporaries stay in cache
-# (about 2 MB at k=6, d=44), so each block is one GEMM and memory no longer
-# grows with the number of atoms.
-BLOCK_ROWS = 1024
+# Bytes of one NTN kernel block's (rows, slices*d) float64 temporaries
+# (2 MiB + 64 KiB: 1024 rows at k=6, d=44). They stay in cache, so each
+# block is one GEMM and memory does not grow with the number of atoms or
+# of stacked heads.
+BLOCK_BYTES = 2_162_688
+
+
+def block_rows(slices: int, d: int) -> int:
+    """Rows per NTN kernel block for `slices` bilinear slices of width d."""
+    return max(1, BLOCK_BYTES // (8 * slices * d))
 
 
 @dataclass(frozen=True)
@@ -47,13 +55,19 @@ class ParamCount:
 
 @dataclass
 class RwfnPredicate:
-    """sigma(beta . h(v)) with a frozen random encoder and trainable beta."""
+    """sigma(beta . h(v)) with a frozen random encoder and trainable beta.
+
+    A stack of K decoders over one encoder has a (2B, K) beta."""
 
     encoder: RwfnEncoder
     beta: np.ndarray
     mode: str = "full"  # "full" | "albm" | "rff"
     symbolic = False
     frozen_hidden = True
+    heads_axis = 1
+
+    def stack_key(self) -> tuple:
+        return (RwfnPredicate, id(self.encoder), self.mode)
 
     @classmethod
     def create(cls, encoder: RwfnEncoder, mode: str = "full") -> "RwfnPredicate":
@@ -94,7 +108,10 @@ class RwfnPredicate:
 
 @dataclass
 class NtnPredicate:
-    """sigma(u . tanh(s)), s_i = v^T W_i v + (V v)_i + b_i. Fully trainable."""
+    """sigma(u . tanh(s)), s_i = v^T W_i v + (V v)_i + b_i. Fully trainable.
+
+    A stack of K models has a leading heads axis on every parameter; its
+    hidden layer holds all K*k slices, and it outputs K truths per row."""
 
     u: np.ndarray  # (k,)
     w: np.ndarray  # (k, d, d)
@@ -102,38 +119,51 @@ class NtnPredicate:
     b: np.ndarray  # (k,)
     symbolic = False
     frozen_hidden = False
+    heads_axis = 0
 
     def __post_init__(self):
-        k, d = self.v.shape
-        if self.u.shape != (k,) or self.b.shape != (k,) or self.w.shape != (k, d, d):
+        *heads, k, d = self.v.shape
+        if (len(heads) > 1 or self.u.shape != (*heads, k) or self.b.shape != (*heads, k)
+                or self.w.shape != (*heads, k, d, d)):
             raise ValueError("inconsistent tensor parameter shapes")
+
+    def stack_key(self) -> tuple:
+        return (NtnPredicate, self.v.shape)
 
     @property
     def slices(self) -> int:
-        return self.u.shape[0]
+        return self.u.shape[-1]
 
     @property
     def input_dim(self) -> int:
-        return self.v.shape[1]
+        return self.v.shape[-1]
 
     def hidden_batch(self, x: np.ndarray, args: np.ndarray | None = None) -> np.ndarray:
-        """tanh(s), s[n, i] = x_n^T W_i x_n + (V x_n)_i + b_i."""
+        """tanh(s), s[n, i] = x_n^T W_i x_n + (V x_n)_i + b_i, over the
+        flattened slices of every head."""
         x = np.asarray(x, dtype=np.float64)
         if args is not None:
             x = x[args].reshape(len(args), -1)
         if x.shape[1] != self.input_dim:
             raise ValueError(f"input dim {x.shape[1]} != {self.input_dim}")
-        k, d = self.v.shape
-        w2 = self.w.transpose(1, 0, 2).reshape(d, k * d)  # w2[j, i*d + e] = W_i[j, e]
-        quad = np.empty((len(x), k))
-        for lo in range(0, len(x), BLOCK_ROWS):
-            xb = x[lo:lo + BLOCK_ROWS]
-            quad[lo:lo + len(xb)] = np.einsum("nie,ne->ni", (xb @ w2).reshape(len(xb), k, d), xb)
-        return np.tanh(quad + x @ self.v.T + self.b)
+        s, d = self.u.size, self.input_dim
+        w2 = self.w.reshape(s, d, d).transpose(1, 0, 2).reshape(d, s * d)  # w2[j, i*d + e] = W_i[j, e]
+        rows = block_rows(s, d)
+        quad = np.empty((len(x), s))
+        for lo in range(0, len(x), rows):
+            xb = x[lo:lo + rows]
+            quad[lo:lo + len(xb)] = np.einsum("nie,ne->ni", (xb @ w2).reshape(len(xb), s, d), xb)
+        return np.tanh(quad + x @ self.v.reshape(s, d).T + self.b.ravel())
+
+    def _heads(self, t: np.ndarray) -> np.ndarray:
+        """(n, K, k) view of a stack's hidden layer."""
+        return t.reshape(len(t), *self.u.shape)
 
     def forward_batch(self, x: np.ndarray, hidden: np.ndarray | None = None) -> np.ndarray:
         t = self.hidden_batch(x) if hidden is None else hidden
-        return sigmoid(t @ self.u)
+        if self.u.ndim == 1:
+            return sigmoid(t @ self.u)
+        return sigmoid(np.einsum("nhi,hi->nh", self._heads(t), self.u))
 
     def forward(self, v: np.ndarray) -> float:
         return float(self.forward_batch(np.asarray(v, dtype=np.float64)[None, :])[0])
@@ -142,18 +172,20 @@ class NtnPredicate:
                        truth: np.ndarray | None = None) -> dict:
         x = np.asarray(x, dtype=np.float64)
         t = self.hidden_batch(x) if hidden is None else hidden
-        p = sigmoid(t @ self.u) if truth is None else truth
-        dz = np.asarray(upstream) * p * (1.0 - p)          # (n,)
-        du = t.T @ dz                                      # (k,)
-        ds = dz[:, None] * self.u[None, :] * (1.0 - t * t)  # (n, k)
+        p = self.forward_batch(x, hidden=t) if truth is None else truth
+        dz = np.asarray(upstream) * p * (1.0 - p)  # (n,), or (n, K) for a stack
+        th = self._heads(t)
+        du = t.T @ dz if self.u.ndim == 1 else np.einsum("nhi,nh->hi", th, dz)
+        s, d = self.u.size, self.input_dim
+        ds = (dz[..., None] * self.u * (1.0 - th * th)).reshape(len(t), s)  # (n, K*k)
         db = ds.sum(axis=0)
-        dv = ds.T @ x                                      # (k, d)
-        k, d = self.v.shape
-        dw = np.zeros((k * d, d))  # dw[i*d + j, e] = sum_n ds[n, i] x[n, j] x[n, e]
-        for lo in range(0, len(x), BLOCK_ROWS):
-            xb = x[lo:lo + BLOCK_ROWS]
-            dw += (ds[lo:lo + len(xb), :, None] * xb[:, None, :]).reshape(len(xb), k * d).T @ xb
-        return {"u": du, "w": dw.reshape(k, d, d), "v": dv, "b": db}
+        dv = ds.T @ x                                                       # (K*k, d)
+        dw = np.zeros((s * d, d))  # dw[i*d + j, e] = sum_n ds[n, i] x[n, j] x[n, e]
+        rows = block_rows(s, d)
+        for lo in range(0, len(x), rows):
+            xb = x[lo:lo + rows]
+            dw += (ds[lo:lo + len(xb), :, None] * xb[:, None, :]).reshape(len(xb), s * d).T @ xb
+        return {"u": du, "w": dw.reshape(self.w.shape), "v": dv.reshape(self.v.shape), "b": db.reshape(self.b.shape)}
 
     def gradient(self, v: np.ndarray, upstream: float) -> dict:
         return self.gradient_batch(np.asarray(v, dtype=np.float64)[None, :], np.array([upstream]))
@@ -176,6 +208,19 @@ def init_ntn(k: int, in_dim: int, rng: np.random.Generator) -> NtnPredicate:
         v=scale * rng.standard_normal((k, in_dim)),
         b=scale * rng.standard_normal(k),
     )
+
+
+def stack(models: list):
+    """One model of K heads, head j being models[j], which must have equal
+    stack_key(): each learnable parameter gains a heads axis."""
+    first = models[0]
+    return replace(first, **{name: np.stack([m.learnable_params()[name] for m in models], axis=first.heads_axis)
+                             for name in first.learnable_params()})
+
+
+def head(params: dict, j: int, axis: int) -> dict:
+    """Head j of a stack's parameters, or of their gradients, as copies."""
+    return {name: np.take(p, j, axis=axis) for name, p in params.items()}
 
 
 @dataclass
@@ -268,7 +313,8 @@ def model_to_spec(model) -> dict:
 
 def model_from_spec(spec: dict, encoder: RwfnEncoder | None = None, name: str = "model"):
     """The model a spec describes; name is the predicate it grounds, for
-    error messages. Non-finite parameter values refuse to load."""
+    error messages. Non-finite parameter values, and parameters shaped for
+    another model or for a stack of heads, refuse to load."""
     version = spec.get("format_version")
     if version not in (1, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format version {version!r}")
@@ -279,6 +325,9 @@ def model_from_spec(spec: dict, encoder: RwfnEncoder | None = None, name: str = 
                 raise ValueError(f"model format {version} encoder spec lacks {', '.join(missing)}")
             encoder = encoder_from_spec(spec["encoder"])
         model = RwfnPredicate(encoder=encoder, beta=np.asarray(spec["beta"], dtype=np.float64), mode=spec["mode"])
+        if model.beta.shape != (hidden_dim(encoder, model.mode),):
+            raise ValueError(f"predicate {name!r}: beta has shape {model.beta.shape}, "
+                             f"expected ({hidden_dim(encoder, model.mode)},)")
     elif spec["kind"] == "ntn":
         model = NtnPredicate(
             u=np.asarray(spec["u"], dtype=np.float64),
@@ -286,6 +335,8 @@ def model_from_spec(spec: dict, encoder: RwfnEncoder | None = None, name: str = 
             v=np.asarray(spec["v"], dtype=np.float64),
             b=np.asarray(spec["b"], dtype=np.float64),
         )
+        if model.u.ndim != 1:
+            raise ValueError(f"predicate {name!r}: parameters with a heads axis are a stack of models")
     else:
         raise ValueError(f"unknown model kind {spec['kind']!r}")
     for param, value in model.learnable_params().items():

@@ -5,6 +5,11 @@ The quantifier instantiation sample is drawn once per training run and held
 fixed across epochs (full-batch training on a fixed ground plan). This keeps
 runs deterministic and lets frozen-encoder models cache hidden features for
 every atom, so their epochs cost only decoder-sized dot products.
+
+Several theories train in lockstep (train_many): one plan over all of them,
+whose learnable predicates that read the same rows run as one stacked model
+with one RMSProp step per epoch. Each theory's loss, parameters and
+quantifier samples are those of training it alone, up to rounding.
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import EncoderConfig, RwfnEncoder, build_encoder
-from .logic import GroundedTheory, GroundPlan
+from .logic import GroundedTheory, GroundPlan, merge_theories
 from .numerics import make_rng
+from .predicates import head
 
 
 class TrainingError(RuntimeError):
@@ -78,8 +84,9 @@ def rmsprop_step(params: dict, grads: dict, state: RmsPropState, cfg: TrainConfi
 class TrainTrace:
     loss: list = field(default_factory=list)
     sat: list = field(default_factory=list)
-    ms: list = field(default_factory=list)
-    plan: dict = field(default_factory=dict)  # GroundPlan.stats(), for run manifests
+    ms: list = field(default_factory=list)  # in lockstep, each theory's equal share of the epoch
+    plan: dict = field(default_factory=dict)  # the theory's GroundPlan stats, for run manifests
+    lockstep: dict | None = None  # the merged plan's stats, one dict shared by its theories
 
     def to_json(self, include_ms: bool = False) -> dict:
         # wall-clock times live in run manifests; the artifact payload stays
@@ -90,37 +97,83 @@ class TrainTrace:
         return obj
 
 
-def _l2_penalty(models: dict) -> float:
-    return sum(float(np.sum(p * p)) for m in models.values() for p in m.learnable_params().values())
+def _l2_penalties(units: list, n: int) -> list:
+    """Each theory's sum of squared learnable parameters."""
+    out = [0.0] * n
+    for model, parts in units:
+        for p in model.learnable_params().values():
+            if len(parts) == 1:
+                out[parts[0]] += float(np.sum(p * p))
+            else:  # a stack: one sum per head
+                sums = np.moveaxis(p * p, model.heads_axis, 0).reshape(len(parts), -1).sum(axis=1)
+                for part, value in zip(parts, sums.tolist()):
+                    out[part] += value
+    return out
 
 
-def train(gt: GroundedTheory, cfg: TrainConfig, plan: GroundPlan | None = None) -> TrainTrace:
+def train(gt: GroundedTheory, cfg: TrainConfig) -> TrainTrace:
     """Full-batch gradient ascent on satisfiability; mutates model parameters."""
-    models = gt.learnable_predicates()
-    if not models:
-        raise TrainingError("grounded theory has no learnable parameters")
-    if plan is None:
-        plan = GroundPlan(gt, cfg.instantiation_budget, make_rng(cfg.seed))
-    states = {name: RmsPropState() for name in models}
-    trace = TrainTrace(plan=plan.stats())
+    return train_many([gt], cfg)[0]
+
+
+def train_many(theories: list, cfg: TrainConfig) -> list:
+    """train() each theory, all in one epoch loop over one merged plan;
+    returns their traces. Every theory draws its quantifier samples from
+    its own make_rng(cfg.seed). Frozen-encoder models of different theories
+    must share one encoder: each private one keeps its own hidden cache."""
+    if not theories:
+        raise TrainingError("no theories to train")
+    for i, gt in enumerate(theories):
+        if not gt.learnable_predicates():
+            raise TrainingError(f"grounded theory {i} has no learnable parameters")
+    if len(theories) > 1:
+        encoders = {id(m.encoder) for gt in theories for m in gt.learnable_predicates().values() if m.frozen_hidden}
+        if len(encoders) > 1:
+            raise TrainingError(f"lockstep theories use {len(encoders)} frozen encoders, each with its own "
+                                f"hidden cache; share one, or train them one by one")
+    gt = theories[0] if len(theories) == 1 else merge_theories(theories)
+    plan = GroundPlan(gt, cfg.instantiation_budget, make_rng(cfg.seed))
+    # (model, part of each head); learnable predicates without atoms still
+    # take their L2 steps
+    units = [(b.model, [part for part, _ in b.preds]) for b in plan.batches]
+    batched = {id(m) for b in plan.batches for m in b.members}
+    units += [(m, [i]) for i, t in enumerate(theories) for m in t.learnable_predicates().values()
+              if id(m) not in batched]
+    states = [RmsPropState() for _ in units]
+    traces = [TrainTrace() for _ in theories]
+    if len(theories) == 1:
+        traces[0].plan = plan.stats()
+    else:
+        lockstep = plan.stats()
+        for i, trace in enumerate(traces):
+            trace.plan, trace.lockstep = plan.part_stats(i), lockstep
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        sat, sat_grads = plan.satisfiability_with_grads()
-        loss = (1.0 - sat) + cfg.l2 * _l2_penalty(models)
-        if not np.isfinite(loss):
-            raise TrainingError(f"non-finite loss {loss} at epoch {epoch}")
-        for name, model in models.items():
+        sats, sat_grads = plan.satisfiability_with_grads()
+        sats = sats.tolist()
+        # in Python floats, a huge l2 makes the loss inf without a warning
+        losses = [(1.0 - sat) + cfg.l2 * pen for sat, pen in zip(sats, _l2_penalties(units, len(theories)))]
+        for i, loss in enumerate(losses):
+            if not math.isfinite(loss):
+                raise TrainingError(f"non-finite loss {loss} at epoch {epoch}"
+                                    + (f" in theory {i}" if len(theories) > 1 else ""))
+        for (model, _), g_sat, state in zip(units, sat_grads + [{}] * (len(units) - len(sat_grads)), states):
             params = model.learnable_params()
-            g_sat = sat_grads.get(name, {})
             grads = {
                 pname: -g_sat.get(pname, np.zeros_like(p)) + 2.0 * cfg.l2 * p
                 for pname, p in params.items()
             }
-            model.set_params(rmsprop_step(params, grads, states[name], cfg))
-        trace.loss.append(float(loss))
-        trace.sat.append(float(sat))
-        trace.ms.append((time.perf_counter() - t0) * 1000.0)
-    return trace
+            model.set_params(rmsprop_step(params, grads, state, cfg))
+        ms = (time.perf_counter() - t0) * 1000.0 / len(theories)
+        for trace, loss, sat in zip(traces, losses, sats):
+            trace.loss.append(loss)
+            trace.sat.append(sat)
+            trace.ms.append(ms)
+    for b in plan.batches:
+        if len(b.members) > 1:
+            for j, member in enumerate(b.members):
+                member.set_params(head(b.model.learnable_params(), j, b.model.heads_axis))
+    return traces
 
 
 # ---------------------------------------------------------------------------
@@ -151,22 +204,3 @@ def stored_float_count(input_dim: int, hidden_width: int, num_classifiers: int, 
     if shared:
         return 2 * n * b + b + 2 * b * i
     return (2 * n + 3) * b * i
-
-
-def train_multi_shared(theories: list, cfg: TrainConfig) -> list:
-    """Train several frozen-encoder classifiers over one shared encoder.
-
-    Each theory's single learnable predicate must reference the same encoder
-    object. Each decoder trains independently with the same config, so the
-    result is bit-identical to training each against a private encoder built
-    from the same seed.
-    """
-    encoders = set()
-    for gt in theories:
-        for model in gt.learnable_predicates().values():
-            if not model.frozen_hidden:
-                raise TrainingError("train_multi_shared requires frozen-encoder models")
-            encoders.add(id(model.encoder))
-    if len(encoders) != 1:
-        raise TrainingError(f"expected one shared encoder, found {len(encoders)}")
-    return [train(gt, cfg) for gt in theories]

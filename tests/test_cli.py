@@ -111,6 +111,27 @@ class TestTrainEval:
             assert "plans" not in artifact.read_text()
             assert "environment" not in artifact.read_text()
 
+    @pytest.mark.parametrize("model_kind, shared", [("rwfn", True), ("ltn", False)])
+    def test_types_manifest_reports_one_lockstep_plan(self, dataset_path, tmp_path, model_kind, shared):
+        model = tmp_path / "m.json"
+        assert run_cli(["train", "--model", model_kind, "--task", "types", "--data", str(dataset_path),
+                        "--b", "8", "--epochs", "2", "--seed", "0", "-o", str(model)]
+                       + ["--shared-encoder"] * shared) == 0
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        plans, lockstep = manifest["plans"], manifest["lockstep"]
+        # each class's plan is its own part: one literal per training record
+        records = {plan["roots"] for plan in plans.values()}
+        assert len(records) == 1
+        for name, plan in plans.items():
+            assert plan == {"atoms": {name: plan["roots"]}, "roots": plan["roots"], "quantifiers": []}
+        # the merged plan: its two literal shapes and one cache, not one per class
+        n = records.pop()
+        assert lockstep == {"parts": len(plans), "roots": n * len(plans), "groups": 2,
+                            "hidden_cache_bytes": n * 16 * 8 if shared else 0}
+        for artifact in (model, tmp_path / "m.json.trace.json"):
+            for field in ("plans", "lockstep", "hidden_cache_bytes", "groups"):
+                assert field not in artifact.read_text()
+
     def test_train_determinism(self, dataset_path, tmp_path):
         outs = []
         for name in ("m1.json", "m2.json"):

@@ -518,7 +518,7 @@ class TestCompiledPlanOracle:
             oracle_truth(gt, f, {}, kinks)
         # an argument exactly at a kink is constant in beta (e.g. P(a) -> P(a))
         assume(all(k == 0.0 or abs(k) > 1e-4 for k in kinks))
-        sat, grads = GroundPlan(gt, budget=10**6, rng=make_rng(0)).satisfiability_with_grads()
+        sat, grads = satisfiability_gradient(gt, 10**6, make_rng(0))
         step = 1e-6
         for name in ("Q", "R"):
             model = gt.predicates[name]
@@ -544,10 +544,10 @@ def test_sampled_plan_deterministic():
     plans = [GroundPlan(gt, budget=4, rng=make_rng(8)) for _ in range(2)]
     assert np.array_equal(plans[0]._atoms, plans[1]._atoms)
     (sat0, g0), (sat1, g1) = (p.satisfiability_with_grads() for p in plans)
-    assert sat0 == sat1
-    for name in g0:
-        assert np.array_equal(g0[name]["beta"], g1[name]["beta"])
-    assert plans[0].satisfiability_with_grads()[0] == sat0  # re-evaluation reuses the sample
+    assert np.array_equal(sat0, sat1)
+    for a, b in zip(g0, g1, strict=True):
+        assert np.array_equal(a["beta"], b["beta"])
+    assert np.array_equal(plans[0].satisfiability_with_grads()[0], sat0)  # re-evaluation reuses the sample
 
 
 # ---------------------------------------------------------------------------
@@ -671,10 +671,11 @@ def test_grounding_matches_recursive_oracle(fs, seed, budget, rng_seed):
     for g in plan._groups:
         assert all(np.array_equal(a, plan._occurrences[p]) for a, p in zip(g.atoms, g.pos))
     assert np.array_equal(plan._fixed_values, want["truths"])
-    assert list(plan._per_pred) == list(want["inputs"])
-    for pred, (indices, x) in want["inputs"].items():
-        assert np.array_equal(plan._per_pred[pred]["indices"], indices)
-        assert np.array_equal(plan._per_pred[pred]["x"], x)
+    # Q and R have their own encoders and arities: one batch each
+    assert [b.preds for b in plan.batches] == [[(0, pred)] for pred in want["inputs"]]
+    for b, (indices, x) in zip(plan.batches, want["inputs"].values()):
+        assert np.array_equal(b.indices, indices)
+        assert np.array_equal(b.x, x)
 
 
 def test_plan_is_freed_without_the_cycle_collector():
@@ -824,7 +825,7 @@ def test_golden_values(name):
         gt, budget = golden_nested_theory(), 4
     else:
         gt, budget = golden_partof_theory(name.split("-")[1]), 60
-    sat, grads = GroundPlan(gt, budget, make_rng(2)).satisfiability_with_grads()
+    sat, grads = satisfiability_gradient(gt, budget, make_rng(2))
     assert abs(sat - sat_expected) <= 1e-12
     for key, expected in grads_expected.items():
         pred, param = key.split(".")

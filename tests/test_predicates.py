@@ -7,16 +7,18 @@ import pytest
 from rwfn.encoder import EncoderConfig, build_encoder, encode
 from rwfn.numerics import make_rng
 from rwfn.predicates import (
-    BLOCK_ROWS,
     LabelPredicate,
     NtnPredicate,
     ParamCount,
     RwfnPredicate,
+    block_rows,
     count_params,
+    head,
     init_ntn,
     model_from_spec,
     model_to_spec,
     sigmoid,
+    stack,
 )
 
 
@@ -179,23 +181,90 @@ def assert_close_rel(actual, expected, rel=1e-12):
     np.testing.assert_allclose(actual, expected, rtol=rel, atol=rel * np.abs(expected).max())
 
 
+def at_block_edges(rows):
+    return [1, rows - 1, rows, rows + 1, 2 * rows + 3]
+
+
+def assert_matches_unblocked_oracle(k, d, n):
+    rng = make_rng(n + 100 * d + 10_000 * k)
+    model = init_ntn(k, d, rng)
+    x, upstream = rng.random((n, d)), rng.standard_normal(n)
+    hidden = ntn_hidden_oracle(model, x)
+    assert_close_rel(model.hidden_batch(x), hidden)
+    assert_close_rel(model.forward_batch(x), sigmoid(hidden @ model.u))
+    expected = ntn_gradient_oracle(model, x, upstream)
+    grads = model.gradient_batch(x, upstream)
+    assert grads.keys() == expected.keys()
+    for name, g in grads.items():
+        assert g.shape == model.learnable_params()[name].shape
+        assert_close_rel(g, expected[name])
+
+
 class TestNtnBlockedKernels:
-    @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
+    def test_block_bytes(self):
+        # the part-of NTN (k=6, d=44) keeps its 1024-row blocks
+        assert block_rows(6, 44) == 1024
+        assert block_rows(72, 22) == 170  # twelve stacked type heads
+        assert block_rows(10**6, 44) == 1
+
+    # rows around the part-of NTN's block edges, for every (k, d)
+    @pytest.mark.parametrize("n", at_block_edges(block_rows(6, 44)))
     @pytest.mark.parametrize("d", [4, 44])
     @pytest.mark.parametrize("k", [1, 6])
     def test_match_unblocked_oracle(self, n, d, k):
-        rng = make_rng(n + 100 * d + 10_000 * k)
-        model = init_ntn(k, d, rng)
-        x, upstream = rng.random((n, d)), rng.standard_normal(n)
-        hidden = ntn_hidden_oracle(model, x)
-        assert_close_rel(model.hidden_batch(x), hidden)
-        assert_close_rel(model.forward_batch(x), sigmoid(hidden @ model.u))
-        expected = ntn_gradient_oracle(model, x, upstream)
-        grads = model.gradient_batch(x, upstream)
-        assert grads.keys() == expected.keys()
-        for name, g in grads.items():
-            assert g.shape == model.learnable_params()[name].shape
-            assert_close_rel(g, expected[name])
+        assert_matches_unblocked_oracle(k, d, n)
+
+    # rows around each (k, d)'s own block edges
+    @pytest.mark.parametrize("k, d", [(1, 4), (6, 4), (1, 44), (72, 22), (500, 3)])
+    def test_match_unblocked_oracle_at_own_block_edges(self, k, d):
+        for n in at_block_edges(block_rows(k, d)):
+            assert_matches_unblocked_oracle(k, d, n)
+
+    @pytest.mark.parametrize("n", at_block_edges(block_rows(12 * 6, 22)))
+    def test_stack_matches_its_heads(self, n):
+        # twelve k=6 heads at d=22, as the lockstep types NTN
+        rng = make_rng(n)
+        heads = [init_ntn(6, 22, rng) for _ in range(12)]
+        stacked = stack(heads)
+        x, upstream = rng.random((n, 22)), rng.standard_normal((n, 12))
+        hidden = stacked.hidden_batch(x)
+        assert hidden.shape == (n, 72)
+        assert_close_rel(hidden, np.hstack([ntn_hidden_oracle(m, x) for m in heads]))
+        out = stacked.forward_batch(x)
+        assert_close_rel(out, np.stack([sigmoid(ntn_hidden_oracle(m, x) @ m.u) for m in heads], axis=1))
+        grads = stacked.gradient_batch(x, upstream)
+        for j, m in enumerate(heads):
+            expected = ntn_gradient_oracle(m, x, upstream[:, j])
+            got = head(grads, j, stacked.heads_axis)
+            assert got.keys() == expected.keys()
+            for name, g in got.items():
+                assert_close_rel(g, expected[name])
+            assert all(np.array_equal(p, m.learnable_params()[name])
+                       for name, p in head(stacked.learnable_params(), j, stacked.heads_axis).items())
+
+    def test_rwfn_stack_matches_its_heads(self):
+        enc = build_encoder(EncoderConfig(input_dim=5, hidden_width=16, fan_in=2, seed=1))
+        rng = make_rng(2)
+        heads = [RwfnPredicate(enc, rng.standard_normal(32)) for _ in range(3)]
+        stacked = stack(heads)
+        assert stacked.beta.shape == (32, 3) and stacked.encoder is enc
+        x, upstream = rng.random((40, 5)), rng.standard_normal((40, 3))
+        out = stacked.forward_batch(x)
+        grads = stacked.gradient_batch(x, upstream)
+        for j, m in enumerate(heads):
+            assert_close_rel(out[:, j], m.forward_batch(x))
+            assert_close_rel(head(grads, j, 1)["beta"], m.gradient_batch(x, upstream[:, j])["beta"])
+
+    def test_stack_keys(self):
+        enc = build_encoder(EncoderConfig(input_dim=5, hidden_width=16, fan_in=2, seed=1))
+        other = build_encoder(EncoderConfig(input_dim=5, hidden_width=16, fan_in=2, seed=1))
+        a, b = RwfnPredicate.create(enc), RwfnPredicate.create(enc)
+        assert a.stack_key() == b.stack_key()
+        assert a.stack_key() != RwfnPredicate.create(other).stack_key()  # an equal copy has its own cache
+        assert a.stack_key() != RwfnPredicate.create(enc, mode="albm").stack_key()
+        rng = make_rng(0)
+        assert init_ntn(6, 4, rng).stack_key() == init_ntn(6, 4, rng).stack_key()
+        assert init_ntn(6, 4, rng).stack_key() != init_ntn(5, 4, rng).stack_key()
 
     def test_memory_stays_at_block_size(self):
         # one (n, k, d) float64 temporary is 42 MB here; the unblocked kernels
@@ -331,6 +400,18 @@ class TestSerialization:
         values.flat[-1] = bad
         spec[param] = values.tolist()
         with pytest.raises(ValueError, match=f"predicate 'partOf': parameter '{param}'"):
+            model_from_spec(spec, name="partOf")
+
+    def test_misshapen_parameters_refuse_to_load(self):
+        spec = model_to_spec(RwfnPredicate.create(small_encoder(5)))
+        spec["beta"] = spec["beta"][:-1]
+        with pytest.raises(ValueError, match="predicate 'partOf': beta has shape"):
+            model_from_spec(spec, name="partOf")
+        rng = make_rng(0)
+        spec = model_to_spec(init_ntn(2, 4, rng))
+        stacked = stack([init_ntn(2, 4, rng) for _ in range(3)])
+        spec.update((name, p.tolist()) for name, p in stacked.learnable_params().items())
+        with pytest.raises(ValueError, match="predicate 'partOf': parameters with a heads axis"):
             model_from_spec(spec, name="partOf")
 
     def test_version_check(self):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from rwfn.encoder import EncoderConfig, build_encoder, encode
-from rwfn.logic import Atom, GroundedTheory, KnowledgeBase, Not, satisfiability
+from rwfn.logic import Atom, GroundedTheory, GroundPlan, KnowledgeBase, Not, merge_theories, parse_kb, satisfiability
 from rwfn.numerics import make_rng
-from rwfn.predicates import RwfnPredicate
+from rwfn.predicates import LabelPredicate, RwfnPredicate, init_ntn
 from rwfn.training import (
     RmsPropState,
     SharedEncoderRegistry,
@@ -14,7 +14,7 @@ from rwfn.training import (
     rmsprop_step,
     stored_float_count,
     train,
-    train_multi_shared,
+    train_many,
 )
 
 
@@ -142,6 +142,18 @@ class TestTrain:
         with pytest.raises(TrainingError):
             train(gt, TrainConfig(epochs=1))
 
+    def test_predicate_without_atoms_takes_l2_steps(self):
+        gt, _ = literal_theory([True, False])
+        unused = init_ntn(2, 4, make_rng(1))
+        gt.predicates["U"] = unused
+        cfg = TrainConfig(epochs=5, l2=1e-3, seed=0)
+        params, state = dict(unused.learnable_params()), RmsPropState()
+        for _ in range(cfg.epochs):
+            params = rmsprop_step(params, {k: 2.0 * cfg.l2 * p for k, p in params.items()}, state, cfg)
+        train(gt, cfg)
+        for name, p in unused.learnable_params().items():
+            assert np.array_equal(p, params[name])
+
     def test_encoder_frozen_through_training(self):
         gt, model = literal_theory([True, False, True])
         gate0 = model.encoder.gate.copy()
@@ -188,7 +200,8 @@ class TestSharing:
                 kb.formulas.append(atom if positive else Not(atom))
             shared_theories.append(GroundedTheory(kb=kb, constants=constants, predicates={"P": model}))
             shared_models.append(model)
-        train_multi_shared(shared_theories, TrainConfig(epochs=25, seed=1))
+        for gt in shared_theories:
+            train(gt, TrainConfig(epochs=25, seed=1))
 
         for spec, shared_model in zip(([True, False], [False, True, True]), shared_models):
             model = RwfnPredicate.create(build_encoder(cfg))
@@ -203,20 +216,22 @@ class TestSharing:
                   TrainConfig(epochs=25, seed=1))
             assert np.array_equal(model.beta, shared_model.beta)
 
-    def test_multi_shared_requires_one_encoder(self):
+    def test_train_many_requires_one_encoder(self):
         theories = []
         for seed in (1, 2):
             gt, _ = literal_theory([True], seed=seed)
             theories.append(gt)
-        with pytest.raises(TrainingError):
-            train_multi_shared(theories, TrainConfig(epochs=1))
+        with pytest.raises(TrainingError, match="2 frozen encoders"):
+            train_many(theories, TrainConfig(epochs=1))
 
-    def test_multi_shared_single_theory_degenerates(self):
+    def test_train_many_single_theory_degenerates(self):
         gt, model = literal_theory([True], seed=5)
         gt2, model2 = literal_theory([True], seed=5)
-        train_multi_shared([gt], TrainConfig(epochs=10, seed=0))
-        train(gt2, TrainConfig(epochs=10, seed=0))
+        (trace,) = train_many([gt], TrainConfig(epochs=10, seed=0))
+        trace2 = train(gt2, TrainConfig(epochs=10, seed=0))
         assert np.array_equal(model.beta, model2.beta)
+        assert (trace.loss, trace.sat, trace.plan) == (trace2.loss, trace2.sat, trace2.plan)
+        assert trace.lockstep is None
 
     def test_stored_float_count(self):
         n, b = 64, 200
@@ -225,3 +240,126 @@ class TestSharing:
             assert stored_float_count(n, b, i, shared=False) == (2 * n + 3) * b * i
         # sharing always wins for i >= 2
         assert stored_float_count(n, b, 11, True) < stored_float_count(n, b, 11, False)
+
+
+# ---------------------------------------------------------------------------
+# Lockstep training against one train() per theory
+
+POOL = [f"c{i}" for i in range(8)]
+VECTORS = {c: make_rng(900 + i).random(3) for i, c in enumerate(POOL)}
+
+
+def generated_theory(seed: int, kind: str, encoder=None, constants=POOL, quantified=True) -> GroundedTheory:
+    """A literal of a learnable P for each constant, in order, and with
+    `quantified` a label predicate L and axioms whose two-variable
+    quantifiers sample at budget 20 < |D|^2. P's atoms come in the same
+    order in any two of these theories over the same constants. A learnable
+    U has no atoms and moves by its L2 term alone."""
+    rng = make_rng(seed)
+    if kind == "ntn":
+        model = init_ntn(2, 3, rng)
+    else:
+        model = RwfnPredicate(encoder, 0.1 * rng.standard_normal(16))
+    lines = ["pred P/1", "pred L/1"]
+    for c in constants:
+        lines.append(f"P({c})" if rng.random() < 0.5 else f"~P({c})")
+    if quantified:
+        lines += ["forall x: L(x) -> P(x)", "forall x,y: (P(x) & L(y)) -> ~P(y)", "exists x,y: P(x) & ~P(y)"]
+    labels = LabelPredicate({(c,): float(rng.random() < 0.5) for c in constants})
+    return GroundedTheory(kb=parse_kb("\n".join(lines)), constants={c: VECTORS[c] for c in constants},
+                          predicates={"P": model, "L": labels, "U": init_ntn(2, 3, rng)})
+
+
+def assert_lockstep_matches(build, cfg):
+    """build() makes the same fresh theories each call."""
+    lockstep, alone = build(), build()
+    traces = train_many(lockstep, cfg)
+    for gt, ref, trace in zip(lockstep, alone, traces):
+        expected = train(ref, cfg)
+        assert np.allclose(trace.loss, expected.loss, rtol=0.0, atol=1e-12)
+        assert np.allclose(trace.sat, expected.sat, rtol=0.0, atol=1e-12)
+        assert trace.plan == {key: expected.plan[key] for key in ("atoms", "roots", "quantifiers")}
+        for pred in ("P", "U"):
+            params, want = gt.predicates[pred].learnable_params(), ref.predicates[pred].learnable_params()
+            assert params.keys() == want.keys()
+            for name in params:
+                assert params[name].shape == want[name].shape
+                assert np.allclose(params[name], want[name], rtol=0.0, atol=1e-12)
+    return traces
+
+
+class TestTrainMany:
+    CFG = TrainConfig(epochs=30, learning_rate=0.05, instantiation_budget=20, seed=4)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ntn_stack_matches_train(self, seed):
+        traces = assert_lockstep_matches(
+            lambda: [generated_theory(seed * 10 + i, "ntn") for i in range(4)], self.CFG)
+        assert traces[0].lockstep["hidden_cache_bytes"] == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shared_encoder_stack_matches_train(self, seed):
+        enc = build_encoder(EncoderConfig(input_dim=3, hidden_width=8, fan_in=2, seed=seed))
+        traces = assert_lockstep_matches(
+            lambda: [generated_theory(seed * 10 + i, "rwfn", enc) for i in range(4)], self.CFG)
+        # one (|D|, 2B) cache for all four decoders
+        assert traces[0].lockstep["hidden_cache_bytes"] == len(POOL) * 16 * 8
+
+    @pytest.mark.parametrize("kind", ["ntn", "rwfn"])
+    def test_different_constant_sets(self, kind):
+        enc = build_encoder(EncoderConfig(input_dim=3, hidden_width=8, fan_in=2, seed=1))
+        sets = [POOL[:5], POOL[3:], POOL[::2], POOL]
+        traces = assert_lockstep_matches(
+            lambda: [generated_theory(20 + i, kind, enc, constants=c) for i, c in enumerate(sets)], self.CFG)
+        for trace, c in zip(traces, sets):
+            # each part's quantifiers range over its own constants
+            assert [q["instantiations"] for q in trace.plan["quantifiers"]] == [len(c)] + [min(len(c) ** 2, 20)] * 2
+
+    def test_same_rows_share_one_stacked_batch(self):
+        enc = build_encoder(EncoderConfig(input_dim=3, hidden_width=8, fan_in=2, seed=1))
+        for kind in ("ntn", "rwfn"):
+            plan = GroundPlan(merge_theories([generated_theory(i, kind, enc) for i in range(4)]), 20, make_rng(0))
+            # U has no atoms; the four P read the same rows
+            assert [b.preds for b in plan.batches] == [[(i, "P") for i in range(4)]]
+        sets = [POOL[:5], POOL[3:]]
+        plan = GroundPlan(merge_theories([generated_theory(i, "rwfn", enc, constants=c) for i, c in enumerate(sets)]),
+                          20, make_rng(0))
+        assert [b.preds for b in plan.batches] == [[(0, "P")], [(1, "P")]]
+
+    def test_closed_theories_of_different_lengths(self):
+        assert_lockstep_matches(
+            lambda: [generated_theory(30 + i, "ntn", constants=POOL[: 3 + i], quantified=False) for i in range(3)],
+            self.CFG)
+
+    def test_traces_split_the_epoch_and_describe_their_own_part(self):
+        theories = [generated_theory(40 + i, "ntn") for i in range(3)]
+        traces = train_many(theories, TrainConfig(epochs=5, instantiation_budget=20, seed=0))
+        for epoch in range(5):
+            # one float object, a third of the epoch, in every trace
+            assert traces[0].ms[epoch] is traces[1].ms[epoch] is traces[2].ms[epoch]
+        assert all(tr.lockstep is traces[0].lockstep for tr in traces)
+        assert traces[0].lockstep["parts"] == 3
+        assert traces[0].lockstep["roots"] == sum(len(gt.kb.formulas) for gt in theories)
+        for gt, tr in zip(theories, traces):
+            assert tr.plan["atoms"] == {"P": len(POOL), "L": len(POOL)}
+            assert tr.plan["roots"] == len(gt.kb.formulas)
+            assert [q["formula"] for q in tr.plan["quantifiers"]] == [len(POOL) + i for i in range(3)]
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(TrainingError, match="no theories"):
+            train_many([], TrainConfig(epochs=1))
+
+    def test_theory_without_learnable_predicate_rejected(self):
+        symbolic = GroundedTheory(
+            kb=KnowledgeBase(signatures={"L": 1}, formulas=[Atom("L", ("c0",))]),
+            constants={"c0": VECTORS["c0"]},
+            predicates={"L": LabelPredicate({("c0",): 1.0})},
+        )
+        with pytest.raises(TrainingError, match="theory 1 has no learnable parameters"):
+            train_many([generated_theory(0, "ntn"), symbolic], TrainConfig(epochs=1))
+
+    def test_constant_with_two_vectors_rejected(self):
+        a, b = generated_theory(0, "ntn"), generated_theory(1, "ntn")
+        b.constants["c2"] = VECTORS["c2"] + 1.0
+        with pytest.raises(ValueError, match="constant 'c2' is bound to different vectors"):
+            train_many([a, b], TrainConfig(epochs=1))
