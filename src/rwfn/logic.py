@@ -394,8 +394,8 @@ class GroundPlan:
         self._quantifiers: list = []    # (root, variables, instantiations, sampled)
         self.roots = list(gt.kb.formulas)  # formula_values() follows this order
         self._counts = np.array([len(part.kb.formulas) for part in parts])
-        self._bounds = np.concatenate(([0], np.cumsum(self._counts)))
-        self._equal_parts = bool((self._counts == self._counts[0]).all())
+        ends = np.cumsum(self._counts).tolist()
+        self._slices = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]  # each part's formulas
         groups: dict[tuple, _Group] = {}
         slots = 0
         # per atom occurrence, in grounding order: predicate, argument code,
@@ -446,8 +446,10 @@ class GroundPlan:
             group.pos = pos[group.slot:group.slot + group.leaves]
             group.atoms = [self._occurrences[p] for p in group.pos]
         self._groups = list(groups.values())
-        # symbolic truths are fixed; learnable predicates whose atoms have the
-        # same arguments are batched, and each batch's input is built once
+        # symbolic truths are fixed; learnable predicates of different parts
+        # whose atoms have the same arguments are batched, and each batch's
+        # input is built once. A part keeps one batch per predicate, so one
+        # theory alone runs each predicate's own model.
         self._fixed_values = np.zeros(len(self._atoms))
         pred_of, code_of = np.divmod(self._atoms, self._span)
         same_rows: list = []  # [(pred, model, indices, args), ...] per batch
@@ -460,7 +462,8 @@ class GroundPlan:
                 continue
             member = (pred, model, indices, args)
             for members in same_rows:
-                if members[0][1].stack_key() == model.stack_key() and np.array_equal(members[0][3], args):
+                if (all(m[0][0] != pred[0] for m in members) and members[0][1].stack_key() == model.stack_key()
+                        and np.array_equal(members[0][3], args)):
                     members.append(member)
                     break
             else:
@@ -655,7 +658,7 @@ class GroundPlan:
         """A part's atoms per predicate, formulas, and quantifiers, with its
         formulas numbered from 0."""
         counts = np.bincount(self._atoms // self._span, minlength=len(self._preds))
-        lo, hi = self._bounds[part], self._bounds[part + 1]
+        lo, hi = self._slices[part].start, self._slices[part].stop
         return {
             "atoms": {pred: int(n) for (p, pred), n in zip(self._preds, counts) if p == part},
             "roots": int(hi - lo),
@@ -715,13 +718,10 @@ class GroundPlan:
         return hmean(self.formula_values())
 
     def _part_satisfiabilities(self, values: np.ndarray) -> np.ndarray:
-        """hmean of each part's formula values; a row sum adds in the same
-        order as hmean's sum, so one part gets hmean's value exactly."""
+        """hmean of each part's formula values; one part gets hmean's
+        value exactly."""
         recip = 1.0 / (values + HMEAN_EPS)
-        if self._equal_parts:
-            sums = recip.reshape(len(self._counts), -1).sum(axis=1)
-        else:
-            sums = np.array([recip[lo:hi].sum() for lo, hi in zip(self._bounds[:-1], self._bounds[1:])])
+        sums = np.array([recip[part].sum() for part in self._slices])
         return np.minimum(1.0, self._counts / sums)
 
     # -- backprop ----------------------------------------------------------

@@ -97,18 +97,19 @@ class TrainTrace:
         return obj
 
 
-def _l2_penalties(units: list, n: int) -> list:
-    """Each theory's sum of squared learnable parameters."""
-    out = [0.0] * n
-    for model, parts in units:
-        for p in model.learnable_params().values():
-            if len(parts) == 1:
-                out[parts[0]] += float(np.sum(p * p))
-            else:  # a stack: one sum per head
-                sums = np.moveaxis(p * p, model.heads_axis, 0).reshape(len(parts), -1).sum(axis=1)
-                for part, value in zip(parts, sums.tolist()):
-                    out[part] += value
-    return out
+def _l2_penalties(units: list, order: list) -> list:
+    """Each theory's sum of squared learnable parameters. order[i] lists
+    theory i's (unit, head) pairs in the order of its predicates, so the
+    terms add as they do when it trains alone."""
+    squares = []  # per unit, per head: the sum of squares of each parameter
+    for model, preds in units:
+        params = model.learnable_params().values()
+        if len(preds) == 1:
+            squares.append([[float((p * p).sum()) for p in params]])
+        else:  # a stack: one sum per head
+            squares.append(list(zip(*(np.moveaxis(p * p, model.heads_axis, 0).reshape(len(preds), -1)
+                                      .sum(axis=1).tolist() for p in params))))
+    return [sum(v for u, j in terms for v in squares[u][j]) for terms in order]
 
 
 def train(gt: GroundedTheory, cfg: TrainConfig) -> TrainTrace:
@@ -133,12 +134,14 @@ def train_many(theories: list, cfg: TrainConfig) -> list:
                                 f"hidden cache; share one, or train them one by one")
     gt = theories[0] if len(theories) == 1 else merge_theories(theories)
     plan = GroundPlan(gt, cfg.instantiation_budget, make_rng(cfg.seed))
-    # (model, part of each head); learnable predicates without atoms still
-    # take their L2 steps
-    units = [(b.model, [part for part, _ in b.preds]) for b in plan.batches]
+    # (model, (part, name) of each head); learnable predicates without atoms
+    # still take their L2 steps
+    units = [(b.model, b.preds) for b in plan.batches]
     batched = {id(m) for b in plan.batches for m in b.members}
-    units += [(m, [i]) for i, t in enumerate(theories) for m in t.learnable_predicates().values()
+    units += [(m, [(i, name)]) for i, t in enumerate(theories) for name, m in t.learnable_predicates().items()
               if id(m) not in batched]
+    where = {pred: (u, j) for u, (_, preds) in enumerate(units) for j, pred in enumerate(preds)}
+    order = [[where[i, name] for name in t.learnable_predicates()] for i, t in enumerate(theories)]
     states = [RmsPropState() for _ in units]
     traces = [TrainTrace() for _ in theories]
     if len(theories) == 1:
@@ -152,15 +155,16 @@ def train_many(theories: list, cfg: TrainConfig) -> list:
         sats, sat_grads = plan.satisfiability_with_grads()
         sats = sats.tolist()
         # in Python floats, a huge l2 makes the loss inf without a warning
-        losses = [(1.0 - sat) + cfg.l2 * pen for sat, pen in zip(sats, _l2_penalties(units, len(theories)))]
+        losses = [(1.0 - sat) + cfg.l2 * pen for sat, pen in zip(sats, _l2_penalties(units, order))]
         for i, loss in enumerate(losses):
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss} at epoch {epoch}"
                                     + (f" in theory {i}" if len(theories) > 1 else ""))
         for (model, _), g_sat, state in zip(units, sat_grads + [{}] * (len(units) - len(sat_grads)), states):
             params = model.learnable_params()
+            # a parameter without a satisfiability gradient takes the L2 term alone
             grads = {
-                pname: -g_sat.get(pname, np.zeros_like(p)) + 2.0 * cfg.l2 * p
+                pname: -g_sat[pname] + 2.0 * cfg.l2 * p if pname in g_sat else 2.0 * cfg.l2 * p
                 for pname, p in params.items()
             }
             model.set_params(rmsprop_step(params, grads, state, cfg))

@@ -270,7 +270,16 @@ def generated_theory(seed: int, kind: str, encoder=None, constants=POOL, quantif
                           predicates={"P": model, "L": labels, "U": init_ntn(2, 3, rng)})
 
 
-def assert_lockstep_matches(build, cfg):
+def two_predicate_theory(seed: int) -> GroundedTheory:
+    """Learnable NTN predicates Q and P of one shape over the same atoms,
+    listed in the predicates as Q, P but first met in the formulas as P, Q."""
+    rng = make_rng(seed)
+    p, q = init_ntn(2, 3, rng), init_ntn(2, 3, rng)
+    lines = ["pred P/1", "pred Q/1"] + [f"P({c}) -> ~Q({c})" for c in POOL] + ["exists x: P(x) & Q(x)"]
+    return GroundedTheory(kb=parse_kb("\n".join(lines)), constants=dict(VECTORS), predicates={"Q": q, "P": p})
+
+
+def assert_lockstep_matches(build, cfg, preds=("P", "U")):
     """build() makes the same fresh theories each call."""
     lockstep, alone = build(), build()
     traces = train_many(lockstep, cfg)
@@ -279,7 +288,7 @@ def assert_lockstep_matches(build, cfg):
         assert np.allclose(trace.loss, expected.loss, rtol=0.0, atol=1e-12)
         assert np.allclose(trace.sat, expected.sat, rtol=0.0, atol=1e-12)
         assert trace.plan == {key: expected.plan[key] for key in ("atoms", "roots", "quantifiers")}
-        for pred in ("P", "U"):
+        for pred in preds:
             params, want = gt.predicates[pred].learnable_params(), ref.predicates[pred].learnable_params()
             assert params.keys() == want.keys()
             for name in params:
@@ -325,6 +334,26 @@ class TestTrainMany:
         plan = GroundPlan(merge_theories([generated_theory(i, "rwfn", enc, constants=c) for i, c in enumerate(sets)]),
                           20, make_rng(0))
         assert [b.preds for b in plan.batches] == [[(0, "P")], [(1, "P")]]
+
+    def test_one_theory_keeps_one_batch_per_predicate(self):
+        # P and Q share a shape and read the same rows: they stack across
+        # parts, never inside one, so one theory alone runs each own model
+        theories = [two_predicate_theory(i) for i in range(2)]
+        assert [b.preds for b in GroundPlan(theories[0], 20, make_rng(0)).batches] == [[(0, "P")], [(0, "Q")]]
+        merged = GroundPlan(merge_theories(theories), 20, make_rng(0))
+        assert [b.preds for b in merged.batches] == [[(0, "P"), (1, "P")], [(0, "Q"), (1, "Q")]]
+        assert_lockstep_matches(lambda: [two_predicate_theory(i) for i in range(3)], self.CFG, preds=("P", "Q"))
+
+    def test_l2_adds_in_predicate_order(self):
+        # Q comes first in the predicates, P first in the formulas; at this
+        # seed the two orders of the sum give losses a bit apart
+        gt = two_predicate_theory(1)
+        params = [p.copy() for m in gt.learnable_predicates().values() for p in m.learnable_params().values()]
+        squares = [float(np.sum(p * p)) for p in params]
+        half = len(squares) // 2
+        trace = train(gt, TrainConfig(epochs=1, l2=1.0, instantiation_budget=20))
+        assert trace.loss[0] == (1.0 - trace.sat[0]) + sum(squares)
+        assert trace.loss[0] != (1.0 - trace.sat[0]) + sum(squares[half:] + squares[:half])
 
     def test_closed_theories_of_different_lengths(self):
         assert_lockstep_matches(
