@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .data import DatasetError, SyntheticConfig, gen_synthetic, load_dataset, save_dataset, split
-from .evaluation import compare, macro_auc, pr_auc, render_table, run_ablation, run_partof, run_types
+from .evaluation import (COMPARE_MODELS, check_models, compare, macro_auc, pr_auc, render_table, run_ablation,
+                         run_partof, run_types)
 from .numerics import make_rng
 from .predicates import count_params, model_from_spec, model_to_spec
 from .tasks import DEFAULT_B_PARTOF, DEFAULT_B_TYPES, DEFAULT_K, partof_scores, type_scores
@@ -185,7 +186,7 @@ def cmd_compare(args) -> int:
     t0 = time.perf_counter()
     ds = load_dataset(args.data)
     cfg = _train_config(args)
-    report = compare(ds, models=tuple(args.models.split(",")), repeats=args.repeats, cfg=cfg,
+    report = compare(ds, models=args.models, repeats=args.repeats, cfg=cfg,
                      b_types=args.b_types, b_partof=args.b_partof, k=args.k,
                      ratio=args.split_ratio)
     out = Path(args.output)
@@ -252,6 +253,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def model_list(text: str) -> tuple:
+    try:
+        return check_models(text.split(","))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -264,9 +272,9 @@ def _add_train_flags(p, epochs_default=1000):
     p.add_argument("--epochs", type=positive_int, default=epochs_default)
     p.add_argument("--lr", type=finite_float, default=0.01)
     p.add_argument("--l2", type=finite_float, default=1e-10)
-    p.add_argument("--budget", type=int, default=10_000, help="quantifier instantiation budget")
+    p.add_argument("--budget", type=positive_int, default=10_000, help="quantifier instantiation budget")
     p.add_argument("--split-ratio", type=float, default=0.8)
-    p.add_argument("--k", type=int, default=DEFAULT_K)
+    p.add_argument("--k", type=positive_int, default=DEFAULT_K)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("rwfn", "ltn"), required=True)
     p.add_argument("--task", choices=("types", "partof"), required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--b", type=int, default=None, help="hidden width (default 200 types / 400 partof)")
+    p.add_argument("--b", type=positive_int, default=None, help="hidden width (default 200 types / 400 partof)")
     p.add_argument("--shared-encoder", action="store_true")
     _add_train_flags(p)
     p.add_argument("-o", "--output", required=True)
@@ -303,32 +311,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="repeated multi-model comparison")
     p.add_argument("--data", required=True)
-    p.add_argument("--models", default="ltn,rwfn,rwfn-shared")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--b-types", type=int, default=DEFAULT_B_TYPES)
-    p.add_argument("--b-partof", type=int, default=DEFAULT_B_PARTOF)
+    p.add_argument("--models", type=model_list, default=",".join(COMPARE_MODELS))
+    p.add_argument("--repeats", type=positive_int, default=5)
+    p.add_argument("--b-types", type=positive_int, default=DEFAULT_B_TYPES)
+    p.add_argument("--b-partof", type=positive_int, default=DEFAULT_B_PARTOF)
     _add_train_flags(p)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("ablate", help="branch-contribution ablation")
     p.add_argument("--data", required=True)
-    p.add_argument("--b-types", type=int, default=DEFAULT_B_TYPES)
-    p.add_argument("--b-partof", type=int, default=DEFAULT_B_PARTOF)
+    p.add_argument("--b-types", type=positive_int, default=DEFAULT_B_TYPES)
+    p.add_argument("--b-partof", type=positive_int, default=DEFAULT_B_PARTOF)
     _add_train_flags(p)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("verify", help="kernel, gradient, and parameter-count self-checks")
     p.add_argument("--kernel-widths", default="100,1000,10000")
-    p.add_argument("--gradcheck-trials", type=int, default=20)
+    p.add_argument("--gradcheck-trials", type=positive_int, default=20)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("params", help="parameter-count table")
     p.add_argument("--n", type=int, default=64)
-    p.add_argument("--b", type=int, default=200)
-    p.add_argument("--k", type=int, default=DEFAULT_K)
+    p.add_argument("--b", type=positive_int, default=200)
+    p.add_argument("--k", type=positive_int, default=DEFAULT_K)
     p.set_defaults(func=cmd_params)
 
     return ap

@@ -192,14 +192,37 @@ def run_ablation(ds: Dataset, cfg: TrainConfig, b_types: int = DEFAULT_B_TYPES,
 # ---------------------------------------------------------------------------
 # Multi-model comparison
 
+COMPARE_MODELS = ("ltn", "rwfn", "rwfn-shared")
+# (minuend, subtrahend): per-seed AUC differences on the same split
+PAIRED = (("rwfn", "ltn"), ("rwfn", "ir-baseline"))
 
-def compare(ds: Dataset, models=("ltn", "rwfn", "rwfn-shared"), repeats: int = 5,
+
+def check_models(models) -> tuple:
+    """models as a tuple, or ValueError for an empty list, an unknown or
+    repeated name, or the always-included inclusion-ratio baseline."""
+    models = tuple(models)
+    allowed = ", ".join(COMPARE_MODELS)
+    if not models:
+        raise ValueError(f"no models to compare; choose from {allowed}")
+    for name in models:
+        if name not in COMPARE_MODELS:
+            reason = "is always included" if name == "ir-baseline" else "is not a model"
+            raise ValueError(f"{name!r} {reason}; choose from {allowed}")
+    if len(set(models)) < len(models):
+        raise ValueError(f"models repeat a name: {','.join(models)}; choose each of {allowed} once")
+    return models
+
+
+def compare(ds: Dataset, models=COMPARE_MODELS, repeats: int = 5,
             cfg: TrainConfig | None = None, b_types: int = DEFAULT_B_TYPES,
             b_partof: int = DEFAULT_B_PARTOF, k: int = DEFAULT_K,
             ratio: float = 0.8) -> dict:
     """Repeated seeded runs; per model, mean AUC with a 2*SD band, parameter
     counts, and mean wall time. The geometric inclusion-ratio baseline is
-    always included for the part-of task."""
+    always included for the part-of task. For each PAIRED pair whose models
+    both ran, the per-seed AUC differences on the same split, with their
+    mean and 2*SD band."""
+    models = check_models(models)
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     cfg = cfg or TrainConfig()
@@ -251,6 +274,12 @@ def compare(ds: Dataset, models=("ltn", "rwfn", "rwfn-shared"), repeats: int = 5
             "mean_ms_types": float(np.mean(entry["ms_types"])) if entry.get("ms_types") else None,
             "mean_ms_partof": float(np.mean(entry["ms_partof"])) if entry.get("ms_partof") else None,
         })
+    paired = []
+    for a, b in PAIRED:
+        if a in acc and b in acc:
+            paired.append({"pair": f"{a} - {b}", **{
+                f"auc_{task}": stats([x - y for x, y in zip(acc[a].get(task, []), acc[b].get(task, []))])
+                for task in ("types", "partof")}})
     return {
         "repeats": repeats,
         "run_seeds": run_seeds,
@@ -258,6 +287,7 @@ def compare(ds: Dataset, models=("ltn", "rwfn", "rwfn-shared"), repeats: int = 5
         "config": {**asdict(cfg), "b_types": b_types, "b_partof": b_partof, "k": k,
                    "split_ratio": ratio},
         "rows": rows,
+        "paired": paired,
     }
 
 
@@ -274,9 +304,17 @@ def render_table(report: dict) -> str:
             return "---"
         return f"{p['learnable']}/{p['total']}"
 
-    headers = ["Model", "T1 AUC (mean+-2SD)", "T2 AUC (mean+-2SD)", "learnable/total (T1)",
-               "learnable/total (T2)", "T1 ms", "T2 ms"]
-    lines = [headers]
+    def aligned(lines):
+        widths = [max(len(r[i]) for r in lines) for i in range(len(lines[0]))]
+        out = []
+        for i, r in enumerate(lines):
+            out.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+            if i == 0:
+                out.append("  ".join("-" * w for w in widths))
+        return out
+
+    lines = [["Model", "T1 AUC (mean+-2SD)", "T2 AUC (mean+-2SD)", "learnable/total (T1)",
+              "learnable/total (T2)", "T1 ms", "T2 ms"]]
     for row in report["rows"]:
         lines.append([
             row["model"], cell(row["auc_types"]), cell(row["auc_partof"]),
@@ -284,10 +322,9 @@ def render_table(report: dict) -> str:
             "---" if row["mean_ms_types"] is None else f"{row['mean_ms_types']:.0f}",
             "---" if row["mean_ms_partof"] is None else f"{row['mean_ms_partof']:.0f}",
         ])
-    widths = [max(len(r[i]) for r in lines) for i in range(len(headers))]
-    out = []
-    for i, r in enumerate(lines):
-        out.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-        if i == 0:
-            out.append("  ".join("-" * w for w in widths))
+    out = aligned(lines)
+    if report["paired"]:
+        pairs = [["Paired, per seed", "T1 AUC diff (mean+-2SD)", "T2 AUC diff (mean+-2SD)"]]
+        pairs += [[p["pair"], cell(p["auc_types"]), cell(p["auc_partof"])] for p in report["paired"]]
+        out += [""] + aligned(pairs)
     return "\n".join(out) + "\n"

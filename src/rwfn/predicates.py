@@ -8,11 +8,14 @@ and gradient_batch(x, upstream, hidden, truth), so a caller computes the
 hidden layer and the forward truths once and passes them on; with args,
 hidden_batch reads its input rows as x[args].reshape(len(args), -1), the
 concatenated rows of a table of constants. frozen_hidden marks models
-whose hidden layer never changes and can be cached. Learnable models with
-equal stack_key() read their rows the same way, so stack(models) makes one
-model of K heads that gives a row's K truths in one pass. A third,
-non-learnable family grounds predicates directly from dataset labels; it is
-used for ontology axioms whose truth is known.
+whose hidden layer never changes and can be cached. lift(x) gives the
+rows a ground plan keeps for a model's batch: an NTN wide enough (lifts)
+reads them lifted, and runs its pre-activation and its dW, dV and db as
+one GEMM each. Learnable models with equal stack_key() read their rows
+the same way, so stack(models) makes one model of K heads that gives a
+row's K truths in one pass. A third, non-learnable family grounds
+predicates directly from dataset labels; it is used for ontology axioms
+whose truth is known.
 """
 
 from __future__ import annotations
@@ -41,6 +44,29 @@ BLOCK_BYTES = 2_162_688
 def block_rows(slices: int, d: int) -> int:
     """Rows per NTN kernel block for `slices` bilinear slices of width d."""
     return max(1, BLOCK_BYTES // (8 * slices * d))
+
+
+def lifts(slices: int, d: int) -> bool:
+    """Whether a ground plan feeds an NTN of `slices` bilinear slices of
+    width d its lifted rows (quadratic_lift): when a lifted row, d^2 + d + 1
+    wide, is narrower than the blocked kernels' (rows, slices*d)
+    intermediate. On the acceptance data
+    the twelve stacked k=6 type heads (d=16) lift, 273 < 1152; one type
+    class (273 > 96) and the part-of NTN (d=32: 1057 > 192; d=44: 1981 >
+    264) do not."""
+    return d * d + d + 1 < slices * d
+
+
+def quadratic_lift(x: np.ndarray) -> np.ndarray:
+    """Rows x, (n, d), lifted to [vec(x x^T) | x | 1], (n, d^2 + d + 1). An
+    NTN's pre-activation is linear in its parameters on these rows:
+    s_i = quadratic_lift(x) . [vec(W_i) | V_i | b_i]."""
+    n, d = x.shape
+    out = np.empty((n, d * d + d + 1))
+    out[:, :d * d] = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
+    out[:, d * d:-1] = x
+    out[:, -1] = 1.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -78,6 +104,11 @@ class RwfnPredicate:
     def input_dim(self) -> int:
         return self.encoder.input_dim
 
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        """x as a ground plan keeps it: unchanged, since the plan caches the
+        frozen hidden layer."""
+        return x
+
     def hidden_batch(self, x: np.ndarray, args: np.ndarray | None = None) -> np.ndarray:
         return hidden_features(self.encoder, x, self.mode, args)
 
@@ -111,7 +142,11 @@ class NtnPredicate:
     """sigma(u . tanh(s)), s_i = v^T W_i v + (V v)_i + b_i. Fully trainable.
 
     A stack of K models has a leading heads axis on every parameter; its
-    hidden layer holds all K*k slices, and it outputs K truths per row."""
+    hidden layer holds all K*k slices, and it outputs K truths per row.
+    The batch calls take rows, (n, d), or their quadratic_lift, (n, d^2 +
+    d + 1): lifted, the pre-activation is one GEMM with the parameters
+    flattened per slice, and so is the gradient of W, V and b; rows run
+    the blocked kernels."""
 
     u: np.ndarray  # (k,)
     w: np.ndarray  # (k, d, d)
@@ -138,15 +173,26 @@ class NtnPredicate:
     def input_dim(self) -> int:
         return self.v.shape[-1]
 
+    def _lifted(self, x: np.ndarray) -> bool:
+        d = self.input_dim
+        return x.shape[1] == d * d + d + 1
+
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        """x as a ground plan keeps it: lifted when lifts(slices, d)."""
+        return quadratic_lift(x) if lifts(self.u.size, self.input_dim) else x
+
     def hidden_batch(self, x: np.ndarray, args: np.ndarray | None = None) -> np.ndarray:
         """tanh(s), s[n, i] = x_n^T W_i x_n + (V x_n)_i + b_i, over the
         flattened slices of every head."""
         x = np.asarray(x, dtype=np.float64)
         if args is not None:
             x = x[args].reshape(len(args), -1)
-        if x.shape[1] != self.input_dim:
-            raise ValueError(f"input dim {x.shape[1]} != {self.input_dim}")
         s, d = self.u.size, self.input_dim
+        if self._lifted(x):
+            theta = np.concatenate([self.w.reshape(s, d * d), self.v.reshape(s, d), self.b.reshape(s, 1)], axis=1)
+            return np.tanh(x @ theta.T)
+        if x.shape[1] != d:
+            raise ValueError(f"input dim {x.shape[1]} != {d}")
         w2 = self.w.reshape(s, d, d).transpose(1, 0, 2).reshape(d, s * d)  # w2[j, i*d + e] = W_i[j, e]
         rows = block_rows(s, d)
         quad = np.empty((len(x), s))
@@ -178,13 +224,17 @@ class NtnPredicate:
         du = t.T @ dz if self.u.ndim == 1 else np.einsum("nhi,nh->hi", th, dz)
         s, d = self.u.size, self.input_dim
         ds = (dz[..., None] * self.u * (1.0 - th * th)).reshape(len(t), s)  # (n, K*k)
-        db = ds.sum(axis=0)
-        dv = ds.T @ x                                                       # (K*k, d)
-        dw = np.zeros((s * d, d))  # dw[i*d + j, e] = sum_n ds[n, i] x[n, j] x[n, e]
-        rows = block_rows(s, d)
-        for lo in range(0, len(x), rows):
-            xb = x[lo:lo + rows]
-            dw += (ds[lo:lo + len(xb), :, None] * xb[:, None, :]).reshape(len(xb), s * d).T @ xb
+        if self._lifted(x):
+            g = ds.T @ x  # (K*k, d^2 + d + 1): [vec(dW_i) | dV_i | db_i]
+            dw, dv, db = g[:, :d * d], g[:, d * d:-1], g[:, -1]
+        else:
+            db = ds.sum(axis=0)
+            dv = ds.T @ x                                                   # (K*k, d)
+            dw = np.zeros((s * d, d))  # dw[i*d + j, e] = sum_n ds[n, i] x[n, j] x[n, e]
+            rows = block_rows(s, d)
+            for lo in range(0, len(x), rows):
+                xb = x[lo:lo + rows]
+                dw += (ds[lo:lo + len(xb), :, None] * xb[:, None, :]).reshape(len(xb), s * d).T @ xb
         return {"u": du, "w": dw.reshape(self.w.shape), "v": dv.reshape(self.v.shape), "b": db.reshape(self.b.shape)}
 
     def gradient(self, v: np.ndarray, upstream: float) -> dict:

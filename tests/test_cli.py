@@ -107,6 +107,7 @@ class TestTrainEval:
         ]
         assert plan["groups"] == 4
         assert plan["hidden_cache_bytes"] == plan["atoms"]["partOf"] * 16 * 8  # 2B features at B=8
+        assert plan["lift_cache_bytes"] == 0
         for artifact in (model, tmp_path / "m.json.trace.json"):
             assert "plans" not in artifact.read_text()
             assert "environment" not in artifact.read_text()
@@ -124,12 +125,14 @@ class TestTrainEval:
         assert len(records) == 1
         for name, plan in plans.items():
             assert plan == {"atoms": {name: plan["roots"]}, "roots": plan["roots"], "quantifiers": []}
-        # the merged plan: its two literal shapes and one cache, not one per class
+        # the merged plan: its two literal shapes and one cache, not one per
+        # class; the NTN stack (six k=6 heads over d=10 rows) runs on lifted rows
         n = records.pop()
         assert lockstep == {"parts": len(plans), "roots": n * len(plans), "groups": 2,
-                            "hidden_cache_bytes": n * 16 * 8 if shared else 0}
+                            "hidden_cache_bytes": n * 16 * 8 if shared else 0,
+                            "lift_cache_bytes": 0 if shared else n * (10 * 10 + 10 + 1) * 8}
         for artifact in (model, tmp_path / "m.json.trace.json"):
-            for field in ("plans", "lockstep", "hidden_cache_bytes", "groups"):
+            for field in ("plans", "lockstep", "hidden_cache_bytes", "lift_cache_bytes", "groups"):
                 assert field not in artifact.read_text()
 
     def test_train_determinism(self, dataset_path, tmp_path):
@@ -180,6 +183,21 @@ class TestTrainEval:
         assert run_cli(["train", "--model", "rwfn", "--task", "types",
                         "--data", str(dataset_path), "--epochs", "0",
                         "-o", str(tmp_path / "m.json")]) == 2
+
+    # flags that must be >= 1, per subcommand; each used to fail deep in
+    # the code with exit 1
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--k"), ("train", "--budget"), ("train", "--b"),
+        ("compare", "--repeats"), ("compare", "--b-types"), ("compare", "--b-partof"),
+        ("verify", "--gradcheck-trials"),
+    ])
+    def test_zero_count_usage_error(self, dataset_path, tmp_path, capsys, command, flag):
+        args = {"train": ["train", "--model", "ltn", "--task", "types"],
+                "compare": ["compare"], "verify": ["verify"]}[command]
+        if command != "verify":
+            args = args + ["--data", str(dataset_path), "-o", str(tmp_path / "out.json")]
+        assert run_cli(args + [flag, "0"]) == 2
+        assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [("--l2", "inf"), ("--lr", "nan")])
     def test_non_finite_hyperparameter_usage_error(self, dataset_path, tmp_path, flag, value):
@@ -238,6 +256,19 @@ class TestCompareAblate:
         assert [r["model"] for r in report["rows"]] == ["ltn", "rwfn", "rwfn-shared", "ir-baseline"]
         assert (tmp_path / "cmp.txt").exists()
 
+    @pytest.mark.parametrize("models, reason", [
+        ("foo", "'foo' is not a model"),
+        ("ltn,ltn", "models repeat a name: ltn,ltn"),
+        ("ir-baseline", "'ir-baseline' is always included"),
+        ("", "'' is not a model"),
+    ])
+    def test_bad_models_usage_error(self, dataset_path, tmp_path, capsys, models, reason):
+        out = tmp_path / "cmp.json"
+        assert run_cli(["compare", "--data", str(dataset_path), "--models", models, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert reason in err and "ltn, rwfn, rwfn-shared" in err
+        assert not out.exists()
+
     def test_ablate_rows(self, dataset_path, tmp_path):
         out = tmp_path / "abl.json"
         code = run_cli(["ablate", "--data", str(dataset_path), "--epochs", "5",
@@ -256,6 +287,7 @@ class TestVerify:
         assert code == 0
         printed = capsys.readouterr().out
         assert "[OK]" in printed and "[FAIL]" not in printed
+        assert "[OK] stacked ntn gradient vs finite differences" in printed
         report = json.loads(out.read_text())
         assert report["passed"] is True
 

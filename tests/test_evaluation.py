@@ -213,6 +213,17 @@ class TestCompare:
                 cell = by_name[name][task]
                 assert len(cell["runs"]) == 2
                 assert 0.0 <= cell["mean"] <= 1.0
+        # per-seed differences on the same split
+        paired = {p["pair"]: p for p in report["paired"]}
+        assert list(paired) == ["rwfn - ltn", "rwfn - ir-baseline"]
+        assert paired["rwfn - ir-baseline"]["auc_types"] is None
+        for pair, task in [("rwfn - ltn", "auc_types"), ("rwfn - ltn", "auc_partof"),
+                           ("rwfn - ir-baseline", "auc_partof")]:
+            a, b = (by_name[name][task]["runs"] for name in pair.split(" - "))
+            diffs = np.subtract(a, b)
+            assert paired[pair][task] == {"mean": float(diffs.mean()), "two_sd": float(2.0 * diffs.std()),
+                                          "runs": diffs.tolist()}
+        assert "rwfn - ltn" in render_table(report)
 
     def test_table_rendering(self):
         report = compare(small_dataset(), models=("rwfn",), repeats=1,
@@ -222,6 +233,21 @@ class TestCompare:
         assert "Model" in lines[0]
         assert any(line.startswith("rwfn") for line in lines)
         assert any(line.startswith("ir-baseline") for line in lines)
+        # without ltn, only the pair with the inclusion-ratio baseline
+        assert [p["pair"] for p in report["paired"]] == ["rwfn - ir-baseline"]
+        assert any(line.startswith("rwfn - ir-baseline  ---") for line in lines)
+        assert "rwfn - ltn" not in table
+
+    @pytest.mark.parametrize("models, reason", [
+        (("rwfn", "svm"), "'svm' is not a model"),
+        (("rwfn", "rwfn"), "models repeat a name"),
+        (("ltn", "ir-baseline"), "'ir-baseline' is always included"),
+        ((), "no models to compare"),
+    ])
+    def test_models_validation(self, models, reason):
+        with pytest.raises(ValueError, match=reason) as err:
+            compare(small_dataset(), models=models, repeats=1, cfg=small_cfg())
+        assert "ltn, rwfn, rwfn-shared" in str(err.value)
 
     def test_repeats_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rwfn.data import SyntheticConfig, gen_synthetic
 from rwfn.encoder import EncoderConfig, build_encoder, encode
+from rwfn.logic import GroundPlan, merge_theories
 from rwfn.numerics import make_rng
 from rwfn.predicates import (
     LabelPredicate,
@@ -15,11 +17,14 @@ from rwfn.predicates import (
     count_params,
     head,
     init_ntn,
+    lifts,
     model_from_spec,
     model_to_spec,
+    quadratic_lift,
     sigmoid,
     stack,
 )
+from rwfn.tasks import build_partof_theory, build_type_theory, make_ltn_classifier
 
 
 def test_sigmoid_finite_for_any_input():
@@ -204,7 +209,7 @@ class TestNtnBlockedKernels:
     def test_block_bytes(self):
         # the part-of NTN (k=6, d=44) keeps its 1024-row blocks
         assert block_rows(6, 44) == 1024
-        assert block_rows(72, 22) == 170  # twelve stacked type heads
+        assert block_rows(72, 22) == 170  # twelve stacked k=6 heads at d=22
         assert block_rows(10**6, 44) == 1
 
     # rows around the part-of NTN's block edges, for every (k, d)
@@ -222,7 +227,7 @@ class TestNtnBlockedKernels:
 
     @pytest.mark.parametrize("n", at_block_edges(block_rows(12 * 6, 22)))
     def test_stack_matches_its_heads(self, n):
-        # twelve k=6 heads at d=22, as the lockstep types NTN
+        # twelve k=6 heads at d=22 on plain rows, the blocked kernels
         rng = make_rng(n)
         heads = [init_ntn(6, 22, rng) for _ in range(12)]
         stacked = stack(heads)
@@ -282,6 +287,60 @@ class TestNtnBlockedKernels:
             finally:
                 tracemalloc.stop()
             assert peak < bound
+
+
+class TestNtnLiftedKernels:
+    def test_rule(self):
+        assert not lifts(6, 16) and lifts(12 * 6, 16)  # a type class; the twelve stacked
+        assert not lifts(6, 32) and not lifts(6, 44)     # the part-of NTN
+        assert not lifts(3, 1) and lifts(4, 1)           # d^2 + d + 1 = 3 at d = 1
+        assert not lifts(4, 3) and lifts(5, 3)           # 13 against 12 and 15
+
+    def test_lift_columns(self):
+        x = make_rng(0).random((5, 3))
+        lifted = quadratic_lift(x)
+        for row, want in zip(lifted, x):
+            assert np.array_equal(row, np.concatenate([np.outer(want, want).ravel(), want, [1.0]]))
+
+    # (heads, k, d) on both sides of the rule; heads=1 is a plain model
+    @pytest.mark.parametrize("heads, k, d", [(1, 1, 4), (1, 6, 16), (1, 6, 44), (2, 2, 3),
+                                             (1, 6, 4), (1, 500, 3), (3, 2, 3), (12, 6, 16)])
+    def test_plan_input_matches_unblocked_oracle(self, heads, k, d):
+        rng = make_rng(heads + 10 * k + 1000 * d)
+        models = [init_ntn(k, d, rng) for _ in range(heads)]
+        model = models[0] if heads == 1 else stack(models)
+        n = 2 * block_rows(heads * k, d) + 3
+        x, upstream = rng.random((n, d)), rng.standard_normal((n, heads))
+        plan_x = model.lift(x)
+        if lifts(heads * k, d):
+            assert plan_x.shape == (n, d * d + d + 1)
+        else:
+            assert plan_x is x
+        hidden, out = model.hidden_batch(plan_x), model.forward_batch(plan_x)
+        grads = model.gradient_batch(plan_x, upstream[:, 0] if heads == 1 else upstream)
+        for j, m in enumerate(models):
+            want = ntn_hidden_oracle(m, x)
+            assert_close_rel(hidden[:, j * k:(j + 1) * k], want)
+            assert_close_rel(out if heads == 1 else out[:, j], sigmoid(want @ m.u))
+            got = grads if heads == 1 else head(grads, j, model.heads_axis)
+            expected = ntn_gradient_oracle(m, x, upstream[:, j])
+            assert got.keys() == expected.keys()
+            for name, g in got.items():
+                assert g.shape == m.learnable_params()[name].shape
+                assert_close_rel(g, expected[name])
+
+    def test_plan_lifts_the_type_stack_only(self):
+        # acceptance-shaped data: twelve classes over d=16 rows, k=6
+        ds = gen_synthetic(SyntheticConfig(num_scenes=10, seed=3))
+        assert (ds.n, len(ds.classes)) == (16, 12)
+        theories = [build_type_theory(ds, c.name, make_ltn_classifier(ds.n, seed=i))
+                    for i, c in enumerate(ds.classes)]
+        rows = len(ds.records)
+        stats = GroundPlan(merge_theories(theories), 100, make_rng(0)).stats()
+        assert stats["lift_cache_bytes"] == rows * (16 * 16 + 16 + 1) * 8
+        assert GroundPlan(theories[0], 100, make_rng(0)).stats()["lift_cache_bytes"] == 0
+        partof = build_partof_theory(ds, make_ltn_classifier(2 * ds.n, seed=0))
+        assert GroundPlan(partof, 100, make_rng(0)).stats()["lift_cache_bytes"] == 0
 
 
 class TestInit:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rwfn import predicates
 from rwfn.encoder import EncoderConfig, build_encoder, encode
 from rwfn.logic import Atom, GroundedTheory, GroundPlan, KnowledgeBase, Not, merge_theories, parse_kb, satisfiability
 from rwfn.numerics import make_rng
@@ -305,6 +306,23 @@ class TestTrainMany:
         traces = assert_lockstep_matches(
             lambda: [generated_theory(seed * 10 + i, "ntn") for i in range(4)], self.CFG)
         assert traces[0].lockstep["hidden_cache_bytes"] == 0
+        # four k=2 heads at d=3 run on lifted rows, d^2 + d + 1 = 13 wide
+        assert traces[0].lockstep["lift_cache_bytes"] == len(POOL) * 13 * 8
+
+    @pytest.mark.parametrize("theories", [2, 3, 12])
+    def test_ntn_stack_matches_train_on_both_sides_of_the_lift(self, theories):
+        # 2 heads keep the blocked kernels (13 > 2*2*3); 3 and 12 lift,
+        # as the twelve type classes do
+        traces = assert_lockstep_matches(
+            lambda: [generated_theory(50 + i, "ntn") for i in range(theories)], self.CFG)
+        assert traces[0].lockstep["lift_cache_bytes"] == (0 if theories == 2 else len(POOL) * 13 * 8)
+
+    def test_lift_is_built_once_per_plan(self, monkeypatch):
+        calls = []
+        quadratic_lift = predicates.quadratic_lift
+        monkeypatch.setattr(predicates, "quadratic_lift", lambda x: calls.append(len(x)) or quadratic_lift(x))
+        train_many([generated_theory(i, "ntn") for i in range(4)], TrainConfig(epochs=5, instantiation_budget=20))
+        assert calls == [len(POOL)]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_shared_encoder_stack_matches_train(self, seed):
