@@ -219,8 +219,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    widths = tuple(int(w) for w in args.kernel_widths.split(","))
-    report = run_verification(kernel_widths=widths, gradcheck_trials=args.gradcheck_trials)
+    report = run_verification(kernel_widths=args.kernel_widths, gradcheck_trials=args.gradcheck_trials)
     for c in report["checks"]:
         print(f"[{'OK' if c['passed'] else 'FAIL'}] {c['name']}: {c['detail']}")
     if args.output:
@@ -251,6 +250,17 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def input_width(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2 for a gate of fan-in 1 <= fan_in < n, got {value}")
+    return value
+
+
+def width_list(text: str) -> tuple:
+    return tuple(positive_int(w) for w in text.split(","))
 
 
 def model_list(text: str) -> tuple:
@@ -328,13 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("verify", help="kernel, gradient, and parameter-count self-checks")
-    p.add_argument("--kernel-widths", default="100,1000,10000")
+    p.add_argument("--kernel-widths", type=width_list, default="100,1000,10000")
     p.add_argument("--gradcheck-trials", type=positive_int, default=20)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("params", help="parameter-count table")
-    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--n", type=input_width, default=64)
     p.add_argument("--b", type=positive_int, default=200)
     p.add_argument("--k", type=positive_int, default=DEFAULT_K)
     p.set_defaults(func=cmd_params)

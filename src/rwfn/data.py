@@ -65,8 +65,8 @@ class Dataset:
 
     def __post_init__(self):
         names = {c.name for c in self.classes}
-        ids = {r.id for r in self.records}
-        if len(ids) != len(self.records):
+        self._index = {r.id: r for r in self.records}
+        if len(self._index) != len(self.records):
             raise DatasetError("duplicate record ids")
         for c in self.classes:
             for p in c.parts:
@@ -81,12 +81,10 @@ class Dataset:
                 if lab not in names:
                     raise DatasetError(f"record {r.id}: unknown label {lab!r}")
         for p in self.pairs:
-            if p.part not in ids or p.whole not in ids:
+            if p.part not in self._index or p.whole not in self._index:
                 raise DatasetError(f"pair ({p.part}, {p.whole}) references unknown record id")
 
     def by_id(self, rid: str) -> BoxRecord:
-        if not hasattr(self, "_index"):
-            self._index = {r.id: r for r in self.records}
         return self._index[rid]
 
     def primary_label(self, r: BoxRecord) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -288,16 +288,7 @@ CHECKSUMS = {
 
 def encoder_to_spec(enc: RwfnEncoder) -> dict:
     """Seed-based descriptor; reconstruction re-samples the random blocks."""
-    c = enc.config
-    spec = {
-        "input_dim": c.input_dim,
-        "hidden_width": c.hidden_width,
-        "fan_in": c.fan_in,
-        "inhibition_strength": c.inhibition_strength,
-        "kernel_scale": c.kernel_scale,
-        "seed": c.seed,
-        "prng_id": PRNG_ID,
-    }
+    spec = {**asdict(enc.config), "prng_id": PRNG_ID}
     spec.update((key, checksum(enc)) for key, checksum in CHECKSUMS.items())
     return spec
 
@@ -307,15 +298,7 @@ def encoder_from_spec(spec: dict) -> RwfnEncoder:
     carries."""
     if spec.get("prng_id") != PRNG_ID:
         raise ValueError(f"unsupported prng_id {spec.get('prng_id')!r}, expected {PRNG_ID!r}")
-    cfg = EncoderConfig(
-        input_dim=spec["input_dim"],
-        hidden_width=spec["hidden_width"],
-        fan_in=spec["fan_in"],
-        inhibition_strength=spec["inhibition_strength"],
-        kernel_scale=spec["kernel_scale"],
-        seed=spec["seed"],
-    )
-    enc = build_encoder(cfg)
+    enc = build_encoder(EncoderConfig(**{f.name: spec[f.name] for f in fields(EncoderConfig)}))
     for key, checksum in CHECKSUMS.items():
         if spec.get(key) is not None and checksum(enc) != spec[key]:
             block = key.removesuffix("_checksum")

@@ -361,15 +361,15 @@ class _Batch:
     """Learnable predicates whose atoms read the same rows, evaluated as one
     model: the predicate's own, or the stack of all of them (one head each,
     see predicates.stack). indices holds the atom of each row, (n,), or of
-    each row and head, (n, heads), as the model's truths; x the rows as the
-    model keeps them (model.lift)."""
+    each row and head, (n, heads), as the model's truths; x the rows the
+    model reads (model.lift): an RWFN's frozen hidden layer, an NTN's
+    argument rows or their quadratic lift."""
 
     preds: list  # (part, name) of each head
     members: list
     model: object
     indices: np.ndarray
     x: np.ndarray
-    hidden: np.ndarray | None = None
 
 
 class GroundPlan:
@@ -470,20 +470,13 @@ class GroundPlan:
             else:
                 same_rows.append([member])
         self.batches: list[_Batch] = []
-        self._lift_bytes = 0
         constants = np.stack([gt.constants[c] for c in self._domain]) if same_rows else None
         for members in same_rows:
             preds, models, indices, args = zip(*members)
             model = models[0] if len(models) == 1 else stack(models)
-            rows = constants[args[0]].reshape(len(args[0]), -1)
-            batch = _Batch(preds=list(preds), members=list(models), model=model,
-                           indices=indices[0] if len(models) == 1 else np.stack(indices, axis=1),
-                           x=model.lift(rows))
-            if batch.x is not rows:
-                self._lift_bytes += batch.x.nbytes
-            if model.frozen_hidden:
-                batch.hidden = model.hidden_batch(constants, args[0])
-            self.batches.append(batch)
+            self.batches.append(_Batch(preds=list(preds), members=list(models), model=model,
+                                       indices=indices[0] if len(models) == 1 else np.stack(indices, axis=1),
+                                       x=model.lift(constants, args[0])))
 
     def _model(self, key: tuple):
         part, pred = key
@@ -650,13 +643,11 @@ class GroundPlan:
     def stats(self) -> dict:
         """What the plan grounded: atoms per predicate, formulas, groups, the
         instantiations of each quantifier (counting every enclosing one) and
-        whether they were sampled, and the bytes of cached hidden layers
-        and of lifted batch rows (predicates.quadratic_lift). A plan over
-        several parts gives its parts, formulas, groups and cache bytes
-        here, and the rest per part (part_stats)."""
-        shared = {"groups": len(self._groups),
-                  "hidden_cache_bytes": sum(b.hidden.nbytes for b in self.batches if b.hidden is not None),
-                  "lift_cache_bytes": self._lift_bytes}
+        whether they were sampled, and the bytes of the rows its batches
+        keep (model.lift). A plan over several parts gives its parts,
+        formulas, groups and cache bytes here, and the rest per part
+        (part_stats)."""
+        shared = {"groups": len(self._groups), "cache_bytes": sum(b.x.nbytes for b in self.batches)}
         if self.gt.parts:
             return {"parts": len(self._counts), "roots": len(self.roots), **shared}
         return {**self.part_stats(0), **shared}
@@ -681,7 +672,7 @@ class GroundPlan:
         values = self._fixed_values.copy()
         forward = []
         for b in self.batches:
-            h = b.hidden if b.hidden is not None else b.model.hidden_batch(b.x)
+            h = b.model.hidden_batch(b.x)
             p = b.model.forward_batch(b.x, hidden=h)
             values[b.indices] = p
             forward.append((h, p))

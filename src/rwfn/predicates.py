@@ -2,16 +2,17 @@
 
 Two learnable families: the random-feature model (frozen encoder, trainable
 linear decoder beta) and the tensor-network baseline (u, W, V, b all
-trainable). Both are a hidden layer followed by sigma(hidden . weights) and
-share one batch interface: hidden_batch(x, args), forward_batch(x, hidden)
-and gradient_batch(x, upstream, hidden, truth), so a caller computes the
-hidden layer and the forward truths once and passes them on; with args,
-hidden_batch reads its input rows as x[args].reshape(len(args), -1), the
-concatenated rows of a table of constants. frozen_hidden marks models
-whose hidden layer never changes and can be cached. lift(x) gives the
-rows a ground plan keeps for a model's batch: an NTN wide enough (lifts)
-reads them lifted, and runs its pre-activation and its dW, dV and db as
-one GEMM each. Learnable models with equal stack_key() read their rows
+trainable). Both are a hidden layer followed by sigma(hidden . weights),
+and both read their input through lift(table, args): the rows of a table,
+or with args, (n, arity) positions into a table of constants, the
+concatenated rows table[args].reshape(n, -1). lift decides the rows every
+batch call reads. An RWFN reads its frozen hidden layer, so a ground plan
+encodes its atoms once. An NTN reads the gathered rows, or, when it is
+wide enough (lifts), their quadratic lift, on which its pre-activation and
+its dW, dV and db are one GEMM each. The batch calls are hidden_batch(x),
+forward_batch(x, hidden) and gradient_batch(x, upstream, hidden, truth),
+so a caller computes the hidden layer and the forward truths once and
+passes them on. Learnable models with equal stack_key() read their rows
 the same way, so stack(models) makes one model of K heads that gives a
 row's K truths in one pass. A third, non-learnable family grounds
 predicates directly from dataset labels; it is used for ontology axioms
@@ -89,7 +90,6 @@ class RwfnPredicate:
     beta: np.ndarray
     mode: str = "full"  # "full" | "albm" | "rff"
     symbolic = False
-    frozen_hidden = True
     heads_axis = 1
 
     def stack_key(self) -> tuple:
@@ -104,31 +104,30 @@ class RwfnPredicate:
     def input_dim(self) -> int:
         return self.encoder.input_dim
 
-    def lift(self, x: np.ndarray) -> np.ndarray:
-        """x as a ground plan keeps it: unchanged, since the plan caches the
-        frozen hidden layer."""
-        return x
+    def lift(self, table: np.ndarray, args: np.ndarray | None = None) -> np.ndarray:
+        """The frozen hidden layer of the rows the batch calls read
+        (hidden_features)."""
+        return hidden_features(self.encoder, table, self.mode, args)
 
-    def hidden_batch(self, x: np.ndarray, args: np.ndarray | None = None) -> np.ndarray:
-        return hidden_features(self.encoder, x, self.mode, args)
+    def hidden_batch(self, h: np.ndarray) -> np.ndarray:
+        return h
 
-    def forward_batch(self, x: np.ndarray, hidden: np.ndarray | None = None) -> np.ndarray:
-        h = self.hidden_batch(x) if hidden is None else hidden
-        return sigmoid(h @ self.beta)
+    def forward_batch(self, h: np.ndarray, hidden: np.ndarray | None = None) -> np.ndarray:
+        return sigmoid((h if hidden is None else hidden) @ self.beta)
 
     def forward(self, v: np.ndarray) -> float:
-        return float(self.forward_batch(np.asarray(v, dtype=np.float64)[None, :])[0])
+        return float(self.forward_batch(self.lift(np.asarray(v)[None, :]))[0])
 
-    def gradient_batch(self, x: np.ndarray, upstream: np.ndarray, hidden: np.ndarray | None = None,
+    def gradient_batch(self, h: np.ndarray, upstream: np.ndarray, hidden: np.ndarray | None = None,
                        truth: np.ndarray | None = None) -> dict:
-        """d(sum_i upstream_i * out_i)/d beta, with truth = forward_batch(x)
+        """d(sum_i upstream_i * out_i)/d beta, with truth = forward_batch(h)
         when the caller has it. The encoder receives no gradient."""
-        h = self.hidden_batch(x) if hidden is None else hidden
+        h = h if hidden is None else hidden
         p = sigmoid(h @ self.beta) if truth is None else truth
         return {"beta": h.T @ (np.asarray(upstream) * p * (1.0 - p))}
 
     def gradient(self, v: np.ndarray, upstream: float) -> np.ndarray:
-        return self.gradient_batch(np.asarray(v, dtype=np.float64)[None, :], np.array([upstream]))["beta"]
+        return self.gradient_batch(self.lift(np.asarray(v)[None, :]), np.array([upstream]))["beta"]
 
     def learnable_params(self) -> dict:
         return {"beta": self.beta}
@@ -144,16 +143,15 @@ class NtnPredicate:
     A stack of K models has a leading heads axis on every parameter; its
     hidden layer holds all K*k slices, and it outputs K truths per row.
     The batch calls take rows, (n, d), or their quadratic_lift, (n, d^2 +
-    d + 1): lifted, the pre-activation is one GEMM with the parameters
-    flattened per slice, and so is the gradient of W, V and b; rows run
-    the blocked kernels."""
+    d + 1), as lift gives them: lifted, the pre-activation is one GEMM
+    with the parameters flattened per slice, and so is the gradient of W,
+    V and b; rows run the blocked kernels."""
 
     u: np.ndarray  # (k,)
     w: np.ndarray  # (k, d, d)
     v: np.ndarray  # (k, d)
     b: np.ndarray  # (k,)
     symbolic = False
-    frozen_hidden = False
     heads_axis = 0
 
     def __post_init__(self):
@@ -177,16 +175,17 @@ class NtnPredicate:
         d = self.input_dim
         return x.shape[1] == d * d + d + 1
 
-    def lift(self, x: np.ndarray) -> np.ndarray:
-        """x as a ground plan keeps it: lifted when lifts(slices, d)."""
+    def lift(self, table: np.ndarray, args: np.ndarray | None = None) -> np.ndarray:
+        """The rows the batch calls read, lifted when lifts(slices, d)."""
+        x = np.asarray(table, dtype=np.float64)
+        if args is not None:
+            x = x[args].reshape(len(args), -1)
         return quadratic_lift(x) if lifts(self.u.size, self.input_dim) else x
 
-    def hidden_batch(self, x: np.ndarray, args: np.ndarray | None = None) -> np.ndarray:
+    def hidden_batch(self, x: np.ndarray) -> np.ndarray:
         """tanh(s), s[n, i] = x_n^T W_i x_n + (V x_n)_i + b_i, over the
         flattened slices of every head."""
         x = np.asarray(x, dtype=np.float64)
-        if args is not None:
-            x = x[args].reshape(len(args), -1)
         s, d = self.u.size, self.input_dim
         if self._lifted(x):
             theta = np.concatenate([self.w.reshape(s, d * d), self.v.reshape(s, d), self.b.reshape(s, 1)], axis=1)
@@ -212,7 +211,7 @@ class NtnPredicate:
         return sigmoid(np.einsum("nhi,hi->nh", self._heads(t), self.u))
 
     def forward(self, v: np.ndarray) -> float:
-        return float(self.forward_batch(np.asarray(v, dtype=np.float64)[None, :])[0])
+        return float(self.forward_batch(self.lift(np.asarray(v)[None, :]))[0])
 
     def gradient_batch(self, x: np.ndarray, upstream: np.ndarray, hidden: np.ndarray | None = None,
                        truth: np.ndarray | None = None) -> dict:
@@ -238,7 +237,7 @@ class NtnPredicate:
         return {"u": du, "w": dw.reshape(self.w.shape), "v": dv.reshape(self.v.shape), "b": db.reshape(self.b.shape)}
 
     def gradient(self, v: np.ndarray, upstream: float) -> dict:
-        return self.gradient_batch(np.asarray(v, dtype=np.float64)[None, :], np.array([upstream]))
+        return self.gradient_batch(self.lift(np.asarray(v)[None, :]), np.array([upstream]))
 
     def learnable_params(self) -> dict:
         return {"u": self.u, "w": self.w, "v": self.v, "b": self.b}

@@ -57,7 +57,7 @@ def type_scores(models: dict, ds: Dataset) -> dict:
     out = {}
     for cname, model in models.items():
         labels = np.array([cname in r.labels for r in ds.records], dtype=int)
-        out[cname] = (model.forward_batch(x), labels)
+        out[cname] = (model.forward_batch(model.lift(x)), labels)
     return out
 
 
@@ -115,7 +115,7 @@ def partof_scores(model, ds: Dataset) -> tuple:
         raise ValueError("dataset has no part-of pairs to score")
     x = np.stack([pair_features(ds, ds.by_id(p.part), ds.by_id(p.whole)) for p in ds.pairs])
     labels = np.array([p.positive for p in ds.pairs], dtype=int)
-    return model.forward_batch(x), labels
+    return model.forward_batch(model.lift(x)), labels
 
 
 def baseline_ir_scores(ds: Dataset) -> tuple:

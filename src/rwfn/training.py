@@ -23,7 +23,7 @@ import numpy as np
 from .encoder import EncoderConfig, RwfnEncoder, build_encoder
 from .logic import GroundedTheory, GroundPlan, merge_theories
 from .numerics import make_rng
-from .predicates import head
+from .predicates import RwfnPredicate, head
 
 
 class TrainingError(RuntimeError):
@@ -120,15 +120,16 @@ def train(gt: GroundedTheory, cfg: TrainConfig) -> TrainTrace:
 def train_many(theories: list, cfg: TrainConfig) -> list:
     """train() each theory, all in one epoch loop over one merged plan;
     returns their traces. Every theory draws its quantifier samples from
-    its own make_rng(cfg.seed). Frozen-encoder models of different theories
-    must share one encoder: each private one keeps its own hidden cache."""
+    its own make_rng(cfg.seed). RWFN models of different theories must
+    share one encoder: each private one keeps its own hidden cache."""
     if not theories:
         raise TrainingError("no theories to train")
     for i, gt in enumerate(theories):
         if not gt.learnable_predicates():
             raise TrainingError(f"grounded theory {i} has no learnable parameters")
     if len(theories) > 1:
-        encoders = {id(m.encoder) for gt in theories for m in gt.learnable_predicates().values() if m.frozen_hidden}
+        encoders = {id(m.encoder) for gt in theories for m in gt.learnable_predicates().values()
+                    if isinstance(m, RwfnPredicate)}
         if len(encoders) > 1:
             raise TrainingError(f"lockstep theories use {len(encoders)} frozen encoders, each with its own "
                                 f"hidden cache; share one, or train them one by one")

@@ -41,6 +41,30 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.linalg.norm((analytic - numeric).ravel()) / max(nn, na, 1e-12))
 
 
+def _gradient_error(model, x: np.ndarray, upstream: np.ndarray, step: float,
+                    forward_rows: np.ndarray | None = None) -> float:
+    """Max relative error, over the model's parameters, of gradient_batch on
+    model.lift(x) against central differences of sum(upstream * forward_batch)
+    on forward_rows, by default the same lifted rows."""
+    lifted = model.lift(x)
+    forward_rows = lifted if forward_rows is None else forward_rows
+    analytic = model.gradient_batch(lifted, upstream)
+    worst = 0.0
+    for pname, arr in model.learnable_params().items():
+        numeric = np.empty_like(arr)
+        flat, nflat = arr.ravel(), numeric.ravel()
+        for i in range(flat.size):
+            saved = flat[i]
+            flat[i] = saved + step
+            hi = model.forward_batch(forward_rows)
+            flat[i] = saved - step
+            lo = model.forward_batch(forward_rows)
+            flat[i] = saved
+            nflat[i] = np.sum(upstream * (hi - lo)) / (2 * step)
+        worst = max(worst, _rel_err(analytic[pname], numeric))
+    return worst
+
+
 def gradcheck_rwfn(trials: int = 20, input_dim: int = 8, hidden_width: int = 16,
                    step: float = 1e-5, seed: int = 7) -> float:
     """Max relative error of the decoder gradient vs central differences."""
@@ -49,19 +73,8 @@ def gradcheck_rwfn(trials: int = 20, input_dim: int = 8, hidden_width: int = 16,
     for t in range(trials):
         enc = build_encoder(EncoderConfig(input_dim=input_dim, hidden_width=hidden_width, fan_in=3, seed=seed + t))
         model = RwfnPredicate(encoder=enc, beta=rng.standard_normal(2 * hidden_width))
-        v = rng.random(input_dim)
-        upstream = float(rng.normal())
-        analytic = model.gradient(v, upstream)
-        numeric = np.empty_like(analytic)
-        for i in range(len(model.beta)):
-            saved = model.beta[i]
-            model.beta[i] = saved + step
-            hi = model.forward(v)
-            model.beta[i] = saved - step
-            lo = model.forward(v)
-            model.beta[i] = saved
-            numeric[i] = upstream * (hi - lo) / (2 * step)
-        worst = max(worst, _rel_err(analytic, numeric))
+        v = rng.random((1, input_dim))
+        worst = max(worst, _gradient_error(model, v, np.array([rng.normal()]), step))
     return worst
 
 
@@ -72,23 +85,8 @@ def gradcheck_ntn(trials: int = 20, input_dim: int = 8, k: int = 3,
     worst = 0.0
     for t in range(trials):
         model = init_ntn(k, input_dim, make_rng(seed + 100 + t))
-        v = rng.random(input_dim)
-        upstream = float(rng.normal())
-        analytic = model.gradient(v, upstream)
-        params = model.learnable_params()
-        for pname, arr in params.items():
-            numeric = np.empty_like(arr)
-            flat = arr.ravel()
-            nflat = numeric.ravel()
-            for i in range(flat.size):
-                saved = flat[i]
-                flat[i] = saved + step
-                hi = model.forward(v)
-                flat[i] = saved - step
-                lo = model.forward(v)
-                flat[i] = saved
-                nflat[i] = upstream * (hi - lo) / (2 * step)
-            worst = max(worst, _rel_err(analytic[pname], numeric))
+        v = rng.random((1, input_dim))
+        worst = max(worst, _gradient_error(model, v, np.array([rng.normal()]), step))
     return worst
 
 
@@ -103,19 +101,7 @@ def gradcheck_stacked_ntn(trials: int = 20, heads: int = 12, k: int = 2, input_d
         model = stack([init_ntn(k, input_dim, make_rng(seed + 100 * t + j)) for j in range(heads)])
         x = rng.random((rows, input_dim))
         upstream = rng.standard_normal((rows, heads))
-        analytic = model.gradient_batch(model.lift(x), upstream)
-        for pname, arr in model.learnable_params().items():
-            numeric = np.empty_like(arr)
-            flat, nflat = arr.ravel(), numeric.ravel()
-            for i in range(flat.size):
-                saved = flat[i]
-                flat[i] = saved + step
-                hi = model.forward_batch(x)
-                flat[i] = saved - step
-                lo = model.forward_batch(x)
-                flat[i] = saved
-                nflat[i] = np.sum(upstream * (hi - lo)) / (2 * step)
-            worst = max(worst, _rel_err(analytic[pname], numeric))
+        worst = max(worst, _gradient_error(model, x, upstream, step, forward_rows=x))
     return worst
 
 

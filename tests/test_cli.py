@@ -106,8 +106,8 @@ class TestTrainEval:
             for i in range(5)
         ]
         assert plan["groups"] == 4
-        assert plan["hidden_cache_bytes"] == plan["atoms"]["partOf"] * 16 * 8  # 2B features at B=8
-        assert plan["lift_cache_bytes"] == 0
+        # the plan keeps 2B = 16 hidden features per atom at B=8, and nothing more
+        assert plan["cache_bytes"] == plan["atoms"]["partOf"] * 16 * 8
         for artifact in (model, tmp_path / "m.json.trace.json"):
             assert "plans" not in artifact.read_text()
             assert "environment" not in artifact.read_text()
@@ -129,10 +129,9 @@ class TestTrainEval:
         # class; the NTN stack (six k=6 heads over d=10 rows) runs on lifted rows
         n = records.pop()
         assert lockstep == {"parts": len(plans), "roots": n * len(plans), "groups": 2,
-                            "hidden_cache_bytes": n * 16 * 8 if shared else 0,
-                            "lift_cache_bytes": 0 if shared else n * (10 * 10 + 10 + 1) * 8}
+                            "cache_bytes": n * (16 if shared else 10 * 10 + 10 + 1) * 8}
         for artifact in (model, tmp_path / "m.json.trace.json"):
-            for field in ("plans", "lockstep", "hidden_cache_bytes", "lift_cache_bytes", "groups"):
+            for field in ("plans", "lockstep", "cache_bytes", "groups"):
                 assert field not in artifact.read_text()
 
     def test_train_determinism(self, dataset_path, tmp_path):
@@ -189,7 +188,7 @@ class TestTrainEval:
     @pytest.mark.parametrize("command, flag", [
         ("train", "--k"), ("train", "--budget"), ("train", "--b"),
         ("compare", "--repeats"), ("compare", "--b-types"), ("compare", "--b-partof"),
-        ("verify", "--gradcheck-trials"),
+        ("verify", "--gradcheck-trials"), ("verify", "--kernel-widths"),
     ])
     def test_zero_count_usage_error(self, dataset_path, tmp_path, capsys, command, flag):
         args = {"train": ["train", "--model", "ltn", "--task", "types"],
@@ -198,6 +197,18 @@ class TestTrainEval:
             args = args + ["--data", str(dataset_path), "-o", str(tmp_path / "out.json")]
         assert run_cli(args + [flag, "0"]) == 2
         assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+
+    # values the commands used to reject only at run time, with exit 1
+    @pytest.mark.parametrize("args, message", [
+        (["params", "--n", "1"], "argument --n: must be >= 2"),
+        (["params", "--n", "0"], "argument --n: must be >= 2"),
+        (["verify", "--kernel-widths", "abc"], "argument --kernel-widths: invalid width_list value: 'abc'"),
+        (["verify", "--kernel-widths", "100,,1000"], "argument --kernel-widths: invalid width_list value"),
+        (["verify", "--kernel-widths", "100,-5"], "argument --kernel-widths: must be >= 1, got -5"),
+    ], ids=["n-1", "n-0", "widths-abc", "widths-empty", "widths-negative"])
+    def test_malformed_value_usage_error(self, capsys, args, message):
+        assert run_cli(args) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [("--l2", "inf"), ("--lr", "nan")])
     def test_non_finite_hyperparameter_usage_error(self, dataset_path, tmp_path, flag, value):

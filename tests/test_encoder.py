@@ -21,7 +21,7 @@ from rwfn.encoder import (
     kernel_estimate,
 )
 from rwfn.numerics import make_rng
-from rwfn.predicates import init_ntn
+from rwfn.predicates import RwfnPredicate, init_ntn
 from rwfn.verify import gaussian_kernel
 
 
@@ -175,11 +175,18 @@ class TestSlotTables:
         assert np.array_equal(hidden_features(enc, table, mode, args),
                               hidden_features(enc, table[args[:, 0]], mode))
 
-    def test_ntn_gathers_the_same_rows(self):
-        _, table, args = slot_case(2, 50)
+    def test_lift_gathers_the_same_rows(self):
+        enc, table, args = slot_case(2, 50)
+        rows = table[args].reshape(50, -1)
         model = init_ntn(3, 6, make_rng(4))
-        assert np.array_equal(model.hidden_batch(table, args),
-                              model.hidden_batch(table[args].reshape(50, -1)))
+        assert np.array_equal(model.lift(table, args), rows)
+        # lifted, as an NTN of more slices reads them
+        wide = init_ntn(8, 6, make_rng(4))
+        assert np.array_equal(wide.lift(table, args), wide.lift(rows))
+        assert wide.lift(rows).shape == (50, 6 * 6 + 6 + 1)
+        for mode in ("full", "albm", "rff"):
+            model = RwfnPredicate.create(enc, mode)
+            assert np.abs(model.lift(table, args) - model.lift(rows)).max() <= 1e-12
 
     def test_range_warning_looks_at_used_constants_only(self, recwarn):
         enc, table, args = slot_case(2, 40)

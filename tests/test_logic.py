@@ -559,7 +559,9 @@ def oracle_grounding(gt: GroundedTheory, budget: int, rng) -> dict:
     samples in tree order (an inner quantifier once per enclosing
     instantiation). Returns atoms as (pred, args) in order of first
     occurrence, each occurrence's atom, and per formula shape the rows and
-    per leaf the occurrence positions, plus batch inputs and symbolic truths."""
+    per leaf the occurrence positions, plus symbolic truths and each
+    learnable predicate's atoms with their argument positions in the
+    sorted domain."""
     domain = sorted(gt.constants)
     atoms: list = []
     index: dict = {}
@@ -618,12 +620,12 @@ def oracle_grounding(gt: GroundedTheory, budget: int, rng) -> dict:
         if model.symbolic:
             truths[i] = model.truth_of(args)
         else:
-            indices, rows = inputs.setdefault(pred, ([], []))
+            indices, positions = inputs.setdefault(pred, ([], []))
             indices.append(i)
-            rows.append(np.concatenate([gt.constants[a] for a in args]))
+            positions.append([domain.index(a) for a in args])
     return {"atoms": atoms, "occurrences": occurrences, "truths": truths,
             "groups": {rows[0]: (rows, [pos[k] for k in sorted(pos)]) for rows, pos in groups.values()},
-            "inputs": {pred: (indices, np.stack(rows)) for pred, (indices, rows) in inputs.items()}}
+            "inputs": {pred: (indices, np.array(positions)) for pred, (indices, positions) in inputs.items()}}
 
 
 def atom_keys(atoms: list, domain: list) -> np.ndarray:
@@ -673,9 +675,10 @@ def test_grounding_matches_recursive_oracle(fs, seed, budget, rng_seed):
     assert np.array_equal(plan._fixed_values, want["truths"])
     # Q and R have their own encoders and arities: one batch each
     assert [b.preds for b in plan.batches] == [[(0, pred)] for pred in want["inputs"]]
-    for b, (indices, x) in zip(plan.batches, want["inputs"].values()):
+    table = np.stack([gt.constants[c] for c in sorted(gt.constants)])
+    for b, (indices, args) in zip(plan.batches, want["inputs"].values()):
         assert np.array_equal(b.indices, indices)
-        assert np.array_equal(b.x, x)
+        assert np.array_equal(b.x, b.model.lift(table, args))
 
 
 def test_plan_is_freed_without_the_cycle_collector():
@@ -709,8 +712,8 @@ def test_plan_stats():
     ]
     assert (stats["roots"], stats["groups"]) == (3, 3)
     assert list(stats["atoms"]) == ["R", "Q", "P"] and stats["atoms"]["P"] == 3
-    # Q and R cache 2B = 8 float64 hidden features per atom
-    assert stats["hidden_cache_bytes"] == 64 * (stats["atoms"]["Q"] + stats["atoms"]["R"])
+    # Q and R keep their 2B = 8 float64 hidden features per atom, and nothing more
+    assert stats["cache_bytes"] == 64 * (stats["atoms"]["Q"] + stats["atoms"]["R"])
 
 
 @pytest.mark.parametrize("text, n_constants, match", [

@@ -51,7 +51,7 @@ class TestRwfnForward:
     def test_output_in_open_unit_interval(self):
         rng = make_rng(1)
         model = RwfnPredicate(encoder=small_encoder(), beta=rng.standard_normal(32))
-        out = model.forward_batch(rng.random((20, 8)))
+        out = model.forward_batch(model.lift(rng.random((20, 8))))
         assert ((out > 0) & (out < 1)).all()
 
     def test_large_beta_saturates(self):
@@ -254,11 +254,13 @@ class TestNtnBlockedKernels:
         stacked = stack(heads)
         assert stacked.beta.shape == (32, 3) and stacked.encoder is enc
         x, upstream = rng.random((40, 5)), rng.standard_normal((40, 3))
-        out = stacked.forward_batch(x)
-        grads = stacked.gradient_batch(x, upstream)
+        h = stacked.lift(x)  # the heads' one hidden layer
+        assert np.array_equal(h, heads[0].lift(x))
+        out = stacked.forward_batch(h)
+        grads = stacked.gradient_batch(h, upstream)
         for j, m in enumerate(heads):
-            assert_close_rel(out[:, j], m.forward_batch(x))
-            assert_close_rel(head(grads, j, 1)["beta"], m.gradient_batch(x, upstream[:, j])["beta"])
+            assert_close_rel(out[:, j], m.forward_batch(h))
+            assert_close_rel(head(grads, j, 1)["beta"], m.gradient_batch(h, upstream[:, j])["beta"])
 
     def test_stack_keys(self):
         enc = build_encoder(EncoderConfig(input_dim=5, hidden_width=16, fan_in=2, seed=1))
@@ -337,10 +339,12 @@ class TestNtnLiftedKernels:
                     for i, c in enumerate(ds.classes)]
         rows = len(ds.records)
         stats = GroundPlan(merge_theories(theories), 100, make_rng(0)).stats()
-        assert stats["lift_cache_bytes"] == rows * (16 * 16 + 16 + 1) * 8
-        assert GroundPlan(theories[0], 100, make_rng(0)).stats()["lift_cache_bytes"] == 0
+        assert stats["cache_bytes"] == rows * (16 * 16 + 16 + 1) * 8
+        # the others keep their argument rows
+        assert GroundPlan(theories[0], 100, make_rng(0)).stats()["cache_bytes"] == rows * 16 * 8
         partof = build_partof_theory(ds, make_ltn_classifier(2 * ds.n, seed=0))
-        assert GroundPlan(partof, 100, make_rng(0)).stats()["lift_cache_bytes"] == 0
+        stats = GroundPlan(partof, 100, make_rng(0)).stats()
+        assert stats["cache_bytes"] == stats["atoms"]["partOf"] * 32 * 8
 
 
 class TestInit:

@@ -305,9 +305,8 @@ class TestTrainMany:
     def test_ntn_stack_matches_train(self, seed):
         traces = assert_lockstep_matches(
             lambda: [generated_theory(seed * 10 + i, "ntn") for i in range(4)], self.CFG)
-        assert traces[0].lockstep["hidden_cache_bytes"] == 0
         # four k=2 heads at d=3 run on lifted rows, d^2 + d + 1 = 13 wide
-        assert traces[0].lockstep["lift_cache_bytes"] == len(POOL) * 13 * 8
+        assert traces[0].lockstep["cache_bytes"] == len(POOL) * 13 * 8
 
     @pytest.mark.parametrize("theories", [2, 3, 12])
     def test_ntn_stack_matches_train_on_both_sides_of_the_lift(self, theories):
@@ -315,7 +314,7 @@ class TestTrainMany:
         # as the twelve type classes do
         traces = assert_lockstep_matches(
             lambda: [generated_theory(50 + i, "ntn") for i in range(theories)], self.CFG)
-        assert traces[0].lockstep["lift_cache_bytes"] == (0 if theories == 2 else len(POOL) * 13 * 8)
+        assert traces[0].lockstep["cache_bytes"] == len(POOL) * (3 if theories == 2 else 13) * 8
 
     def test_lift_is_built_once_per_plan(self, monkeypatch):
         calls = []
@@ -330,7 +329,7 @@ class TestTrainMany:
         traces = assert_lockstep_matches(
             lambda: [generated_theory(seed * 10 + i, "rwfn", enc) for i in range(4)], self.CFG)
         # one (|D|, 2B) cache for all four decoders
-        assert traces[0].lockstep["hidden_cache_bytes"] == len(POOL) * 16 * 8
+        assert traces[0].lockstep["cache_bytes"] == len(POOL) * 16 * 8
 
     @pytest.mark.parametrize("kind", ["ntn", "rwfn"])
     def test_different_constant_sets(self, kind):
