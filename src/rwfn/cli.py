@@ -296,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", type=positive_int, required=True)
     p.add_argument("--wholes", type=positive_int, default=4)
     p.add_argument("--parts-per-whole", type=positive_int, default=2)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--jitter", type=float, default=0.02)
-    p.add_argument("--neg-ratio", type=float, default=1.0)
+    p.add_argument("--noise", type=finite_float, default=0.1)
+    p.add_argument("--jitter", type=finite_float, default=0.02)
+    p.add_argument("--neg-ratio", type=finite_float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen_synth)

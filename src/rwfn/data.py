@@ -12,7 +12,8 @@ the decoys are what keep the purely geometric baseline beatable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,9 +96,6 @@ class Dataset:
     def whole_classes(self) -> list:
         return [c for c in self.classes if c.role == "whole"]
 
-    def part_classes(self) -> list:
-        return [c for c in self.classes if c.role == "part"]
-
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -113,10 +111,17 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.num_scenes < 1 or self.num_whole_classes < 1 or self.parts_per_whole < 1:
             raise DatasetError("counts must be >= 1")
+        for name in ("feature_noise", "geometry_jitter", "negative_ratio"):
+            if not math.isfinite(getattr(self, name)):
+                raise DatasetError(f"{name} must be finite, got {getattr(self, name)}")
         if self.feature_noise < 0:
             raise DatasetError("feature_noise must be >= 0")
+        if self.geometry_jitter < 0:
+            raise DatasetError("geometry_jitter must be >= 0")
         if self.negative_ratio <= 0:
             raise DatasetError("negative_ratio must be > 0")
+        if not 0.0 <= self.overlap_fraction <= 1.0:
+            raise DatasetError(f"overlap_fraction must be in [0,1], got {self.overlap_fraction}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +234,10 @@ def _place_part(whole: tuple, jitter: float, rng) -> tuple:
     return (px, py, px + pw, py + ph)
 
 
-def gen_synthetic(cfg: SyntheticConfig, rng: np.random.Generator | None = None) -> Dataset:
-    """Deterministic synthetic scenes; see module docstring for the layout."""
-    rng = rng if rng is not None else make_rng(cfg.seed)
+def gen_synthetic(cfg: SyntheticConfig) -> Dataset:
+    """Deterministic synthetic scenes, drawn from cfg.seed; see module
+    docstring for the layout."""
+    rng = make_rng(cfg.seed)
     classes = default_classes(cfg.num_whole_classes, cfg.parts_per_whole)
     class_index = {c.name: i for i, c in enumerate(classes)}
     wholes = [c for c in classes if c.role == "whole"]

@@ -100,31 +100,21 @@ def _warn_range(x: np.ndarray) -> None:
 # encoding a batch holds one (n, B) temporary besides its (n, 2B) result.
 
 
-def _albm(enc: RwfnEncoder, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def albm_features(enc: RwfnEncoder, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sparse gated projection of the rows x, centered by global inhibition,
+    then ReLU."""
     vbar = x @ enc.gate
     vbar -= enc.config.inhibition_strength * vbar.mean(axis=1, keepdims=True)
     return np.maximum(0.0, vbar, out=vbar if out is None else out)
 
 
-def _fourier(enc: RwfnEncoder, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def fourier_features(enc: RwfnEncoder, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(2/B) * cos(x R + b) of the rows x; inner products approximate
+    exp(-|x-y|^2/2)."""
     z = x @ enc.fourier
     z += enc.phase
     np.cos(z, out=z)
     return np.multiply(np.sqrt(2.0 / enc.hidden_width), z, out=z if out is None else out)
-
-
-def albm_features(enc: RwfnEncoder, v: np.ndarray) -> np.ndarray:
-    """Sparse gated projection, centered by global inhibition, then ReLU."""
-    x, single = _as_batch(v, enc.input_dim)
-    h1 = _albm(enc, x)
-    return h1[0] if single else h1
-
-
-def fourier_features(enc: RwfnEncoder, v: np.ndarray) -> np.ndarray:
-    """sqrt(2/B) * cos(R^T v + b); inner products approximate exp(-|x-y|^2/2)."""
-    x, single = _as_batch(v, enc.input_dim)
-    h2 = _fourier(enc, x)
-    return h2[0] if single else h2
 
 
 def encode(enc: RwfnEncoder, v: np.ndarray) -> np.ndarray:
@@ -158,12 +148,12 @@ def hidden_features(enc: RwfnEncoder, v: np.ndarray, mode: str = "full",
     if mode == "full":
         b = enc.hidden_width
         h = np.empty((len(x), 2 * b))
-        _albm(enc, x, out=h[:, :b])
-        _fourier(enc, x, out=h[:, b:])
+        albm_features(enc, x, out=h[:, :b])
+        fourier_features(enc, x, out=h[:, b:])
     elif mode == "albm":
-        h = _albm(enc, x)
+        h = albm_features(enc, x)
     elif mode == "rff":
-        h = _fourier(enc, x)
+        h = fourier_features(enc, x)
     else:
         raise ValueError(f"unknown encoder mode {mode!r}")
     np.tanh(h, out=h)
@@ -266,8 +256,10 @@ def hidden_dim(enc: RwfnEncoder, mode: str = "full") -> int:
 
 
 def kernel_estimate(enc: RwfnEncoder, x: np.ndarray, y: np.ndarray) -> float:
-    """Randomized estimate of the Gaussian kernel via the Fourier branch."""
-    return float(fourier_features(enc, x) @ fourier_features(enc, y))
+    """Randomized estimate of the Gaussian kernel at the vectors x and y via
+    the Fourier branch."""
+    zx, zy = (fourier_features(enc, _as_batch(v, enc.input_dim)[0]) for v in (x, y))
+    return float(zx[0] @ zy[0])
 
 
 def gate_checksum(enc: RwfnEncoder) -> str:

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, SplitResult, split
+from .data import Dataset, split
 from .numerics import make_rng
 from .predicates import ParamCount, count_params
 from .tasks import (
@@ -35,9 +35,6 @@ class PrCurve:
     recalls: np.ndarray
     precisions: np.ndarray
     thresholds: np.ndarray
-
-    def points(self) -> list:
-        return list(zip(self.recalls.tolist(), self.precisions.tolist()))
 
 
 def pr_curve(scores, labels) -> PrCurve:
@@ -145,8 +142,7 @@ def run_types(kind: str, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
 
 
 def run_partof(kind: str, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
-               b: int = DEFAULT_B_PARTOF, k: int = DEFAULT_K, mode: str = "full",
-               include_axioms: bool = True) -> TaskResult:
+               b: int = DEFAULT_B_PARTOF, k: int = DEFAULT_K, mode: str = "full") -> TaskResult:
     t0 = time.perf_counter()
     in_dim = 2 * train_ds.n
     if kind == "rwfn":
@@ -155,7 +151,7 @@ def run_partof(kind: str, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
         model = make_ltn_classifier(in_dim, seed=cfg.seed, k=k)
     else:
         raise ValueError(f"unknown model kind {kind!r}")
-    gt = build_partof_theory(train_ds, model, include_axioms=include_axioms)
+    gt = build_partof_theory(train_ds, model)
     trace = train(gt, cfg)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     scores, labels = partof_scores(model, test_ds)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import make_rng
-from .predicates import head, stack
+from .predicates import stack
 
 HMEAN_EPS = 1e-12
 
@@ -282,33 +282,7 @@ def parse_kb(text: str) -> KnowledgeBase:
 
 
 # ---------------------------------------------------------------------------
-# Lukasiewicz connectives
-
-
-def _check_range(*values):
-    for a in values:
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"truth value {a} outside [0,1]")
-
-
-def luk_not(a: float) -> float:
-    _check_range(a)
-    return 1.0 - a
-
-
-def luk_and(a: float, b: float) -> float:
-    _check_range(a, b)
-    return max(0.0, a + b - 1.0)
-
-
-def luk_or(a: float, b: float) -> float:
-    _check_range(a, b)
-    return min(1.0, a + b)
-
-
-def luk_implies(a: float, b: float) -> float:
-    _check_range(a, b)
-    return min(1.0, 1.0 - a + b)
+# Aggregation
 
 
 def hmean(values: np.ndarray) -> float:
@@ -779,41 +753,7 @@ class GroundPlan:
 # Public operations
 
 
-def eval_formula(gt: GroundedTheory, f: Formula, bindings: dict | None = None,
-                 budget: int = 10_000, rng: np.random.Generator | None = None) -> float:
-    """Evaluate one formula under the grounding; free variables via bindings."""
-    grounded = _substitute(f, bindings) if bindings else f
-    sub = GroundedTheory(kb=KnowledgeBase(signatures=gt.kb.signatures, formulas=[grounded]),
-                         constants=gt.constants, predicates=gt.predicates)
-    return float(GroundPlan(sub, budget, rng).formula_values()[0])
-
-
-def _substitute(f: Formula, bindings: dict) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(bindings.get(a, a) for a in f.args))
-    if isinstance(f, Not):
-        return Not(_substitute(f.body, bindings))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(_substitute(f.left, bindings), _substitute(f.right, bindings))
-    if isinstance(f, (ForAll, Exists)):
-        inner = {k: v for k, v in bindings.items() if k not in f.variables}
-        return type(f)(f.variables, _substitute(f.body, inner))
-    raise TypeError(type(f).__name__)
-
-
 def satisfiability(gt: GroundedTheory, instantiation_budget: int = 10_000,
                    rng: np.random.Generator | None = None) -> float:
     """Aggregate truth of all KB formulas under the grounding."""
     return GroundPlan(gt, instantiation_budget, rng).satisfiability()
-
-
-def satisfiability_gradient(gt: GroundedTheory, instantiation_budget: int = 10_000,
-                            rng: np.random.Generator | None = None) -> tuple[float, dict]:
-    """Satisfiability plus {pred: {param: grad}}, on one fixed instantiation sample."""
-    plan = GroundPlan(gt, instantiation_budget, rng)
-    sats, grads = plan.satisfiability_with_grads()
-    by_pred = {}
-    for b, g in zip(plan.batches, grads):
-        by_pred.update((pred, g if len(b.preds) == 1 else head(g, j, b.model.heads_axis))
-                       for j, (_, pred) in enumerate(b.preds))
-    return float(sats[0]), by_pred

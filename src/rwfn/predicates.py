@@ -25,8 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoder import CHECKSUMS, RwfnEncoder, build_encoder, encoder_from_spec, encoder_to_spec, hidden_dim, hidden_features
-from .numerics import make_rng
+from .encoder import CHECKSUMS, RwfnEncoder, encoder_from_spec, encoder_to_spec, hidden_dim, hidden_features
 
 
 def sigmoid(z):
@@ -115,9 +114,6 @@ class RwfnPredicate:
     def forward_batch(self, h: np.ndarray, hidden: np.ndarray | None = None) -> np.ndarray:
         return sigmoid((h if hidden is None else hidden) @ self.beta)
 
-    def forward(self, v: np.ndarray) -> float:
-        return float(self.forward_batch(self.lift(np.asarray(v)[None, :]))[0])
-
     def gradient_batch(self, h: np.ndarray, upstream: np.ndarray, hidden: np.ndarray | None = None,
                        truth: np.ndarray | None = None) -> dict:
         """d(sum_i upstream_i * out_i)/d beta, with truth = forward_batch(h)
@@ -125,9 +121,6 @@ class RwfnPredicate:
         h = h if hidden is None else hidden
         p = sigmoid(h @ self.beta) if truth is None else truth
         return {"beta": h.T @ (np.asarray(upstream) * p * (1.0 - p))}
-
-    def gradient(self, v: np.ndarray, upstream: float) -> np.ndarray:
-        return self.gradient_batch(self.lift(np.asarray(v)[None, :]), np.array([upstream]))["beta"]
 
     def learnable_params(self) -> dict:
         return {"beta": self.beta}
@@ -210,9 +203,6 @@ class NtnPredicate:
             return sigmoid(t @ self.u)
         return sigmoid(np.einsum("nhi,hi->nh", self._heads(t), self.u))
 
-    def forward(self, v: np.ndarray) -> float:
-        return float(self.forward_batch(self.lift(np.asarray(v)[None, :]))[0])
-
     def gradient_batch(self, x: np.ndarray, upstream: np.ndarray, hidden: np.ndarray | None = None,
                        truth: np.ndarray | None = None) -> dict:
         x = np.asarray(x, dtype=np.float64)
@@ -235,9 +225,6 @@ class NtnPredicate:
                 xb = x[lo:lo + rows]
                 dw += (ds[lo:lo + len(xb), :, None] * xb[:, None, :]).reshape(len(xb), s * d).T @ xb
         return {"u": du, "w": dw.reshape(self.w.shape), "v": dv.reshape(self.v.shape), "b": db.reshape(self.b.shape)}
-
-    def gradient(self, v: np.ndarray, upstream: float) -> dict:
-        return self.gradient_batch(self.lift(np.asarray(v)[None, :]), np.array([upstream]))
 
     def learnable_params(self) -> dict:
         return {"u": self.u, "w": self.w, "v": self.v, "b": self.b}
@@ -280,12 +267,10 @@ class LabelPredicate:
     default: float = 0.0
     symbolic = True
 
-    def truth_of(self, args: tuple) -> float:
-        return float(self.truths.get(tuple(args), self.default))
-
     def truth_batch(self, args: np.ndarray, index: dict) -> np.ndarray:
-        """truth_of for each row of args, a row being the positions of an
-        atom's constants; index maps each constant id to its position."""
+        """The truth of each row of args, a row being the positions of an
+        atom's constants, index mapping each constant id to its position:
+        truths[ids], or default for a tuple without a label."""
         n, arity = args.shape
         base = len(index)
         table = {}

@@ -20,16 +20,14 @@ from .numerics import make_rng
 from .predicates import LabelPredicate, NtnPredicate, RwfnPredicate, init_ntn
 from .training import SharedEncoderRegistry
 
-DEFAULT_FAN_IN = 7
 DEFAULT_K = 6
 DEFAULT_B_TYPES = 200
 DEFAULT_B_PARTOF = 400
 
 
-def make_rwfn_classifier(input_dim: int, hidden_width: int, seed: int,
-                         mode: str = "full", fan_in: int = DEFAULT_FAN_IN,
+def make_rwfn_classifier(input_dim: int, hidden_width: int, seed: int, mode: str = "full",
                          registry: SharedEncoderRegistry | None = None) -> RwfnPredicate:
-    cfg = EncoderConfig(input_dim=input_dim, hidden_width=hidden_width, fan_in=fan_in, seed=seed)
+    cfg = EncoderConfig(input_dim=input_dim, hidden_width=hidden_width, seed=seed)
     encoder = registry.get_or_build(cfg) if registry is not None else build_encoder(cfg)
     return RwfnPredicate.create(encoder, mode=mode)
 
@@ -52,12 +50,17 @@ def build_type_theory(ds: Dataset, class_name: str, model) -> GroundedTheory:
 
 
 def type_scores(models: dict, ds: Dataset) -> dict:
-    """Per class: (scores over all records, binary labels)."""
+    """Per class: (scores over all records, binary labels). Models with an
+    equal stack_key() read the same rows, so a run of them lifts the
+    records once; one lift is alive at a time."""
     x = np.stack([r.features for r in ds.records])
+    key = rows = None
     out = {}
     for cname, model in models.items():
+        if model.stack_key() != key:
+            key, rows = model.stack_key(), model.lift(x)
         labels = np.array([cname in r.labels for r in ds.records], dtype=int)
-        out[cname] = (model.forward_batch(model.lift(x)), labels)
+        out[cname] = (model.forward_batch(rows), labels)
     return out
 
 

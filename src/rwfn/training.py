@@ -88,13 +88,10 @@ class TrainTrace:
     plan: dict = field(default_factory=dict)  # the theory's GroundPlan stats, for run manifests
     lockstep: dict | None = None  # the merged plan's stats, one dict shared by its theories
 
-    def to_json(self, include_ms: bool = False) -> dict:
-        # wall-clock times live in run manifests; the artifact payload stays
-        # deterministic unless timings are explicitly requested
-        obj = {"epoch": list(range(len(self.loss))), "loss": self.loss, "sat": self.sat}
-        if include_ms:
-            obj["ms"] = self.ms
-        return obj
+    def to_json(self) -> dict:
+        # wall-clock times live in run manifests, so the artifact payload
+        # stays deterministic
+        return {"epoch": list(range(len(self.loss))), "loss": self.loss, "sat": self.sat}
 
 
 def _l2_penalties(units: list, order: list) -> list:
@@ -186,26 +183,13 @@ def train_many(theories: list, cfg: TrainConfig) -> list:
 
 
 class SharedEncoderRegistry:
-    """At most one frozen encoder per (input_dim, B, fan_in, seed) key."""
+    """At most one frozen encoder per EncoderConfig."""
 
     def __init__(self):
         self._encoders: dict = {}
 
     def get_or_build(self, config: EncoderConfig) -> RwfnEncoder:
-        key = (config.input_dim, config.hidden_width, config.fan_in, config.seed)
-        enc = self._encoders.get(key)
+        enc = self._encoders.get(config)
         if enc is None:
-            enc = build_encoder(config)
-            self._encoders[key] = enc
+            enc = self._encoders[config] = build_encoder(config)
         return enc
-
-    def __len__(self) -> int:
-        return len(self._encoders)
-
-
-def stored_float_count(input_dim: int, hidden_width: int, num_classifiers: int, shared: bool) -> int:
-    """Floats kept for i frozen-encoder classifiers, with or without sharing."""
-    n, b, i = input_dim, hidden_width, num_classifiers
-    if shared:
-        return 2 * n * b + b + 2 * b * i
-    return (2 * n + 3) * b * i

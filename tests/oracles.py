@@ -1,0 +1,42 @@
+"""Slow, obvious references that the package's array code is tested
+against: the scalar Lukasiewicz connectives, a label predicate's truth of
+one atom, and the floats that frozen-encoder classifiers store."""
+
+
+def _check_range(*values):
+    for a in values:
+        if not 0.0 <= a <= 1.0:
+            raise ValueError(f"truth value {a} outside [0,1]")
+
+
+def luk_not(a: float) -> float:
+    _check_range(a)
+    return 1.0 - a
+
+
+def luk_and(a: float, b: float) -> float:
+    _check_range(a, b)
+    return max(0.0, a + b - 1.0)
+
+
+def luk_or(a: float, b: float) -> float:
+    _check_range(a, b)
+    return min(1.0, a + b)
+
+
+def luk_implies(a: float, b: float) -> float:
+    _check_range(a, b)
+    return min(1.0, 1.0 - a + b)
+
+
+def truth_of(model, args: tuple) -> float:
+    """A LabelPredicate's truth of the atom over the constant ids args."""
+    return float(model.truths.get(tuple(args), model.default))
+
+
+def stored_floats(models) -> int:
+    """Floats that frozen-encoder classifiers keep: the gate, Fourier and
+    phase blocks of each distinct encoder once, plus every decoder."""
+    encoders = {id(m.encoder): m.encoder for m in models}
+    return (sum(e.gate.size + e.fourier.size + e.phase.size for e in encoders.values())
+            + sum(m.beta.size for m in models))

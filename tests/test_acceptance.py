@@ -13,11 +13,14 @@ from rwfn.cli import main as cli_main
 from rwfn.data import SyntheticConfig, gen_synthetic
 from rwfn.encoder import EncoderConfig, build_encoder
 from rwfn.evaluation import compare, pr_auc, run_ablation
-from rwfn.logic import Atom, GroundedTheory, KnowledgeBase, Not, luk_and, luk_implies, luk_not, luk_or
+from rwfn.logic import Atom, GroundedTheory, GroundPlan, KnowledgeBase, Not, parse_kb
 from rwfn.numerics import make_rng
-from rwfn.predicates import RwfnPredicate, count_params, init_ntn
-from rwfn.training import SharedEncoderRegistry, TrainConfig, stored_float_count, train
+from rwfn.predicates import LabelPredicate, RwfnPredicate, count_params, init_ntn
+from rwfn.tasks import make_rwfn_classifier
+from rwfn.training import SharedEncoderRegistry, TrainConfig, train
 from rwfn.verify import gradcheck_ntn, gradcheck_rwfn, kernel_error_study
+
+from oracles import luk_and, luk_implies, luk_not, luk_or, stored_floats
 
 
 def announce(n: int, detail: str) -> None:
@@ -86,8 +89,20 @@ def test_criterion_04_fuzzy_logic_axioms():
         lo, hi = min(x, y), max(x, y)
         assert luk_and(0.5, lo) <= luk_and(0.5, hi) + tol
         assert luk_or(0.5, lo) <= luk_or(0.5, hi) + tol
+    # the array connectives a ground plan runs, on the same pairs, against
+    # the scalar ones: A(c_i) = a_i and B(c_i) = b_i
+    ids = [f"c{i}" for i in range(len(a))]
+    text = "pred A/1\npred B/1\n" + "".join(
+        f"A({c}) & B({c})\nA({c}) | B({c})\nA({c}) -> B({c})\n~A({c})\n" for c in ids)
+    gt = GroundedTheory(kb=parse_kb(text), constants={c: np.zeros(1) for c in ids},
+                        predicates={"A": LabelPredicate(dict(zip([(c,) for c in ids], a))),
+                                    "B": LabelPredicate(dict(zip([(c,) for c in ids], b)))})
+    values = GroundPlan(gt, 1, make_rng(0)).formula_values().reshape(len(a), 4)
+    expected = np.array([(luk_and(x, y), luk_or(x, y), luk_implies(x, y), luk_not(x)) for x, y in zip(a, b)])
+    assert np.abs(values - expected).max() <= tol
     announce(4, "10^4 random (a,b): commutativity, monotonicity, boundaries, "
-                "double negation, implies = or(not, .) all within 1e-12")
+                "double negation, implies = or(not, .) all within 1e-12; "
+                "the plan's and/or/implies/not match the scalar ops within 1e-12")
 
 
 def _literal_theory(model, spec, input_dim):
@@ -122,11 +137,14 @@ def test_criterion_05_frozen_encoder_and_sharing():
     train(_literal_theory(private_model, spec, 8), tc)
     assert np.array_equal(shared_model.beta, private_model.beta)
 
-    # stored-float accounting
+    # stored-float accounting, over the arrays real classifiers keep
     n, b = 64, 200
     for i in (1, 5, 11):
-        assert stored_float_count(n, b, i, shared=True) == 2 * n * b + b + 2 * b * i
-        assert stored_float_count(n, b, i, shared=False) == (2 * n + 3) * b * i
+        reg = SharedEncoderRegistry()
+        shared = [make_rwfn_classifier(n, b, seed=0, registry=reg) for _ in range(i)]
+        private = [make_rwfn_classifier(n, b, seed=j) for j in range(i)]
+        assert stored_floats(shared) == 2 * n * b + b + 2 * b * i
+        assert stored_floats(private) == (2 * n + 3) * b * i
     announce(5, "encoder frozen through training; shared == private bit-exact; "
                 "float accounting matches 2nB+B+2Bi vs (2n+3)Bi for i in {1,5,11}")
 

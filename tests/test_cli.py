@@ -58,6 +58,12 @@ class TestGenSynth:
     def test_zero_scenes_usage_error(self):
         assert run_cli(["gen-synth", "--scenes", "0", "-o", "x.json"]) == 2
 
+    def test_negative_jitter_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "ds.json"
+        assert run_cli(["gen-synth", "--scenes", "5", "--jitter", "-1", "-o", str(out)]) == 1
+        assert "geometry_jitter must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainEval:
     def test_types_pipeline(self, dataset_path, tmp_path):
@@ -205,7 +211,15 @@ class TestTrainEval:
         (["verify", "--kernel-widths", "abc"], "argument --kernel-widths: invalid width_list value: 'abc'"),
         (["verify", "--kernel-widths", "100,,1000"], "argument --kernel-widths: invalid width_list value"),
         (["verify", "--kernel-widths", "100,-5"], "argument --kernel-widths: must be >= 1, got -5"),
-    ], ids=["n-1", "n-0", "widths-abc", "widths-empty", "widths-negative"])
+        (["gen-synth", "--scenes", "5", "--noise", "nan", "-o", "x.json"], "argument --noise: must be finite, got nan"),
+        (["gen-synth", "--scenes", "5", "--noise", "inf", "-o", "x.json"], "argument --noise: must be finite, got inf"),
+        (["gen-synth", "--scenes", "5", "--jitter", "nan", "-o", "x.json"], "argument --jitter: must be finite, got nan"),
+        (["gen-synth", "--scenes", "5", "--neg-ratio", "inf", "-o", "x.json"],
+         "argument --neg-ratio: must be finite, got inf"),
+        (["gen-synth", "--scenes", "5", "--neg-ratio", "nan", "-o", "x.json"],
+         "argument --neg-ratio: must be finite, got nan"),
+    ], ids=["n-1", "n-0", "widths-abc", "widths-empty", "widths-negative", "noise-nan", "noise-inf", "jitter-nan",
+            "neg-ratio-inf", "neg-ratio-nan"])
     def test_malformed_value_usage_error(self, capsys, args, message):
         assert run_cli(args) == 2
         assert message in capsys.readouterr().err

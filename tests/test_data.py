@@ -174,6 +174,27 @@ class TestGenerator:
         with pytest.raises(DatasetError):
             SyntheticConfig(feature_noise=-0.1)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("feature_noise", float("nan"), "feature_noise must be finite"),
+        ("feature_noise", float("inf"), "feature_noise must be finite"),
+        ("geometry_jitter", float("nan"), "geometry_jitter must be finite"),
+        ("geometry_jitter", -1.0, "geometry_jitter must be >= 0"),
+        ("negative_ratio", float("inf"), "negative_ratio must be finite"),
+        ("negative_ratio", float("nan"), "negative_ratio must be finite"),
+        ("overlap_fraction", -0.1, "overlap_fraction must be in"),
+        ("overlap_fraction", 1.5, "overlap_fraction must be in"),
+        ("overlap_fraction", float("nan"), "overlap_fraction must be in"),
+    ])
+    def test_bad_float_config(self, field, value, match):
+        # past the config, nan noise gives noise-free data, inf noise 0/1
+        # features, and the others numpy errors in the generator
+        with pytest.raises(DatasetError, match=match):
+            SyntheticConfig(**{field: value})
+
+    def test_edge_config_accepted(self):
+        cfg = SyntheticConfig(num_scenes=3, feature_noise=0.0, geometry_jitter=0.0, overlap_fraction=1.0, seed=1)
+        assert len(gen_synthetic(cfg).records) > 0
+
 
 class TestSplit:
     def test_ten_records_eight_two(self):

@@ -66,34 +66,34 @@ class TestAlbm:
     def test_constructed_gate(self):
         # identity gate: the projection of v is v itself, here [2, 4, 6, 8]
         enc = fixture_encoder(np.eye(4), np.zeros((4, 4)), np.zeros(4), fan_in=1)
-        v = np.array([2.0, 4.0, 6.0, 8.0])
+        v = np.array([[2.0, 4.0, 6.0, 8.0]])
         # mean 5, centered [-3,-1,1,3], relu keeps [0,0,1,3]
-        assert np.allclose(albm_features(enc, v), [0.0, 0.0, 1.0, 3.0])
+        assert np.allclose(albm_features(enc, v), [[0.0, 0.0, 1.0, 3.0]])
 
     def test_constant_projection_zeroed(self):
         enc = small_encoder(fan_in=3)
         # equal fan-in means a constant input projects to a constant vector
-        h1 = albm_features(enc, np.full(8, 0.4))
+        h1 = albm_features(enc, np.full((1, 8), 0.4))
         assert np.allclose(h1, 0.0, atol=1e-12)
 
     def test_zero_input(self):
         enc = small_encoder()
-        assert np.allclose(albm_features(enc, np.zeros(8)), 0.0)
+        assert np.allclose(albm_features(enc, np.zeros((1, 8))), 0.0)
 
     def test_nonnegative(self):
         enc = small_encoder()
-        assert (albm_features(enc, np.random.default_rng(0).random(8)) >= 0).all()
+        assert (albm_features(enc, np.random.default_rng(0).random((1, 8))) >= 0).all()
 
 
 class TestFourier:
     def test_zero_fixture(self):
         enc = fixture_encoder(np.eye(4), np.zeros((4, 4)), np.zeros(4))
-        h2 = fourier_features(enc, np.ones(4))
+        h2 = fourier_features(enc, np.ones((1, 4)))
         assert np.allclose(h2, np.sqrt(2.0 / 4.0))
 
     def test_cosine_bound(self):
         enc = small_encoder()
-        h2 = fourier_features(enc, np.random.default_rng(1).random(8))
+        h2 = fourier_features(enc, np.random.default_rng(1).random((1, 8)))
         assert np.abs(h2).max() <= np.sqrt(2.0 / 16.0) + 1e-12
 
     def test_kernel_approximation_b1000(self):
@@ -227,6 +227,11 @@ class TestKernelEstimate:
         enc = small_encoder()
         x, y = np.random.default_rng(5).random((2, 8))
         assert kernel_estimate(enc, x, y) == kernel_estimate(enc, y, x)
+
+    def test_input_length_checked(self):
+        enc = small_encoder()
+        with pytest.raises(ValueError, match="input must have length 8"):
+            kernel_estimate(enc, np.zeros(8), np.zeros(7))
 
     def test_self_kernel_concentration(self):
         # k(x,x) = 1; the estimate averaged over seeds stays within 5/sqrt(B)

@@ -49,7 +49,7 @@ def brute_force_auc(scores, labels):
 class TestPrCurve:
     def test_perfect_separation_reaches_corner(self):
         curve = pr_curve([0.9, 0.8, 0.3], [1, 1, 0])
-        assert (1.0, 1.0) in [(r, p) for r, p in curve.points()]
+        assert (1.0, 1.0) in zip(curve.recalls.tolist(), curve.precisions.tolist())
 
     def test_perfect_ranking_auc_one(self):
         assert pr_auc([0.9, 0.8, 0.3], [1, 1, 0]) == pytest.approx(1.0)

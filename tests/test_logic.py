@@ -23,19 +23,15 @@ from rwfn.logic import (
     KnowledgeBase,
     Not,
     Or,
-    eval_formula,
     hmean,
-    luk_and,
-    luk_implies,
-    luk_not,
-    luk_or,
     parse_kb,
     satisfiability,
-    satisfiability_gradient,
 )
 from rwfn.numerics import make_rng
 from rwfn.predicates import LabelPredicate, RwfnPredicate
 from rwfn.tasks import build_partof_theory, make_ltn_classifier, make_rwfn_classifier
+
+from oracles import luk_and, luk_implies, luk_not, luk_or, truth_of
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -117,7 +113,7 @@ class TestParser:
     ])
     def test_nesting_at_the_limit_grounds(self, text):
         gt = const_theory("pred P/1\n" + text + "\n", {"P": {("a",): 0.5}})
-        sat, _ = satisfiability_gradient(gt)
+        sat, _ = sat_and_grads(gt)
         assert 0.0 <= sat <= 1.0
 
     def test_huge_arity_is_a_syntax_error(self):
@@ -228,6 +224,22 @@ def truths_constants(truths: dict) -> set:
     return out
 
 
+def formula_value(gt: GroundedTheory, f: Formula, budget: int = 10_000, rng=None) -> float:
+    """f's truth under gt's grounding, from a plan over f alone."""
+    alone = GroundedTheory(kb=KnowledgeBase(signatures=gt.kb.signatures, formulas=[f]),
+                           constants=gt.constants, predicates=gt.predicates)
+    return float(GroundPlan(alone, budget, rng).formula_values()[0])
+
+
+def sat_and_grads(gt: GroundedTheory, budget: int = 10_000, rng=None) -> tuple:
+    """gt's satisfiability and {pred: {param: grad}} from one plan. A single
+    theory keeps one batch per learnable predicate, so no batch stacks."""
+    plan = GroundPlan(gt, budget, rng)
+    sats, grads = plan.satisfiability_with_grads()
+    assert all(len(b.preds) == 1 for b in plan.batches)
+    return float(sats[0]), {b.preds[0][1]: g for b, g in zip(plan.batches, grads)}
+
+
 class TestEvalFormula:
     def test_rwfn_atom_zero_beta(self):
         enc = build_encoder(EncoderConfig(input_dim=4, hidden_width=8, fan_in=2, seed=0))
@@ -237,37 +249,33 @@ class TestEvalFormula:
             constants={"a": make_rng(0).random(4)},
             predicates={"P": model},
         )
-        assert eval_formula(gt, Atom("P", ("a",))) == 0.5
+        assert formula_value(gt, Atom("P", ("a",))) == 0.5
 
     def test_forall_harmonic_mean(self):
         gt = const_theory(
             "pred P/1\nforall x: P(x)\n",
             {"P": {("a",): 0.5, ("b",): 1.0}},
         )
-        val = eval_formula(gt, gt.kb.formulas[0])
+        val = formula_value(gt, gt.kb.formulas[0])
         assert val == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     def test_forall_of_ones(self):
         gt = const_theory("pred P/1\nforall x: P(x)\n", {"P": {("a",): 1.0, ("b",): 1.0}})
-        assert eval_formula(gt, gt.kb.formulas[0]) == pytest.approx(1.0, abs=1e-9)
+        assert formula_value(gt, gt.kb.formulas[0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_exists_is_max(self):
         gt = const_theory("pred P/1\nexists x: P(x)\n", {"P": {("a",): 0.2, ("b",): 0.9}})
-        assert eval_formula(gt, gt.kb.formulas[0]) == pytest.approx(0.9)
-
-    def test_free_variable_binding(self):
-        gt = const_theory("pred P/1\nP(a)\n", {"P": {("a",): 0.3, ("b",): 0.8}})
-        assert eval_formula(gt, Atom("P", ("x",)), bindings={"x": "b"}) == pytest.approx(0.8)
+        assert formula_value(gt, gt.kb.formulas[0]) == pytest.approx(0.9)
 
     def test_connective_composition(self):
         gt = const_theory("pred P/1\nP(a)\n", {"P": {("a",): 0.8, ("b",): 0.7}})
         f = And(Atom("P", ("a",)), Atom("P", ("b",)))
-        assert eval_formula(gt, f) == pytest.approx(0.5)
+        assert formula_value(gt, f) == pytest.approx(0.5)
 
     def test_missing_constant(self):
         gt = const_theory("pred P/1\nP(a)\n", {"P": {("a",): 1.0}})
         with pytest.raises(KeyError):
-            eval_formula(gt, Atom("P", ("zz",)))
+            formula_value(gt, Atom("P", ("zz",)))
 
 
 class TestSatisfiability:
@@ -329,7 +337,7 @@ def rwfn_literal_theory(values_spec, seed=0):
 class TestSatisfiabilityGradient:
     def test_matches_finite_differences(self):
         gt, model = rwfn_literal_theory([True, False, True, True, False])
-        sat, grads = satisfiability_gradient(gt)
+        sat, grads = sat_and_grads(gt)
         analytic = grads["P"]["beta"]
         step = 1e-5
         numeric = np.empty_like(analytic)
@@ -359,9 +367,9 @@ class TestSatisfiabilityGradient:
             constants={"a": ca, "b": cb},
             predicates={"P": model},
         )
-        va, vb = model.forward(ca), model.forward(cb)
+        va, vb = model.forward_batch(model.lift(np.stack([ca, cb])))
         assert va + vb - 1.0 < 0.0  # confirm the saturated region
-        sat, grads = satisfiability_gradient(gt)
+        sat, grads = sat_and_grads(gt)
         assert sat == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(grads["P"]["beta"], 0.0)
 
@@ -377,7 +385,7 @@ class TestSatisfiabilityGradient:
 
     def test_gradient_ascent_increases_sat(self):
         gt, model = rwfn_literal_theory([True, True, False])
-        before, grads = satisfiability_gradient(gt)
+        before, grads = sat_and_grads(gt)
         model.beta = model.beta + 0.01 * grads["P"]["beta"]
         after = satisfiability(gt)
         assert after > before
@@ -385,7 +393,7 @@ class TestSatisfiabilityGradient:
     def test_two_formula_kb_gradient_sign(self):
         # both literals positive: pushing beta along +grad raises both values
         gt, model = rwfn_literal_theory([True, True])
-        sat0, grads = satisfiability_gradient(gt)
+        sat0, grads = sat_and_grads(gt)
         g = grads["P"]["beta"]
         assert satisfiability(gt) == pytest.approx(sat0)
         for scale in (0.005, 0.01, 0.02):
@@ -401,7 +409,7 @@ def test_quantified_rwfn_gradient_matches_fd():
     kb = parse_kb("pred R/2\nforall x,y: R(x,y) -> R(y,x)\n")
     constants = {f"c{i}": make_rng(300 + i).random(4) for i in range(3)}
     gt = GroundedTheory(kb=kb, constants=constants, predicates={"R": model})
-    sat, grads = satisfiability_gradient(gt)
+    sat, grads = sat_and_grads(gt)
     analytic = grads["R"]["beta"]
     step = 1e-5
     numeric = np.empty_like(analytic)
@@ -470,8 +478,8 @@ def oracle_truth(gt: GroundedTheory, f, env: dict, kinks: list) -> float:
         args = tuple(env.get(a, a) for a in f.args)
         model = gt.predicates[f.pred]
         if model.symbolic:
-            return model.truth_of(args)
-        return model.forward(np.concatenate([gt.constants[a] for a in args]))
+            return truth_of(model, args)
+        return float(model.forward_batch(model.lift(np.concatenate([gt.constants[a] for a in args])[None, :]))[0])
     if isinstance(f, Not):
         return luk_not(oracle_truth(gt, f.body, env, kinks))
     if isinstance(f, (ForAll, Exists)):
@@ -518,7 +526,7 @@ class TestCompiledPlanOracle:
             oracle_truth(gt, f, {}, kinks)
         # an argument exactly at a kink is constant in beta (e.g. P(a) -> P(a))
         assume(all(k == 0.0 or abs(k) > 1e-4 for k in kinks))
-        sat, grads = satisfiability_gradient(gt, 10**6, make_rng(0))
+        sat, grads = sat_and_grads(gt, 10**6, make_rng(0))
         step = 1e-6
         for name in ("Q", "R"):
             model = gt.predicates[name]
@@ -618,7 +626,7 @@ def oracle_grounding(gt: GroundedTheory, budget: int, rng) -> dict:
     for i, (pred, args) in enumerate(atoms):
         model = gt.predicates[pred]
         if model.symbolic:
-            truths[i] = model.truth_of(args)
+            truths[i] = truth_of(model, args)
         else:
             indices, positions = inputs.setdefault(pred, ([], []))
             indices.append(i)
@@ -754,13 +762,13 @@ def kink_theory(text: str) -> GroundedTheory:
     ("P(a) -> Q(b)", False),  # likewise min(1, 1 - a + b)
 ])
 def test_kink_subgradients(text, passes):
-    _, grads = satisfiability_gradient(kink_theory(text))
+    _, grads = sat_and_grads(kink_theory(text))
     assert np.any(grads["Q"]["beta"] != 0.0) == passes
 
 
 def test_exists_tie_goes_to_first_instantiation():
-    _, tied = satisfiability_gradient(kink_theory("exists x: Q(x)"))
-    _, first = satisfiability_gradient(kink_theory("Q(a)"))
+    _, tied = sat_and_grads(kink_theory("exists x: Q(x)"))
+    _, first = sat_and_grads(kink_theory("Q(a)"))
     assert np.any(first["Q"]["beta"] != 0.0)
     assert np.array_equal(tied["Q"]["beta"], first["Q"]["beta"])
 
@@ -828,7 +836,7 @@ def test_golden_values(name):
         gt, budget = golden_nested_theory(), 4
     else:
         gt, budget = golden_partof_theory(name.split("-")[1]), 60
-    sat, grads = satisfiability_gradient(gt, budget, make_rng(2))
+    sat, grads = sat_and_grads(gt, budget, make_rng(2))
     assert abs(sat - sat_expected) <= 1e-12
     for key, expected in grads_expected.items():
         pred, param = key.split(".")

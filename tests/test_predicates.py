@@ -26,6 +26,8 @@ from rwfn.predicates import (
 )
 from rwfn.tasks import build_partof_theory, build_type_theory, make_ltn_classifier
 
+from oracles import truth_of
+
 
 def test_sigmoid_finite_for_any_input():
     # with RuntimeWarnings as errors an overflowing exp fails this test
@@ -42,11 +44,20 @@ def small_encoder(seed=0):
     return build_encoder(EncoderConfig(input_dim=8, hidden_width=16, fan_in=3, seed=seed))
 
 
+def truths(model, x):
+    """The model's truths of the rows x, through the batch calls a plan runs."""
+    return model.forward_batch(model.lift(x))
+
+
+def grads(model, x, upstream):
+    return model.gradient_batch(model.lift(x), upstream)
+
+
 class TestRwfnForward:
     def test_zero_beta_is_half(self):
         model = RwfnPredicate.create(small_encoder())
         for seed in range(5):
-            assert model.forward(make_rng(seed).random(8)) == 0.5
+            assert truths(model, make_rng(seed).random((1, 8))).tolist() == [0.5]
 
     def test_output_in_open_unit_interval(self):
         rng = make_rng(1)
@@ -57,40 +68,40 @@ class TestRwfnForward:
     def test_large_beta_saturates(self):
         enc = small_encoder()
         rng = make_rng(2)
-        v = rng.random(8)
-        h = encode(enc, v)
+        v = rng.random((1, 8))
+        h = encode(enc, v)[0]
         beta = 1e6 * h  # beta . h = 1e6 |h|^2 > 0
         model = RwfnPredicate(encoder=enc, beta=beta)
-        assert model.forward(v) > 1.0 - 1e-9
+        assert truths(model, v)[0] > 1.0 - 1e-9
 
 
 class TestRwfnGradient:
     def test_zero_beta_quarter_h(self):
         enc = small_encoder()
         model = RwfnPredicate.create(enc)
-        v = make_rng(3).random(8)
-        g = model.gradient(v, upstream=1.0)
-        assert np.allclose(g, 0.25 * encode(enc, v))
+        v = make_rng(3).random((1, 8))
+        g = grads(model, v, np.ones(1))["beta"]
+        assert np.allclose(g, 0.25 * encode(enc, v)[0])
 
     def test_zero_upstream(self):
         model = RwfnPredicate(encoder=small_encoder(), beta=make_rng(4).standard_normal(32))
-        assert np.allclose(model.gradient(make_rng(5).random(8), 0.0), 0.0)
+        assert np.allclose(grads(model, make_rng(5).random((1, 8)), np.zeros(1))["beta"], 0.0)
 
     def test_matches_finite_differences(self):
         rng = make_rng(6)
         step = 1e-5
         for trial in range(20):
             model = RwfnPredicate(encoder=small_encoder(seed=trial), beta=rng.standard_normal(32))
-            v = rng.random(8)
+            v = rng.random((1, 8))
             up = float(rng.normal())
-            analytic = model.gradient(v, up)
+            analytic = grads(model, v, np.array([up]))["beta"]
             numeric = np.empty_like(analytic)
             for i in range(32):
                 saved = model.beta[i]
                 model.beta[i] = saved + step
-                hi = model.forward(v)
+                hi = truths(model, v)[0]
                 model.beta[i] = saved - step
-                lo = model.forward(v)
+                lo = truths(model, v)[0]
                 model.beta[i] = saved
                 numeric[i] = up * (hi - lo) / (2 * step)
             denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
@@ -101,13 +112,13 @@ class TestNtnForward:
     def test_all_zero_params(self):
         d = 4
         model = NtnPredicate(u=np.zeros(2), w=np.zeros((2, d, d)), v=np.zeros((2, d)), b=np.zeros(2))
-        assert model.forward(np.ones(d)) == 0.5
+        assert truths(model, np.ones((1, d))).tolist() == [0.5]
 
     def test_zero_u(self):
         rng = make_rng(7)
         model = NtnPredicate(u=np.zeros(3), w=rng.standard_normal((3, 4, 4)),
                              v=rng.standard_normal((3, 4)), b=rng.standard_normal(3))
-        assert model.forward(rng.random(4)) == 0.5
+        assert truths(model, rng.random((1, 4))).tolist() == [0.5]
 
     def test_scalar_reference_value(self):
         # k=1, W=0, V=e1^T, b=0, u=[1], input e1: sigma(tanh(1))
@@ -115,10 +126,10 @@ class TestNtnForward:
         vmat = np.zeros((1, d))
         vmat[0, 0] = 1.0
         model = NtnPredicate(u=np.array([1.0]), w=np.zeros((1, d, d)), v=vmat, b=np.zeros(1))
-        e1 = np.zeros(d)
-        e1[0] = 1.0
-        assert model.forward(e1) == pytest.approx(sigmoid(np.tanh(1.0)))
-        assert model.forward(e1) == pytest.approx(0.6817, abs=1e-3)
+        e1 = np.zeros((1, d))
+        e1[0, 0] = 1.0
+        assert truths(model, e1)[0] == pytest.approx(sigmoid(np.tanh(1.0)))
+        assert truths(model, e1)[0] == pytest.approx(0.6817, abs=1e-3)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -128,34 +139,34 @@ class TestNtnForward:
 class TestNtnGradient:
     def test_zero_upstream(self):
         model = init_ntn(3, 8, make_rng(8))
-        grads = model.gradient(make_rng(9).random(8), 0.0)
-        assert all(np.allclose(g, 0.0) for g in grads.values())
+        g = grads(model, make_rng(9).random((1, 8)), np.zeros(1))
+        assert all(np.allclose(v, 0.0) for v in g.values())
 
     def test_zero_input_kills_w_and_v(self):
         model = init_ntn(3, 8, make_rng(10))
-        grads = model.gradient(np.zeros(8), 1.0)
-        assert np.allclose(grads["w"], 0.0)
-        assert np.allclose(grads["v"], 0.0)
-        assert not np.allclose(grads["u"], 0.0)
-        assert not np.allclose(grads["b"], 0.0)
+        g = grads(model, np.zeros((1, 8)), np.ones(1))
+        assert np.allclose(g["w"], 0.0)
+        assert np.allclose(g["v"], 0.0)
+        assert not np.allclose(g["u"], 0.0)
+        assert not np.allclose(g["b"], 0.0)
 
     def test_matches_finite_differences(self):
         step = 1e-5
         rng = make_rng(11)
         for trial in range(20):
             model = init_ntn(3, 8, make_rng(100 + trial))
-            v = rng.random(8)
+            v = rng.random((1, 8))
             up = float(rng.normal())
-            analytic = model.gradient(v, up)
+            analytic = grads(model, v, np.array([up]))
             for pname, arr in model.learnable_params().items():
                 numeric = np.empty_like(arr)
                 flat, nflat = arr.ravel(), numeric.ravel()
                 for i in range(flat.size):
                     saved = flat[i]
                     flat[i] = saved + step
-                    hi = model.forward(v)
+                    hi = truths(model, v)[0]
                     flat[i] = saved - step
-                    lo = model.forward(v)
+                    lo = truths(model, v)[0]
                     flat[i] = saved
                     nflat[i] = up * (hi - lo) / (2 * step)
                 a = analytic[pname].ravel()
@@ -359,7 +370,7 @@ class TestInit:
     def test_fresh_model_not_saturated(self):
         for seed in range(100):
             model = init_ntn(6, 64, make_rng(seed))
-            out = model.forward(make_rng(1000 + seed).random(64))
+            out = truths(model, make_rng(1000 + seed).random((1, 64)))[0]
             assert 0.01 < out < 0.99
 
     def test_bad_args(self):
@@ -398,8 +409,9 @@ class TestParamCounts:
 class TestLabelPredicate:
     def test_lookup_and_default(self):
         p = LabelPredicate({("a",): 1.0})
-        assert p.truth_of(("a",)) == 1.0
-        assert p.truth_of(("b",)) == 0.0
+        assert truth_of(p, ("a",)) == 1.0
+        assert truth_of(p, ("b",)) == 0.0
+        assert p.truth_batch(np.array([[0], [1]]), {"a": 0, "b": 1}).tolist() == [1.0, 0.0]
         assert p.learnable_params() == {}
         assert p.symbolic
 
@@ -408,15 +420,15 @@ class TestSerialization:
     def test_rwfn_round_trip(self):
         model = RwfnPredicate(encoder=small_encoder(5), beta=make_rng(12).standard_normal(32))
         clone = model_from_spec(model_to_spec(model))
-        v = make_rng(13).random(8)
-        assert clone.forward(v) == model.forward(v)
+        v = make_rng(13).random((1, 8))
+        assert np.array_equal(truths(clone, v), truths(model, v))
         assert np.array_equal(clone.beta, model.beta)
 
     def test_ntn_round_trip(self):
         model = init_ntn(3, 8, make_rng(14))
         clone = model_from_spec(model_to_spec(model))
-        v = make_rng(15).random(8)
-        assert clone.forward(v) == model.forward(v)
+        v = make_rng(15).random((1, 8))
+        assert np.array_equal(truths(clone, v), truths(model, v))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -451,7 +463,7 @@ class TestSerialization:
         p = LabelPredicate({("a", "b"): 0.25, ("c", "c"): 1, ("b", "a"): 0.5, ("z", "a"): 0.75, ("a",): 0.1},
                            default=0.125)
         args = np.array(list(itertools.product(range(3), repeat=2)))
-        expected = [p.truth_of(tuple(domain[i] for i in row)) for row in args]
+        expected = [truth_of(p, tuple(domain[i] for i in row)) for row in args]
         assert p.truth_batch(args, {c: i for i, c in enumerate(domain)}).tolist() == expected
 
     @pytest.mark.parametrize("kind, param", [("rwfn", "beta"), ("ntn", "u"), ("ntn", "w"), ("ntn", "v"), ("ntn", "b")])

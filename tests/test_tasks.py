@@ -17,7 +17,9 @@ from rwfn.tasks import (
     partof_scores,
     type_scores,
 )
-from rwfn.training import TrainConfig, train
+from rwfn.training import SharedEncoderRegistry, TrainConfig, train
+
+from oracles import truth_of
 
 ASSET = Path(__file__).resolve().parent.parent / "assets" / "partof_ontology.kb"
 
@@ -45,8 +47,8 @@ class TestOntology:
         preds = label_predicates(dataset)
         r = dataset.records[0]
         role = "whole" if dataset.primary_label(r).startswith("whole") else "part"
-        assert preds["isWhole"].truth_of((r.id,)) == (1.0 if role == "whole" else 0.0)
-        assert preds[f"is_{dataset.primary_label(r)}"].truth_of((r.id,)) == 1.0
+        assert truth_of(preds["isWhole"], (r.id,)) == (1.0 if role == "whole" else 0.0)
+        assert truth_of(preds[f"is_{dataset.primary_label(r)}"], (r.id,)) == 1.0
 
 
 class TestTypeTheory:
@@ -68,6 +70,29 @@ class TestTypeTheory:
         out = type_scores({"whole0": model}, dataset)
         scores, labels = out["whole0"]
         assert len(scores) == len(labels) == len(dataset.records)
+
+    @pytest.mark.parametrize("kind", ["rwfn", "rwfn-shared", "ltn"])
+    def test_type_scores_lift_once_per_stack_key(self, dataset, kind, monkeypatch):
+        # classes on one encoder read the same hidden rows: one encoding
+        registry = SharedEncoderRegistry()
+        models = {}
+        for i, c in enumerate(dataset.classes):
+            if kind == "ltn":
+                models[c.name] = make_ltn_classifier(dataset.n, seed=i, k=2)
+            else:
+                models[c.name] = make_rwfn_classifier(dataset.n, 8, seed=0 if kind == "rwfn-shared" else i,
+                                                      registry=registry)
+            models[c.name].set_params({name: make_rng(50 + i).standard_normal(p.shape)
+                                       for name, p in models[c.name].learnable_params().items()})
+        lifts = []
+        for cls in {type(m) for m in models.values()}:
+            monkeypatch.setattr(cls, "lift", lambda self, *a, _lift=cls.lift: lifts.append(self) or _lift(self, *a))
+        out = type_scores(models, dataset)
+        assert len(lifts) == len({m.stack_key() for m in models.values()})
+        assert len(lifts) == (len(models) if kind == "rwfn" else 1)
+        x = np.stack([r.features for r in dataset.records])
+        for name, model in models.items():
+            assert np.array_equal(out[name][0], model.forward_batch(model.lift(x)))
 
 
 class TestPartofTheory:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rwfn import predicates
+from rwfn import predicates, training
 from rwfn.encoder import EncoderConfig, build_encoder, encode
 from rwfn.logic import Atom, GroundedTheory, GroundPlan, KnowledgeBase, Not, merge_theories, parse_kb, satisfiability
 from rwfn.numerics import make_rng
@@ -13,10 +13,12 @@ from rwfn.training import (
     TrainingError,
     TrainTrace,
     rmsprop_step,
-    stored_float_count,
     train,
     train_many,
 )
+from rwfn.tasks import make_rwfn_classifier
+
+from oracles import stored_floats
 
 
 def literal_theory(spec, seed=0, input_dim=4, b=8):
@@ -167,15 +169,31 @@ class TestTrain:
         trace = TrainTrace(loss=[0.5], sat=[0.5], ms=[1.2])
         obj = trace.to_json()
         assert "ms" not in obj
-        assert trace.to_json(include_ms=True)["ms"] == [1.2]
+        assert obj == {"epoch": [0], "loss": [0.5], "sat": [0.5]}
 
 
 class TestSharing:
-    def test_registry_idempotent(self):
+    def test_registry_idempotent(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(training, "build_encoder", lambda c: built.append(c) or build_encoder(c))
         reg = SharedEncoderRegistry()
         cfg = EncoderConfig(input_dim=8, hidden_width=16, fan_in=3, seed=0)
         assert reg.get_or_build(cfg) is reg.get_or_build(cfg)
-        assert len(reg) == 1
+        assert built == [cfg]
+
+    @pytest.mark.parametrize("field, value", [("kernel_scale", 4.0), ("inhibition_strength", 0.5)])
+    def test_registry_keys_by_the_whole_config(self, field, value):
+        # configs that differ only in a scale draw different encoders
+        reg = SharedEncoderRegistry()
+        base = EncoderConfig(8, 16, fan_in=3, seed=0)
+        other = EncoderConfig(8, 16, fan_in=3, seed=0, **{field: value})
+        a, b = reg.get_or_build(base), reg.get_or_build(other)
+        assert a is not b
+        assert a.config == base and b.config == other
+        assert b is reg.get_or_build(EncoderConfig(8, 16, fan_in=3, seed=0, **{field: value}))
+        x = make_rng(1).random((3, 8))
+        assert np.array_equal(encode(b, x), encode(build_encoder(other), x))
+        assert not np.array_equal(encode(a, x), encode(b, x))
 
     def test_shared_encode_identical(self):
         reg = SharedEncoderRegistry()
@@ -235,12 +253,19 @@ class TestSharing:
         assert trace.lockstep is None
 
     def test_stored_float_count(self):
+        # the arrays that i real classifiers keep, with one shared encoder
+        # or a private one each
         n, b = 64, 200
+        counts = {}
         for i in (1, 5, 11):
-            assert stored_float_count(n, b, i, shared=True) == 2 * n * b + b + 2 * b * i
-            assert stored_float_count(n, b, i, shared=False) == (2 * n + 3) * b * i
+            reg = SharedEncoderRegistry()
+            shared = [make_rwfn_classifier(n, b, seed=0, registry=reg) for _ in range(i)]
+            private = [make_rwfn_classifier(n, b, seed=j) for j in range(i)]
+            counts[i] = stored_floats(shared), stored_floats(private)
+            assert counts[i][0] == 2 * n * b + b + 2 * b * i
+            assert counts[i][1] == (2 * n + 3) * b * i
         # sharing always wins for i >= 2
-        assert stored_float_count(n, b, 11, True) < stored_float_count(n, b, 11, False)
+        assert counts[11][0] < counts[11][1]
 
 
 # ---------------------------------------------------------------------------
