@@ -277,13 +277,20 @@ def finite_float(text: str) -> float:
     return value
 
 
+def open_unit_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be finite and in (0, 1), got {text}")
+    return value
+
+
 def _add_train_flags(p, epochs_default=1000):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=positive_int, default=epochs_default)
     p.add_argument("--lr", type=finite_float, default=0.01)
     p.add_argument("--l2", type=finite_float, default=1e-10)
     p.add_argument("--budget", type=positive_int, default=10_000, help="quantifier instantiation budget")
-    p.add_argument("--split-ratio", type=float, default=0.8)
+    p.add_argument("--split-ratio", type=open_unit_float, default=0.8)
     p.add_argument("--k", type=positive_int, default=DEFAULT_K)
 
 

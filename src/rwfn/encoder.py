@@ -79,13 +79,11 @@ def build_encoder(config: EncoderConfig) -> RwfnEncoder:
     return RwfnEncoder(config=config, gate=gate, fourier=fourier, phase=phase)
 
 
-def _as_batch(v: np.ndarray, input_dim: int) -> tuple[np.ndarray, bool]:
-    v = np.asarray(v, dtype=np.float64)
-    single = v.ndim == 1
-    x = v[None, :] if single else v
+def _as_batch(x: np.ndarray, input_dim: int) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != input_dim:
-        raise ValueError(f"input must have length {input_dim}, got shape {v.shape}")
-    return x, single
+        raise ValueError(f"input must have length {input_dim}, got rows of shape {x.shape}")
+    return x
 
 
 def _warn_range(x: np.ndarray) -> None:
@@ -117,19 +115,15 @@ def fourier_features(enc: RwfnEncoder, x: np.ndarray, out: np.ndarray | None = N
     return np.multiply(np.sqrt(2.0 / enc.hidden_width), z, out=z if out is None else out)
 
 
-def encode(enc: RwfnEncoder, v: np.ndarray) -> np.ndarray:
-    """Final hidden representation: tanh of the concatenated branches, length 2B."""
-    return hidden_features(enc, v, "full")
-
-
 def hidden_features(enc: RwfnEncoder, v: np.ndarray, mode: str = "full",
                     args: np.ndarray | None = None) -> np.ndarray:
-    """Hidden representation for a branch selection.
+    """Hidden representation of the rows v, (n, input_dim), for a branch
+    selection.
 
-    mode: "full" (tanh of [h1; h2], length 2B), "albm" (tanh h1, length B),
-    or "rff" (tanh h2, length B). Ablated branches keep the tanh squashing
-    so decoders see the same value range as the full model. Warns if any
-    input lies outside [0,1].
+    mode: "full" (tanh of [h1; h2], 2B columns), "albm" (tanh h1, B
+    columns), or "rff" (tanh h2, B columns). Ablated branches keep the tanh
+    squashing so decoders see the same value range as the full model. Warns
+    if any input lies outside [0,1].
 
     With args, an (n, A) array of row positions, v is a table of constants
     and the inputs are the n rows v[args].reshape(n, A * v.shape[1]), each
@@ -141,9 +135,9 @@ def hidden_features(enc: RwfnEncoder, v: np.ndarray, mode: str = "full",
         _warn_range(table[np.bincount(args.ravel(), minlength=len(table)) > 0])
         if args.shape[1] > 1:
             return _slot_features(enc, table, args, mode)
-        x, single = table[args[:, 0]], False
+        x = table[args[:, 0]]
     else:
-        x, single = _as_batch(v, enc.input_dim)
+        x = _as_batch(v, enc.input_dim)
         _warn_range(x)
     if mode == "full":
         b = enc.hidden_width
@@ -156,8 +150,7 @@ def hidden_features(enc: RwfnEncoder, v: np.ndarray, mode: str = "full",
         h = fourier_features(enc, x)
     else:
         raise ValueError(f"unknown encoder mode {mode!r}")
-    np.tanh(h, out=h)
-    return h[0] if single else h
+    return np.tanh(h, out=h)
 
 
 def _as_slots(table: np.ndarray, args: np.ndarray, input_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +251,7 @@ def hidden_dim(enc: RwfnEncoder, mode: str = "full") -> int:
 def kernel_estimate(enc: RwfnEncoder, x: np.ndarray, y: np.ndarray) -> float:
     """Randomized estimate of the Gaussian kernel at the vectors x and y via
     the Fourier branch."""
-    zx, zy = (fourier_features(enc, _as_batch(v, enc.input_dim)[0]) for v in (x, y))
+    zx, zy = (fourier_features(enc, _as_batch([v], enc.input_dim)) for v in (x, y))
     return float(zx[0] @ zy[0])
 
 

@@ -334,10 +334,11 @@ class _Group:
 class _Batch:
     """Learnable predicates whose atoms read the same rows, evaluated as one
     model: the predicate's own, or the stack of all of them (one head each,
-    see predicates.stack). indices holds the atom of each row, (n,), or of
-    each row and head, (n, heads), as the model's truths; x the rows the
-    model reads (model.lift): an RWFN's frozen hidden layer, an NTN's
-    argument rows or their quadratic lift."""
+    see predicates.stack). Building the plan rebinds a stack's members to
+    views of their heads, so training the model trains them. indices holds
+    the atom of each row, (n,), or of each row and head, (n, heads), as the
+    model's truths; x the rows the model reads (model.lift): an RWFN's
+    frozen hidden layer, an NTN's argument rows or their quadratic lift."""
 
     preds: list  # (part, name) of each head
     members: list

@@ -14,9 +14,10 @@ forward_batch(x, hidden) and gradient_batch(x, upstream, hidden, truth),
 so a caller computes the hidden layer and the forward truths once and
 passes them on. Learnable models with equal stack_key() read their rows
 the same way, so stack(models) makes one model of K heads that gives a
-row's K truths in one pass. A third, non-learnable family grounds
-predicates directly from dataset labels; it is used for ontology axioms
-whose truth is known.
+row's K truths in one pass; each member's learnable arrays become views
+of its head, so training the stack in place trains the members. A third,
+non-learnable family grounds predicates directly from dataset labels; it
+is used for ontology axioms whose truth is known.
 """
 
 from __future__ import annotations
@@ -125,9 +126,6 @@ class RwfnPredicate:
     def learnable_params(self) -> dict:
         return {"beta": self.beta}
 
-    def set_params(self, params: dict) -> None:
-        self.beta = params["beta"]
-
 
 @dataclass
 class NtnPredicate:
@@ -229,9 +227,6 @@ class NtnPredicate:
     def learnable_params(self) -> dict:
         return {"u": self.u, "w": self.w, "v": self.v, "b": self.b}
 
-    def set_params(self, params: dict) -> None:
-        self.u, self.w, self.v, self.b = params["u"], params["w"], params["v"], params["b"]
-
 
 def init_ntn(k: int, in_dim: int, rng: np.random.Generator) -> NtnPredicate:
     """All parameters ~ Normal(0, 1/sqrt(in_dim)) to keep pre-activations O(1)."""
@@ -248,15 +243,17 @@ def init_ntn(k: int, in_dim: int, rng: np.random.Generator) -> NtnPredicate:
 
 def stack(models: list):
     """One model of K heads, head j being models[j], which must have equal
-    stack_key(): each learnable parameter gains a heads axis."""
+    stack_key(): each learnable parameter gains a heads axis. Each member's
+    learnable arrays are then rebound to views of its head, so an in-place
+    update of the stack trains every member."""
     first = models[0]
-    return replace(first, **{name: np.stack([m.learnable_params()[name] for m in models], axis=first.heads_axis)
-                             for name in first.learnable_params()})
-
-
-def head(params: dict, j: int, axis: int) -> dict:
-    """Head j of a stack's parameters, or of their gradients, as copies."""
-    return {name: np.take(p, j, axis=axis) for name, p in params.items()}
+    stacked = replace(first, **{name: np.stack([m.learnable_params()[name] for m in models], axis=first.heads_axis)
+                                for name in first.learnable_params()})
+    heads = {name: np.moveaxis(p, first.heads_axis, 0) for name, p in stacked.learnable_params().items()}
+    for j, m in enumerate(models):
+        for name, h in heads.items():
+            setattr(m, name, h[j])
+    return stacked
 
 
 @dataclass

@@ -99,14 +99,13 @@ def label_predicates(ds: Dataset) -> dict:
     return preds
 
 
-def build_partof_theory(ds: Dataset, model, include_axioms: bool = True) -> GroundedTheory:
+def build_partof_theory(ds: Dataset, model) -> GroundedTheory:
     axioms_kb = parse_kb(ontology_kb_text(ds))
     kb = KnowledgeBase(signatures=dict(axioms_kb.signatures))
     for p in ds.pairs:
         atom = Atom("partOf", (p.part, p.whole))
         kb.formulas.append(atom if p.positive else Not(atom))
-    if include_axioms:
-        kb.formulas.extend(axioms_kb.formulas)
+    kb.formulas.extend(axioms_kb.formulas)
     constants = {r.id: r.features for r in ds.records}
     predicates = {"partOf": model}
     predicates.update(label_predicates(ds))

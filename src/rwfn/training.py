@@ -8,8 +8,11 @@ every atom, so their epochs cost only decoder-sized dot products.
 
 Several theories train in lockstep (train_many): one plan over all of them,
 whose learnable predicates that read the same rows run as one stacked model
-with one RMSProp step per epoch. Each theory's loss, parameters and
-quantifier samples are those of training it alone, up to rounding.
+with one RMSProp step per epoch. Every step updates the parameter arrays in
+place, and each stacked predicate's arrays are views into the stack's, so
+the step trains it and nothing is copied back. Each theory's
+loss, parameters and quantifier samples are those of training it alone, up
+to rounding.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from .encoder import EncoderConfig, RwfnEncoder, build_encoder
 from .logic import GroundedTheory, GroundPlan, merge_theories
 from .numerics import make_rng
-from .predicates import RwfnPredicate, head
+from .predicates import RwfnPredicate
 
 
 class TrainingError(RuntimeError):
@@ -56,28 +59,17 @@ class TrainConfig:
             raise ValueError("rmsprop_eps must be > 0")
 
 
-@dataclass
-class RmsPropState:
-    acc: dict = field(default_factory=dict)  # param name -> accumulator array
-
-    def for_param(self, name: str, shape) -> np.ndarray:
-        if name not in self.acc:
-            self.acc[name] = np.zeros(shape)
-        return self.acc[name]
-
-
-def rmsprop_step(params: dict, grads: dict, state: RmsPropState, cfg: TrainConfig) -> dict:
-    """One RMSProp update; returns new parameter arrays, mutates state."""
-    out = {}
+def rmsprop_step(params: dict, grads: dict, acc: dict, cfg: TrainConfig) -> None:
+    """One RMSProp update of each parameter array in place; acc holds its
+    accumulator, zero at the first step."""
     for name, theta in params.items():
         g = grads[name]
         if g.shape != theta.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {theta.shape} for {name!r}")
-        acc = state.for_param(name, theta.shape)
-        acc *= cfg.rmsprop_decay
-        acc += (1.0 - cfg.rmsprop_decay) * g * g
-        out[name] = theta - cfg.learning_rate * g / np.sqrt(acc + cfg.rmsprop_eps)
-    return out
+        a = acc[name]
+        a *= cfg.rmsprop_decay
+        a += (1.0 - cfg.rmsprop_decay) * g * g
+        theta -= cfg.learning_rate * g / np.sqrt(a + cfg.rmsprop_eps)
 
 
 @dataclass
@@ -92,21 +84,6 @@ class TrainTrace:
         # wall-clock times live in run manifests, so the artifact payload
         # stays deterministic
         return {"epoch": list(range(len(self.loss))), "loss": self.loss, "sat": self.sat}
-
-
-def _l2_penalties(units: list, order: list) -> list:
-    """Each theory's sum of squared learnable parameters. order[i] lists
-    theory i's (unit, head) pairs in the order of its predicates, so the
-    terms add as they do when it trains alone."""
-    squares = []  # per unit, per head: the sum of squares of each parameter
-    for model, preds in units:
-        params = model.learnable_params().values()
-        if len(preds) == 1:
-            squares.append([[float((p * p).sum()) for p in params]])
-        else:  # a stack: one sum per head
-            squares.append(list(zip(*(np.moveaxis(p * p, model.heads_axis, 0).reshape(len(preds), -1)
-                                      .sum(axis=1).tolist() for p in params))))
-    return [sum(v for u, j in terms for v in squares[u][j]) for terms in order]
 
 
 def train(gt: GroundedTheory, cfg: TrainConfig) -> TrainTrace:
@@ -132,15 +109,14 @@ def train_many(theories: list, cfg: TrainConfig) -> list:
                                 f"hidden cache; share one, or train them one by one")
     gt = theories[0] if len(theories) == 1 else merge_theories(theories)
     plan = GroundPlan(gt, cfg.instantiation_budget, make_rng(cfg.seed))
-    # (model, (part, name) of each head); learnable predicates without atoms
-    # still take their L2 steps
-    units = [(b.model, b.preds) for b in plan.batches]
+    # the plan's models, then the learnable predicates without atoms, which
+    # still take their L2 steps; a stack's members are views into its arrays
+    units = [b.model for b in plan.batches]
     batched = {id(m) for b in plan.batches for m in b.members}
-    units += [(m, [(i, name)]) for i, t in enumerate(theories) for name, m in t.learnable_predicates().items()
-              if id(m) not in batched]
-    where = {pred: (u, j) for u, (_, preds) in enumerate(units) for j, pred in enumerate(preds)}
-    order = [[where[i, name] for name in t.learnable_predicates()] for i, t in enumerate(theories)]
-    states = [RmsPropState() for _ in units]
+    units += [m for t in theories for m in t.learnable_predicates().values() if id(m) not in batched]
+    accs = [{name: np.zeros_like(p) for name, p in m.learnable_params().items()} for m in units]
+    # each theory's arrays in its predicates' order, as train() of it alone sums them
+    own = [[p for m in t.learnable_predicates().values() for p in m.learnable_params().values()] for t in theories]
     traces = [TrainTrace() for _ in theories]
     if len(theories) == 1:
         traces[0].plan = plan.stats()
@@ -153,28 +129,24 @@ def train_many(theories: list, cfg: TrainConfig) -> list:
         sats, sat_grads = plan.satisfiability_with_grads()
         sats = sats.tolist()
         # in Python floats, a huge l2 makes the loss inf without a warning
-        losses = [(1.0 - sat) + cfg.l2 * pen for sat, pen in zip(sats, _l2_penalties(units, order))]
+        losses = [(1.0 - sat) + cfg.l2 * sum(float((p * p).sum()) for p in ps) for sat, ps in zip(sats, own)]
         for i, loss in enumerate(losses):
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss} at epoch {epoch}"
                                     + (f" in theory {i}" if len(theories) > 1 else ""))
-        for (model, _), g_sat, state in zip(units, sat_grads + [{}] * (len(units) - len(sat_grads)), states):
+        for model, g_sat, acc in zip(units, sat_grads + [{}] * (len(units) - len(sat_grads)), accs):
             params = model.learnable_params()
             # a parameter without a satisfiability gradient takes the L2 term alone
             grads = {
                 pname: -g_sat[pname] + 2.0 * cfg.l2 * p if pname in g_sat else 2.0 * cfg.l2 * p
                 for pname, p in params.items()
             }
-            model.set_params(rmsprop_step(params, grads, state, cfg))
+            rmsprop_step(params, grads, acc, cfg)
         ms = (time.perf_counter() - t0) * 1000.0 / len(theories)
         for trace, loss, sat in zip(traces, losses, sats):
             trace.loss.append(loss)
             trace.sat.append(sat)
             trace.ms.append(ms)
-    for b in plan.batches:
-        if len(b.members) > 1:
-            for j, member in enumerate(b.members):
-                member.set_params(head(b.model.learnable_params(), j, b.model.heads_axis))
     return traces
 
 

@@ -17,18 +17,18 @@ def gaussian_kernel(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.exp(-0.5 * d @ d))
 
 
-def kernel_error_study(widths=(100, 1000, 10000), input_dim: int = 8, n_pairs: int = 100,
-                       n_seeds: int = 10, pair_seed: int = 1234) -> dict:
-    """Mean |z(x).z(y) - k(x,y)| over fixed random pairs, per hidden width."""
-    rng = make_rng(pair_seed)
-    xs = rng.random((n_pairs, input_dim))
-    ys = rng.random((n_pairs, input_dim))
+def kernel_error_study(widths) -> dict:
+    """Mean |z(x).z(y) - k(x,y)| over 100 fixed random pairs in [0,1]^8, per
+    hidden width, averaged over encoder seeds 0-9."""
+    rng = make_rng(1234)
+    xs = rng.random((100, 8))
+    ys = rng.random((100, 8))
     truth = np.array([gaussian_kernel(x, y) for x, y in zip(xs, ys)])
     out = {}
     for b in widths:
         errs = []
-        for seed in range(n_seeds):
-            enc = build_encoder(EncoderConfig(input_dim=input_dim, hidden_width=b, fan_in=7, seed=seed))
+        for seed in range(10):
+            enc = build_encoder(EncoderConfig(input_dim=8, hidden_width=b, fan_in=7, seed=seed))
             est = np.array([kernel_estimate(enc, x, y) for x, y in zip(xs, ys)])
             errs.append(np.abs(est - truth).mean())
         out[b] = float(np.mean(errs))
@@ -41,11 +41,12 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.linalg.norm((analytic - numeric).ravel()) / max(nn, na, 1e-12))
 
 
-def _gradient_error(model, x: np.ndarray, upstream: np.ndarray, step: float,
-                    forward_rows: np.ndarray | None = None) -> float:
+def _gradient_error(model, x: np.ndarray, upstream: np.ndarray, forward_rows: np.ndarray | None = None) -> float:
     """Max relative error, over the model's parameters, of gradient_batch on
-    model.lift(x) against central differences of sum(upstream * forward_batch)
-    on forward_rows, by default the same lifted rows."""
+    model.lift(x) against central differences, of step 1e-5, of
+    sum(upstream * forward_batch) on forward_rows, by default the same
+    lifted rows."""
+    step = 1e-5
     lifted = model.lift(x)
     forward_rows = lifted if forward_rows is None else forward_rows
     analytic = model.gradient_batch(lifted, upstream)
@@ -65,43 +66,43 @@ def _gradient_error(model, x: np.ndarray, upstream: np.ndarray, step: float,
     return worst
 
 
-def gradcheck_rwfn(trials: int = 20, input_dim: int = 8, hidden_width: int = 16,
-                   step: float = 1e-5, seed: int = 7) -> float:
-    """Max relative error of the decoder gradient vs central differences."""
-    rng = make_rng(seed)
+def gradcheck_rwfn(trials: int) -> float:
+    """Max relative error of the decoder gradient vs central differences,
+    at input_dim 8 and hidden width 16."""
+    rng = make_rng(7)
     worst = 0.0
     for t in range(trials):
-        enc = build_encoder(EncoderConfig(input_dim=input_dim, hidden_width=hidden_width, fan_in=3, seed=seed + t))
-        model = RwfnPredicate(encoder=enc, beta=rng.standard_normal(2 * hidden_width))
-        v = rng.random((1, input_dim))
-        worst = max(worst, _gradient_error(model, v, np.array([rng.normal()]), step))
+        enc = build_encoder(EncoderConfig(input_dim=8, hidden_width=16, fan_in=3, seed=7 + t))
+        model = RwfnPredicate(encoder=enc, beta=rng.standard_normal(32))
+        v = rng.random((1, 8))
+        worst = max(worst, _gradient_error(model, v, np.array([rng.normal()])))
     return worst
 
 
-def gradcheck_ntn(trials: int = 20, input_dim: int = 8, k: int = 3,
-                  step: float = 1e-5, seed: int = 11) -> float:
-    """Max relative error of u/W/V/b gradients vs central differences."""
-    rng = make_rng(seed)
+def gradcheck_ntn(trials: int) -> float:
+    """Max relative error of u/W/V/b gradients vs central differences, at
+    input_dim 8 and k=3 slices."""
+    rng = make_rng(11)
     worst = 0.0
     for t in range(trials):
-        model = init_ntn(k, input_dim, make_rng(seed + 100 + t))
-        v = rng.random((1, input_dim))
-        worst = max(worst, _gradient_error(model, v, np.array([rng.normal()]), step))
+        model = init_ntn(3, 8, make_rng(111 + t))
+        v = rng.random((1, 8))
+        worst = max(worst, _gradient_error(model, v, np.array([rng.normal()])))
     return worst
 
 
-def gradcheck_stacked_ntn(trials: int = 20, heads: int = 12, k: int = 2, input_dim: int = 4,
-                          rows: int = 5, step: float = 1e-5, seed: int = 13) -> float:
-    """Max relative error of a stack's u/W/V/b gradients, computed on the
-    rows as a ground plan keeps them (lifted at the default shape: 21 <
-    24 * 4), vs central differences of its forward on the plain rows."""
-    rng = make_rng(seed)
+def gradcheck_stacked_ntn(trials: int) -> float:
+    """Max relative error of the u/W/V/b gradients of a stack of 12 heads
+    of k=2 slices at input_dim 4, computed on 5 rows as a ground plan keeps
+    them (lifted: 21 < 24 * 4), vs central differences of its forward on
+    the plain rows."""
+    rng = make_rng(13)
     worst = 0.0
     for t in range(trials):
-        model = stack([init_ntn(k, input_dim, make_rng(seed + 100 * t + j)) for j in range(heads)])
-        x = rng.random((rows, input_dim))
-        upstream = rng.standard_normal((rows, heads))
-        worst = max(worst, _gradient_error(model, x, upstream, step, forward_rows=x))
+        model = stack([init_ntn(2, 4, make_rng(13 + 100 * t + j)) for j in range(12)])
+        x = rng.random((5, 4))
+        upstream = rng.standard_normal((5, 12))
+        worst = max(worst, _gradient_error(model, x, upstream, forward_rows=x))
     return worst
 
 

@@ -57,8 +57,7 @@ def test_criterion_01_parameter_counts():
 
 
 def test_criterion_02_kernel_approximation():
-    errs = kernel_error_study(widths=(100, 1000, 10000), input_dim=8,
-                              n_pairs=100, n_seeds=10)
+    errs = kernel_error_study(widths=(100, 1000, 10000))
     assert errs[1000] <= 0.05
     seq = [errs[100], errs[1000], errs[10000]]
     assert seq[0] >= seq[1] >= seq[2]
@@ -67,7 +66,7 @@ def test_criterion_02_kernel_approximation():
 
 def test_criterion_03_gradient_correctness():
     r1 = gradcheck_rwfn(trials=20)
-    r2 = gradcheck_ntn(trials=20, input_dim=8, k=3)
+    r2 = gradcheck_ntn(trials=20)
     assert r1 < 1e-4 and r2 < 1e-4
     announce(3, f"max rel err rwfn {r1:.2e}, ntn {r2:.2e}")
 

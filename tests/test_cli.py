@@ -218,8 +218,17 @@ class TestTrainEval:
          "argument --neg-ratio: must be finite, got inf"),
         (["gen-synth", "--scenes", "5", "--neg-ratio", "nan", "-o", "x.json"],
          "argument --neg-ratio: must be finite, got nan"),
+        (["train", "--model", "rwfn", "--task", "types", "--data", "d.json", "--split-ratio", "nan", "-o", "m.json"],
+         "argument --split-ratio: must be finite and in (0, 1), got nan"),
+        (["compare", "--data", "d.json", "--split-ratio", "1.5", "-o", "c.json"],
+         "argument --split-ratio: must be finite and in (0, 1), got 1.5"),
+        (["ablate", "--data", "d.json", "--split-ratio", "0", "-o", "a.json"],
+         "argument --split-ratio: must be finite and in (0, 1), got 0"),
+        (["train", "--model", "ltn", "--task", "partof", "--data", "d.json", "--split-ratio", "inf", "-o", "m.json"],
+         "argument --split-ratio: must be finite and in (0, 1), got inf"),
     ], ids=["n-1", "n-0", "widths-abc", "widths-empty", "widths-negative", "noise-nan", "noise-inf", "jitter-nan",
-            "neg-ratio-inf", "neg-ratio-nan"])
+            "neg-ratio-inf", "neg-ratio-nan", "split-ratio-nan", "split-ratio-1.5", "split-ratio-0",
+            "split-ratio-inf"])
     def test_malformed_value_usage_error(self, capsys, args, message):
         assert run_cli(args) == 2
         assert message in capsys.readouterr().err

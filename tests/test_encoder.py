@@ -11,7 +11,6 @@ from rwfn.encoder import (
     RwfnEncoder,
     albm_features,
     build_encoder,
-    encode,
     encoder_from_spec,
     encoder_to_spec,
     fourier_features,
@@ -110,35 +109,39 @@ class TestFourier:
 class TestEncode:
     def test_zero_phase_fixture(self):
         enc = fixture_encoder(np.eye(4), np.zeros((4, 4)), np.zeros(4))
-        h = encode(enc, np.zeros(4))
+        h = hidden_features(enc, np.zeros((1, 4)))[0]
         assert np.allclose(h[:4], 0.0)
         assert np.allclose(h[4:], np.tanh(np.sqrt(2.0 / 4.0)))
 
     def test_length_and_range(self):
         enc = small_encoder()
-        h = encode(enc, np.random.default_rng(2).random(8))
-        assert h.shape == (32,)
+        h = hidden_features(enc, np.random.default_rng(2).random((1, 8)))
+        assert h.shape == (1, 32)
         assert (np.abs(h) < 1.0).all()
 
     def test_batch_matches_single(self):
         enc = small_encoder()
         x = np.random.default_rng(3).random((5, 8))
-        batch = encode(enc, x)
-        assert np.allclose(batch[2], encode(enc, x[2]))
+        batch = hidden_features(enc, x)
+        assert np.allclose(batch[2], hidden_features(enc, x[2:3])[0])
+
+    def test_single_vector_rejected(self):
+        with pytest.raises(ValueError, match="input must have length 8"):
+            hidden_features(small_encoder(), np.zeros(8))
 
     def test_out_of_range_warns(self):
         enc = small_encoder()
         with pytest.warns(UserWarning):
-            encode(enc, np.full(8, 2.0))
+            hidden_features(enc, np.full((1, 8), 2.0))
 
     def test_modes(self):
         enc = small_encoder()
-        v = np.random.default_rng(4).random(8)
-        assert hidden_features(enc, v, "albm").shape == (16,)
-        assert hidden_features(enc, v, "rff").shape == (16,)
+        v = np.random.default_rng(4).random((1, 8))
+        assert hidden_features(enc, v, "albm").shape == (1, 16)
+        assert hidden_features(enc, v, "rff").shape == (1, 16)
         full = hidden_features(enc, v, "full")
-        assert np.allclose(full[:16], hidden_features(enc, v, "albm"))
-        assert np.allclose(full[16:], hidden_features(enc, v, "rff"))
+        assert np.allclose(full[:, :16], hidden_features(enc, v, "albm"))
+        assert np.allclose(full[:, 16:], hidden_features(enc, v, "rff"))
         assert hidden_dim(enc, "full") == 32 and hidden_dim(enc, "albm") == 16
         with pytest.raises(ValueError):
             hidden_features(enc, v, "bogus")
@@ -288,5 +291,5 @@ class TestSerialization:
 @settings(max_examples=25, deadline=None)
 def test_encode_bounded_for_any_seed(seed):
     enc = build_encoder(EncoderConfig(input_dim=6, hidden_width=8, fan_in=2, seed=seed))
-    h = encode(enc, np.random.default_rng(seed).random(6))
+    h = hidden_features(enc, np.random.default_rng(seed).random((1, 6)))
     assert (np.abs(h) < 1.0).all()

@@ -355,12 +355,13 @@ class TestSatisfiabilityGradient:
     def test_flat_and_region_zero_gradient(self):
         # both conjuncts well below 0.5: And saturates at 0, the region is
         # flat, so no gradient reaches the decoder through that node
-        from rwfn.encoder import encode
+        from rwfn.encoder import hidden_features
 
         enc = build_encoder(EncoderConfig(input_dim=2, hidden_width=4, fan_in=1, seed=0))
         ca, cb = np.array([0.2, 0.9]), np.array([0.7, 0.1])
         # decoder pointed away from both hidden vectors: both truths go low
-        beta = -4.0 * (encode(enc, ca) + encode(enc, cb))
+        ha, hb = hidden_features(enc, np.stack([ca, cb]))
+        beta = -4.0 * (ha + hb)
         model = RwfnPredicate(encoder=enc, beta=beta)
         gt = GroundedTheory(
             kb=parse_kb("pred P/1\nP(a) & P(b)\n"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rwfn.data import SyntheticConfig, gen_synthetic
-from rwfn.encoder import EncoderConfig, build_encoder, encode
+from rwfn.encoder import EncoderConfig, build_encoder, hidden_features
 from rwfn.logic import GroundPlan, merge_theories
 from rwfn.numerics import make_rng
 from rwfn.predicates import (
@@ -15,7 +15,6 @@ from rwfn.predicates import (
     RwfnPredicate,
     block_rows,
     count_params,
-    head,
     init_ntn,
     lifts,
     model_from_spec,
@@ -69,7 +68,7 @@ class TestRwfnForward:
         enc = small_encoder()
         rng = make_rng(2)
         v = rng.random((1, 8))
-        h = encode(enc, v)[0]
+        h = hidden_features(enc, v)[0]
         beta = 1e6 * h  # beta . h = 1e6 |h|^2 > 0
         model = RwfnPredicate(encoder=enc, beta=beta)
         assert truths(model, v)[0] > 1.0 - 1e-9
@@ -81,7 +80,7 @@ class TestRwfnGradient:
         model = RwfnPredicate.create(enc)
         v = make_rng(3).random((1, 8))
         g = grads(model, v, np.ones(1))["beta"]
-        assert np.allclose(g, 0.25 * encode(enc, v)[0])
+        assert np.allclose(g, 0.25 * hidden_features(enc, v)[0])
 
     def test_zero_upstream(self):
         model = RwfnPredicate(encoder=small_encoder(), beta=make_rng(4).standard_normal(32))
@@ -251,12 +250,12 @@ class TestNtnBlockedKernels:
         grads = stacked.gradient_batch(x, upstream)
         for j, m in enumerate(heads):
             expected = ntn_gradient_oracle(m, x, upstream[:, j])
-            got = head(grads, j, stacked.heads_axis)
+            got = {name: np.take(g, j, axis=stacked.heads_axis) for name, g in grads.items()}
             assert got.keys() == expected.keys()
             for name, g in got.items():
                 assert_close_rel(g, expected[name])
-            assert all(np.array_equal(p, m.learnable_params()[name])
-                       for name, p in head(stacked.learnable_params(), j, stacked.heads_axis).items())
+            assert all(np.array_equal(np.take(p, j, axis=stacked.heads_axis), m.learnable_params()[name])
+                       for name, p in stacked.learnable_params().items())
 
     def test_rwfn_stack_matches_its_heads(self):
         enc = build_encoder(EncoderConfig(input_dim=5, hidden_width=16, fan_in=2, seed=1))
@@ -271,7 +270,29 @@ class TestNtnBlockedKernels:
         grads = stacked.gradient_batch(h, upstream)
         for j, m in enumerate(heads):
             assert_close_rel(out[:, j], m.forward_batch(h))
-            assert_close_rel(head(grads, j, 1)["beta"], m.gradient_batch(h, upstream[:, j])["beta"])
+            assert_close_rel(grads["beta"][:, j], m.gradient_batch(h, upstream[:, j])["beta"])
+
+    @pytest.mark.parametrize("family", ["ntn", "rwfn"])
+    def test_members_are_views_of_their_heads(self, family):
+        rng = make_rng(4)
+        if family == "ntn":
+            models = [init_ntn(3, 4, rng) for _ in range(3)]
+        else:
+            enc = build_encoder(EncoderConfig(input_dim=5, hidden_width=16, fan_in=2, seed=1))
+            models = [RwfnPredicate(enc, rng.standard_normal(32)) for _ in range(3)]
+        before = [{name: p.copy() for name, p in m.learnable_params().items()} for m in models]
+        stacked = stack(models)
+        for name, p in stacked.learnable_params().items():
+            heads = p if family == "ntn" else p.T  # head j is p[j], or beta[:, j]
+            for j, m in enumerate(models):
+                mine = m.learnable_params()[name]
+                assert np.array_equal(mine, before[j][name])
+                assert [np.shares_memory(mine, h) for h in heads] == [i == j for i in range(len(models))]
+        for p in stacked.learnable_params().values():
+            p += 1.0  # an in-place step on the stack moves every member
+        for m, want in zip(models, before):
+            for name, p in m.learnable_params().items():
+                assert np.array_equal(p, want[name] + 1.0)
 
     def test_stack_keys(self):
         enc = build_encoder(EncoderConfig(input_dim=5, hidden_width=16, fan_in=2, seed=1))
@@ -335,7 +356,7 @@ class TestNtnLiftedKernels:
             want = ntn_hidden_oracle(m, x)
             assert_close_rel(hidden[:, j * k:(j + 1) * k], want)
             assert_close_rel(out if heads == 1 else out[:, j], sigmoid(want @ m.u))
-            got = grads if heads == 1 else head(grads, j, model.heads_axis)
+            got = grads if heads == 1 else {name: np.take(g, j, axis=model.heads_axis) for name, g in grads.items()}
             expected = ntn_gradient_oracle(m, x, upstream[:, j])
             assert got.keys() == expected.keys()
             for name, g in got.items():

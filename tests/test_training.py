@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from rwfn import predicates, training
-from rwfn.encoder import EncoderConfig, build_encoder, encode
+from rwfn.encoder import EncoderConfig, build_encoder, hidden_features
 from rwfn.logic import Atom, GroundedTheory, GroundPlan, KnowledgeBase, Not, merge_theories, parse_kb, satisfiability
 from rwfn.numerics import make_rng
 from rwfn.predicates import LabelPredicate, RwfnPredicate, init_ntn
 from rwfn.training import (
-    RmsPropState,
     SharedEncoderRegistry,
     TrainConfig,
     TrainingError,
@@ -37,42 +36,44 @@ def literal_theory(spec, seed=0, input_dim=4, b=8):
 class TestRmsProp:
     def test_single_step_reference(self):
         cfg = TrainConfig(epochs=1, learning_rate=0.01, rmsprop_decay=0.9, rmsprop_eps=1e-8)
-        state = RmsPropState()
-        params = {"theta": np.array([1.0])}
-        grads = {"theta": np.array([1.0])}
-        new = rmsprop_step(params, grads, state, cfg)
-        assert state.acc["theta"][0] == pytest.approx(0.1)
-        assert new["theta"][0] - 1.0 == pytest.approx(-0.0316228, abs=1e-6)
+        acc = {"theta": np.zeros(1)}
+        theta = np.array([1.0])
+        params = {"theta": theta}
+        rmsprop_step(params, {"theta": np.array([1.0])}, acc, cfg)
+        assert params["theta"] is theta
+        assert acc["theta"][0] == pytest.approx(0.1)
+        assert theta[0] - 1.0 == pytest.approx(-0.0316228, abs=1e-6)
 
     def test_zero_gradient_no_move(self):
         cfg = TrainConfig(epochs=1)
-        state = RmsPropState()
-        params = {"theta": np.array([2.0, -3.0])}
-        new = rmsprop_step(params, {"theta": np.zeros(2)}, state, cfg)
-        assert np.array_equal(new["theta"], params["theta"])
+        theta = np.array([2.0, -3.0])
+        params = {"theta": theta}
+        rmsprop_step(params, {"theta": np.zeros(2)}, {"theta": np.zeros(2)}, cfg)
+        assert params["theta"] is theta
+        assert np.array_equal(theta, [2.0, -3.0])
 
     def test_constant_gradient_step_bound(self):
         # with constant g, acc_t = (1 - decay^t) g^2, so each |step| equals
         # lr*g/sqrt((1-decay^t)g^2 + eps) and approaches lr from above
         cfg = TrainConfig(epochs=1)
-        state = RmsPropState()
+        acc = {"theta": np.zeros(1)}
         theta = np.array([0.0])
         g = {"theta": np.array([2.0])}
         prev_step = np.inf
         for t in range(1, 100):
-            new = rmsprop_step({"theta": theta}, g, state, cfg)
-            step = abs(float(new["theta"][0] - theta[0]))
+            before = float(theta[0])
+            rmsprop_step({"theta": theta}, g, acc, cfg)
+            step = abs(float(theta[0]) - before)
             bound = cfg.learning_rate * 2.0 / np.sqrt((1 - 0.9 ** t) * 4.0 + cfg.rmsprop_eps)
             assert step == pytest.approx(bound, rel=1e-9)
             assert step <= prev_step
             prev_step = step
-            theta = new["theta"]
         assert prev_step == pytest.approx(cfg.learning_rate, rel=1e-2)
 
     def test_shape_mismatch(self):
         cfg = TrainConfig(epochs=1)
         with pytest.raises(ValueError):
-            rmsprop_step({"t": np.zeros(2)}, {"t": np.zeros(3)}, RmsPropState(), cfg)
+            rmsprop_step({"t": np.zeros(2)}, {"t": np.zeros(3)}, {"t": np.zeros(2)}, cfg)
 
 
 class TestTrainConfig:
@@ -150,9 +151,10 @@ class TestTrain:
         unused = init_ntn(2, 4, make_rng(1))
         gt.predicates["U"] = unused
         cfg = TrainConfig(epochs=5, l2=1e-3, seed=0)
-        params, state = dict(unused.learnable_params()), RmsPropState()
+        params = {k: p.copy() for k, p in unused.learnable_params().items()}
+        acc = {k: np.zeros_like(p) for k, p in params.items()}
         for _ in range(cfg.epochs):
-            params = rmsprop_step(params, {k: 2.0 * cfg.l2 * p for k, p in params.items()}, state, cfg)
+            rmsprop_step(params, {k: 2.0 * cfg.l2 * p for k, p in params.items()}, acc, cfg)
         train(gt, cfg)
         for name, p in unused.learnable_params().items():
             assert np.array_equal(p, params[name])
@@ -192,16 +194,16 @@ class TestSharing:
         assert a.config == base and b.config == other
         assert b is reg.get_or_build(EncoderConfig(8, 16, fan_in=3, seed=0, **{field: value}))
         x = make_rng(1).random((3, 8))
-        assert np.array_equal(encode(b, x), encode(build_encoder(other), x))
-        assert not np.array_equal(encode(a, x), encode(b, x))
+        assert np.array_equal(hidden_features(b, x), hidden_features(build_encoder(other), x))
+        assert not np.array_equal(hidden_features(a, x), hidden_features(b, x))
 
     def test_shared_encode_identical(self):
         reg = SharedEncoderRegistry()
         cfg = EncoderConfig(input_dim=8, hidden_width=16, fan_in=3, seed=0)
         a = RwfnPredicate.create(reg.get_or_build(cfg))
         b = RwfnPredicate.create(reg.get_or_build(cfg))
-        v = make_rng(0).random(8)
-        assert np.array_equal(encode(a.encoder, v), encode(b.encoder, v))
+        v = make_rng(0).random((1, 8))
+        assert np.array_equal(hidden_features(a.encoder, v), hidden_features(b.encoder, v))
 
     def test_shared_training_bit_identical_to_private(self):
         # same seed, shared vs private encoders: decoders must agree exactly
