@@ -1,6 +1,7 @@
 """Command-line surface: gen-synth, train, eval, compare, ablate, verify,
 params. JSON artifacts are deterministic under --seed; wall-clock timings
-live only in the run manifest so repeated runs stay byte-identical.
+live only in the run manifest so repeated runs stay byte-identical (compare's
+.txt table shows them too). eval checks a model bundle's fields first.
 
 Exit codes: 0 success, 1 runtime or check failure, 2 usage error.
 """
@@ -12,6 +13,7 @@ import json
 import math
 import os
 import platform
+import reprlib
 import resource
 import sys
 import time
@@ -22,11 +24,11 @@ import numpy as np
 
 from . import __version__
 from .data import DatasetError, SyntheticConfig, gen_synthetic, load_dataset, save_dataset, split
-from .evaluation import (COMPARE_MODELS, check_models, compare, macro_auc, pr_auc, render_table, run_ablation,
-                         run_partof, run_types)
+from .evaluation import (COMPARE_MODELS, check_models, compare, render_table, run_ablation, run_partof, run_types,
+                         task_auc)
 from .numerics import make_rng
 from .predicates import count_params, model_from_spec, model_to_spec
-from .tasks import DEFAULT_B_PARTOF, DEFAULT_B_TYPES, DEFAULT_K, partof_scores, type_scores
+from .tasks import DEFAULT_B_PARTOF, DEFAULT_B_TYPES, DEFAULT_K
 from .training import TrainConfig, TrainingError
 from .verify import run_verification
 
@@ -111,13 +113,10 @@ def cmd_train(args) -> int:
     cfg = _train_config(args)
 
     if args.task == "types":
-        b = args.b if args.b is not None else DEFAULT_B_TYPES
-        res = run_types(args.model, sp.train, sp.test, cfg, b=b, k=args.k, shared=args.shared_encoder)
-        model_specs = {cname: model_to_spec(m) for cname, m in res.models.items()}
+        res = run_types(args.model, sp.train, sp.test, cfg, b=args.b or DEFAULT_B_TYPES, k=args.k,
+                        shared=args.shared_encoder)
     else:
-        b = args.b if args.b is not None else DEFAULT_B_PARTOF
-        res = run_partof(args.model, sp.train, sp.test, cfg, b=b, k=args.k)
-        model_specs = {"partOf": model_to_spec(res.models["partOf"])}
+        res = run_partof(args.model, sp.train, sp.test, cfg, b=args.b or DEFAULT_B_PARTOF, k=args.k)
 
     out = Path(args.output)
     bundle = {
@@ -129,7 +128,7 @@ def cmd_train(args) -> int:
         "split_ratio": args.split_ratio,
         "shared_encoder": bool(args.shared_encoder),
         "train_config": asdict(cfg),
-        "predicates": model_specs,
+        "predicates": {name: model_to_spec(m) for name, m in res.models.items()},
     }
     _dump_json(bundle, out)
     trace_path = out.with_suffix(out.suffix + ".trace.json")
@@ -148,31 +147,46 @@ def cmd_train(args) -> int:
     return 0
 
 
+BUNDLE_CHECKS = (  # field, test, what it must be
+    ("format_version", lambda v: v == 1, "1"),
+    ("task", lambda v: v in ("types", "partof"), "'types' or 'partof'"),
+    ("kind", lambda v: v in ("rwfn", "ltn"), "'rwfn' or 'ltn'"),
+    ("split_ratio", lambda v: isinstance(v, float) and 0.0 < v < 1.0, "a float in (0, 1)"),
+    ("split_seed", lambda v: isinstance(v, int) and not isinstance(v, bool), "an int"),
+    ("predicates", lambda v: isinstance(v, dict) and v and all(isinstance(s, dict) for s in v.values()),
+     "a non-empty object of objects"),
+)
+
+
 def _load_bundle(path) -> dict:
+    """The model bundle at path; CliError names its first malformed field."""
     with open(path) as fh:
-        return json.load(fh)
+        bundle = json.load(fh)
+    if not isinstance(bundle, dict):
+        raise CliError(f"model bundle {path}: top level must be an object, got {type(bundle).__name__}")
+    for name, ok, want in BUNDLE_CHECKS:
+        if not ok(bundle.get(name)):
+            raise CliError(f"model bundle {path}: {name!r} must be {want}, got {reprlib.repr(bundle.get(name))}")
+    if bundle["task"] == "partof" and "partOf" not in bundle["predicates"]:
+        raise CliError(f"model bundle {path}: 'predicates' must hold 'partOf' for task 'partof'")
+    return bundle
 
 
 def cmd_eval(args) -> int:
     t0 = time.perf_counter()
     ds = load_dataset(args.data)
     bundle = _load_bundle(args.model)
-    sp = split(ds, bundle["split_ratio"], make_rng(bundle["split_seed"]))
-    test = sp.test
+    test = split(ds, bundle["split_ratio"], make_rng(bundle["split_seed"])).test
     if any(not r.labels for r in test.records):
         raise CliError("test split contains unlabeled records; cannot evaluate")
 
     models = {name: model_from_spec(spec, name=name) for name, spec in bundle["predicates"].items()}
-    if bundle["task"] == "types":
-        macro, per = macro_auc(type_scores(models, test))
-        report = {"task": "types", "auc": macro, "auc_mode": "macro", "per_class": per}
-    else:
-        scores, labels = partof_scores(models["partOf"], test)
-        report = {"task": "partof", "auc": pr_auc(scores, labels)}
-    any_model = next(iter(models.values()))
-    pc = count_params(any_model)
-    report.update({"params": {"total": pc.total, "learnable": pc.learnable},
-                   "model_kind": bundle["kind"], "split_seed": bundle["split_seed"]})
+    auc, per_class = task_auc(bundle["task"], models, test)
+    pc = count_params(next(iter(models.values())))
+    report = {"task": bundle["task"], "auc": auc, "params": {"total": pc.total, "learnable": pc.learnable},
+              "model_kind": bundle["kind"], "split_seed": bundle["split_seed"]}
+    if per_class is not None:
+        report.update({"auc_mode": "macro", "per_class": per_class})
     out = Path(args.output)
     _dump_json(report, out)
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "eval", args,
@@ -189,14 +203,15 @@ def cmd_compare(args) -> int:
     report = compare(ds, models=args.models, repeats=args.repeats, cfg=cfg,
                      b_types=args.b_types, b_partof=args.b_partof, k=args.k,
                      ratio=args.split_ratio)
+    table = render_table(report)
+    mean_ms = report.pop("mean_ms")  # wall-clock, so the report stays byte-identical
     out = Path(args.output)
     _dump_json(report, out)
     table_path = out.with_suffix(".txt")
-    table = render_table(report)
     table_path.write_text(table)
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "compare", args,
                     {"report": out, "table": table_path},
-                    (time.perf_counter() - t0) * 1000.0, {"seed": args.seed})
+                    (time.perf_counter() - t0) * 1000.0, {"seed": args.seed}, {"mean_ms": mean_ms})
     print(table, end="")
     return 0
 
@@ -284,9 +299,9 @@ def open_unit_float(text: str) -> float:
     return value
 
 
-def _add_train_flags(p, epochs_default=1000):
+def _add_train_flags(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=positive_int, default=epochs_default)
+    p.add_argument("--epochs", type=positive_int, default=1000)
     p.add_argument("--lr", type=finite_float, default=0.01)
     p.add_argument("--l2", type=finite_float, default=1e-10)
     p.add_argument("--budget", type=positive_int, default=10_000, help="quantifier instantiation budget")

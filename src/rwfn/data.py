@@ -207,9 +207,9 @@ def _features(class_index: int, num_classes: int, bbox, sigma: float, rng) -> np
     return np.clip(np.concatenate([scores, np.asarray(bbox)]), 0.0, 1.0)
 
 
-def _place_whole(rng, size_lo=0.30, size_hi=0.45) -> tuple:
-    w = rng.uniform(size_lo, size_hi)
-    h = rng.uniform(size_lo, size_hi)
+def _place_whole(rng) -> tuple:
+    w = rng.uniform(0.30, 0.45)
+    h = rng.uniform(0.30, 0.45)
     x1 = rng.uniform(0.0, 1.0 - w)
     y1 = rng.uniform(0.0, 1.0 - h)
     return (x1, y1, x1 + w, y1 + h)

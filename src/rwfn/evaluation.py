@@ -8,7 +8,9 @@ trapezoidally over recall with tied scores entering the sweep together.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from collections import defaultdict
+from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +24,7 @@ from .tasks import (
     baseline_ir_scores,
     build_partof_theory,
     build_type_theory,
-    make_ltn_classifier,
-    make_rwfn_classifier,
+    make_classifier,
     partof_scores,
     type_scores,
 )
@@ -89,18 +90,22 @@ def macro_auc(per_class: dict) -> tuple:
 # Task runners
 
 
+def task_auc(task: str, models: dict, test_ds: Dataset) -> tuple:
+    """Test AUC of a task's trained predicates, and for "types" the AUC of
+    each class (None for "partof"). Type AUC is the macro average over the
+    classes with both label values on the test split."""
+    if task == "types":
+        return macro_auc(type_scores(models, test_ds))
+    return pr_auc(*partof_scores(models["partOf"], test_ds)), None
+
+
 @dataclass
 class TaskResult:
     auc: float
     params: ParamCount
     wall_ms: float
-    per_class: dict = field(default_factory=dict)
-    models: dict = field(default_factory=dict)
-    traces: dict = field(default_factory=dict)
-
-
-def class_names(ds: Dataset) -> list:
-    return [c.name for c in ds.classes]
+    models: dict
+    traces: dict
 
 
 def run_types(kind: str, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
@@ -114,50 +119,35 @@ def run_types(kind: str, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
     comparison protocol.
     """
     t0 = time.perf_counter()
+    shared = shared and kind == "rwfn"  # an NTN has no encoder to share
     registry = SharedEncoderRegistry() if shared else None
-    models = {}
-    traces = {}
-    lockstep = {}
-    for idx, cname in enumerate(class_names(train_ds)):
-        if kind == "rwfn":
-            seed = cfg.seed if shared else cfg.seed + idx
-            model = make_rwfn_classifier(train_ds.n, b, seed=seed, mode=mode, registry=registry)
-        elif kind == "ltn":
-            model = make_ltn_classifier(train_ds.n, seed=cfg.seed + idx, k=k)
-        else:
-            raise ValueError(f"unknown model kind {kind!r}")
-        gt = build_type_theory(train_ds, cname, model)
-        models[cname] = model
+    models, traces, lockstep = {}, {}, {}
+    for idx, c in enumerate(train_ds.classes):
+        seed = cfg.seed if shared else cfg.seed + idx
+        model = make_classifier(kind, train_ds.n, seed, b, k, mode, registry=registry)
+        gt = build_type_theory(train_ds, c.name, model)
+        models[c.name] = model
         if kind == "rwfn" and not shared:
-            traces[cname] = train(gt, cfg)
+            traces[c.name] = train(gt, cfg)
         else:
-            lockstep[cname] = gt
+            lockstep[c.name] = gt
     if lockstep:
         traces = dict(zip(lockstep, train_many(list(lockstep.values()), cfg)))
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    macro, per = macro_auc(type_scores(models, test_ds))
     any_model = next(iter(models.values()))
-    return TaskResult(auc=macro, params=count_params(any_model), wall_ms=wall_ms,
-                      per_class=per, models=models, traces=traces)
+    return TaskResult(auc=task_auc("types", models, test_ds)[0], params=count_params(any_model),
+                      wall_ms=wall_ms, models=models, traces=traces)
 
 
 def run_partof(kind: str, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
                b: int = DEFAULT_B_PARTOF, k: int = DEFAULT_K, mode: str = "full") -> TaskResult:
     t0 = time.perf_counter()
-    in_dim = 2 * train_ds.n
-    if kind == "rwfn":
-        model = make_rwfn_classifier(in_dim, b, seed=cfg.seed, mode=mode)
-    elif kind == "ltn":
-        model = make_ltn_classifier(in_dim, seed=cfg.seed, k=k)
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-    gt = build_partof_theory(train_ds, model)
-    trace = train(gt, cfg)
+    model = make_classifier(kind, 2 * train_ds.n, cfg.seed, b, k, mode)
+    trace = train(build_partof_theory(train_ds, model), cfg)
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    scores, labels = partof_scores(model, test_ds)
-    return TaskResult(auc=pr_auc(scores, labels), params=count_params(model),
-                      wall_ms=wall_ms, models={"partOf": model},
-                      traces={"partOf": trace})
+    models = {"partOf": model}
+    return TaskResult(auc=task_auc("partof", models, test_ds)[0], params=count_params(model),
+                      wall_ms=wall_ms, models=models, traces={"partOf": trace})
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +179,7 @@ def run_ablation(ds: Dataset, cfg: TrainConfig, b_types: int = DEFAULT_B_TYPES,
 # Multi-model comparison
 
 COMPARE_MODELS = ("ltn", "rwfn", "rwfn-shared")
+TASKS = ("types", "partof")
 # (minuend, subtrahend): per-seed AUC differences on the same split
 PAIRED = (("rwfn", "ltn"), ("rwfn", "ir-baseline"))
 
@@ -209,96 +200,83 @@ def check_models(models) -> tuple:
     return models
 
 
+class FitRecord(NamedTuple):
+    """What a comparison keeps of one fit. The inclusion-ratio baseline
+    trains nothing: its records have no wall time and no parameters."""
+
+    auc: float
+    wall_ms: float | None
+    params: ParamCount
+
+
 def compare(ds: Dataset, models=COMPARE_MODELS, repeats: int = 5,
             cfg: TrainConfig | None = None, b_types: int = DEFAULT_B_TYPES,
             b_partof: int = DEFAULT_B_PARTOF, k: int = DEFAULT_K,
             ratio: float = 0.8) -> dict:
-    """Repeated seeded runs; per model, mean AUC with a 2*SD band, parameter
-    counts, and mean wall time. The geometric inclusion-ratio baseline is
-    always included for the part-of task. For each PAIRED pair whose models
-    both ran, the per-seed AUC differences on the same split, with their
-    mean and 2*SD band."""
+    """Repeated seeded runs; per model, mean AUC with a 2*SD band and
+    parameter counts. The geometric inclusion-ratio baseline is always
+    included for the part-of task. For each PAIRED pair whose models both
+    ran, the per-seed AUC differences on the same split, with their mean and
+    2*SD band. "mean_ms" holds each model's mean wall ms per fit and task:
+    wall-clock, so `rwfn compare` writes it to the manifest, not the report."""
     models = check_models(models)
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     cfg = cfg or TrainConfig()
     run_seeds = [int(s) for s in make_rng(cfg.seed).integers(0, 2**31 - 1, size=repeats)]
 
-    acc: dict = {name: {"types": [], "partof": [], "ms_types": [], "ms_partof": []} for name in models}
-    acc["ir-baseline"] = {"partof": []}
-    params: dict = {}
-
+    fits = defaultdict(list)  # (model, task) -> one FitRecord per seed
     for seed in run_seeds:
         sp = split(ds, ratio, make_rng(seed))
         run_cfg = replace(cfg, seed=seed)
-        ir_scores, ir_labels = baseline_ir_scores(sp.test)
-        acc["ir-baseline"]["partof"].append(pr_auc(ir_scores, ir_labels))
+        fits["ir-baseline", "partof"].append(
+            FitRecord(pr_auc(*baseline_ir_scores(sp.test)), None, ParamCount(total=0, learnable=0)))
         for name in models:
             kind = "rwfn" if name.startswith("rwfn") else "ltn"
             shared = name == "rwfn-shared"
-            t1 = run_types(kind, sp.train, sp.test, run_cfg, b=b_types, k=k, shared=shared)
-            acc[name]["types"].append(t1.auc)
-            acc[name]["ms_types"].append(t1.wall_ms)
+            results = {"types": run_types(kind, sp.train, sp.test, run_cfg, b=b_types, k=k, shared=shared)}
             if not shared:  # part-of needs a single classifier; sharing buys nothing
-                t2 = run_partof(kind, sp.train, sp.test, run_cfg, b=b_partof, k=k)
-                acc[name]["partof"].append(t2.auc)
-                acc[name]["ms_partof"].append(t2.wall_ms)
-                params.setdefault(name, {"types": t1.params, "partof": t2.params})
-            else:
-                params.setdefault(name, {"types": t1.params, "partof": None})
+                results["partof"] = run_partof(kind, sp.train, sp.test, run_cfg, b=b_partof, k=k)
+            for task, res in results.items():
+                fits[name, task].append(FitRecord(res.auc, res.wall_ms, res.params))
 
     def stats(xs):
-        if not xs:
-            return None
         a = np.asarray(xs)
         return {"mean": float(a.mean()), "two_sd": float(2.0 * a.std(ddof=0)), "runs": a.tolist()}
 
-    rows = []
-    for name in list(models) + ["ir-baseline"]:
-        entry = acc[name]
-        pc = params.get(name, {})
+    def cells(name, task):
+        """A row's AUC and parameter cells for task, None where name did not run it."""
+        runs = fits.get((name, task))
+        return {f"auc_{task}": runs and stats([r.auc for r in runs]),
+                f"params_{task}": runs and asdict(runs[0].params)}
 
-        def pc_json(p):
-            return None if p is None else {"total": p.total, "learnable": p.learnable}
+    def paired_cell(a, b, task):
+        xs, ys = fits.get((a, task)), fits.get((b, task))
+        return xs and ys and stats([x.auc - y.auc for x, y in zip(xs, ys)])
 
-        rows.append({
-            "model": name,
-            "auc_types": stats(entry.get("types", [])),
-            "auc_partof": stats(entry.get("partof", [])),
-            "params_types": pc_json(pc.get("types")) if name != "ir-baseline" else None,
-            "params_partof": pc_json(pc.get("partof")) if name != "ir-baseline" else {"total": 0, "learnable": 0},
-            "mean_ms_types": float(np.mean(entry["ms_types"])) if entry.get("ms_types") else None,
-            "mean_ms_partof": float(np.mean(entry["ms_partof"])) if entry.get("ms_partof") else None,
-        })
-    paired = []
-    for a, b in PAIRED:
-        if a in acc and b in acc:
-            paired.append({"pair": f"{a} - {b}", **{
-                f"auc_{task}": stats([x - y for x, y in zip(acc[a].get(task, []), acc[b].get(task, []))])
-                for task in ("types", "partof")}})
+    names = models + ("ir-baseline",)
     return {
         "repeats": repeats,
         "run_seeds": run_seeds,
         "auc_mode": "macro",
         "config": {**asdict(cfg), "b_types": b_types, "b_partof": b_partof, "k": k,
                    "split_ratio": ratio},
-        "rows": rows,
-        "paired": paired,
+        "rows": [{"model": name, **cells(name, "types"), **cells(name, "partof")} for name in names],
+        "paired": [{"pair": f"{a} - {b}", **{f"auc_{task}": paired_cell(a, b, task) for task in TASKS}}
+                   for a, b in PAIRED if a in names and b in names],
+        "mean_ms": {name: {task: float(np.mean([r.wall_ms for r in fits[name, task]]))
+                           for task in TASKS if (name, task) in fits} for name in models},
     }
 
 
 def render_table(report: dict) -> str:
-    """Aligned text rendering of a comparison report."""
+    """Aligned text rendering of a comparison report, mean wall ms included."""
 
     def cell(s):
-        if s is None:
-            return "---"
-        return f"{s['mean']:.3f}+-{s['two_sd']:.3f}"
+        return "---" if s is None else f"{s['mean']:.3f}+-{s['two_sd']:.3f}"
 
     def pcell(p):
-        if p is None:
-            return "---"
-        return f"{p['learnable']}/{p['total']}"
+        return "---" if p is None else f"{p['learnable']}/{p['total']}"
 
     def aligned(lines):
         widths = [max(len(r[i]) for r in lines) for i in range(len(lines[0]))]
@@ -312,11 +290,11 @@ def render_table(report: dict) -> str:
     lines = [["Model", "T1 AUC (mean+-2SD)", "T2 AUC (mean+-2SD)", "learnable/total (T1)",
               "learnable/total (T2)", "T1 ms", "T2 ms"]]
     for row in report["rows"]:
+        ms = report["mean_ms"].get(row["model"], {})
         lines.append([
             row["model"], cell(row["auc_types"]), cell(row["auc_partof"]),
             pcell(row["params_types"]), pcell(row["params_partof"]),
-            "---" if row["mean_ms_types"] is None else f"{row['mean_ms_types']:.0f}",
-            "---" if row["mean_ms_partof"] is None else f"{row['mean_ms_partof']:.0f}",
+            *(f"{ms[task]:.0f}" if task in ms else "---" for task in TASKS),
         ])
     out = aligned(lines)
     if report["paired"]:

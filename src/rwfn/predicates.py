@@ -342,7 +342,7 @@ def model_to_spec(model) -> dict:
     raise TypeError(f"cannot serialize model type {type(model).__name__}")
 
 
-def model_from_spec(spec: dict, encoder: RwfnEncoder | None = None, name: str = "model"):
+def model_from_spec(spec: dict, name: str = "model"):
     """The model a spec describes; name is the predicate it grounds, for
     error messages. Non-finite parameter values, and parameters shaped for
     another model or for a stack of heads, refuse to load."""
@@ -350,11 +350,10 @@ def model_from_spec(spec: dict, encoder: RwfnEncoder | None = None, name: str = 
     if version not in (1, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format version {version!r}")
     if spec["kind"] == "rwfn":
-        if encoder is None:
-            missing = [key for key in CHECKSUMS if spec["encoder"].get(key) is None]
-            if version == MODEL_FORMAT_VERSION and missing:
-                raise ValueError(f"model format {version} encoder spec lacks {', '.join(missing)}")
-            encoder = encoder_from_spec(spec["encoder"])
+        missing = [key for key in CHECKSUMS if spec["encoder"].get(key) is None]
+        if version == MODEL_FORMAT_VERSION and missing:
+            raise ValueError(f"model format {version} encoder spec lacks {', '.join(missing)}")
+        encoder = encoder_from_spec(spec["encoder"])
         model = RwfnPredicate(encoder=encoder, beta=np.asarray(spec["beta"], dtype=np.float64), mode=spec["mode"])
         if model.beta.shape != (hidden_dim(encoder, model.mode),):
             raise ValueError(f"predicate {name!r}: beta has shape {model.beta.shape}, "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, pair_features
+from .data import Dataset, inclusion_ratio, pair_features
 from .encoder import EncoderConfig, build_encoder
 from .logic import Atom, GroundedTheory, KnowledgeBase, Not, parse_kb
 from .numerics import make_rng
@@ -32,8 +32,15 @@ def make_rwfn_classifier(input_dim: int, hidden_width: int, seed: int, mode: str
     return RwfnPredicate.create(encoder, mode=mode)
 
 
-def make_ltn_classifier(input_dim: int, seed: int, k: int = DEFAULT_K) -> NtnPredicate:
-    return init_ntn(k, input_dim, make_rng(seed))
+def make_classifier(kind: str, input_dim: int, seed: int, b: int, k: int, mode: str,
+                    registry: SharedEncoderRegistry | None = None) -> RwfnPredicate | NtnPredicate:
+    """A fresh classifier of kind "rwfn" (hidden width b; mode and registry
+    apply) or "ltn" (an NTN of k slices)."""
+    if kind == "rwfn":
+        return make_rwfn_classifier(input_dim, b, seed=seed, mode=mode, registry=registry)
+    if kind == "ltn":
+        return init_ntn(k, input_dim, make_rng(seed))
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +128,6 @@ def partof_scores(model, ds: Dataset) -> tuple:
 
 
 def baseline_ir_scores(ds: Dataset) -> tuple:
-    from .data import inclusion_ratio
-
     scores = np.array([inclusion_ratio(ds.by_id(p.part).bbox, ds.by_id(p.whole).bbox) for p in ds.pairs])
     labels = np.array([p.positive for p in ds.pairs], dtype=int)
     return scores, labels

@@ -162,9 +162,9 @@ def test_criterion_06_synthetic_relative_performance(comparison):
 
 
 def test_criterion_07_runtime_ordering(comparison):
-    rwfn, ltn = row(comparison, "rwfn"), row(comparison, "ltn")
-    rw_ms = rwfn["mean_ms_types"] + rwfn["mean_ms_partof"]
-    ltn_ms = ltn["mean_ms_types"] + ltn["mean_ms_partof"]
+    rwfn, ltn = comparison["mean_ms"]["rwfn"], comparison["mean_ms"]["ltn"]
+    rw_ms = rwfn["types"] + rwfn["partof"]
+    ltn_ms = ltn["types"] + ltn["partof"]
     ratio = rw_ms / ltn_ms
     assert ratio <= 0.75
     announce(7, f"rwfn/ltn mean wall-time ratio {ratio:.2f} (<= 0.75)")

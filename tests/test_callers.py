@@ -10,10 +10,20 @@ imported name, or a string literal (perfbench patches attributes by name).
 An attribute name cannot be tied to one class without type information, so
 the guard misses a method that nothing calls when another class's method,
 or any other attribute, has the same name and is used.
+
+Every defaulted parameter of a module-level function or a method in src/rwfn
+is also passed by some call in those same modules: by keyword, by a
+positional argument that reaches it, or by * or ** unpacking. A default that
+no call overrides is a knob nobody turns. Calls are matched by name (a
+class's __init__ by the class name), so a call to another function or
+method of the same name counts too. The package's exports (rwfn/__init__.py)
+and the console entry point rwfn.cli:main are exempt: callers outside the
+repository may pass their defaults. The opposite waste, a default that
+every call overrides, is not checked.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -105,3 +115,82 @@ def test_guard_sees_an_unused_method():
            "A().used()\n")
     path = Path("m.py")
     assert _unused_methods({path: ast.parse(src)}, [path]) == [("m", "A", "unused"), ("m", "A", "recursive")]
+
+
+def _defs(tree: ast.AST) -> list:
+    """(name, def, callee, offset) of each module-level function and method
+    in tree: name is "f" or "Class.method", callee the name its calls use,
+    and offset the positional slots a call fills before its own arguments
+    (self or cls)."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out.append((node.name, node, node.name, 0))
+        elif isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in m.decorator_list)
+                    callee = node.name if m.name == "__init__" else m.name
+                    out.append((f"{node.name}.{m.name}", m, callee, 0 if static else 1))
+    return out
+
+
+def _defaulted(fn: ast.FunctionDef) -> list:
+    """(parameter, position) of each parameter of fn with a default;
+    position is None for a keyword-only one."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    return ([(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+            + [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None])
+
+
+def _passes(call: ast.Call, param: str, position) -> bool:
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return position is not None and (position < len(call.args)
+                                     or any(isinstance(x, ast.Starred) for x in call.args))
+
+
+def _unturned_defaults(trees: dict, modules: list, exempt: set) -> list:
+    """(module, def, parameter) of each defaulted parameter of the defs of
+    modules that no call in trees passes; exempt holds (module, name) pairs
+    and exported names, whose defs (a class's methods included) are skipped."""
+    calls = defaultdict(list)
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                calls[n.func.id if isinstance(n.func, ast.Name) else n.func.attr].append(n)
+    return [(path.stem, name, param) for path in modules for name, fn, callee, offset in _defs(trees[path])
+            if not exempt & {name.split(".")[0], (path.stem, name)}
+            for param, pos in _defaulted(fn)
+            if not any(_passes(c, param, None if pos is None else pos - offset) for c in calls[callee])]
+
+
+def _exports() -> set:
+    init = ast.parse((ROOT / "src" / "rwfn" / "__init__.py").read_text())
+    return {a.asname or a.name for n in init.body if isinstance(n, ast.ImportFrom) for a in n.names}
+
+
+def unturned_defaults() -> list:
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in _callers()}
+    return _unturned_defaults(trees, _modules(), _exports() | {("cli", "main")})
+
+
+def test_every_default_in_src_is_passed_by_a_caller():
+    assert unturned_defaults() == []
+
+
+def test_guard_sees_an_unturned_default():
+    src = ("def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n\n\n"
+           "def g(a, b=1):\n    return a\n\n\n"
+           "def h(a=1):\n    return a\n\n\n"
+           "class A:\n"
+           "    def __init__(self, x=0):\n        self.x = x\n\n"
+           "    def m(self, y=0):\n        return y\n\n"
+           "    @staticmethod\n    def s(z=0):\n        return z\n\n\n"
+           "f(0, 1, d=2)\ng(*[0, 1])\nh(**{})\nA(1).m()\nA.s(1)\nexported(0)\n\n\n"
+           "def exported(a, b=1):\n    return a\n")
+    path = Path("m.py")
+    assert _unturned_defaults({path: ast.parse(src)}, [path], {"exported"}) == [
+        ("m", "f", "c"), ("m", "f", "e"), ("m", "A.m", "y")]

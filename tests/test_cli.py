@@ -180,6 +180,36 @@ class TestTrainEval:
             payloads.append(report.read_bytes())
         assert payloads[0] == payloads[1]
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda b: [], "top level must be an object, got list"),
+        (lambda b: {**b, "format_version": 99}, "'format_version' must be 1, got 99"),
+        (lambda b: {k: v for k, v in b.items() if k != "format_version"}, "'format_version' must be 1, got None"),
+        (lambda b: {**b, "task": "mystery"}, "'task' must be 'types' or 'partof', got 'mystery'"),
+        (lambda b: {**b, "kind": "svm"}, "'kind' must be 'rwfn' or 'ltn', got 'svm'"),
+        (lambda b: {**b, "split_ratio": "0.8"}, "'split_ratio' must be a float in (0, 1), got '0.8'"),
+        (lambda b: {**b, "split_ratio": 1.5}, "'split_ratio' must be a float in (0, 1), got 1.5"),
+        (lambda b: {**b, "split_seed": 1.5}, "'split_seed' must be an int, got 1.5"),
+        (lambda b: {**b, "split_seed": True}, "'split_seed' must be an int, got True"),
+        (lambda b: {**b, "predicates": {}}, "'predicates' must be a non-empty object of objects"),
+        (lambda b: {**b, "predicates": {"partOf": []}}, "'predicates' must be a non-empty object of objects"),
+        (lambda b: {**b, "predicates": {"isWhole": b["predicates"]["partOf"]}},
+         "'predicates' must hold 'partOf' for task 'partof'"),
+    ], ids=["list", "version-99", "no-version", "task", "kind", "ratio-string", "ratio-range",
+            "seed-float", "seed-bool", "no-predicates", "predicate-list", "no-partOf"])
+    def test_eval_malformed_bundle_runtime_error(self, dataset_path, tmp_path, capsys, edit, message):
+        model = tmp_path / "m.json"
+        assert run_cli(["train", "--model", "rwfn", "--task", "partof",
+                        "--data", str(dataset_path), "--b", "8",
+                        "--epochs", "2", "--budget", "100", "--seed", "0",
+                        "-o", str(model)]) == 0
+        model.write_text(json.dumps(edit(json.loads(model.read_text()))))
+        report = tmp_path / "r.json"
+        code = run_cli(["eval", "--model", str(model), "--data", str(dataset_path), "-o", str(report)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: model bundle {model}: ") and message in err
+        assert not report.exists()
+
     def test_unknown_model_usage_error(self, dataset_path, tmp_path):
         assert run_cli(["train", "--model", "svm", "--task", "types",
                         "--data", str(dataset_path), "-o", str(tmp_path / "m.json")]) == 2
@@ -289,6 +319,20 @@ class TestCompareAblate:
         report = json.loads(out.read_text())
         assert [r["model"] for r in report["rows"]] == ["ltn", "rwfn", "rwfn-shared", "ir-baseline"]
         assert (tmp_path / "cmp.txt").exists()
+
+    def test_compare_reruns_byte_identical(self, dataset_path, tmp_path):
+        outs = [tmp_path / tag / "cmp.json" for tag in ("a", "b")]
+        for out in outs:
+            assert run_cli(["compare", "--data", str(dataset_path), "--models", "rwfn-shared,ltn",
+                            "--repeats", "1", "--epochs", "2", "--budget", "100", "--b-types", "8",
+                            "--b-partof", "8", "--k", "2", "-o", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        # the wall times live in the manifest and the table
+        mean_ms = json.loads(outs[0].with_suffix(".json.manifest.json").read_text())["mean_ms"]
+        assert {name: sorted(ms) for name, ms in mean_ms.items()} == {"rwfn-shared": ["types"],
+                                                                    "ltn": ["partof", "types"]}
+        assert all(ms > 0 for row in mean_ms.values() for ms in row.values())
+        assert "T1 ms" in outs[0].with_suffix(".txt").read_text()
 
     @pytest.mark.parametrize("models, reason", [
         ("foo", "'foo' is not a model"),

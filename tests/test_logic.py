@@ -28,8 +28,8 @@ from rwfn.logic import (
     satisfiability,
 )
 from rwfn.numerics import make_rng
-from rwfn.predicates import LabelPredicate, RwfnPredicate
-from rwfn.tasks import build_partof_theory, make_ltn_classifier, make_rwfn_classifier
+from rwfn.predicates import LabelPredicate, RwfnPredicate, init_ntn
+from rwfn.tasks import build_partof_theory, make_rwfn_classifier
 
 from oracles import luk_and, luk_implies, luk_not, luk_or, truth_of
 
@@ -784,7 +784,7 @@ def golden_partof_theory(kind: str) -> GroundedTheory:
         model = make_rwfn_classifier(2 * ds.n, 4, seed=5)
         model.beta = make_rng(6).standard_normal(8)
     else:
-        model = make_ltn_classifier(2 * ds.n, seed=5, k=2)
+        model = init_ntn(2, 2 * ds.n, make_rng(5))
     return build_partof_theory(ds, model)
 
 

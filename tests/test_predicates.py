@@ -23,7 +23,7 @@ from rwfn.predicates import (
     sigmoid,
     stack,
 )
-from rwfn.tasks import build_partof_theory, build_type_theory, make_ltn_classifier
+from rwfn.tasks import DEFAULT_K, build_partof_theory, build_type_theory
 
 from oracles import truth_of
 
@@ -367,14 +367,14 @@ class TestNtnLiftedKernels:
         # acceptance-shaped data: twelve classes over d=16 rows, k=6
         ds = gen_synthetic(SyntheticConfig(num_scenes=10, seed=3))
         assert (ds.n, len(ds.classes)) == (16, 12)
-        theories = [build_type_theory(ds, c.name, make_ltn_classifier(ds.n, seed=i))
+        theories = [build_type_theory(ds, c.name, init_ntn(DEFAULT_K, ds.n, make_rng(i)))
                     for i, c in enumerate(ds.classes)]
         rows = len(ds.records)
         stats = GroundPlan(merge_theories(theories), 100, make_rng(0)).stats()
         assert stats["cache_bytes"] == rows * (16 * 16 + 16 + 1) * 8
         # the others keep their argument rows
         assert GroundPlan(theories[0], 100, make_rng(0)).stats()["cache_bytes"] == rows * 16 * 8
-        partof = build_partof_theory(ds, make_ltn_classifier(2 * ds.n, seed=0))
+        partof = build_partof_theory(ds, init_ntn(DEFAULT_K, 2 * ds.n, make_rng(0)))
         stats = GroundPlan(partof, 100, make_rng(0)).stats()
         assert stats["cache_bytes"] == stats["atoms"]["partOf"] * 32 * 8
 

@@ -6,12 +6,12 @@ import pytest
 from rwfn.data import SyntheticConfig, gen_synthetic, split
 from rwfn.logic import ForAll, parse_kb, satisfiability
 from rwfn.numerics import make_rng
+from rwfn.predicates import init_ntn
 from rwfn.tasks import (
     baseline_ir_scores,
     build_partof_theory,
     build_type_theory,
     label_predicates,
-    make_ltn_classifier,
     make_rwfn_classifier,
     ontology_kb_text,
     partof_scores,
@@ -78,7 +78,7 @@ class TestTypeTheory:
         models = {}
         for i, c in enumerate(dataset.classes):
             if kind == "ltn":
-                models[c.name] = make_ltn_classifier(dataset.n, seed=i, k=2)
+                models[c.name] = init_ntn(2, dataset.n, make_rng(i))
             else:
                 models[c.name] = make_rwfn_classifier(dataset.n, 8, seed=0 if kind == "rwfn-shared" else i,
                                                       registry=registry)
@@ -110,7 +110,7 @@ class TestPartofTheory:
         assert set(np.unique(labels)) <= {0, 1}
 
     def test_ltn_variant_trains(self, dataset):
-        model = make_ltn_classifier(2 * dataset.n, seed=6, k=2)
+        model = init_ntn(2, 2 * dataset.n, make_rng(6))
         gt = build_partof_theory(dataset, model)
         trace = train(gt, TrainConfig(epochs=5, seed=0, instantiation_budget=200))
         assert len(trace.sat) == 5
