@@ -375,7 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "shared_encoder", False) and (args.model, args.task) != ("rwfn", "types"):
+        # only per-class rwfn classifiers have a frozen encoder to share
+        parser.error(f"--shared-encoder applies to --model rwfn --task types, not --model {args.model} "
+                     f"--task {args.task}")
     try:
         return args.func(args)
     except (CliError, DatasetError, TrainingError, ValueError, OSError, KeyError) as e:

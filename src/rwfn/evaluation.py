@@ -154,8 +154,8 @@ def run_partof(kind: str, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
 # Ablation (branch contributions)
 
 
-def run_ablation(ds: Dataset, cfg: TrainConfig, b_types: int = DEFAULT_B_TYPES,
-                 b_partof: int = DEFAULT_B_PARTOF, ratio: float = 0.8) -> list:
+def run_ablation(ds: Dataset, cfg: TrainConfig, ratio: float, b_types: int = DEFAULT_B_TYPES,
+                 b_partof: int = DEFAULT_B_PARTOF) -> list:
     """Three frozen-encoder variants on an identical split and seeds:
     gated-projection branch only, Fourier branch only, and the full model.
     Ablated branches keep the hidden width, so their decoders have length B
@@ -209,10 +209,9 @@ class FitRecord(NamedTuple):
     params: ParamCount
 
 
-def compare(ds: Dataset, models=COMPARE_MODELS, repeats: int = 5,
+def compare(ds: Dataset, repeats: int, ratio: float, models=COMPARE_MODELS,
             cfg: TrainConfig | None = None, b_types: int = DEFAULT_B_TYPES,
-            b_partof: int = DEFAULT_B_PARTOF, k: int = DEFAULT_K,
-            ratio: float = 0.8) -> dict:
+            b_partof: int = DEFAULT_B_PARTOF, k: int = DEFAULT_K) -> dict:
     """Repeated seeded runs; per model, mean AUC with a 2*SD band and
     parameter counts. The geometric inclusion-ratio baseline is always
     included for the part-of task. For each PAIRED pair whose models both

@@ -304,10 +304,35 @@ def hmean(values: np.ndarray) -> float:
 # domain D; an atom's argument code is sum_j pos(arg_j) * |D|**j, and its key
 # is pred_index * span + code, with span = |D|**(largest arity). Keys are
 # interned with one np.unique, ranked by first occurrence.
+#
+# Symbolic truths can fix a row: in forall x,y: isWhole(x) -> ~partOf(x,y),
+# each row where isWhole(x) is 0 is 1 whatever partOf(x,y) is, and the
+# implication passes partOf no gradient there. With learnable truths free in
+# [0, 1] and symbolic ones at their values, two evaluations of a group's ops
+# (each learnable leaf at the end that lowers, then raises, the formula)
+# bound every op's value on every row. A connective whose gradient mask
+# (_passes) is false over the whole box is dead: its output is its clamp
+# constant, since float +, -, min and max are monotone, and it passes back
+# exactly zero. An atom whose every occurrence lies under a dead op is left
+# out of the batches; it keeps its fixed value, 0, which is inside the box.
+# So, given the live atoms' truths, formula values are bit-identical to
+# evaluating every atom, and so are the live atoms' gradients. Only the
+# model's own row sums run over fewer rows. Quantifiers always pass their
+# gradient down (exists counts as passing it to every body row).
 
 _KIND = {Not: "not", And: "and", Or: "or", Implies: "implies", ForAll: "forall", Exists: "exists"}
 _QUANTIFIERS = ("forall", "exists")
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _passes(kind: str, a, b):
+    """Where a connective of operands a and b passes its gradient on; at
+    the kinks, max(0, .) passes at 0 and min(1, .) stops at 1."""
+    if kind == "and":
+        return (a + b - 1.0) >= 0.0
+    if kind == "or":
+        return (a + b) < 1.0
+    return (1.0 - a + b) < 1.0
 
 
 class _Group:
@@ -325,6 +350,16 @@ class _Group:
         self.leaves = sum(op[0] == "atom" for op in ops)
         self.quantified = any(op[0] in _QUANTIFIERS for op in ops)
         self.slot = slot
+        # +1 for an op whose value rises with the formula's, -1 for one
+        # under an odd number of negations and implication antecedents
+        self.signs = [1] * len(ops)
+        for i in range(len(ops) - 1, -1, -1):
+            op, sign = ops[i], self.signs[i]
+            if op[0] in ("and", "or", "implies"):
+                self.signs[op[1]] = -sign if op[0] == "implies" else sign
+                self.signs[op[2]] = sign
+            elif op[0] != "atom":  # not, or a quantifier
+                self.signs[op[1]] = -sign if op[0] == "not" else sign
         self.rows: list = []   # root positions
         self.pos: list = []    # per leaf, row-major
         self.atoms: list = []  # per leaf, row-major
@@ -336,9 +371,11 @@ class _Batch:
     model: the predicate's own, or the stack of all of them (one head each,
     see predicates.stack). Building the plan rebinds a stack's members to
     views of their heads, so training the model trains them. indices holds
-    the atom of each row, (n,), or of each row and head, (n, heads), as the
-    model's truths; x the rows the model reads (model.lift): an RWFN's
-    frozen hidden layer, an NTN's argument rows or their quadratic lift."""
+    the live atom of each row, (n,), or of each row and head, (n, heads),
+    as the model's truths: a row is kept when one of its atoms has an
+    occurrence that can pass a gradient (see the ground-plan comment). x
+    holds the rows the model reads (model.lift): an RWFN's frozen hidden
+    layer, an NTN's argument rows or their quadratic lift."""
 
     preds: list  # (part, name) of each head
     members: list
@@ -427,6 +464,7 @@ class GroundPlan:
         # input is built once. A part keeps one batch per predicate, so one
         # theory alone runs each predicate's own model.
         self._fixed_values = np.zeros(len(self._atoms))
+        learnable = np.ones(len(self._atoms), dtype=bool)
         pred_of, code_of = np.divmod(self._atoms, self._span)
         same_rows: list = []  # [(pred, model, indices, args), ...] per batch
         for pid, (pred, arity) in enumerate(self._preds.items()):
@@ -435,6 +473,7 @@ class GroundPlan:
             args = self._args(code_of[indices], arity)
             if model.symbolic:
                 self._fixed_values[indices] = model.truth_batch(args, self._index)
+                learnable[indices] = False
                 continue
             member = (pred, model, indices, args)
             for members in same_rows:
@@ -444,14 +483,20 @@ class GroundPlan:
                     break
             else:
                 same_rows.append([member])
+        live = self._live(learnable)
         self.batches: list[_Batch] = []
+        self._live_rows: dict = {}  # (part, name) -> rows of its batch
         constants = np.stack([gt.constants[c] for c in self._domain]) if same_rows else None
         for members in same_rows:
             preds, models, indices, args = zip(*members)
+            indices = indices[0] if len(models) == 1 else np.stack(indices, axis=1)
+            keep = live[indices] if indices.ndim == 1 else live[indices].any(axis=1)
+            self._live_rows.update(dict.fromkeys(preds, int(keep.sum())))
+            if not keep.any():  # its predicates take no gradient from the logic
+                continue
             model = models[0] if len(models) == 1 else stack(models)
             self.batches.append(_Batch(preds=list(preds), members=list(models), model=model,
-                                       indices=indices[0] if len(models) == 1 else np.stack(indices, axis=1),
-                                       x=model.lift(constants, args[0])))
+                                       indices=indices[keep], x=model.lift(constants, args[0][keep])))
 
     def _model(self, key: tuple):
         part, pred = key
@@ -615,8 +660,43 @@ class GroundPlan:
             flat, out[:, j] = np.divmod(flat, d)
         return out
 
+    def _live(self, learnable: np.ndarray) -> np.ndarray:
+        """Whether each atom has an occurrence under no dead op, over
+        learnable truths free in [0, 1] and symbolic ones at their values
+        (see the ground-plan comment)."""
+        live_occ = np.zeros(len(self._occurrences), dtype=bool)
+        for group in self._groups:
+            signs = [group.signs[i] for i, op in enumerate(group.ops) if op[0] == "atom"]  # leaf order
+            corners = []
+            for sign in (-1, 1):  # the formula at its lowest, then at its highest
+                leaves = [np.where(learnable[a], float(s == sign), self._fixed_values[a])
+                          for s, a in zip(signs, group.atoms)]
+                corners.append(self._eval_group(group.ops, leaves))
+            lo = [np.minimum(a, b) for a, b in zip(*corners)]
+            hi = [np.maximum(a, b) for a, b in zip(*corners)]
+            live = [None] * len(group.ops)
+            live[-1] = np.ones(len(group.rows), dtype=bool)
+            for i in range(len(group.ops) - 1, -1, -1):
+                op, mask = group.ops[i], live[i]
+                kind = op[0]
+                if kind == "atom":
+                    live_occ[group.pos[op[1]]] = mask
+                elif kind == "not":
+                    live[op[1]] = mask
+                elif kind in _QUANTIFIERS:
+                    live[op[1]] = np.repeat(mask, op[2])
+                else:
+                    # each operand at the end of its range where the op passes most
+                    mask = mask & _passes(kind, (lo if kind == "or" else hi)[op[1]],
+                                          (hi if kind == "and" else lo)[op[2]])
+                    live[op[1]] = live[op[2]] = mask
+        live = np.zeros(len(self._atoms), dtype=bool)
+        live[self._occurrences[live_occ]] = True
+        return live
+
     def stats(self) -> dict:
-        """What the plan grounded: atoms per predicate, formulas, groups, the
+        """What the plan grounded: atoms per predicate, the live atoms of
+        each learnable one (the rows its batch reads), formulas, groups, the
         instantiations of each quantifier (counting every enclosing one) and
         whether they were sampled, and the bytes of the rows its batches
         keep (model.lift). A plan over several parts gives its parts,
@@ -628,12 +708,13 @@ class GroundPlan:
         return {**self.part_stats(0), **shared}
 
     def part_stats(self, part: int) -> dict:
-        """A part's atoms per predicate, formulas, and quantifiers, with its
-        formulas numbered from 0."""
+        """A part's atoms per predicate, live atoms per learnable one,
+        formulas, and quantifiers, with its formulas numbered from 0."""
         counts = np.bincount(self._atoms // self._span, minlength=len(self._preds))
         lo, hi = self._slices[part].start, self._slices[part].stop
         return {
             "atoms": {pred: int(n) for (p, pred), n in zip(self._preds, counts) if p == part},
+            "live_atoms": {pred: n for (p, pred), n in self._live_rows.items() if p == part},
             "roots": int(hi - lo),
             "quantifiers": [{"formula": int(i - lo), "variables": list(v), "instantiations": n, "sampled": s}
                             for i, v, n, s in self._quantifiers if lo <= i < hi],
@@ -654,12 +735,13 @@ class GroundPlan:
         return values, forward
 
     @staticmethod
-    def _eval_group(group: _Group, atom_values: np.ndarray) -> list:
+    def _eval_group(ops: tuple, leaves: list) -> list:
+        """Each op's values, given each leaf's."""
         out = []
-        for op in group.ops:
+        for op in ops:
             kind = op[0]
             if kind == "atom":
-                v = atom_values[group.atoms[op[1]]]
+                v = leaves[op[1]]
             elif kind == "not":
                 v = 1.0 - out[op[1]]
             elif kind == "and":
@@ -678,7 +760,7 @@ class GroundPlan:
 
     def _forward(self) -> tuple:
         atom_values, forward = self._atom_values()
-        per_group = [self._eval_group(g, atom_values) for g in self._groups]
+        per_group = [self._eval_group(g.ops, [atom_values[a] for a in g.atoms]) for g in self._groups]
         values = np.empty(len(self.roots))
         for group, out in zip(self._groups, per_group):
             values[group.rows] = out[-1]
@@ -711,14 +793,7 @@ class GroundPlan:
             elif kind == "not":
                 grads[op[1]] = -g
             elif kind in ("and", "or", "implies"):
-                a, b = out[op[1]], out[op[2]]
-                # subgradients at the kinks: max(0, .) passes at 0, min(1, .) stops at 1
-                if kind == "and":
-                    g = g * ((a + b - 1.0) >= 0.0)
-                elif kind == "or":
-                    g = g * ((a + b) < 1.0)
-                else:
-                    g = g * ((1.0 - a + b) < 1.0)
+                g = g * _passes(kind, out[op[1]], out[op[2]])
                 grads[op[1]] = -g if kind == "implies" else g
                 grads[op[2]] = g
             elif kind == "forall":

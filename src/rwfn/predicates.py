@@ -342,7 +342,7 @@ def model_to_spec(model) -> dict:
     raise TypeError(f"cannot serialize model type {type(model).__name__}")
 
 
-def model_from_spec(spec: dict, name: str = "model"):
+def model_from_spec(spec: dict, name: str):
     """The model a spec describes; name is the predicate it grounds, for
     error messages. Non-finite parameter values, and parameters shaped for
     another model or for a stack of heads, refuse to load."""

@@ -25,8 +25,8 @@ DEFAULT_B_TYPES = 200
 DEFAULT_B_PARTOF = 400
 
 
-def make_rwfn_classifier(input_dim: int, hidden_width: int, seed: int, mode: str = "full",
-                         registry: SharedEncoderRegistry | None = None) -> RwfnPredicate:
+def make_rwfn_classifier(input_dim: int, hidden_width: int, seed: int, mode: str,
+                         registry: SharedEncoderRegistry | None) -> RwfnPredicate:
     cfg = EncoderConfig(input_dim=input_dim, hidden_width=hidden_width, seed=seed)
     encoder = registry.get_or_build(cfg) if registry is not None else build_encoder(cfg)
     return RwfnPredicate.create(encoder, mode=mode)

@@ -39,7 +39,7 @@ def sii_dataset():
 @pytest.fixture(scope="module")
 def comparison(sii_dataset):
     cfg = TrainConfig(epochs=200, seed=0, instantiation_budget=1000)
-    return compare(sii_dataset, repeats=5, cfg=cfg)
+    return compare(sii_dataset, repeats=5, ratio=0.8, cfg=cfg)
 
 
 def row(report, name):
@@ -140,8 +140,8 @@ def test_criterion_05_frozen_encoder_and_sharing():
     n, b = 64, 200
     for i in (1, 5, 11):
         reg = SharedEncoderRegistry()
-        shared = [make_rwfn_classifier(n, b, seed=0, registry=reg) for _ in range(i)]
-        private = [make_rwfn_classifier(n, b, seed=j) for j in range(i)]
+        shared = [make_rwfn_classifier(n, b, seed=0, mode="full", registry=reg) for _ in range(i)]
+        private = [make_rwfn_classifier(n, b, seed=j, mode="full", registry=None) for j in range(i)]
         assert stored_floats(shared) == 2 * n * b + b + 2 * b * i
         assert stored_floats(private) == (2 * n + 3) * b * i
     announce(5, "encoder frozen through training; shared == private bit-exact; "
@@ -172,7 +172,7 @@ def test_criterion_07_runtime_ordering(comparison):
 
 def test_criterion_08_ablation_protocol(sii_dataset):
     cfg = TrainConfig(epochs=100, seed=0, instantiation_budget=500)
-    rows = run_ablation(sii_dataset, cfg, b_types=200, b_partof=400)
+    rows = run_ablation(sii_dataset, cfg, ratio=0.8, b_types=200, b_partof=400)
     assert len(rows) == 3
     by = {r["variant"]: r for r in rows}
     assert by["full"]["decoder_len_types"] == 400 and by["full"]["decoder_len_partof"] == 800

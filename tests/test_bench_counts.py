@@ -3,8 +3,8 @@
 perfbench/layers.py counts a predicate call's rows as the length of its
 first argument, and the hidden cache as the hidden_features calls made
 while a plan is built. Both hold only while a plan's batches keep the rows
-their models read (model.lift), one row per atom, and an RWFN lift is its
-one hidden_features call.
+their models read (model.lift), one row per live atom, and an RWFN lift is
+its one hidden_features call.
 """
 
 import sys
@@ -26,9 +26,10 @@ TINY = {
 }
 
 
-def learnable_atoms(plan) -> int:
+def atoms(plan, key: str) -> int:
+    """The plan's learnable atoms (key "atoms") or live atoms ("live_atoms")."""
     parts = plan.gt.parts or [plan.gt]
-    return sum(n for i, part in enumerate(parts) for pred, n in plan.part_stats(i)["atoms"].items()
+    return sum(n for i, part in enumerate(parts) for pred, n in plan.part_stats(i)[key].items()
                if pred in part.learnable_predicates())
 
 
@@ -54,7 +55,9 @@ def test_traced_counts_follow_the_plans(monkeypatch, task):
         rows = 0
         for p in mine:
             assert all(len(b.x) == len(b.indices) for b in p.batches)
-            assert sum(b.indices.size for b in p.batches) == learnable_atoms(p)
+            assert sum(b.indices.size for b in p.batches) == atoms(p, "live_atoms")
+            if task == "partof":
+                assert atoms(p, "live_atoms") < atoms(p, "atoms")
             rows += sum(len(b.indices) for b in p.batches)
         # each plan's epoch makes one forward and one gradient call per batch
         assert metrics[f"predicates.rows_per_epoch.{kind}"] == 2 * rows / len(mine)

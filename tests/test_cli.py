@@ -112,8 +112,9 @@ class TestTrainEval:
             for i in range(5)
         ]
         assert plan["groups"] == 4
-        # the plan keeps 2B = 16 hidden features per atom at B=8, and nothing more
-        assert plan["cache_bytes"] == plan["atoms"]["partOf"] * 16 * 8
+        # the plan keeps 2B = 16 hidden features per live atom at B=8, and nothing more
+        assert plan["cache_bytes"] == plan["live_atoms"]["partOf"] * 16 * 8
+        assert plan["live_atoms"]["partOf"] < plan["atoms"]["partOf"]
         for artifact in (model, tmp_path / "m.json.trace.json"):
             assert "plans" not in artifact.read_text()
             assert "environment" not in artifact.read_text()
@@ -130,7 +131,8 @@ class TestTrainEval:
         records = {plan["roots"] for plan in plans.values()}
         assert len(records) == 1
         for name, plan in plans.items():
-            assert plan == {"atoms": {name: plan["roots"]}, "roots": plan["roots"], "quantifiers": []}
+            assert plan == {"atoms": {name: plan["roots"]}, "live_atoms": {name: plan["roots"]},
+                            "roots": plan["roots"], "quantifiers": []}
         # the merged plan: its two literal shapes and one cache, not one per
         # class; the NTN stack (six k=6 heads over d=10 rows) runs on lifted rows
         n = records.pop()
@@ -139,6 +141,15 @@ class TestTrainEval:
         for artifact in (model, tmp_path / "m.json.trace.json"):
             for field in ("plans", "lockstep", "cache_bytes", "groups"):
                 assert field not in artifact.read_text()
+
+    @pytest.mark.parametrize("model_kind, task", [("ltn", "types"), ("rwfn", "partof"), ("ltn", "partof")])
+    def test_shared_encoder_without_an_encoder_to_share_usage_error(self, dataset_path, tmp_path, capsys,
+                                                                     model_kind, task):
+        model = tmp_path / "m.json"
+        assert run_cli(["train", "--model", model_kind, "--task", task, "--data", str(dataset_path),
+                        "--shared-encoder", "--epochs", "1", "-o", str(model)]) == 2
+        assert f"not --model {model_kind} --task {task}" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_train_determinism(self, dataset_path, tmp_path):
         outs = []

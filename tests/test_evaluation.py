@@ -190,7 +190,7 @@ def small_cfg():
 
 class TestAblation:
     def test_three_variants_and_decoder_lengths(self):
-        rows = run_ablation(small_dataset(), small_cfg(), b_types=16, b_partof=16)
+        rows = run_ablation(small_dataset(), small_cfg(), ratio=0.8, b_types=16, b_partof=16)
         assert [r["variant"] for r in rows] == ["albm", "rff", "full"]
         for r in rows:
             expect = 32 if r["variant"] == "full" else 16
@@ -202,7 +202,7 @@ class TestAblation:
 
 class TestCompare:
     def test_report_structure(self):
-        report = compare(small_dataset(), repeats=2, cfg=small_cfg(), b_types=16, b_partof=16, k=2)
+        report = compare(small_dataset(), repeats=2, ratio=0.8, cfg=small_cfg(), b_types=16, b_partof=16, k=2)
         names = [r["model"] for r in report["rows"]]
         assert names == ["ltn", "rwfn", "rwfn-shared", "ir-baseline"]
         by_name = {r["model"]: r for r in report["rows"]}
@@ -226,7 +226,7 @@ class TestCompare:
         assert "rwfn - ltn" in render_table(report)
 
     def test_table_rendering(self):
-        report = compare(small_dataset(), models=("rwfn",), repeats=1,
+        report = compare(small_dataset(), models=("rwfn",), repeats=1, ratio=0.8,
                          cfg=small_cfg(), b_types=8, b_partof=8)
         table = render_table(report)
         lines = table.splitlines()
@@ -246,9 +246,9 @@ class TestCompare:
     ])
     def test_models_validation(self, models, reason):
         with pytest.raises(ValueError, match=reason) as err:
-            compare(small_dataset(), models=models, repeats=1, cfg=small_cfg())
+            compare(small_dataset(), models=models, repeats=1, ratio=0.8, cfg=small_cfg())
         assert "ltn, rwfn, rwfn-shared" in str(err.value)
 
     def test_repeats_validation(self):
         with pytest.raises(ValueError):
-            compare(small_dataset(), repeats=0, cfg=small_cfg())
+            compare(small_dataset(), repeats=0, ratio=0.8, cfg=small_cfg())

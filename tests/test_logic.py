@@ -18,6 +18,7 @@ from rwfn.logic import (
     GroundedTheory,
     GroundPlan,
     Implies,
+    HMEAN_EPS,
     MAX_DEPTH,
     KbSyntaxError,
     KnowledgeBase,
@@ -682,12 +683,17 @@ def test_grounding_matches_recursive_oracle(fs, seed, budget, rng_seed):
     for g in plan._groups:
         assert all(np.array_equal(a, plan._occurrences[p]) for a, p in zip(g.atoms, g.pos))
     assert np.array_equal(plan._fixed_values, want["truths"])
-    # Q and R have their own encoders and arities: one batch each
-    assert [b.preds for b in plan.batches] == [[(0, pred)] for pred in want["inputs"]]
+    # Q and R have their own encoders and arities: one batch each, over the
+    # atoms that can take a gradient, in order (TestFold checks which)
+    live = plan.stats()["live_atoms"]
+    assert list(live) == list(want["inputs"])
+    inputs = [(pred, *want["inputs"][pred]) for pred in live if live[pred]]
+    assert [b.preds for b in plan.batches] == [[(0, pred)] for pred, _, _ in inputs]
     table = np.stack([gt.constants[c] for c in sorted(gt.constants)])
-    for b, (indices, args) in zip(plan.batches, want["inputs"].values()):
-        assert np.array_equal(b.indices, indices)
-        assert np.array_equal(b.x, b.model.lift(table, args))
+    for b, (pred, indices, args) in zip(plan.batches, inputs):
+        kept = np.isin(indices, b.indices)
+        assert np.array_equal(b.indices, np.asarray(indices)[kept]) and len(b.indices) == live[pred]
+        assert np.array_equal(b.x, b.model.lift(table, args[kept]))
 
 
 def test_plan_is_freed_without_the_cycle_collector():
@@ -721,8 +727,9 @@ def test_plan_stats():
     ]
     assert (stats["roots"], stats["groups"]) == (3, 3)
     assert list(stats["atoms"]) == ["R", "Q", "P"] and stats["atoms"]["P"] == 3
-    # Q and R keep their 2B = 8 float64 hidden features per atom, and nothing more
-    assert stats["cache_bytes"] == 64 * (stats["atoms"]["Q"] + stats["atoms"]["R"])
+    assert list(stats["live_atoms"]) == ["R", "Q"]
+    # Q and R keep their 2B = 8 float64 hidden features per live atom, and nothing more
+    assert stats["cache_bytes"] == 64 * (stats["live_atoms"]["Q"] + stats["live_atoms"]["R"])
 
 
 @pytest.mark.parametrize("text, n_constants, match", [
@@ -781,7 +788,7 @@ def test_exists_tie_goes_to_first_instantiation():
 def golden_partof_theory(kind: str) -> GroundedTheory:
     ds = gen_synthetic(SyntheticConfig(num_scenes=4, num_whole_classes=2, negative_ratio=2.0, seed=21))
     if kind == "rwfn":
-        model = make_rwfn_classifier(2 * ds.n, 4, seed=5)
+        model = make_rwfn_classifier(2 * ds.n, 4, seed=5, mode="full", registry=None)
         model.beta = make_rng(6).standard_normal(8)
     else:
         model = init_ntn(2, 2 * ds.n, make_rng(5))
@@ -844,6 +851,122 @@ def test_golden_values(name):
         assert np.allclose(grads[pred][param], expected, rtol=0.0, atol=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# Folding: the plan's batches read the live atoms only
+
+
+def full_evaluation(plan: GroundPlan) -> tuple:
+    """Formula values, satisfiabilities, per-atom gradients and, per
+    learnable predicate, its atoms and its parameter gradients, with every
+    learnable atom evaluated through its model and the plan's group ops and
+    backprop run over all of them.
+
+    A model's forward pass over more rows can round a row's truth
+    differently (BLAS GEMV blocks rows), so the atoms the plan's batches
+    keep take the truths those batches give, after a check that the full
+    pass agrees within 1e-12; the atoms the plan leaves out take their
+    full-pass truths."""
+    table = np.stack([plan.gt.constants[c] for c in plan._domain])
+    values = plan._fixed_values.copy()
+    pred_of, code_of = np.divmod(plan._atoms, plan._span)
+    inputs = {}
+    for pid, ((_, pred), arity) in enumerate(plan._preds.items()):
+        model = plan.gt.predicates[pred]
+        if not model.symbolic:
+            indices = np.flatnonzero(pred_of == pid)
+            x = model.lift(table, plan._args(code_of[indices], arity))
+            values[indices] = model.forward_batch(x)
+            inputs[pred] = (model, indices, x)
+    for b in plan.batches:
+        kept = b.model.forward_batch(b.x)
+        assert np.allclose(values[b.indices], kept, rtol=0.0, atol=1e-12)
+        values[b.indices] = kept
+    per_group = [plan._eval_group(g.ops, [values[a] for a in g.atoms]) for g in plan._groups]
+    formula_values = np.empty(len(plan.roots))
+    for g, out in zip(plan._groups, per_group):
+        formula_values[g.rows] = out[-1]
+    sats = plan._part_satisfiabilities(formula_values)
+    upstream = np.repeat(sats * sats / plan._counts, plan._counts) / (formula_values + HMEAN_EPS) ** 2
+    occ_grads = np.empty(len(plan._occurrences))
+    for g, out in zip(plan._groups, per_group):
+        plan._backprop_group(g, out, upstream[g.rows], occ_grads)
+    atom_grads = np.bincount(plan._occurrences, weights=occ_grads, minlength=len(plan._atoms))
+    grads = {pred: (indices, model.gradient_batch(x, atom_grads[indices]))
+             for pred, (model, indices, x) in inputs.items()}
+    return formula_values, sats, atom_grads, grads
+
+
+def assert_fold_exact(gt: GroundedTheory, budget: int = 10**6, rng=None) -> tuple:
+    """The plan against full_evaluation: values and satisfiability equal,
+    gradients within 1e-12, and every atom the batches leave out gets
+    exactly zero gradient. Returns the plan and the dropped atoms."""
+    plan = GroundPlan(gt, budget, rng if rng is not None else make_rng(0))
+    want_values, want_sats, atom_grads, want_grads = full_evaluation(plan)
+    assert np.array_equal(plan.formula_values(), want_values)
+    sats, grads = plan.satisfiability_with_grads()
+    assert np.array_equal(sats, want_sats)
+    got = {b.preds[0][1]: g for b, g in zip(plan.batches, grads)}
+    for pred, (_, expected) in want_grads.items():
+        for name, g in expected.items():
+            assert np.allclose(got[pred][name] if pred in got else 0.0, g, rtol=0.0, atol=1e-12)
+    learnable = np.concatenate([indices for indices, _ in want_grads.values()] + [np.array([], dtype=int)])
+    dropped = np.setdiff1d(learnable, [a for b in plan.batches for a in b.indices])
+    assert np.all(atom_grads[dropped] == 0.0)
+    return plan, dropped
+
+
+def fold_theory(text: str, p: float = 0.0) -> GroundedTheory:
+    """oracle_theory(4) with P fixed at p on every constant."""
+    gt = oracle_theory(4)
+    gt.predicates["P"] = LabelPredicate({(c,): p for c in DOMAIN})
+    gt.kb.formulas = parse_kb("pred P/1\npred Q/1\npred R/2\n" + text).formulas
+    return gt
+
+
+class TestFold:
+    @pytest.mark.parametrize("kind", ["ltn", "rwfn"])
+    def test_golden_partof_folds_exactly(self, kind):
+        plan, dropped = assert_fold_exact(golden_partof_theory(kind), 60, make_rng(2))
+        stats = plan.stats()
+        assert len(dropped) > 0
+        assert stats["live_atoms"]["partOf"] == stats["atoms"]["partOf"] - len(dropped)
+
+    def test_nested_quantifiers_fold_exactly(self):
+        assert_fold_exact(golden_nested_theory(), 4, make_rng(2))
+
+    @given(kbs, st.integers(0, 50), st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=3, max_size=3),
+           st.sampled_from([4, 10**6]))
+    @settings(max_examples=80, deadline=None)
+    def test_random_theories_fold_exactly(self, fs, seed, p, budget):
+        gt = oracle_theory(seed)
+        gt.predicates["P"] = LabelPredicate({(c,): v for c, v in zip(DOMAIN, p)})
+        gt.kb.formulas = fs + [rename_constants(f) for f in fs]
+        assert_fold_exact(gt, budget, make_rng(seed))
+
+    @pytest.mark.parametrize("text, p, live", [
+        # max(0, q + 0 - 1) passes its gradient at q == 1 exactly
+        ("forall x: Q(x) & P(x)", 0.0, {"Q": 3}),
+        ("forall x: ~(P(x) & Q(x))", 0.0, {"Q": 3}),
+        # min(1, 1 - 0 + q) is 1 for every q, and stops the gradient
+        ("forall x: P(x) -> Q(x)", 0.0, {"Q": 0}),
+        ("forall x: Q(x) | P(x)", 1.0, {"Q": 0}),
+        ("forall x: Q(x) | P(x)", 0.5, {"Q": 3}),
+        # exists passes a gradient to one body row, but which one can change
+        ("exists x: Q(x)", 0.0, {"Q": 3}),
+        ("exists x: P(x) -> Q(x)", 0.0, {"Q": 0}),
+        # dead in its first occurrence, live in its second
+        ("(P(a) -> Q(b)) & Q(b)", 0.0, {"Q": 1}),
+        ("P(a) -> Q(b)\nQ(b)", 0.0, {"Q": 1}),
+        # a dead op below a live one
+        ("forall x: Q(x) | ~(P(x) | R(x,x))", 1.0, {"Q": 3, "R": 0}),
+        ("forall x: ~((Q(x) & P(x)) & P(x))", 0.0, {"Q": 0}),
+    ])
+    def test_kinks(self, text, p, live):
+        plan, _ = assert_fold_exact(fold_theory(text, p))
+        assert plan.stats()["live_atoms"] == live
+        assert [b.preds for b in plan.batches] == [[(0, pred)] for pred, n in live.items() if n]
+
+
 def test_traced_run_sees_the_hidden_cache_and_batches(monkeypatch):
     # the benchmark's traced run times rwfn.predicates.hidden_features and
     # counts its rows and bytes, and counts len(x) of each forward and
@@ -868,7 +991,9 @@ def test_traced_run_sees_the_hidden_cache_and_batches(monkeypatch):
     for name in ("forward_batch", "gradient_batch"):
         monkeypatch.setattr(RwfnPredicate, name, counting(getattr(RwfnPredicate, name)))
     plan = GroundPlan(golden_partof_theory("rwfn"), 60, make_rng(2))
-    atoms = plan.stats()["atoms"]["partOf"]
+    stats = plan.stats()
+    atoms = stats["live_atoms"]["partOf"]
+    assert atoms < stats["atoms"]["partOf"]
     assert hidden_calls == [(atoms, 8)]  # 2B features at B=4
     plan.satisfiability_with_grads()
     assert batch_rows == [("forward_batch", atoms), ("gradient_batch", atoms)]

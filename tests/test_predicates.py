@@ -376,7 +376,8 @@ class TestNtnLiftedKernels:
         assert GroundPlan(theories[0], 100, make_rng(0)).stats()["cache_bytes"] == rows * 16 * 8
         partof = build_partof_theory(ds, init_ntn(DEFAULT_K, 2 * ds.n, make_rng(0)))
         stats = GroundPlan(partof, 100, make_rng(0)).stats()
-        assert stats["cache_bytes"] == stats["atoms"]["partOf"] * 32 * 8
+        assert stats["cache_bytes"] == stats["live_atoms"]["partOf"] * 32 * 8
+        assert stats["live_atoms"]["partOf"] < stats["atoms"]["partOf"]
 
 
 class TestInit:
@@ -440,44 +441,44 @@ class TestLabelPredicate:
 class TestSerialization:
     def test_rwfn_round_trip(self):
         model = RwfnPredicate(encoder=small_encoder(5), beta=make_rng(12).standard_normal(32))
-        clone = model_from_spec(model_to_spec(model))
+        clone = model_from_spec(model_to_spec(model), name="model")
         v = make_rng(13).random((1, 8))
         assert np.array_equal(truths(clone, v), truths(model, v))
         assert np.array_equal(clone.beta, model.beta)
 
     def test_ntn_round_trip(self):
         model = init_ntn(3, 8, make_rng(14))
-        clone = model_from_spec(model_to_spec(model))
+        clone = model_from_spec(model_to_spec(model), name="model")
         v = make_rng(15).random((1, 8))
         assert np.array_equal(truths(clone, v), truths(model, v))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            model_from_spec({"format_version": 1, "kind": "mystery"})
+            model_from_spec({"format_version": 1, "kind": "mystery"}, name="model")
 
     @pytest.mark.parametrize("block", ["gate", "fourier", "phase"])
     def test_tampered_block_checksum_refuses_to_load(self, block):
         spec = model_to_spec(RwfnPredicate.create(small_encoder(5)))
         spec["encoder"][f"{block}_checksum"] = "0" * 64
         with pytest.raises(ValueError, match=f"{block} checksum mismatch"):
-            model_from_spec(spec)
+            model_from_spec(spec, name="model")
 
     def test_missing_block_checksum_refuses_to_load(self):
         spec = model_to_spec(RwfnPredicate.create(small_encoder(5)))
         del spec["encoder"]["fourier_checksum"]
         with pytest.raises(ValueError, match="lacks fourier_checksum"):
-            model_from_spec(spec)
+            model_from_spec(spec, name="model")
 
     def test_version_1_loads_with_gate_check_only(self):
         model = RwfnPredicate(encoder=small_encoder(5), beta=make_rng(12).standard_normal(32))
         spec = model_to_spec(model)
         spec["format_version"] = 1
         del spec["encoder"]["fourier_checksum"], spec["encoder"]["phase_checksum"]
-        clone = model_from_spec(spec)
+        clone = model_from_spec(spec, name="model")
         assert np.array_equal(clone.encoder.fourier, model.encoder.fourier)
         spec["encoder"]["gate_checksum"] = "0" * 64
         with pytest.raises(ValueError, match="gate checksum mismatch"):
-            model_from_spec(spec)
+            model_from_spec(spec, name="model")
 
     def test_label_truth_batch_matches_truth_of(self):
         domain = ["a", "b", "c"]
@@ -514,4 +515,4 @@ class TestSerialization:
         spec = model_to_spec(init_ntn(2, 4, make_rng(0)))
         spec["format_version"] = 99
         with pytest.raises(ValueError):
-            model_from_spec(spec)
+            model_from_spec(spec, name="model")

@@ -53,20 +53,20 @@ class TestOntology:
 
 class TestTypeTheory:
     def test_one_literal_per_record(self, dataset):
-        model = make_rwfn_classifier(dataset.n, 8, seed=0)
+        model = make_rwfn_classifier(dataset.n, 8, seed=0, mode="full", registry=None)
         gt = build_type_theory(dataset, dataset.classes[0].name, model)
         assert len(gt.kb.formulas) == len(dataset.records)
         assert set(gt.constants) == {r.id for r in dataset.records}
 
     def test_training_raises_satisfiability(self, dataset):
-        model = make_rwfn_classifier(dataset.n, 16, seed=1)
+        model = make_rwfn_classifier(dataset.n, 16, seed=1, mode="full", registry=None)
         gt = build_type_theory(dataset, dataset.classes[0].name, model)
         before = satisfiability(gt)
         train(gt, TrainConfig(epochs=30, seed=0))
         assert satisfiability(gt) > before
 
     def test_type_scores_shape(self, dataset):
-        model = make_rwfn_classifier(dataset.n, 8, seed=2)
+        model = make_rwfn_classifier(dataset.n, 8, seed=2, mode="full", registry=None)
         out = type_scores({"whole0": model}, dataset)
         scores, labels = out["whole0"]
         assert len(scores) == len(labels) == len(dataset.records)
@@ -81,7 +81,7 @@ class TestTypeTheory:
                 models[c.name] = init_ntn(2, dataset.n, make_rng(i))
             else:
                 models[c.name] = make_rwfn_classifier(dataset.n, 8, seed=0 if kind == "rwfn-shared" else i,
-                                                      registry=registry)
+                                                      mode="full", registry=registry)
             for p in models[c.name].learnable_params().values():
                 p[...] = make_rng(50 + i).standard_normal(p.shape)
         lifts = []
@@ -97,14 +97,14 @@ class TestTypeTheory:
 
 class TestPartofTheory:
     def test_formula_census(self, dataset):
-        model = make_rwfn_classifier(2 * dataset.n, 8, seed=3)
+        model = make_rwfn_classifier(2 * dataset.n, 8, seed=3, mode="full", registry=None)
         gt = build_partof_theory(dataset, model)
         n_axioms = 3 + len(dataset.whole_classes())
         assert len(gt.kb.formulas) == len(dataset.pairs) + n_axioms
         assert gt.learnable_predicates().keys() == {"partOf"}
 
     def test_partof_scores(self, dataset):
-        model = make_rwfn_classifier(2 * dataset.n, 8, seed=5)
+        model = make_rwfn_classifier(2 * dataset.n, 8, seed=5, mode="full", registry=None)
         scores, labels = partof_scores(model, dataset)
         assert len(scores) == len(dataset.pairs)
         assert set(np.unique(labels)) <= {0, 1}

@@ -261,8 +261,8 @@ class TestSharing:
         counts = {}
         for i in (1, 5, 11):
             reg = SharedEncoderRegistry()
-            shared = [make_rwfn_classifier(n, b, seed=0, registry=reg) for _ in range(i)]
-            private = [make_rwfn_classifier(n, b, seed=j) for j in range(i)]
+            shared = [make_rwfn_classifier(n, b, seed=0, mode="full", registry=reg) for _ in range(i)]
+            private = [make_rwfn_classifier(n, b, seed=j, mode="full", registry=None) for j in range(i)]
             counts[i] = stored_floats(shared), stored_floats(private)
             assert counts[i][0] == 2 * n * b + b + 2 * b * i
             assert counts[i][1] == (2 * n + 3) * b * i
@@ -315,7 +315,7 @@ def assert_lockstep_matches(build, cfg, preds=("P", "U")):
         expected = train(ref, cfg)
         assert np.allclose(trace.loss, expected.loss, rtol=0.0, atol=1e-12)
         assert np.allclose(trace.sat, expected.sat, rtol=0.0, atol=1e-12)
-        assert trace.plan == {key: expected.plan[key] for key in ("atoms", "roots", "quantifiers")}
+        assert trace.plan == {key: expected.plan[key] for key in ("atoms", "live_atoms", "roots", "quantifiers")}
         for pred in preds:
             params, want = gt.predicates[pred].learnable_params(), ref.predicates[pred].learnable_params()
             assert params.keys() == want.keys()
