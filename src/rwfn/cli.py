@@ -248,7 +248,7 @@ def cmd_params(args) -> int:
 
     ltn = count_params(init_ntn(args.k, args.n, make_rng(0)))
     enc = build_encoder(EncoderConfig(input_dim=args.n, hidden_width=args.b,
-                                      fan_in=min(7, args.n - 1), seed=0))
+                                      fan_in=min(EncoderConfig.fan_in, args.n - 1), seed=0))
     rw = count_params(RwfnPredicate.create(enc))
     print(f"ltn  (n={args.n}, k={args.k}): total={ltn.total} learnable={ltn.learnable}")
     print(f"rwfn (n={args.n}, B={args.b}): total={rw.total} learnable={rw.learnable}")
@@ -300,11 +300,12 @@ def open_unit_float(text: str) -> float:
 
 
 def _add_train_flags(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=positive_int, default=1000)
-    p.add_argument("--lr", type=finite_float, default=0.01)
-    p.add_argument("--l2", type=finite_float, default=1e-10)
-    p.add_argument("--budget", type=positive_int, default=10_000, help="quantifier instantiation budget")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--epochs", type=positive_int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=finite_float, default=TrainConfig.learning_rate)
+    p.add_argument("--l2", type=finite_float, default=TrainConfig.l2)
+    p.add_argument("--budget", type=positive_int, default=TrainConfig.instantiation_budget,
+                   help="quantifier instantiation budget")
     p.add_argument("--split-ratio", type=open_unit_float, default=0.8)
     p.add_argument("--k", type=positive_int, default=DEFAULT_K)
 
@@ -316,12 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synth", help="generate a synthetic scene dataset")
     p.add_argument("--scenes", type=positive_int, required=True)
-    p.add_argument("--wholes", type=positive_int, default=4)
-    p.add_argument("--parts-per-whole", type=positive_int, default=2)
-    p.add_argument("--noise", type=finite_float, default=0.1)
-    p.add_argument("--jitter", type=finite_float, default=0.02)
-    p.add_argument("--neg-ratio", type=finite_float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--wholes", type=positive_int, default=SyntheticConfig.num_whole_classes)
+    p.add_argument("--parts-per-whole", type=positive_int, default=SyntheticConfig.parts_per_whole)
+    p.add_argument("--noise", type=finite_float, default=SyntheticConfig.feature_noise)
+    p.add_argument("--jitter", type=finite_float, default=SyntheticConfig.geometry_jitter)
+    p.add_argument("--neg-ratio", type=finite_float, default=SyntheticConfig.negative_ratio)
+    p.add_argument("--seed", type=int, default=SyntheticConfig.seed)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen_synth)
 
@@ -329,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("rwfn", "ltn"), required=True)
     p.add_argument("--task", choices=("types", "partof"), required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--b", type=positive_int, default=None, help="hidden width (default 200 types / 400 partof)")
+    p.add_argument("--b", type=positive_int, default=None,
+                   help=f"hidden width (default {DEFAULT_B_TYPES} types / {DEFAULT_B_PARTOF} partof)")
     p.add_argument("--shared-encoder", action="store_true")
     _add_train_flags(p)
     p.add_argument("-o", "--output", required=True)
@@ -367,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="parameter-count table")
     p.add_argument("--n", type=input_width, default=64)
-    p.add_argument("--b", type=positive_int, default=200)
+    p.add_argument("--b", type=positive_int, default=DEFAULT_B_TYPES)
     p.add_argument("--k", type=positive_int, default=DEFAULT_K)
     p.set_defaults(func=cmd_params)
 

@@ -182,7 +182,7 @@ def inclusion_ratio(b: tuple, b2: tuple) -> float:
     return ix * iy / area
 
 
-def pair_features(ds: Dataset, part: BoxRecord, whole: BoxRecord) -> np.ndarray:
+def pair_features(part: BoxRecord, whole: BoxRecord) -> np.ndarray:
     return np.concatenate([part.features, whole.features])
 
 

@@ -115,8 +115,7 @@ def fourier_features(enc: RwfnEncoder, x: np.ndarray, out: np.ndarray | None = N
     return np.multiply(np.sqrt(2.0 / enc.hidden_width), z, out=z if out is None else out)
 
 
-def hidden_features(enc: RwfnEncoder, v: np.ndarray, mode: str = "full",
-                    args: np.ndarray | None = None) -> np.ndarray:
+def hidden_features(enc: RwfnEncoder, v: np.ndarray, mode: str, args: np.ndarray | None) -> np.ndarray:
     """Hidden representation of the rows v, (n, input_dim), for a branch
     selection.
 
@@ -240,7 +239,7 @@ def _gather(table: np.ndarray, rows: np.ndarray, buffer: np.ndarray) -> np.ndarr
     return np.take(table, rows, axis=0, out=buffer[:len(rows)], mode="clip")
 
 
-def hidden_dim(enc: RwfnEncoder, mode: str = "full") -> int:
+def hidden_dim(enc: RwfnEncoder, mode: str) -> int:
     if mode == "full":
         return 2 * enc.hidden_width
     if mode in ("albm", "rff"):

@@ -154,8 +154,7 @@ def run_partof(kind: str, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
 # Ablation (branch contributions)
 
 
-def run_ablation(ds: Dataset, cfg: TrainConfig, ratio: float, b_types: int = DEFAULT_B_TYPES,
-                 b_partof: int = DEFAULT_B_PARTOF) -> list:
+def run_ablation(ds: Dataset, cfg: TrainConfig, ratio: float, b_types: int, b_partof: int) -> list:
     """Three frozen-encoder variants on an identical split and seeds:
     gated-projection branch only, Fourier branch only, and the full model.
     Ablated branches keep the hidden width, so their decoders have length B
@@ -209,9 +208,8 @@ class FitRecord(NamedTuple):
     params: ParamCount
 
 
-def compare(ds: Dataset, repeats: int, ratio: float, models=COMPARE_MODELS,
-            cfg: TrainConfig | None = None, b_types: int = DEFAULT_B_TYPES,
-            b_partof: int = DEFAULT_B_PARTOF, k: int = DEFAULT_K) -> dict:
+def compare(ds: Dataset, repeats: int, ratio: float, models, cfg: TrainConfig, b_types: int, b_partof: int,
+            k: int) -> dict:
     """Repeated seeded runs; per model, mean AUC with a 2*SD band and
     parameter counts. The geometric inclusion-ratio baseline is always
     included for the part-of task. For each PAIRED pair whose models both
@@ -221,7 +219,6 @@ def compare(ds: Dataset, repeats: int, ratio: float, models=COMPARE_MODELS,
     models = check_models(models)
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    cfg = cfg or TrainConfig()
     run_seeds = [int(s) for s in make_rng(cfg.seed).integers(0, 2**31 - 1, size=repeats)]
 
     fits = defaultdict(list)  # (model, task) -> one FitRecord per seed

@@ -663,7 +663,10 @@ class GroundPlan:
     def _live(self, learnable: np.ndarray) -> np.ndarray:
         """Whether each atom has an occurrence under no dead op, over
         learnable truths free in [0, 1] and symbolic ones at their values
-        (see the ground-plan comment)."""
+        (see the ground-plan comment). With no symbolic leaf no op is
+        dead, so every atom is live."""
+        if learnable.all():
+            return learnable
         live_occ = np.zeros(len(self._occurrences), dtype=bool)
         for group in self._groups:
             signs = [group.signs[i] for i, op in enumerate(group.ops) if op[0] == "atom"]  # leaf order
@@ -723,16 +726,15 @@ class GroundPlan:
     # -- evaluation --------------------------------------------------------
 
     def _atom_values(self) -> tuple[np.ndarray, list]:
-        """Truth of every atom, plus each batch's hidden layer and truths,
+        """Truth of every atom, plus what each batch's forward_batch saved
         for its gradient."""
         values = self._fixed_values.copy()
-        forward = []
+        saved = []
         for b in self.batches:
-            h = b.model.hidden_batch(b.x)
-            p = b.model.forward_batch(b.x, hidden=h)
-            values[b.indices] = p
-            forward.append((h, p))
-        return values, forward
+            truths, state = b.model.forward_batch(b.x)
+            values[b.indices] = truths
+            saved.append(state)
+        return values, saved
 
     @staticmethod
     def _eval_group(ops: tuple, leaves: list) -> list:
@@ -759,12 +761,12 @@ class GroundPlan:
         return out
 
     def _forward(self) -> tuple:
-        atom_values, forward = self._atom_values()
+        atom_values, saved = self._atom_values()
         per_group = [self._eval_group(g.ops, [atom_values[a] for a in g.atoms]) for g in self._groups]
         values = np.empty(len(self.roots))
         for group, out in zip(self._groups, per_group):
             values[group.rows] = out[-1]
-        return values, per_group, forward
+        return values, per_group, saved
 
     def formula_values(self) -> np.ndarray:
         return self._forward()[0]
@@ -812,7 +814,7 @@ class GroundPlan:
         gradient of their sum, {param: grad}, with respect to its model's
         parameters. A head's atoms lie in one part, so its gradient is that
         part's alone."""
-        values, per_group, forward = self._forward()
+        values, per_group, saved = self._forward()
         sats = self._part_satisfiabilities(values)
         upstream = np.repeat(sats * sats / self._counts, self._counts) / (values + HMEAN_EPS) ** 2
         occ_grads = np.empty(len(self._occurrences))
@@ -820,8 +822,8 @@ class GroundPlan:
             self._backprop_group(group, out, upstream[group.rows], occ_grads)
         # summed in grounding order, whatever the grouping
         atom_grads = np.bincount(self._occurrences, weights=occ_grads, minlength=len(self._atoms))
-        grads = [b.model.gradient_batch(b.x, atom_grads[b.indices], hidden=h, truth=p)
-                 for b, (h, p) in zip(self.batches, forward)]
+        grads = [b.model.gradient_batch(b.x, atom_grads[b.indices], state)
+                 for b, state in zip(self.batches, saved)]
         return sats, grads
 
 

@@ -9,15 +9,17 @@ concatenated rows table[args].reshape(n, -1). lift decides the rows every
 batch call reads. An RWFN reads its frozen hidden layer, so a ground plan
 encodes its atoms once. An NTN reads the gathered rows, or, when it is
 wide enough (lifts), their quadratic lift, on which its pre-activation and
-its dW, dV and db are one GEMM each. The batch calls are hidden_batch(x),
-forward_batch(x, hidden) and gradient_batch(x, upstream, hidden, truth),
-so a caller computes the hidden layer and the forward truths once and
-passes them on. Learnable models with equal stack_key() read their rows
-the same way, so stack(models) makes one model of K heads that gives a
-row's K truths in one pass; each member's learnable arrays become views
-of its head, so training the stack in place trains the members. A third,
-non-learnable family grounds predicates directly from dataset labels; it
-is used for ontology axioms whose truth is known.
+its dW, dV and db are one GEMM each. The batch calls are two:
+forward_batch(x) returns the truths and what their gradient needs, and
+gradient_batch(x, upstream, saved) takes that back. An RWFN saves its
+truths, an NTN its hidden layer tanh(s) and its truths, so the NTN's
+hidden layer runs inside its forward call. Learnable models with equal
+stack_key() read their rows the same way, so stack(models) makes one
+model of K heads that gives a row's K truths in one pass; each member's
+learnable arrays become views of its head, so training the stack in
+place trains the members. A third, non-learnable family grounds
+predicates directly from dataset labels; it is used for ontology axioms
+whose truth is known.
 """
 
 from __future__ import annotations
@@ -100,27 +102,20 @@ class RwfnPredicate:
         # beta = 0 gives output 0.5 everywhere, a deterministic neutral start
         return cls(encoder=encoder, beta=np.zeros(hidden_dim(encoder, mode)), mode=mode)
 
-    @property
-    def input_dim(self) -> int:
-        return self.encoder.input_dim
-
     def lift(self, table: np.ndarray, args: np.ndarray | None = None) -> np.ndarray:
         """The frozen hidden layer of the rows the batch calls read
         (hidden_features)."""
         return hidden_features(self.encoder, table, self.mode, args)
 
-    def hidden_batch(self, h: np.ndarray) -> np.ndarray:
-        return h
+    def forward_batch(self, h: np.ndarray) -> tuple:
+        """The truths of the hidden rows h, twice: gradient_batch needs
+        them alone."""
+        p = sigmoid(h @ self.beta)
+        return p, p
 
-    def forward_batch(self, h: np.ndarray, hidden: np.ndarray | None = None) -> np.ndarray:
-        return sigmoid((h if hidden is None else hidden) @ self.beta)
-
-    def gradient_batch(self, h: np.ndarray, upstream: np.ndarray, hidden: np.ndarray | None = None,
-                       truth: np.ndarray | None = None) -> dict:
-        """d(sum_i upstream_i * out_i)/d beta, with truth = forward_batch(h)
-        when the caller has it. The encoder receives no gradient."""
-        h = h if hidden is None else hidden
-        p = sigmoid(h @ self.beta) if truth is None else truth
+    def gradient_batch(self, h: np.ndarray, upstream: np.ndarray, p: np.ndarray) -> dict:
+        """d(sum_i upstream_i * out_i)/d beta, p being the truths
+        forward_batch(h) saved. The encoder receives no gradient."""
         return {"beta": h.T @ (np.asarray(upstream) * p * (1.0 - p))}
 
     def learnable_params(self) -> dict:
@@ -173,39 +168,35 @@ class NtnPredicate:
             x = x[args].reshape(len(args), -1)
         return quadratic_lift(x) if lifts(self.u.size, self.input_dim) else x
 
-    def hidden_batch(self, x: np.ndarray) -> np.ndarray:
-        """tanh(s), s[n, i] = x_n^T W_i x_n + (V x_n)_i + b_i, over the
-        flattened slices of every head."""
-        x = np.asarray(x, dtype=np.float64)
-        s, d = self.u.size, self.input_dim
-        if self._lifted(x):
-            theta = np.concatenate([self.w.reshape(s, d * d), self.v.reshape(s, d), self.b.reshape(s, 1)], axis=1)
-            return np.tanh(x @ theta.T)
-        if x.shape[1] != d:
-            raise ValueError(f"input dim {x.shape[1]} != {d}")
-        w2 = self.w.reshape(s, d, d).transpose(1, 0, 2).reshape(d, s * d)  # w2[j, i*d + e] = W_i[j, e]
-        rows = block_rows(s, d)
-        quad = np.empty((len(x), s))
-        for lo in range(0, len(x), rows):
-            xb = x[lo:lo + rows]
-            quad[lo:lo + len(xb)] = np.einsum("nie,ne->ni", (xb @ w2).reshape(len(xb), s, d), xb)
-        return np.tanh(quad + x @ self.v.reshape(s, d).T + self.b.ravel())
-
     def _heads(self, t: np.ndarray) -> np.ndarray:
         """(n, K, k) view of a stack's hidden layer."""
         return t.reshape(len(t), *self.u.shape)
 
-    def forward_batch(self, x: np.ndarray, hidden: np.ndarray | None = None) -> np.ndarray:
-        t = self.hidden_batch(x) if hidden is None else hidden
-        if self.u.ndim == 1:
-            return sigmoid(t @ self.u)
-        return sigmoid(np.einsum("nhi,hi->nh", self._heads(t), self.u))
-
-    def gradient_batch(self, x: np.ndarray, upstream: np.ndarray, hidden: np.ndarray | None = None,
-                       truth: np.ndarray | None = None) -> dict:
+    def forward_batch(self, x: np.ndarray) -> tuple:
+        """The truths of the rows x, and (t, truths) for gradient_batch, t
+        being the hidden layer tanh(s), s[n, i] = x_n^T W_i x_n + (V x_n)_i
+        + b_i, over the flattened slices of every head."""
         x = np.asarray(x, dtype=np.float64)
-        t = self.hidden_batch(x) if hidden is None else hidden
-        p = self.forward_batch(x, hidden=t) if truth is None else truth
+        s, d = self.u.size, self.input_dim
+        if self._lifted(x):
+            theta = np.concatenate([self.w.reshape(s, d * d), self.v.reshape(s, d), self.b.reshape(s, 1)], axis=1)
+            t = np.tanh(x @ theta.T)
+        else:
+            if x.shape[1] != d:
+                raise ValueError(f"input dim {x.shape[1]} != {d}")
+            w2 = self.w.reshape(s, d, d).transpose(1, 0, 2).reshape(d, s * d)  # w2[j, i*d + e] = W_i[j, e]
+            rows = block_rows(s, d)
+            quad = np.empty((len(x), s))
+            for lo in range(0, len(x), rows):
+                xb = x[lo:lo + rows]
+                quad[lo:lo + len(xb)] = np.einsum("nie,ne->ni", (xb @ w2).reshape(len(xb), s, d), xb)
+            t = np.tanh(quad + x @ self.v.reshape(s, d).T + self.b.ravel())
+        p = sigmoid(t @ self.u) if self.u.ndim == 1 else sigmoid(np.einsum("nhi,hi->nh", self._heads(t), self.u))
+        return p, (t, p)
+
+    def gradient_batch(self, x: np.ndarray, upstream: np.ndarray, saved: tuple) -> dict:
+        x = np.asarray(x, dtype=np.float64)
+        t, p = saved
         dz = np.asarray(upstream) * p * (1.0 - p)  # (n,), or (n, K) for a stack
         th = self._heads(t)
         du = t.T @ dz if self.u.ndim == 1 else np.einsum("nhi,nh->hi", th, dz)
@@ -344,8 +335,9 @@ def model_to_spec(model) -> dict:
 
 def model_from_spec(spec: dict, name: str):
     """The model a spec describes; name is the predicate it grounds, for
-    error messages. Non-finite parameter values, and parameters shaped for
-    another model or for a stack of heads, refuse to load."""
+    error messages. Non-finite parameter values, parameters shaped for
+    another model or for a stack of heads, and an NTN's k or in_dim that
+    its parameters contradict, refuse to load."""
     version = spec.get("format_version")
     if version not in (1, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format version {version!r}")
@@ -367,6 +359,9 @@ def model_from_spec(spec: dict, name: str):
         )
         if model.u.ndim != 1:
             raise ValueError(f"predicate {name!r}: parameters with a heads axis are a stack of models")
+        if (spec.get("k"), spec.get("in_dim")) != (model.slices, model.input_dim):
+            raise ValueError(f"predicate {name!r}: k={spec.get('k')!r}, in_dim={spec.get('in_dim')!r} disagree "
+                             f"with parameters of {model.slices} slices of width {model.input_dim}")
     else:
         raise ValueError(f"unknown model kind {spec['kind']!r}")
     for param, value in model.learnable_params().items():

@@ -67,7 +67,7 @@ def type_scores(models: dict, ds: Dataset) -> dict:
         if model.stack_key() != key:
             key, rows = model.stack_key(), model.lift(x)
         labels = np.array([cname in r.labels for r in ds.records], dtype=int)
-        out[cname] = (model.forward_batch(rows), labels)
+        out[cname] = (model.forward_batch(rows)[0], labels)
     return out
 
 
@@ -122,9 +122,9 @@ def build_partof_theory(ds: Dataset, model) -> GroundedTheory:
 def partof_scores(model, ds: Dataset) -> tuple:
     if not ds.pairs:
         raise ValueError("dataset has no part-of pairs to score")
-    x = np.stack([pair_features(ds, ds.by_id(p.part), ds.by_id(p.whole)) for p in ds.pairs])
+    x = np.stack([pair_features(ds.by_id(p.part), ds.by_id(p.whole)) for p in ds.pairs])
     labels = np.array([p.positive for p in ds.pairs], dtype=int)
-    return model.forward_batch(model.lift(x)), labels
+    return model.forward_batch(model.lift(x))[0], labels
 
 
 def baseline_ir_scores(ds: Dataset) -> tuple:

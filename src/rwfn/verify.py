@@ -49,7 +49,7 @@ def _gradient_error(model, x: np.ndarray, upstream: np.ndarray, forward_rows: np
     step = 1e-5
     lifted = model.lift(x)
     forward_rows = lifted if forward_rows is None else forward_rows
-    analytic = model.gradient_batch(lifted, upstream)
+    analytic = model.gradient_batch(lifted, upstream, model.forward_batch(lifted)[1])
     worst = 0.0
     for pname, arr in model.learnable_params().items():
         numeric = np.empty_like(arr)
@@ -57,9 +57,9 @@ def _gradient_error(model, x: np.ndarray, upstream: np.ndarray, forward_rows: np
         for i in range(flat.size):
             saved = flat[i]
             flat[i] = saved + step
-            hi = model.forward_batch(forward_rows)
+            hi = model.forward_batch(forward_rows)[0]
             flat[i] = saved - step
-            lo = model.forward_batch(forward_rows)
+            lo = model.forward_batch(forward_rows)[0]
             flat[i] = saved
             nflat[i] = np.sum(upstream * (hi - lo)) / (2 * step)
         worst = max(worst, _rel_err(analytic[pname], numeric))

@@ -12,11 +12,11 @@ import pytest
 from rwfn.cli import main as cli_main
 from rwfn.data import SyntheticConfig, gen_synthetic
 from rwfn.encoder import EncoderConfig, build_encoder
-from rwfn.evaluation import compare, pr_auc, run_ablation
+from rwfn.evaluation import COMPARE_MODELS, compare, pr_auc, run_ablation
 from rwfn.logic import Atom, GroundedTheory, GroundPlan, KnowledgeBase, Not, parse_kb
 from rwfn.numerics import make_rng
 from rwfn.predicates import LabelPredicate, RwfnPredicate, count_params, init_ntn
-from rwfn.tasks import make_rwfn_classifier
+from rwfn.tasks import DEFAULT_B_PARTOF, DEFAULT_B_TYPES, DEFAULT_K, make_rwfn_classifier
 from rwfn.training import SharedEncoderRegistry, TrainConfig, train
 from rwfn.verify import gradcheck_ntn, gradcheck_rwfn, kernel_error_study
 
@@ -39,7 +39,8 @@ def sii_dataset():
 @pytest.fixture(scope="module")
 def comparison(sii_dataset):
     cfg = TrainConfig(epochs=200, seed=0, instantiation_budget=1000)
-    return compare(sii_dataset, repeats=5, ratio=0.8, cfg=cfg)
+    return compare(sii_dataset, repeats=5, ratio=0.8, models=COMPARE_MODELS, cfg=cfg, b_types=DEFAULT_B_TYPES,
+                   b_partof=DEFAULT_B_PARTOF, k=DEFAULT_K)
 
 
 def row(report, name):

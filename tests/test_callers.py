@@ -18,8 +18,16 @@ no call overrides is a knob nobody turns. Calls are matched by name (a
 class's __init__ by the class name), so a call to another function or
 method of the same name counts too. The package's exports (rwfn/__init__.py)
 and the console entry point rwfn.cli:main are exempt: callers outside the
-repository may pass their defaults. The opposite waste, a default that
-every call overrides, is not checked.
+repository may pass their defaults.
+
+The opposite waste is checked too: a default that every call overrides,
+which no call uses, so the parameter might as well be required. Here a
+call counts only when it surely passes the parameter, by keyword or by a
+positional argument before any * unpacking, and a def needs at least one
+call (the check above catches one with none). A def that is also called
+through a reference, such as a callback or perfbench's wrappers, is
+judged by its direct calls alone; the wrappers forward every argument.
+The same exemptions hold.
 """
 
 import ast
@@ -35,6 +43,10 @@ def _modules() -> list:
 
 def _callers() -> list:
     return _modules() + sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
+
+
+def _source_trees() -> dict:
+    return {path: ast.parse(path.read_text(), str(path)) for path in _callers()}
 
 
 def _names(node: ast.AST) -> Counter:
@@ -55,7 +67,7 @@ def _names(node: ast.AST) -> Counter:
 def unused_names() -> list:
     """(module, name) of each module-level function or class of src/rwfn
     that no caller names outside the definition itself."""
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in _callers()}
+    trees = _source_trees()
     mentions = sum((_names(tree) for tree in trees.values()), Counter())
     return [(path.stem, node.name) for path in _modules() for node in trees[path].body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -84,7 +96,7 @@ def _unused_methods(trees: dict, modules: list) -> list:
 
 
 def unused_methods() -> list:
-    return _unused_methods({path: ast.parse(path.read_text(), str(path)) for path in _callers()}, _modules())
+    return _unused_methods(_source_trees(), _modules())
 
 
 def test_every_module_level_name_in_src_has_a_caller():
@@ -145,26 +157,50 @@ def _defaulted(fn: ast.FunctionDef) -> list:
             + [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None])
 
 
-def _passes(call: ast.Call, param: str, position) -> bool:
-    if any(k.arg in (param, None) for k in call.keywords):
+def _passes(call: ast.Call, param: str, position, surely: bool = False) -> bool:
+    """Whether call may pass param, position being its slot among the
+    positional arguments (None for a keyword-only one); * and ** unpacking
+    may pass anything. With surely, whether it does pass it: by keyword, or
+    by a positional argument before any * unpacking."""
+    if any(k.arg == param or (k.arg is None and not surely) for k in call.keywords):
         return True
-    return position is not None and (position < len(call.args)
-                                     or any(isinstance(x, ast.Starred) for x in call.args))
+    if position is None:
+        return False
+    plain = next((i for i, x in enumerate(call.args) if isinstance(x, ast.Starred)), len(call.args))
+    return position < plain or (not surely and plain < len(call.args))
 
 
-def _unturned_defaults(trees: dict, modules: list, exempt: set) -> list:
-    """(module, def, parameter) of each defaulted parameter of the defs of
-    modules that no call in trees passes; exempt holds (module, name) pairs
-    and exported names, whose defs (a class's methods included) are skipped."""
+def _defaulted_params(trees: dict, modules: list, exempt: set):
+    """(module, def, parameter, calls, position) of each defaulted parameter
+    of the defs of modules, with every call in trees of the def's name and
+    the parameter's slot among a call's positional arguments; exempt holds
+    (module, name) pairs and exported names, whose defs (a class's methods
+    included) are skipped."""
     calls = defaultdict(list)
     for tree in trees.values():
         for n in ast.walk(tree):
             if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
                 calls[n.func.id if isinstance(n.func, ast.Name) else n.func.attr].append(n)
-    return [(path.stem, name, param) for path in modules for name, fn, callee, offset in _defs(trees[path])
-            if not exempt & {name.split(".")[0], (path.stem, name)}
-            for param, pos in _defaulted(fn)
-            if not any(_passes(c, param, None if pos is None else pos - offset) for c in calls[callee])]
+    for path in modules:
+        for name, fn, callee, offset in _defs(trees[path]):
+            if exempt & {name.split(".")[0], (path.stem, name)}:
+                continue
+            for param, pos in _defaulted(fn):
+                yield path.stem, name, param, calls[callee], None if pos is None else pos - offset
+
+
+def _unturned_defaults(trees: dict, modules: list, exempt: set) -> list:
+    """(module, def, parameter) of each defaulted parameter that no call
+    passes."""
+    return [(module, name, param) for module, name, param, calls, pos in _defaulted_params(trees, modules, exempt)
+            if not any(_passes(c, param, pos) for c in calls)]
+
+
+def _overridden_defaults(trees: dict, modules: list, exempt: set) -> list:
+    """(module, def, parameter) of each defaulted parameter that every call,
+    of one or more, surely passes."""
+    return [(module, name, param) for module, name, param, calls, pos in _defaulted_params(trees, modules, exempt)
+            if calls and all(_passes(c, param, pos, surely=True) for c in calls)]
 
 
 def _exports() -> set:
@@ -172,9 +208,16 @@ def _exports() -> set:
     return {a.asname or a.name for n in init.body if isinstance(n, ast.ImportFrom) for a in n.names}
 
 
+def _exempt() -> set:
+    return _exports() | {("cli", "main")}
+
+
 def unturned_defaults() -> list:
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in _callers()}
-    return _unturned_defaults(trees, _modules(), _exports() | {("cli", "main")})
+    return _unturned_defaults(_source_trees(), _modules(), _exempt())
+
+
+def overridden_defaults() -> list:
+    return _overridden_defaults(_source_trees(), _modules(), _exempt())
 
 
 def test_every_default_in_src_is_passed_by_a_caller():
@@ -194,3 +237,33 @@ def test_guard_sees_an_unturned_default():
     path = Path("m.py")
     assert _unturned_defaults({path: ast.parse(src)}, [path], {"exported"}) == [
         ("m", "f", "c"), ("m", "f", "e"), ("m", "A.m", "y")]
+
+
+def test_every_default_in_src_is_used_by_a_caller():
+    assert overridden_defaults() == []
+
+
+def test_guard_sees_a_default_every_call_overrides():
+    src = ("def f(a, b=1, c=2, *, d=3):\n    return a\n\n\n"
+           "def g(a=1, b=2):\n    return a\n\n\n"
+           "def h(a=1):\n    return a\n\n\n"
+           "def never(a=1):\n    return a\n\n\n"
+           "class A:\n"
+           "    def __init__(self, x=0):\n        self.x = x\n\n"
+           "    def m(self, y=0, z=0):\n        return y\n\n"
+           "    @staticmethod\n    def s(w=0):\n        return w\n\n\n"
+           "f(0, 1, d=2)\nf(0, b=1, d=3)\n"
+           "g(1, *[2])\ng(*[1])\n"
+           "h(**{'a': 1})\n"
+           "A(1).m(1)\nA(x=2).m(y=2, z=1)\n"
+           "A.s(1)\n"
+           "exported(0, 1)\n\n\n"
+           "def exported(a, b=1):\n    return a\n")
+    path = Path("m.py")
+    trees = {path: ast.parse(src)}
+    # not flagged: f's c (f(0, 1, d=2) skips it), g's a (g(*[1]) may not
+    # reach it), h's a (** may not hold it), never's a (no call) and the
+    # exported def; a def with no call is the unturned guard's
+    assert _overridden_defaults(trees, [path], {"exported"}) == [
+        ("m", "f", "b"), ("m", "f", "d"), ("m", "A.__init__", "x"), ("m", "A.m", "y"), ("m", "A.s", "w")]
+    assert _unturned_defaults(trees, [path], {"exported"}) == [("m", "f", "c"), ("m", "never", "a")]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import platform
@@ -7,7 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from rwfn.cli import main
+from rwfn.cli import build_parser, main
+from rwfn.data import SyntheticConfig
+from rwfn.tasks import DEFAULT_B_TYPES, DEFAULT_K
+from rwfn.training import TrainConfig
 
 
 def run_cli(args):
@@ -221,6 +225,20 @@ class TestTrainEval:
         assert err.startswith(f"error: model bundle {model}: ") and message in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("field", ["k", "in_dim"])
+    def test_eval_ntn_spec_contradicting_its_arrays_runtime_error(self, dataset_path, tmp_path, capsys, field):
+        model = tmp_path / "m.json"
+        assert run_cli(["train", "--model", "ltn", "--task", "partof", "--data", str(dataset_path), "--k", "2",
+                        "--epochs", "2", "--budget", "100", "--seed", "0", "-o", str(model)]) == 0
+        bundle = json.loads(model.read_text())
+        bundle["predicates"]["partOf"][field] += 1
+        model.write_text(json.dumps(bundle))
+        report = tmp_path / "r.json"
+        assert run_cli(["eval", "--model", str(model), "--data", str(dataset_path), "-o", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: predicate 'partOf': ") and f"{field}=" in err and "disagree" in err
+        assert not report.exists()
+
     def test_unknown_model_usage_error(self, dataset_path, tmp_path):
         assert run_cli(["train", "--model", "svm", "--task", "types",
                         "--data", str(dataset_path), "-o", str(tmp_path / "m.json")]) == 2
@@ -388,6 +406,31 @@ class TestParams:
         assert "total=24972" in out
         assert "total=26200" in out
         assert "400:24972" in out
+
+    def test_defaults_are_the_type_task_widths(self):
+        args = build_parser().parse_args(["params"])
+        assert (args.b, args.k) == (DEFAULT_B_TYPES, DEFAULT_K)
+
+
+# flag dest -> the config field it sets
+TRAIN_FLAGS = {"seed": "seed", "epochs": "epochs", "lr": "learning_rate", "l2": "l2",
+               "budget": "instantiation_budget"}
+SYNTH_FLAGS = {"wholes": "num_whole_classes", "parts_per_whole": "parts_per_whole", "noise": "feature_noise",
+               "jitter": "geometry_jitter", "neg_ratio": "negative_ratio", "seed": "seed"}
+
+
+@pytest.mark.parametrize("argv, config, flags", [
+    (["gen-synth", "--scenes", "1", "-o", "d.json"], SyntheticConfig, SYNTH_FLAGS),
+    (["train", "--model", "rwfn", "--task", "types", "--data", "d.json", "-o", "m.json"], TrainConfig, TRAIN_FLAGS),
+    (["compare", "--data", "d.json", "-o", "r.json"], TrainConfig, TRAIN_FLAGS),
+    (["ablate", "--data", "d.json", "-o", "r.json"], TrainConfig, TRAIN_FLAGS),
+], ids=["gen-synth", "train", "compare", "ablate"])
+def test_parser_defaults_are_the_config_defaults(argv, config, flags):
+    args = build_parser().parse_args(argv)
+    defaults = {f.name: f.default for f in dataclasses.fields(config)}
+    assert {flag: getattr(args, flag) for flag in flags} == {flag: defaults[field] for flag, field in flags.items()}
+    if argv[0] != "gen-synth":
+        assert args.k == DEFAULT_K
 
 
 def test_console_script_entrypoint():

@@ -106,7 +106,7 @@ class TestPairFeatures:
     def test_concat_order(self):
         ds = tiny_dataset()
         part, whole = ds.by_id("p"), ds.by_id("w")
-        f = pair_features(ds, part, whole)
+        f = pair_features(part, whole)
         assert f.shape == (12,)
         assert np.array_equal(f[:6], part.features)
         assert np.array_equal(f[6:], whole.features)
@@ -114,7 +114,7 @@ class TestPairFeatures:
     def test_order_matters(self):
         ds = tiny_dataset()
         a, b = ds.by_id("p"), ds.by_id("w")
-        assert not np.array_equal(pair_features(ds, a, b), pair_features(ds, b, a))
+        assert not np.array_equal(pair_features(a, b), pair_features(b, a))
 
 
 class TestGenerator:

@@ -109,42 +109,42 @@ class TestFourier:
 class TestEncode:
     def test_zero_phase_fixture(self):
         enc = fixture_encoder(np.eye(4), np.zeros((4, 4)), np.zeros(4))
-        h = hidden_features(enc, np.zeros((1, 4)))[0]
+        h = hidden_features(enc, np.zeros((1, 4)), "full", None)[0]
         assert np.allclose(h[:4], 0.0)
         assert np.allclose(h[4:], np.tanh(np.sqrt(2.0 / 4.0)))
 
     def test_length_and_range(self):
         enc = small_encoder()
-        h = hidden_features(enc, np.random.default_rng(2).random((1, 8)))
+        h = hidden_features(enc, np.random.default_rng(2).random((1, 8)), "full", None)
         assert h.shape == (1, 32)
         assert (np.abs(h) < 1.0).all()
 
     def test_batch_matches_single(self):
         enc = small_encoder()
         x = np.random.default_rng(3).random((5, 8))
-        batch = hidden_features(enc, x)
-        assert np.allclose(batch[2], hidden_features(enc, x[2:3])[0])
+        batch = hidden_features(enc, x, "full", None)
+        assert np.allclose(batch[2], hidden_features(enc, x[2:3], "full", None)[0])
 
     def test_single_vector_rejected(self):
         with pytest.raises(ValueError, match="input must have length 8"):
-            hidden_features(small_encoder(), np.zeros(8))
+            hidden_features(small_encoder(), np.zeros(8), "full", None)
 
     def test_out_of_range_warns(self):
         enc = small_encoder()
         with pytest.warns(UserWarning):
-            hidden_features(enc, np.full((1, 8), 2.0))
+            hidden_features(enc, np.full((1, 8), 2.0), "full", None)
 
     def test_modes(self):
         enc = small_encoder()
         v = np.random.default_rng(4).random((1, 8))
-        assert hidden_features(enc, v, "albm").shape == (1, 16)
-        assert hidden_features(enc, v, "rff").shape == (1, 16)
-        full = hidden_features(enc, v, "full")
-        assert np.allclose(full[:, :16], hidden_features(enc, v, "albm"))
-        assert np.allclose(full[:, 16:], hidden_features(enc, v, "rff"))
+        assert hidden_features(enc, v, "albm", None).shape == (1, 16)
+        assert hidden_features(enc, v, "rff", None).shape == (1, 16)
+        full = hidden_features(enc, v, "full", None)
+        assert np.allclose(full[:, :16], hidden_features(enc, v, "albm", None))
+        assert np.allclose(full[:, 16:], hidden_features(enc, v, "rff", None))
         assert hidden_dim(enc, "full") == 32 and hidden_dim(enc, "albm") == 16
         with pytest.raises(ValueError):
-            hidden_features(enc, v, "bogus")
+            hidden_features(enc, v, "bogus", None)
 
 
 def slot_case(arity, n, seed=0, constants=7, d=3, b=16):
@@ -167,7 +167,7 @@ class TestSlotTables:
     @pytest.mark.parametrize("arity", [2, 3])
     def test_matches_concatenated_rows(self, arity, mode, n):
         enc, table, args = slot_case(arity, n)
-        expected = hidden_features(enc, table[args].reshape(n, -1), mode)
+        expected = hidden_features(enc, table[args].reshape(n, -1), mode, None)
         got = hidden_features(enc, table, mode, args)
         assert got.shape == expected.shape == (n, hidden_dim(enc, mode))
         assert np.abs(got - expected).max() <= 1e-12
@@ -176,7 +176,7 @@ class TestSlotTables:
     def test_one_slot_is_bit_identical(self, mode):
         enc, table, args = slot_case(1, 300)
         assert np.array_equal(hidden_features(enc, table, mode, args),
-                              hidden_features(enc, table[args[:, 0]], mode))
+                              hidden_features(enc, table[args[:, 0]], mode, None))
 
     def test_lift_gathers_the_same_rows(self):
         enc, table, args = slot_case(2, 50)
@@ -291,5 +291,5 @@ class TestSerialization:
 @settings(max_examples=25, deadline=None)
 def test_encode_bounded_for_any_seed(seed):
     enc = build_encoder(EncoderConfig(input_dim=6, hidden_width=8, fan_in=2, seed=seed))
-    h = hidden_features(enc, np.random.default_rng(seed).random((1, 6)))
+    h = hidden_features(enc, np.random.default_rng(seed).random((1, 6)), "full", None)
     assert (np.abs(h) < 1.0).all()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rwfn.data import SyntheticConfig, gen_synthetic
 from rwfn.evaluation import (
+    COMPARE_MODELS,
     PrCurve,
     auc,
     compare,
@@ -202,7 +203,8 @@ class TestAblation:
 
 class TestCompare:
     def test_report_structure(self):
-        report = compare(small_dataset(), repeats=2, ratio=0.8, cfg=small_cfg(), b_types=16, b_partof=16, k=2)
+        report = compare(small_dataset(), repeats=2, ratio=0.8, models=COMPARE_MODELS, cfg=small_cfg(), b_types=16,
+                         b_partof=16, k=2)
         names = [r["model"] for r in report["rows"]]
         assert names == ["ltn", "rwfn", "rwfn-shared", "ir-baseline"]
         by_name = {r["model"]: r for r in report["rows"]}
@@ -227,7 +229,7 @@ class TestCompare:
 
     def test_table_rendering(self):
         report = compare(small_dataset(), models=("rwfn",), repeats=1, ratio=0.8,
-                         cfg=small_cfg(), b_types=8, b_partof=8)
+                         cfg=small_cfg(), b_types=8, b_partof=8, k=2)
         table = render_table(report)
         lines = table.splitlines()
         assert "Model" in lines[0]
@@ -246,9 +248,10 @@ class TestCompare:
     ])
     def test_models_validation(self, models, reason):
         with pytest.raises(ValueError, match=reason) as err:
-            compare(small_dataset(), models=models, repeats=1, ratio=0.8, cfg=small_cfg())
+            compare(small_dataset(), models=models, repeats=1, ratio=0.8, cfg=small_cfg(), b_types=8, b_partof=8, k=2)
         assert "ltn, rwfn, rwfn-shared" in str(err.value)
 
     def test_repeats_validation(self):
         with pytest.raises(ValueError):
-            compare(small_dataset(), repeats=0, ratio=0.8, cfg=small_cfg())
+            compare(small_dataset(), repeats=0, ratio=0.8, models=COMPARE_MODELS, cfg=small_cfg(), b_types=8,
+                    b_partof=8, k=2)

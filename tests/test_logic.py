@@ -29,7 +29,7 @@ from rwfn.logic import (
     satisfiability,
 )
 from rwfn.numerics import make_rng
-from rwfn.predicates import LabelPredicate, RwfnPredicate, init_ntn
+from rwfn.predicates import LabelPredicate, NtnPredicate, RwfnPredicate, init_ntn
 from rwfn.tasks import build_partof_theory, make_rwfn_classifier
 
 from oracles import luk_and, luk_implies, luk_not, luk_or, truth_of
@@ -361,7 +361,7 @@ class TestSatisfiabilityGradient:
         enc = build_encoder(EncoderConfig(input_dim=2, hidden_width=4, fan_in=1, seed=0))
         ca, cb = np.array([0.2, 0.9]), np.array([0.7, 0.1])
         # decoder pointed away from both hidden vectors: both truths go low
-        ha, hb = hidden_features(enc, np.stack([ca, cb]))
+        ha, hb = hidden_features(enc, np.stack([ca, cb]), "full", None)
         beta = -4.0 * (ha + hb)
         model = RwfnPredicate(encoder=enc, beta=beta)
         gt = GroundedTheory(
@@ -369,7 +369,7 @@ class TestSatisfiabilityGradient:
             constants={"a": ca, "b": cb},
             predicates={"P": model},
         )
-        va, vb = model.forward_batch(model.lift(np.stack([ca, cb])))
+        va, vb = model.forward_batch(model.lift(np.stack([ca, cb])))[0]
         assert va + vb - 1.0 < 0.0  # confirm the saturated region
         sat, grads = sat_and_grads(gt)
         assert sat == pytest.approx(0.0, abs=1e-9)
@@ -481,7 +481,7 @@ def oracle_truth(gt: GroundedTheory, f, env: dict, kinks: list) -> float:
         model = gt.predicates[f.pred]
         if model.symbolic:
             return truth_of(model, args)
-        return float(model.forward_batch(model.lift(np.concatenate([gt.constants[a] for a in args])[None, :]))[0])
+        return float(model.forward_batch(model.lift(np.concatenate([gt.constants[a] for a in args])[None, :]))[0][0])
     if isinstance(f, Not):
         return luk_not(oracle_truth(gt, f.body, env, kinks))
     if isinstance(f, (ForAll, Exists)):
@@ -875,10 +875,10 @@ def full_evaluation(plan: GroundPlan) -> tuple:
         if not model.symbolic:
             indices = np.flatnonzero(pred_of == pid)
             x = model.lift(table, plan._args(code_of[indices], arity))
-            values[indices] = model.forward_batch(x)
-            inputs[pred] = (model, indices, x)
+            values[indices], saved = model.forward_batch(x)
+            inputs[pred] = (model, indices, x, saved)
     for b in plan.batches:
-        kept = b.model.forward_batch(b.x)
+        kept = b.model.forward_batch(b.x)[0]
         assert np.allclose(values[b.indices], kept, rtol=0.0, atol=1e-12)
         values[b.indices] = kept
     per_group = [plan._eval_group(g.ops, [values[a] for a in g.atoms]) for g in plan._groups]
@@ -891,8 +891,8 @@ def full_evaluation(plan: GroundPlan) -> tuple:
     for g, out in zip(plan._groups, per_group):
         plan._backprop_group(g, out, upstream[g.rows], occ_grads)
     atom_grads = np.bincount(plan._occurrences, weights=occ_grads, minlength=len(plan._atoms))
-    grads = {pred: (indices, model.gradient_batch(x, atom_grads[indices]))
-             for pred, (model, indices, x) in inputs.items()}
+    grads = {pred: (indices, model.gradient_batch(x, atom_grads[indices], saved))
+             for pred, (model, indices, x, saved) in inputs.items()}
     return formula_values, sats, atom_grads, grads
 
 
@@ -966,6 +966,24 @@ class TestFold:
         assert plan.stats()["live_atoms"] == live
         assert [b.preds for b in plan.batches] == [[(0, pred)] for pred, n in live.items() if n]
 
+    def test_plan_without_symbolic_atoms_bounds_nothing(self, monkeypatch):
+        # with no symbolic leaf no op is dead, so building the plan keeps
+        # every atom and evaluates no group
+        gt = oracle_theory(3)
+        gt.kb.formulas = parse_kb("pred P/1\npred Q/1\npred R/2\n"
+                                  "forall x: Q(x) -> ~R(x,a)\nQ(b) & ~R(a,b)\nexists x,y: R(x,y) | Q(y)\n").formulas
+        calls = []
+        eval_group = GroundPlan._eval_group
+        monkeypatch.setattr(GroundPlan, "_eval_group",
+                            staticmethod(lambda ops, leaves: calls.append(ops) or eval_group(ops, leaves)))
+        plan = GroundPlan(gt, 10**6, make_rng(0))
+        assert calls == []
+        stats = plan.stats()
+        assert stats["live_atoms"] == stats["atoms"] == {"Q": 3, "R": 9}
+        plan.formula_values()
+        assert len(calls) == len(plan._groups)
+        assert_fold_exact(gt)
+
 
 def test_traced_run_sees_the_hidden_cache_and_batches(monkeypatch):
     # the benchmark's traced run times rwfn.predicates.hidden_features and
@@ -998,3 +1016,29 @@ def test_traced_run_sees_the_hidden_cache_and_batches(monkeypatch):
     plan.satisfiability_with_grads()
     assert batch_rows == [("forward_batch", atoms), ("gradient_batch", atoms)]
     assert hidden_calls == [(atoms, 8)]
+
+
+def test_ntn_hidden_layer_runs_inside_its_forward_call(monkeypatch):
+    # the benchmark's traced run times each forward and gradient call, so
+    # the NTN's tanh layer has to run inside one, and each call once an epoch
+    calls, inside, tanh_in = [], [], []
+
+    def counting(method):
+        def wrapper(self, x, *args, **kwargs):
+            calls.append(method.__name__)
+            inside.append(method.__name__)
+            try:
+                return method(self, x, *args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    for name in ("lift", "forward_batch", "gradient_batch"):
+        monkeypatch.setattr(NtnPredicate, name, counting(getattr(NtnPredicate, name)))
+    tanh = np.tanh
+    monkeypatch.setattr(np, "tanh", lambda *a, **k: tanh_in.append(tuple(inside)) or tanh(*a, **k))
+    plan = GroundPlan(golden_partof_theory("ltn"), 60, make_rng(2))
+    assert calls == ["lift"] and tanh_in == []
+    plan.satisfiability_with_grads()
+    assert calls == ["lift", "forward_batch", "gradient_batch"]
+    assert tanh_in == [("forward_batch",)]

@@ -45,11 +45,12 @@ def small_encoder(seed=0):
 
 def truths(model, x):
     """The model's truths of the rows x, through the batch calls a plan runs."""
-    return model.forward_batch(model.lift(x))
+    return model.forward_batch(model.lift(x))[0]
 
 
 def grads(model, x, upstream):
-    return model.gradient_batch(model.lift(x), upstream)
+    x = model.lift(x)
+    return model.gradient_batch(x, upstream, model.forward_batch(x)[1])
 
 
 class TestRwfnForward:
@@ -61,14 +62,14 @@ class TestRwfnForward:
     def test_output_in_open_unit_interval(self):
         rng = make_rng(1)
         model = RwfnPredicate(encoder=small_encoder(), beta=rng.standard_normal(32))
-        out = model.forward_batch(model.lift(rng.random((20, 8))))
+        out = truths(model, rng.random((20, 8)))
         assert ((out > 0) & (out < 1)).all()
 
     def test_large_beta_saturates(self):
         enc = small_encoder()
         rng = make_rng(2)
         v = rng.random((1, 8))
-        h = hidden_features(enc, v)[0]
+        h = hidden_features(enc, v, "full", None)[0]
         beta = 1e6 * h  # beta . h = 1e6 |h|^2 > 0
         model = RwfnPredicate(encoder=enc, beta=beta)
         assert truths(model, v)[0] > 1.0 - 1e-9
@@ -80,7 +81,7 @@ class TestRwfnGradient:
         model = RwfnPredicate.create(enc)
         v = make_rng(3).random((1, 8))
         g = grads(model, v, np.ones(1))["beta"]
-        assert np.allclose(g, 0.25 * hidden_features(enc, v)[0])
+        assert np.allclose(g, 0.25 * hidden_features(enc, v, "full", None)[0])
 
     def test_zero_upstream(self):
         model = RwfnPredicate(encoder=small_encoder(), beta=make_rng(4).standard_normal(32))
@@ -129,6 +130,11 @@ class TestNtnForward:
         e1[0, 0] = 1.0
         assert truths(model, e1)[0] == pytest.approx(sigmoid(np.tanh(1.0)))
         assert truths(model, e1)[0] == pytest.approx(0.6817, abs=1e-3)
+
+    def test_input_width_validation(self):
+        model = init_ntn(2, 4, make_rng(0))
+        with pytest.raises(ValueError, match="input dim 5 != 4"):
+            model.forward_batch(np.zeros((3, 5)))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -205,10 +211,12 @@ def assert_matches_unblocked_oracle(k, d, n):
     model = init_ntn(k, d, rng)
     x, upstream = rng.random((n, d)), rng.standard_normal(n)
     hidden = ntn_hidden_oracle(model, x)
-    assert_close_rel(model.hidden_batch(x), hidden)
-    assert_close_rel(model.forward_batch(x), sigmoid(hidden @ model.u))
+    out, saved = model.forward_batch(x)
+    assert saved[1] is out
+    assert_close_rel(saved[0], hidden)
+    assert_close_rel(out, sigmoid(hidden @ model.u))
     expected = ntn_gradient_oracle(model, x, upstream)
-    grads = model.gradient_batch(x, upstream)
+    grads = model.gradient_batch(x, upstream, saved)
     assert grads.keys() == expected.keys()
     for name, g in grads.items():
         assert g.shape == model.learnable_params()[name].shape
@@ -242,12 +250,12 @@ class TestNtnBlockedKernels:
         heads = [init_ntn(6, 22, rng) for _ in range(12)]
         stacked = stack(heads)
         x, upstream = rng.random((n, 22)), rng.standard_normal((n, 12))
-        hidden = stacked.hidden_batch(x)
+        out, saved = stacked.forward_batch(x)
+        hidden = saved[0]
         assert hidden.shape == (n, 72)
         assert_close_rel(hidden, np.hstack([ntn_hidden_oracle(m, x) for m in heads]))
-        out = stacked.forward_batch(x)
         assert_close_rel(out, np.stack([sigmoid(ntn_hidden_oracle(m, x) @ m.u) for m in heads], axis=1))
-        grads = stacked.gradient_batch(x, upstream)
+        grads = stacked.gradient_batch(x, upstream, saved)
         for j, m in enumerate(heads):
             expected = ntn_gradient_oracle(m, x, upstream[:, j])
             got = {name: np.take(g, j, axis=stacked.heads_axis) for name, g in grads.items()}
@@ -266,11 +274,12 @@ class TestNtnBlockedKernels:
         x, upstream = rng.random((40, 5)), rng.standard_normal((40, 3))
         h = stacked.lift(x)  # the heads' one hidden layer
         assert np.array_equal(h, heads[0].lift(x))
-        out = stacked.forward_batch(h)
-        grads = stacked.gradient_batch(h, upstream)
+        out, saved = stacked.forward_batch(h)
+        grads = stacked.gradient_batch(h, upstream, saved)
         for j, m in enumerate(heads):
-            assert_close_rel(out[:, j], m.forward_batch(h))
-            assert_close_rel(grads["beta"][:, j], m.gradient_batch(h, upstream[:, j])["beta"])
+            p, own = m.forward_batch(h)
+            assert_close_rel(out[:, j], p)
+            assert_close_rel(grads["beta"][:, j], m.gradient_batch(h, upstream[:, j], own)["beta"])
 
     @pytest.mark.parametrize("family", ["ntn", "rwfn"])
     def test_members_are_views_of_their_heads(self, family):
@@ -313,7 +322,8 @@ class TestNtnBlockedKernels:
         model = init_ntn(k, d, rng)
         x, upstream = rng.random((n, d)), rng.standard_normal(n)
         bound = n * k * d * 8 // 4
-        for call in (lambda: model.hidden_batch(x), lambda: model.gradient_batch(x, upstream)):
+        saved = model.forward_batch(x)[1]
+        for call in (lambda: model.forward_batch(x), lambda: model.gradient_batch(x, upstream, saved)):
             tracemalloc.start()
             try:
                 call()
@@ -350,8 +360,9 @@ class TestNtnLiftedKernels:
             assert plan_x.shape == (n, d * d + d + 1)
         else:
             assert plan_x is x
-        hidden, out = model.hidden_batch(plan_x), model.forward_batch(plan_x)
-        grads = model.gradient_batch(plan_x, upstream[:, 0] if heads == 1 else upstream)
+        out, saved = model.forward_batch(plan_x)
+        hidden = saved[0]
+        grads = model.gradient_batch(plan_x, upstream[:, 0] if heads == 1 else upstream, saved)
         for j, m in enumerate(models):
             want = ntn_hidden_oracle(m, x)
             assert_close_rel(hidden[:, j * k:(j + 1) * k], want)
@@ -510,6 +521,15 @@ class TestSerialization:
         spec.update((name, p.tolist()) for name, p in stacked.learnable_params().items())
         with pytest.raises(ValueError, match="predicate 'partOf': parameters with a heads axis"):
             model_from_spec(spec, name="partOf")
+
+    def test_ntn_fields_contradicting_its_arrays_refuse_to_load(self):
+        spec = model_to_spec(init_ntn(2, 4, make_rng(0)))
+        assert (spec["k"], spec["in_dim"]) == (2, 4)
+        model_from_spec(spec, name="partOf")
+        for field, value in (("k", 3), ("in_dim", 5), ("k", None)):
+            with pytest.raises(ValueError, match="predicate 'partOf': k=.* disagree with parameters of 2 slices of "
+                                                 "width 4"):
+                model_from_spec({**spec, field: value}, name="partOf")
 
     def test_version_check(self):
         spec = model_to_spec(init_ntn(2, 4, make_rng(0)))

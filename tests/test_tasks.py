@@ -92,7 +92,7 @@ class TestTypeTheory:
         assert len(lifts) == (len(models) if kind == "rwfn" else 1)
         x = np.stack([r.features for r in dataset.records])
         for name, model in models.items():
-            assert np.array_equal(out[name][0], model.forward_batch(model.lift(x)))
+            assert np.array_equal(out[name][0], model.forward_batch(model.lift(x))[0])
 
 
 class TestPartofTheory:

@@ -194,8 +194,9 @@ class TestSharing:
         assert a.config == base and b.config == other
         assert b is reg.get_or_build(EncoderConfig(8, 16, fan_in=3, seed=0, **{field: value}))
         x = make_rng(1).random((3, 8))
-        assert np.array_equal(hidden_features(b, x), hidden_features(build_encoder(other), x))
-        assert not np.array_equal(hidden_features(a, x), hidden_features(b, x))
+        assert np.array_equal(hidden_features(b, x, "full", None),
+                              hidden_features(build_encoder(other), x, "full", None))
+        assert not np.array_equal(hidden_features(a, x, "full", None), hidden_features(b, x, "full", None))
 
     def test_shared_encode_identical(self):
         reg = SharedEncoderRegistry()
@@ -203,7 +204,7 @@ class TestSharing:
         a = RwfnPredicate.create(reg.get_or_build(cfg))
         b = RwfnPredicate.create(reg.get_or_build(cfg))
         v = make_rng(0).random((1, 8))
-        assert np.array_equal(hidden_features(a.encoder, v), hidden_features(b.encoder, v))
+        assert np.array_equal(hidden_features(a.encoder, v, "full", None), hidden_features(b.encoder, v, "full", None))
 
     def test_shared_training_bit_identical_to_private(self):
         # same seed, shared vs private encoders: decoders must agree exactly
