@@ -46,10 +46,7 @@ def _dump_json(obj, path: Path) -> None:
 
 def _environment() -> dict:
     """What the run ran on, for manifests only: artifacts stay byte-identical."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
-        blas = {}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
     return {
         "python": platform.python_version(),
@@ -307,7 +304,6 @@ def _add_train_flags(p):
     p.add_argument("--budget", type=positive_int, default=TrainConfig.instantiation_budget,
                    help="quantifier instantiation budget")
     p.add_argument("--split-ratio", type=open_unit_float, default=0.8)
-    p.add_argument("--k", type=positive_int, default=DEFAULT_K)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=positive_int, default=None,
                    help=f"hidden width (default {DEFAULT_B_TYPES} types / {DEFAULT_B_PARTOF} partof)")
     p.add_argument("--shared-encoder", action="store_true")
+    p.add_argument("--k", type=positive_int, default=DEFAULT_K)
     _add_train_flags(p)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_train)
@@ -349,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=positive_int, default=5)
     p.add_argument("--b-types", type=positive_int, default=DEFAULT_B_TYPES)
     p.add_argument("--b-partof", type=positive_int, default=DEFAULT_B_PARTOF)
+    p.add_argument("--k", type=positive_int, default=DEFAULT_K)
     _add_train_flags(p)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_compare)

@@ -245,7 +245,7 @@ def gen_synthetic(cfg: SyntheticConfig) -> Dataset:
 
     records: list[BoxRecord] = []
     positives: list[PartOfPair] = []
-    negative_pool: list[tuple] = []  # (part_id, whole_id)
+    negative_pool: dict[tuple, None] = {}  # (part_id, whole_id), in insertion order
 
     for s in range(cfg.num_scenes):
         scene_boxes: list[tuple] = []  # (id, class name, bbox, parent id or None)
@@ -278,22 +278,23 @@ def gen_synthetic(cfg: SyntheticConfig) -> Dataset:
             positives.append(PartOfPair(rid, pid, True))
             if decoy_id is not None:
                 # decoy containment: geometrically plausible, ontologically wrong
-                negative_pool.append((rid, decoy_id))
+                negative_pool[rid, decoy_id] = None
 
         ids_here = [b[0] for b in scene_boxes]
         parents = {b[0]: b[3] for b in scene_boxes}
         for a in ids_here:
             for b in ids_here:
-                if a != b and parents.get(a) != b and (a, b) not in negative_pool:
-                    negative_pool.append((a, b))
+                if a != b and parents.get(a) != b:
+                    negative_pool.setdefault((a, b))
 
         for rid, cname, bbox, _parent in scene_boxes:
             feats = _features(class_index[cname], len(classes), bbox, cfg.feature_noise, rng)
             records.append(BoxRecord(rid, feats, bbox, frozenset([cname])))
 
-    n_neg = min(len(negative_pool), int(round(cfg.negative_ratio * len(positives))))
-    order = rng.permutation(len(negative_pool))[:n_neg]
-    negatives = [PartOfPair(negative_pool[i][0], negative_pool[i][1], False) for i in sorted(order)]
+    pool = list(negative_pool)
+    n_neg = min(len(pool), int(round(cfg.negative_ratio * len(positives))))
+    order = rng.permutation(len(pool))[:n_neg]
+    negatives = [PartOfPair(*pool[i], False) for i in sorted(order)]
 
     return Dataset(n=nfeat, classes=classes, records=records, pairs=positives + negatives)
 

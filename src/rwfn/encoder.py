@@ -206,37 +206,21 @@ def _slot_features(enc: RwfnEncoder, table: np.ndarray, args: np.ndarray, mode: 
             cos.append(c)
             sin.append(s)
 
-    buffers = np.empty((4, min(n, SLOT_BLOCK_ROWS), b))
     for lo in range(0, n, SLOT_BLOCK_ROWS):
         hi = lo + SLOT_BLOCK_ROWS
         idx = args[lo:hi].T
         if albm:
-            o = h[lo:hi, :b]
-            acc = _gather(gates[0], idx[0], buffers[0])
+            acc = gates[0][idx[0]]
             for j in range(1, arity):
-                acc += _gather(gates[j], idx[j], buffers[1])
-            np.maximum(acc, 0.0, out=o)
-            np.tanh(o, out=o)
+                acc += gates[j][idx[j]]
+            h[lo:hi, :b] = np.tanh(np.maximum(acc, 0.0))
         if rff:
-            o = h[lo:hi, -b:]
-            c, s = _gather(cos[0], idx[0], buffers[0]), _gather(sin[0], idx[0], buffers[1])
+            c, s = cos[0][idx[0]], sin[0][idx[0]]
             for j in range(1, arity - 1):
-                cj, sj = _gather(cos[j], idx[j], buffers[2]), _gather(sin[j], idx[j], buffers[3])
-                cs = np.multiply(c, sj, out=o)  # o is free until the last slot
-                c *= cj
-                c -= np.multiply(s, sj, out=sj)
-                s *= cj
-                s += cs
-            np.multiply(c, _gather(cos[-1], idx[-1], buffers[2]), out=o)
-            o -= np.multiply(s, _gather(sin[-1], idx[-1], buffers[3]), out=s)
-            np.tanh(o, out=o)
+                cj, sj = cos[j][idx[j]], sin[j][idx[j]]
+                c, s = c * cj - s * sj, s * cj + c * sj
+            h[lo:hi, -b:] = np.tanh(c * cos[-1][idx[-1]] - s * sin[-1][idx[-1]])
     return h
-
-
-def _gather(table: np.ndarray, rows: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-    # rows are in range; mode="clip" writes into buffer directly, where the
-    # default mode="raise" gathers into a temporary and copies
-    return np.take(table, rows, axis=0, out=buffer[:len(rows)], mode="clip")
 
 
 def hidden_dim(enc: RwfnEncoder, mode: str) -> int:

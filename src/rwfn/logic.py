@@ -303,7 +303,9 @@ def hmean(values: np.ndarray) -> float:
 # Grounding works on integer keys. Constant c is its position in the sorted
 # domain D; an atom's argument code is sum_j pos(arg_j) * |D|**j, and its key
 # is pred_index * span + code, with span = |D|**(largest arity). Keys are
-# interned with one np.unique, ranked by first occurrence.
+# interned with one np.unique, ranked by first occurrence. A symbolic
+# predicate's labels are keyed by the same codes, so its atoms' truths are
+# looked up by key.
 #
 # Symbolic truths can fix a row: in forall x,y: isWhole(x) -> ~partOf(x,y),
 # each row where isWhole(x) is 0 is 1 whatever partOf(x,y) is, and the
@@ -446,7 +448,7 @@ class GroundPlan:
                 leaf_slots.extend(range(group.slot, group.slot + group.leaves))
                 for atom in atoms:
                     pids.append(self._pids[self._part, atom.pred])
-                    codes.append(self._code(atom.args))
+                    codes.append(self._code(atom.args, self._constant))
         del self._part, self._members, self._size, self._positions
         chunks.append(closed)
         pids, codes, leaf_slots = (np.concatenate([np.asarray(c[j], dtype=np.int64) for c in chunks])
@@ -459,10 +461,12 @@ class GroundPlan:
             group.pos = pos[group.slot:group.slot + group.leaves]
             group.atoms = [self._occurrences[p] for p in group.pos]
         self._groups = list(groups.values())
-        # symbolic truths are fixed; learnable predicates of different parts
-        # whose atoms have the same arguments are batched, and each batch's
-        # input is built once. A part keeps one batch per predicate, so one
-        # theory alone runs each predicate's own model.
+        # symbolic truths are fixed, looked up by argument code in the labels
+        # of the predicate's arity over the plan's domain; learnable
+        # predicates of different parts whose atoms have the same arguments
+        # are batched, and each batch's input is built once. A part keeps one
+        # batch per predicate, so one theory alone runs each predicate's own
+        # model.
         self._fixed_values = np.zeros(len(self._atoms))
         learnable = np.ones(len(self._atoms), dtype=bool)
         pred_of, code_of = np.divmod(self._atoms, self._span)
@@ -470,11 +474,15 @@ class GroundPlan:
         for pid, (pred, arity) in enumerate(self._preds.items()):
             model = self._model(pred)
             indices = np.flatnonzero(pred_of == pid)
-            args = self._args(code_of[indices], arity)
             if model.symbolic:
-                self._fixed_values[indices] = model.truth_batch(args, self._index)
+                labels = {self._code(key, self._index.__getitem__): float(value)
+                          for key, value in model.truths.items()
+                          if isinstance(key, tuple) and len(key) == arity and all(a in self._index for a in key)}
+                default = float(model.default)
+                self._fixed_values[indices] = [labels.get(code, default) for code in code_of[indices].tolist()]
                 learnable[indices] = False
                 continue
+            args = self._args(code_of[indices], arity)
             member = (pred, model, indices, args)
             for members in same_rows:
                 if (all(m[0][0] != pred[0] for m in members) and members[0][1].stack_key() == model.stack_key()
@@ -544,10 +552,12 @@ class GroundPlan:
             raise KeyError(f"constant {c!r} has no grounding vector")
         return self._index[c]
 
-    def _code(self, args: tuple) -> int:
+    def _code(self, args: tuple, position) -> int:
+        """The argument code of the constants args, position(c) being the
+        position of constant c."""
         code = 0
         for a in reversed(args):
-            code = code * len(self._domain) + self._constant(a)
+            code = code * len(self._domain) + position(a)
         return code
 
     def _args(self, codes: np.ndarray, arity: int) -> np.ndarray:

@@ -255,33 +255,6 @@ class LabelPredicate:
     default: float = 0.0
     symbolic = True
 
-    def truth_batch(self, args: np.ndarray, index: dict) -> np.ndarray:
-        """The truth of each row of args, a row being the positions of an
-        atom's constants, index mapping each constant id to its position:
-        truths[ids], or default for a tuple without a label."""
-        n, arity = args.shape
-        base = len(index)
-        table = {}
-        for key, value in self.truths.items():
-            if isinstance(key, tuple) and len(key) == arity and all(a in index for a in key):
-                code = 0
-                for a in reversed(key):
-                    code = code * base + index[a]
-                table[code] = float(value)
-        out = np.full(n, float(self.default))
-        if table:
-            keys = np.fromiter(table, dtype=np.int64, count=len(table))
-            values = np.fromiter(table.values(), dtype=np.float64, count=len(table))
-            order = np.argsort(keys)
-            keys, values = keys[order], values[order]
-            codes = np.zeros(n, dtype=np.int64)
-            for j in range(arity - 1, -1, -1):
-                codes = codes * base + args[:, j]
-            at = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
-            hit = keys[at] == codes
-            out[hit] = values[at[hit]]
-        return out
-
     def learnable_params(self) -> dict:
         return {}
 

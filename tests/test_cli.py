@@ -376,6 +376,12 @@ class TestCompareAblate:
         assert reason in err and "ltn, rwfn, rwfn-shared" in err
         assert not out.exists()
 
+    def test_ablate_has_no_ntn_width(self, dataset_path, tmp_path, capsys):
+        out = tmp_path / "abl.json"
+        assert run_cli(["ablate", "--data", str(dataset_path), "--k", "2", "-o", str(out)]) == 2
+        assert "unrecognized arguments: --k 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ablate_rows(self, dataset_path, tmp_path):
         out = tmp_path / "abl.json"
         code = run_cli(["ablate", "--data", str(dataset_path), "--epochs", "5",
@@ -429,7 +435,7 @@ def test_parser_defaults_are_the_config_defaults(argv, config, flags):
     args = build_parser().parse_args(argv)
     defaults = {f.name: f.default for f in dataclasses.fields(config)}
     assert {flag: getattr(args, flag) for flag in flags} == {flag: defaults[field] for flag, field in flags.items()}
-    if argv[0] != "gen-synth":
+    if argv[0] in ("train", "compare"):  # ablate runs RWFN variants only
         assert args.k == DEFAULT_K
 
 

@@ -173,6 +173,33 @@ class TestSlotTables:
         assert np.abs(got - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("mode", ["full", "albm", "rff"])
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_blocks_are_bit_identical_to_the_whole_array_recurrence(self, arity, mode):
+        # the 1e-12 check above cannot see the order of operations; this one
+        # rebuilds the slot tables and combines them over all rows at once
+        n = 2 * SLOT_BLOCK_ROWS + 5
+        enc, table, args = slot_case(arity, n)
+        d, b = table.shape[1], enc.hidden_width
+        gates, cos, sin = [], [], []
+        for j in range(arity):
+            rows = slice(j * d, (j + 1) * d)
+            g = table @ enc.gate[rows]
+            gates.append((g - enc.config.inhibition_strength * g.mean(axis=1, keepdims=True))[args[:, j]])
+            z = table @ enc.fourier[rows]
+            if j == 0:
+                z = z + enc.phase
+            scale = np.sqrt(2.0 / b) if j == 0 else 1.0
+            cos.append((np.cos(z) * scale)[args[:, j]])
+            sin.append((np.sin(z) * scale)[args[:, j]])
+        albm = np.tanh(np.maximum(sum(gates[1:], gates[0]), 0.0))
+        c, s = cos[0], sin[0]
+        for j in range(1, arity - 1):
+            c, s = c * cos[j] - s * sin[j], s * cos[j] + c * sin[j]
+        rff = np.tanh(c * cos[-1] - s * sin[-1])
+        expected = {"full": np.hstack([albm, rff]), "albm": albm, "rff": rff}[mode]
+        assert np.array_equal(hidden_features(enc, table, mode, args), expected)
+
+    @pytest.mark.parametrize("mode", ["full", "albm", "rff"])
     def test_one_slot_is_bit_identical(self, mode):
         enc, table, args = slot_case(1, 300)
         assert np.array_equal(hidden_features(enc, table, mode, args),

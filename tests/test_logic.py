@@ -696,6 +696,30 @@ def test_grounding_matches_recursive_oracle(fs, seed, budget, rng_seed):
         assert np.array_equal(b.x, b.model.lift(table, args[kept]))
 
 
+class TestLabelTruths:
+    """A plan's symbolic truths, looked up by its atom keys, against
+    truth_of."""
+
+    def test_lookup_and_default(self):
+        gt = GroundedTheory(kb=parse_kb("pred P/1\nP(a) & P(b)\n"), constants={c: np.zeros(1) for c in "ab"},
+                            predicates={"P": LabelPredicate({("a",): 1.0})})
+        assert GroundPlan(gt, budget=10, rng=make_rng(0))._fixed_values.tolist() == [1.0, 0.0]
+
+    def test_label_truths_match_truth_of(self):
+        # labels of the wrong arity, over constants outside the domain, or
+        # keyed by a non-tuple (the string "ab" has two in-domain letters)
+        # label no atom
+        p = LabelPredicate({("a", "b"): 0.25, "ab": 0.9, ("c", "c"): 1, ("b", "a"): 0.5, ("z", "a"): 0.75,
+                            ("a",): 0.1}, default=0.125)
+        gt = GroundedTheory(kb=parse_kb("pred S/2\nforall x,y: S(x,y)\n"),
+                            constants={c: np.zeros(1) for c in "abc"}, predicates={"S": p})
+        want = oracle_grounding(gt, 10, make_rng(0))
+        assert len(want["atoms"]) == 9
+        values = GroundPlan(gt, 10, make_rng(0))._fixed_values.tolist()
+        assert values == [truth_of(p, args) for _, args in want["atoms"]]
+        assert sorted(set(values)) == [0.125, 0.25, 0.5, 1.0]
+
+
 def test_plan_is_freed_without_the_cycle_collector():
     # a plan holds its hidden-feature cache; a reference cycle through it
     # would keep that cache alive into the next fit, until a gc pass

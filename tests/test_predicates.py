@@ -1,4 +1,3 @@
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -444,7 +443,6 @@ class TestLabelPredicate:
         p = LabelPredicate({("a",): 1.0})
         assert truth_of(p, ("a",)) == 1.0
         assert truth_of(p, ("b",)) == 0.0
-        assert p.truth_batch(np.array([[0], [1]]), {"a": 0, "b": 1}).tolist() == [1.0, 0.0]
         assert p.learnable_params() == {}
         assert p.symbolic
 
@@ -490,14 +488,6 @@ class TestSerialization:
         spec["encoder"]["gate_checksum"] = "0" * 64
         with pytest.raises(ValueError, match="gate checksum mismatch"):
             model_from_spec(spec, name="model")
-
-    def test_label_truth_batch_matches_truth_of(self):
-        domain = ["a", "b", "c"]
-        p = LabelPredicate({("a", "b"): 0.25, ("c", "c"): 1, ("b", "a"): 0.5, ("z", "a"): 0.75, ("a",): 0.1},
-                           default=0.125)
-        args = np.array(list(itertools.product(range(3), repeat=2)))
-        expected = [truth_of(p, tuple(domain[i] for i in row)) for row in args]
-        assert p.truth_batch(args, {c: i for i, c in enumerate(domain)}).tolist() == expected
 
     @pytest.mark.parametrize("kind, param", [("rwfn", "beta"), ("ntn", "u"), ("ntn", "w"), ("ntn", "v"), ("ntn", "b")])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
