@@ -17,7 +17,7 @@ import reprlib
 import resource
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -57,29 +57,31 @@ def _environment() -> dict:
     }
 
 
-def _write_manifest(path: Path, command: str, args: argparse.Namespace,
-                    artifacts: dict, wall_ms: float, seeds: dict, extra: dict | None = None) -> None:
+def _write_manifest(args: argparse.Namespace, t0: float, artifacts: dict, seeds: dict,
+                    extra: dict | None = None) -> None:
+    """The run manifest of the command args ran, started at perf_counter()
+    t0, next to its output: <output>.manifest.json."""
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "seeds": seeds,
         "artifacts": {k: str(v) for k, v in artifacts.items()},
         "tool_version": __version__,
-        "wall_ms": wall_ms,
+        "wall_ms": (time.perf_counter() - t0) * 1000.0,
         "environment": _environment(),
         **(extra or {}),
     }
     for p in artifacts.values():
         if not Path(p).exists():
             raise CliError(f"expected artifact {p} missing")
-    _dump_json(manifest, path)
+    _dump_json(manifest, Path(args.output + ".manifest.json"))
 
 
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        epochs=args.epochs, l2=args.l2, learning_rate=args.lr,
-        instantiation_budget=args.budget, seed=args.seed,
-    )
+def _config(cls, args: argparse.Namespace):
+    """The config dataclass cls with the fields that args holds a flag for
+    (each flag's dest is its field's name); the others keep their defaults."""
+    given = vars(args)
+    return cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
 
 
 # ---------------------------------------------------------------------------
@@ -88,16 +90,10 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_gen_synth(args) -> int:
     t0 = time.perf_counter()
-    cfg = SyntheticConfig(
-        num_scenes=args.scenes, num_whole_classes=args.wholes,
-        parts_per_whole=args.parts_per_whole, feature_noise=args.noise,
-        geometry_jitter=args.jitter, negative_ratio=args.neg_ratio, seed=args.seed,
-    )
-    ds = gen_synthetic(cfg)
+    ds = gen_synthetic(_config(SyntheticConfig, args))
     out = Path(args.output)
     save_dataset(ds, out)
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "gen-synth", args,
-                    {"dataset": out}, (time.perf_counter() - t0) * 1000.0, {"seed": args.seed})
+    _write_manifest(args, t0, {"dataset": out}, {"seed": args.seed})
     print(f"wrote {out}: {len(ds.records)} boxes, {len(ds.pairs)} pairs, n={ds.n}")
     return 0
 
@@ -107,7 +103,7 @@ def cmd_train(args) -> int:
     ds = load_dataset(args.data)
     split_seed = int(make_rng(args.seed).integers(0, 2**31 - 1))
     sp = split(ds, args.split_ratio, make_rng(split_seed))
-    cfg = _train_config(args)
+    cfg = _config(TrainConfig, args)
 
     if args.task == "types":
         res = run_types(args.model, sp.train, sp.test, cfg, b=args.b or DEFAULT_B_TYPES, k=args.k,
@@ -135,9 +131,7 @@ def cmd_train(args) -> int:
     lockstep = next(iter(res.traces.values())).lockstep
     if lockstep is not None:
         extra["lockstep"] = lockstep  # the one plan all classes trained on
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "train", args, artifacts,
-                    (time.perf_counter() - t0) * 1000.0,
-                    {"seed": args.seed, "split_seed": split_seed}, extra)
+    _write_manifest(args, t0, artifacts, {"seed": args.seed, "split_seed": split_seed}, extra)
     pc = res.params
     print(f"wrote {out}: {args.model}/{args.task}, test AUC {res.auc:.3f}, "
           f"params {pc.learnable}/{pc.total} learnable/total")
@@ -186,9 +180,7 @@ def cmd_eval(args) -> int:
         report.update({"auc_mode": "macro", "per_class": per_class})
     out = Path(args.output)
     _dump_json(report, out)
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "eval", args,
-                    {"report": out}, (time.perf_counter() - t0) * 1000.0,
-                    {"split_seed": bundle["split_seed"]})
+    _write_manifest(args, t0, {"report": out}, {"split_seed": bundle["split_seed"]})
     print(f"wrote {out}: task {report['task']}, AUC {report['auc']:.3f}")
     return 0
 
@@ -196,7 +188,7 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     t0 = time.perf_counter()
     ds = load_dataset(args.data)
-    cfg = _train_config(args)
+    cfg = _config(TrainConfig, args)
     report = compare(ds, models=args.models, repeats=args.repeats, cfg=cfg,
                      b_types=args.b_types, b_partof=args.b_partof, k=args.k,
                      ratio=args.split_ratio)
@@ -206,9 +198,7 @@ def cmd_compare(args) -> int:
     _dump_json(report, out)
     table_path = out.with_suffix(".txt")
     table_path.write_text(table)
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "compare", args,
-                    {"report": out, "table": table_path},
-                    (time.perf_counter() - t0) * 1000.0, {"seed": args.seed}, {"mean_ms": mean_ms})
+    _write_manifest(args, t0, {"report": out, "table": table_path}, {"seed": args.seed}, {"mean_ms": mean_ms})
     print(table, end="")
     return 0
 
@@ -216,14 +206,13 @@ def cmd_compare(args) -> int:
 def cmd_ablate(args) -> int:
     t0 = time.perf_counter()
     ds = load_dataset(args.data)
-    cfg = _train_config(args)
+    cfg = _config(TrainConfig, args)
     rows = run_ablation(ds, cfg, b_types=args.b_types, b_partof=args.b_partof,
                         ratio=args.split_ratio)
     report = {"rows": rows, "seed": args.seed}
     out = Path(args.output)
     _dump_json(report, out)
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "ablate", args,
-                    {"report": out}, (time.perf_counter() - t0) * 1000.0, {"seed": args.seed})
+    _write_manifest(args, t0, {"report": out}, {"seed": args.seed})
     for row in rows:
         print(f"{row['variant']:>5}: T1 AUC {row['auc_types']:.3f}  T2 AUC {row['auc_partof']:.3f}  "
               f"decoder {row['decoder_len_types']}/{row['decoder_len_partof']}")
@@ -299,10 +288,10 @@ def open_unit_float(text: str) -> float:
 def _add_train_flags(p):
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--epochs", type=positive_int, default=TrainConfig.epochs)
-    p.add_argument("--lr", type=finite_float, default=TrainConfig.learning_rate)
+    p.add_argument("--lr", dest="learning_rate", type=finite_float, default=TrainConfig.learning_rate)
     p.add_argument("--l2", type=finite_float, default=TrainConfig.l2)
-    p.add_argument("--budget", type=positive_int, default=TrainConfig.instantiation_budget,
-                   help="quantifier instantiation budget")
+    p.add_argument("--budget", dest="instantiation_budget", type=positive_int,
+                   default=TrainConfig.instantiation_budget, help="quantifier instantiation budget")
     p.add_argument("--split-ratio", type=open_unit_float, default=0.8)
 
 
@@ -312,12 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-synth", help="generate a synthetic scene dataset")
-    p.add_argument("--scenes", type=positive_int, required=True)
-    p.add_argument("--wholes", type=positive_int, default=SyntheticConfig.num_whole_classes)
+    p.add_argument("--scenes", dest="num_scenes", type=positive_int, required=True)
+    p.add_argument("--wholes", dest="num_whole_classes", type=positive_int,
+                   default=SyntheticConfig.num_whole_classes)
     p.add_argument("--parts-per-whole", type=positive_int, default=SyntheticConfig.parts_per_whole)
-    p.add_argument("--noise", type=finite_float, default=SyntheticConfig.feature_noise)
-    p.add_argument("--jitter", type=finite_float, default=SyntheticConfig.geometry_jitter)
-    p.add_argument("--neg-ratio", type=finite_float, default=SyntheticConfig.negative_ratio)
+    p.add_argument("--noise", dest="feature_noise", type=finite_float, default=SyntheticConfig.feature_noise)
+    p.add_argument("--jitter", dest="geometry_jitter", type=finite_float, default=SyntheticConfig.geometry_jitter)
+    p.add_argument("--neg-ratio", dest="negative_ratio", type=finite_float, default=SyntheticConfig.negative_ratio)
     p.add_argument("--seed", type=int, default=SyntheticConfig.seed)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen_synth)

@@ -307,18 +307,16 @@ def gen_synthetic(cfg: SyntheticConfig) -> Dataset:
 class SplitResult:
     train: Dataset
     test: Dataset
-    dropped_pairs: int
 
 
-def split(ds: Dataset, ratio: float = 0.8, rng: np.random.Generator | None = None) -> SplitResult:
+def split(ds: Dataset, ratio: float, rng: np.random.Generator) -> SplitResult:
     """Per-class stratified record split; pairs follow their endpoints.
 
-    Pairs whose endpoints land in different splits are dropped; the count is
-    reported in the result.
+    Pairs whose endpoints land in different splits are in neither part:
+    len(ds.pairs) - len(train.pairs) - len(test.pairs) of them.
     """
     if not 0.0 < ratio < 1.0:
         raise DatasetError(f"split ratio must be in (0,1), got {ratio}")
-    rng = rng if rng is not None else make_rng(0)
 
     by_class: dict[str, list] = {}
     for r in ds.records:
@@ -340,6 +338,4 @@ def split(ds: Dataset, ratio: float = 0.8, rng: np.random.Generator | None = Non
         prs = [p for p in ds.pairs if p.part in ids and p.whole in ids]
         return Dataset(n=ds.n, classes=ds.classes, records=recs, pairs=prs)
 
-    train, test = subset(train_ids), subset(test_ids)
-    dropped = len(ds.pairs) - len(train.pairs) - len(test.pairs)
-    return SplitResult(train=train, test=test, dropped_pairs=dropped)
+    return SplitResult(train=subset(train_ids), test=subset(test_ids))

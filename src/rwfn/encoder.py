@@ -16,13 +16,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .numerics import (
-    PRNG_ID,
-    make_rng,
-    sample_normal_matrix,
-    sample_sparse_binary,
-    sample_uniform_vector,
-)
+from .numerics import PRNG_ID, make_rng, sample_sparse_binary
 
 
 @dataclass(frozen=True)
@@ -71,8 +65,8 @@ def build_encoder(config: EncoderConfig) -> RwfnEncoder:
     """
     rng = make_rng(config.seed)
     gate = sample_sparse_binary(config.input_dim, config.hidden_width, config.fan_in, rng)
-    fourier = config.kernel_scale * sample_normal_matrix(config.input_dim, config.hidden_width, rng)
-    phase = sample_uniform_vector(config.hidden_width, 0.0, 2.0 * np.pi, rng)
+    fourier = config.kernel_scale * rng.standard_normal((config.input_dim, config.hidden_width))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=config.hidden_width)
     gate.setflags(write=False)
     fourier.setflags(write=False)
     phase.setflags(write=False)

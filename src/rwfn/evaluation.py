@@ -35,7 +35,6 @@ from .training import SharedEncoderRegistry, TrainConfig, train, train_many
 class PrCurve:
     recalls: np.ndarray
     precisions: np.ndarray
-    thresholds: np.ndarray
 
 
 def pr_curve(scores, labels) -> PrCurve:
@@ -58,7 +57,7 @@ def pr_curve(scores, labels) -> PrCurve:
     n_pred = ends + 1
     precisions = tp / n_pred
     recalls = tp / pos
-    return PrCurve(recalls=recalls, precisions=precisions, thresholds=s[ends])
+    return PrCurve(recalls=recalls, precisions=precisions)
 
 
 def auc(curve: PrCurve) -> float:

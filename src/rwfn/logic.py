@@ -379,7 +379,6 @@ class _Batch:
     holds the rows the model reads (model.lift): an RWFN's frozen hidden
     layer, an NTN's argument rows or their quadratic lift."""
 
-    preds: list  # (part, name) of each head
     members: list
     model: object
     indices: np.ndarray
@@ -462,11 +461,12 @@ class GroundPlan:
             group.atoms = [self._occurrences[p] for p in group.pos]
         self._groups = list(groups.values())
         # symbolic truths are fixed, looked up by argument code in the labels
-        # of the predicate's arity over the plan's domain; learnable
-        # predicates of different parts whose atoms have the same arguments
-        # are batched, and each batch's input is built once. A part keeps one
-        # batch per predicate, so one theory alone runs each predicate's own
-        # model.
+        # over the plan's domain (a label set may span more constants than a
+        # split holds, but a key that is not a tuple of the predicate's arity
+        # is an error); learnable predicates of different parts whose atoms
+        # have the same arguments are batched, and each batch's input is
+        # built once. A part keeps one batch per predicate, so one theory
+        # alone runs each predicate's own model.
         self._fixed_values = np.zeros(len(self._atoms))
         learnable = np.ones(len(self._atoms), dtype=bool)
         pred_of, code_of = np.divmod(self._atoms, self._span)
@@ -475,9 +475,12 @@ class GroundPlan:
             model = self._model(pred)
             indices = np.flatnonzero(pred_of == pid)
             if model.symbolic:
+                for key in model.truths:
+                    if not (isinstance(key, tuple) and len(key) == arity):
+                        raise ValueError(f"predicate {pred[1]!r} of arity {arity} has a label key {key!r} "
+                                         f"that is not a tuple of {arity} constants")
                 labels = {self._code(key, self._index.__getitem__): float(value)
-                          for key, value in model.truths.items()
-                          if isinstance(key, tuple) and len(key) == arity and all(a in self._index for a in key)}
+                          for key, value in model.truths.items() if all(a in self._index for a in key)}
                 default = float(model.default)
                 self._fixed_values[indices] = [labels.get(code, default) for code in code_of[indices].tolist()]
                 learnable[indices] = False
@@ -503,7 +506,7 @@ class GroundPlan:
             if not keep.any():  # its predicates take no gradient from the logic
                 continue
             model = models[0] if len(models) == 1 else stack(models)
-            self.batches.append(_Batch(preds=list(preds), members=list(models), model=model,
+            self.batches.append(_Batch(members=list(models), model=model,
                                        indices=indices[keep], x=model.lift(constants, args[0][keep])))
 
     def _model(self, key: tuple):

@@ -19,22 +19,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def sample_normal_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """rows x cols matrix of i.i.d. standard normal entries."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix dims must be >= 1, got {rows}x{cols}")
-    return rng.standard_normal((rows, cols))
-
-
-def sample_uniform_vector(n: int, lo: float, hi: float, rng: np.random.Generator) -> np.ndarray:
-    """Length-n vector of i.i.d. uniform entries in [lo, hi)."""
-    if not lo < hi:
-        raise ValueError(f"uniform bounds must satisfy lo < hi, got [{lo}, {hi})")
-    if n < 1:
-        raise ValueError(f"vector length must be >= 1, got {n}")
-    return rng.uniform(lo, hi, size=n)
-
-
 def sample_sparse_binary(in_dim: int, width: int, fan_in: int, rng: np.random.Generator) -> np.ndarray:
     """in_dim x width binary matrix; each column has exactly fan_in ones.
 

@@ -24,7 +24,7 @@ whose truth is known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -157,6 +157,11 @@ class NtnPredicate:
     def input_dim(self) -> int:
         return self.v.shape[-1]
 
+    @property
+    def heads(self) -> tuple:
+        """(K,) for a stack of K models, () for one model."""
+        return self.u.shape[:-1]
+
     def _lifted(self, x: np.ndarray) -> bool:
         d = self.input_dim
         return x.shape[1] == d * d + d + 1
@@ -284,26 +289,16 @@ MODEL_FORMAT_VERSION = 2
 
 
 def model_to_spec(model) -> dict:
+    """The format version, the model's kind header and its learnable arrays
+    by name."""
     if isinstance(model, RwfnPredicate):
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": "rwfn",
-            "mode": model.mode,
-            "encoder": encoder_to_spec(model.encoder),
-            "beta": model.beta.tolist(),
-        }
-    if isinstance(model, NtnPredicate):
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": "ntn",
-            "k": model.slices,
-            "in_dim": model.input_dim,
-            "u": model.u.tolist(),
-            "w": model.w.tolist(),
-            "v": model.v.tolist(),
-            "b": model.b.tolist(),
-        }
-    raise TypeError(f"cannot serialize model type {type(model).__name__}")
+        header = {"kind": "rwfn", "mode": model.mode, "encoder": encoder_to_spec(model.encoder)}
+    elif isinstance(model, NtnPredicate):
+        header = {"kind": "ntn", "k": model.slices, "in_dim": model.input_dim}
+    else:
+        raise TypeError(f"cannot serialize model type {type(model).__name__}")
+    return {"format_version": MODEL_FORMAT_VERSION, **header,
+            **{name: p.tolist() for name, p in model.learnable_params().items()}}
 
 
 def model_from_spec(spec: dict, name: str):
@@ -324,13 +319,8 @@ def model_from_spec(spec: dict, name: str):
             raise ValueError(f"predicate {name!r}: beta has shape {model.beta.shape}, "
                              f"expected ({hidden_dim(encoder, model.mode)},)")
     elif spec["kind"] == "ntn":
-        model = NtnPredicate(
-            u=np.asarray(spec["u"], dtype=np.float64),
-            w=np.asarray(spec["w"], dtype=np.float64),
-            v=np.asarray(spec["v"], dtype=np.float64),
-            b=np.asarray(spec["b"], dtype=np.float64),
-        )
-        if model.u.ndim != 1:
+        model = NtnPredicate(**{f.name: np.asarray(spec[f.name], dtype=np.float64) for f in fields(NtnPredicate)})
+        if model.heads:
             raise ValueError(f"predicate {name!r}: parameters with a heads axis are a stack of models")
         if (spec.get("k"), spec.get("in_dim")) != (model.slices, model.input_dim):
             raise ValueError(f"predicate {name!r}: k={spec.get('k')!r}, in_dim={spec.get('in_dim')!r} disagree "

@@ -1,6 +1,7 @@
 """Slow, obvious references that the package's array code is tested
 against: the scalar Lukasiewicz connectives, a label predicate's truth of
-one atom, and the floats that frozen-encoder classifiers store."""
+one atom, the floats that frozen-encoder classifiers store, and the
+predicates a plan's batches evaluate."""
 
 
 def _check_range(*values):
@@ -40,3 +41,11 @@ def stored_floats(models) -> int:
     encoders = {id(m.encoder): m.encoder for m in models}
     return (sum(e.gate.size + e.fourier.size + e.phase.size for e in encoders.values())
             + sum(m.beta.size for m in models))
+
+
+def batch_preds(plan) -> list:
+    """The (part, name) of each head of each of plan's batches: the
+    predicate whose model is that member, by identity."""
+    key = {id(model): (i, name) for i, part in enumerate(plan.gt.parts or [plan.gt])
+           for name, model in part.predicates.items()}
+    return [[key[id(m)] for m in b.members] for b in plan.batches]

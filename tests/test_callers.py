@@ -14,11 +14,14 @@ or any other attribute, has the same name and is used.
 Every defaulted parameter of a module-level function or a method in src/rwfn
 is also passed by some call in those same modules: by keyword, by a
 positional argument that reaches it, or by * or ** unpacking. A default that
-no call overrides is a knob nobody turns. Calls are matched by name (a
-class's __init__ by the class name), so a call to another function or
-method of the same name counts too. The package's exports (rwfn/__init__.py)
-and the console entry point rwfn.cli:main are exempt: callers outside the
-repository may pass their defaults.
+no call overrides is a knob nobody turns. Calls of a method are matched by
+name (a class's __init__ by the class name), so a call to another method of
+the same name counts too. A module-level function's calls are the bare-name
+calls of its name and the calls through a name bound to its own module
+(perfbench's data.split), so neither np.split nor str.split is a call of
+data.split. The package's exports (rwfn/__init__.py) and the console entry
+point rwfn.cli:main are exempt: callers outside the repository may pass
+their defaults.
 
 The opposite waste is checked too: a default that every call overrides,
 which no call uses, so the parameter might as well be required. Here a
@@ -28,6 +31,12 @@ call (the check above catches one with none). A def that is also called
 through a reference, such as a callback or perfbench's wrappers, is
 judged by its direct calls alone; the wrappers forward every argument.
 The same exemptions hold.
+
+Every field of a src/rwfn dataclass or NamedTuple is read: loaded as an
+attribute somewhere in those modules. Its own methods count, since a field
+they compute with is used, but not its __post_init__: a field that only its
+own validation reads is stored for nothing. Like method names, a field name
+cannot be tied to its class, so a load of any attribute of that name counts.
 """
 
 import ast
@@ -129,11 +138,62 @@ def test_guard_sees_an_unused_method():
     assert _unused_methods({path: ast.parse(src)}, [path]) == [("m", "A", "unused"), ("m", "A", "recursive")]
 
 
+def _attribute_loads(node: ast.AST) -> Counter:
+    """How often each attribute name is loaded in node's subtree."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether cls is a dataclass (decorated @dataclass or @dataclass(...))
+    or a NamedTuple."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return any(isinstance(n, ast.Name) and n.id in ("dataclass", "NamedTuple") for n in decorators + cls.bases)
+
+
+def _unread_fields(trees: dict, modules: list) -> list:
+    """(module, class, field) of each field of the dataclasses and
+    NamedTuples of modules that trees load as an attribute only in the
+    class's own __post_init__, if anywhere."""
+    loads = sum((_attribute_loads(tree) for tree in trees.values()), Counter())
+    out = []
+    for path in modules:
+        for cls in ast.walk(trees[path]):
+            if isinstance(cls, ast.ClassDef) and _is_record(cls):
+                own = sum((_attribute_loads(m) for m in cls.body
+                           if isinstance(m, ast.FunctionDef) and m.name == "__post_init__"), Counter())
+                out += [(path.stem, cls.name, f.target.id) for f in cls.body
+                        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                        and loads[f.target.id] == own[f.target.id]]
+    return out
+
+
+def unread_fields() -> list:
+    return _unread_fields(_source_trees(), _modules())
+
+
+def test_every_field_in_src_is_read():
+    assert unread_fields() == []
+
+
+def test_guard_sees_an_unread_field():
+    src = ("from dataclasses import dataclass\nfrom typing import NamedTuple\n\n\n"
+           "@dataclass(frozen=True)\nclass A:\n    read: int\n    checked: int\n    unread: int = 0\n\n"
+           "    def __post_init__(self):\n        if self.checked < 0:\n            raise ValueError\n\n\n"
+           "@dataclass\nclass B:\n    own: int\n\n    def twice(self):\n        return 2 * self.own\n\n\n"
+           "class C(NamedTuple):\n    x: int\n    y: int\n\n\n"
+           "class Plain:\n    z: int\n\n\n"
+           "a = A(read=1, checked=2, unread=3)\na.unread = 4\nprint(a.read, B(1).twice(), C(1, y=2).x)\n")
+    path = Path("m.py")
+    # a keyword, a store and the validation are no reads; Plain is no record
+    assert _unread_fields({path: ast.parse(src)}, [path]) == [("m", "A", "checked"), ("m", "A", "unread"),
+                                                              ("m", "C", "y")]
+
+
 def _defs(tree: ast.AST) -> list:
     """(name, def, callee, offset) of each module-level function and method
-    in tree: name is "f" or "Class.method", callee the name its calls use,
-    and offset the positional slots a call fills before its own arguments
-    (self or cls)."""
+    in tree: name is "f" or "Class.method" (only a module-level function's
+    has no dot), callee the name its calls use, and offset the positional
+    slots a call fills before its own arguments (self or cls)."""
     out = []
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
@@ -170,23 +230,37 @@ def _passes(call: ast.Call, param: str, position, surely: bool = False) -> bool:
     return position < plain or (not surely and plain < len(call.args))
 
 
+def _module_names(tree: ast.AST) -> dict:
+    """The names tree binds by "from rwfn import m" or "from . import m",
+    each to the module (or other name) it imports."""
+    return {a.asname or a.name: a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+            and (n.module, n.level) in (("rwfn", 0), (None, 1)) for a in n.names}
+
+
 def _defaulted_params(trees: dict, modules: list, exempt: set):
     """(module, def, parameter, calls, position) of each defaulted parameter
-    of the defs of modules, with every call in trees of the def's name and
-    the parameter's slot among a call's positional arguments; exempt holds
-    (module, name) pairs and exported names, whose defs (a class's methods
-    included) are skipped."""
-    calls = defaultdict(list)
+    of the defs of modules, with every call in trees of the def (see the
+    module docstring) and the parameter's slot among a call's positional
+    arguments; exempt holds (module, name) pairs and exported names, whose
+    defs (a class's methods included) are skipped."""
+    calls = defaultdict(list)  # callee -> (call, its module: None when bare, "" when unresolved)
     for tree in trees.values():
+        bound = _module_names(tree)
         for n in ast.walk(tree):
-            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
-                calls[n.func.id if isinstance(n.func, ast.Name) else n.func.attr].append(n)
+            if not isinstance(n, ast.Call):
+                continue
+            if isinstance(n.func, ast.Name):
+                calls[n.func.id].append((n, None))
+            elif isinstance(n.func, ast.Attribute):
+                owner = n.func.value
+                calls[n.func.attr].append((n, bound.get(owner.id, "") if isinstance(owner, ast.Name) else ""))
     for path in modules:
         for name, fn, callee, offset in _defs(trees[path]):
             if exempt & {name.split(".")[0], (path.stem, name)}:
                 continue
+            mine = [c for c, module in calls[callee] if "." in name or module in (None, path.stem)]
             for param, pos in _defaulted(fn):
-                yield path.stem, name, param, calls[callee], None if pos is None else pos - offset
+                yield path.stem, name, param, mine, None if pos is None else pos - offset
 
 
 def _unturned_defaults(trees: dict, modules: list, exempt: set) -> list:
@@ -267,3 +341,17 @@ def test_guard_sees_a_default_every_call_overrides():
     assert _overridden_defaults(trees, [path], {"exported"}) == [
         ("m", "f", "b"), ("m", "f", "d"), ("m", "A.__init__", "x"), ("m", "A.m", "y"), ("m", "A.s", "w")]
     assert _unturned_defaults(trees, [path], {"exported"}) == [("m", "f", "c"), ("m", "never", "a")]
+
+
+def test_guard_resolves_calls_of_module_level_functions():
+    m = ("def split(ds, ratio=0.8):\n    return ds\n\n\n"
+         "class A:\n    def go(self, y=0):\n        return y\n")
+    caller = ("import numpy as np\nfrom rwfn import m, n\n\n\n"
+              "np.split(x, 2)\ntext.split(',')\nn.split(ds)\nm.split(ds, 0.5)\nsplit(ds, ratio=0.7)\nthing.go(1)\n")
+    path = Path("m.py")
+    trees = {path: ast.parse(m), Path("caller.py"): ast.parse(caller)}
+    # np.split, str.split and the other module's n.split would each leave
+    # ratio at its default; a method's calls are still matched by name
+    assert _overridden_defaults(trees, [path], set()) == [("m", "split", "ratio"), ("m", "A.go", "y")]
+    del trees[path.with_name("caller.py")].body[-3:-1]
+    assert _unturned_defaults(trees, [path], set()) == [("m", "split", "ratio")]

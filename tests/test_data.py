@@ -231,10 +231,12 @@ class TestSplit:
     def test_no_pair_spans_splits(self):
         ds = gen_synthetic(SyntheticConfig(num_scenes=40, seed=12))
         sp = split(ds, 0.8, make_rng(3))
-        train_ids = {r.id for r in sp.train.records}
-        for p in sp.train.pairs:
-            assert p.part in train_ids and p.whole in train_ids
-        assert sp.dropped_pairs == len(ds.pairs) - len(sp.train.pairs) - len(sp.test.pairs)
+        sides = [{r.id for r in part.records} for part in (sp.train, sp.test)]
+        for ids, part in zip(sides, (sp.train, sp.test)):
+            assert all(p.part in ids and p.whole in ids for p in part.pairs)
+        # only the pairs whose endpoints land in different splits are dropped
+        assert len(sp.train.pairs) + len(sp.test.pairs) == sum({p.part, p.whole} <= ids for p in ds.pairs
+                                                               for ids in sides)
 
     def test_determinism(self):
         ds = gen_synthetic(SyntheticConfig(num_scenes=40, seed=13))
@@ -244,11 +246,11 @@ class TestSplit:
 
     def test_bad_ratio(self):
         with pytest.raises(DatasetError):
-            split(tiny_dataset(), 1.0)
+            split(tiny_dataset(), 1.0, make_rng(0))
 
     def test_singleton_class_rejected(self):
         with pytest.raises(DatasetError):
-            split(tiny_dataset(), 0.8)  # both classes have a single record
+            split(tiny_dataset(), 0.8, make_rng(0))  # both classes have a single record
 
 
 def test_saved_json_is_sorted_and_versioned(tmp_path):

@@ -124,13 +124,11 @@ class TestPrCurve:
 
 class TestAuc:
     def test_constant_precision_one(self):
-        curve = PrCurve(recalls=np.array([0.5, 1.0]), precisions=np.array([1.0, 1.0]),
-                        thresholds=np.array([0.9, 0.1]))
+        curve = PrCurve(recalls=np.array([0.5, 1.0]), precisions=np.array([1.0, 1.0]))
         assert auc(curve) == pytest.approx(1.0)
 
     def test_constant_precision_rectangle(self):
-        curve = PrCurve(recalls=np.array([0.5, 1.0]), precisions=np.array([0.4, 0.4]),
-                        thresholds=np.array([0.9, 0.1]))
+        curve = PrCurve(recalls=np.array([0.5, 1.0]), precisions=np.array([0.4, 0.4]))
         assert auc(curve) == pytest.approx(0.4)
 
     def test_random_five_point_curves_match_trapezoid(self):
@@ -138,7 +136,7 @@ class TestAuc:
         for _ in range(20):
             r = np.sort(rng.random(5))
             p = rng.random(5)
-            curve = PrCurve(recalls=r, precisions=p, thresholds=np.zeros(5))
+            curve = PrCurve(recalls=r, precisions=p)
             # independent rectangle + triangle summation from (0, p[0])
             area, r0, p0 = 0.0, 0.0, p[0]
             for ri, pi in zip(r, p):
@@ -148,7 +146,7 @@ class TestAuc:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            auc(PrCurve(recalls=np.array([]), precisions=np.array([]), thresholds=np.array([])))
+            auc(PrCurve(recalls=np.array([]), precisions=np.array([])))
 
 
 class TestMacroAuc:

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 import weakref
 
 import numpy as np
@@ -32,7 +33,7 @@ from rwfn.numerics import make_rng
 from rwfn.predicates import LabelPredicate, NtnPredicate, RwfnPredicate, init_ntn
 from rwfn.tasks import build_partof_theory, make_rwfn_classifier
 
-from oracles import luk_and, luk_implies, luk_not, luk_or, truth_of
+from oracles import batch_preds, luk_and, luk_implies, luk_not, luk_or, truth_of
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -237,8 +238,9 @@ def sat_and_grads(gt: GroundedTheory, budget: int = 10_000, rng=None) -> tuple:
     theory keeps one batch per learnable predicate, so no batch stacks."""
     plan = GroundPlan(gt, budget, rng)
     sats, grads = plan.satisfiability_with_grads()
-    assert all(len(b.preds) == 1 for b in plan.batches)
-    return float(sats[0]), {b.preds[0][1]: g for b, g in zip(plan.batches, grads)}
+    preds = batch_preds(plan)
+    assert all(len(heads) == 1 for heads in preds)
+    return float(sats[0]), {heads[0][1]: g for heads, g in zip(preds, grads)}
 
 
 class TestEvalFormula:
@@ -688,7 +690,7 @@ def test_grounding_matches_recursive_oracle(fs, seed, budget, rng_seed):
     live = plan.stats()["live_atoms"]
     assert list(live) == list(want["inputs"])
     inputs = [(pred, *want["inputs"][pred]) for pred in live if live[pred]]
-    assert [b.preds for b in plan.batches] == [[(0, pred)] for pred, _, _ in inputs]
+    assert batch_preds(plan) == [[(0, pred)] for pred, _, _ in inputs]
     table = np.stack([gt.constants[c] for c in sorted(gt.constants)])
     for b, (pred, indices, args) in zip(plan.batches, inputs):
         kept = np.isin(indices, b.indices)
@@ -706,11 +708,8 @@ class TestLabelTruths:
         assert GroundPlan(gt, budget=10, rng=make_rng(0))._fixed_values.tolist() == [1.0, 0.0]
 
     def test_label_truths_match_truth_of(self):
-        # labels of the wrong arity, over constants outside the domain, or
-        # keyed by a non-tuple (the string "ab" has two in-domain letters)
-        # label no atom
-        p = LabelPredicate({("a", "b"): 0.25, "ab": 0.9, ("c", "c"): 1, ("b", "a"): 0.5, ("z", "a"): 0.75,
-                            ("a",): 0.1}, default=0.125)
+        # a label over a constant outside the domain labels no atom
+        p = LabelPredicate({("a", "b"): 0.25, ("c", "c"): 1, ("b", "a"): 0.5, ("z", "a"): 0.75}, default=0.125)
         gt = GroundedTheory(kb=parse_kb("pred S/2\nforall x,y: S(x,y)\n"),
                             constants={c: np.zeros(1) for c in "abc"}, predicates={"S": p})
         want = oracle_grounding(gt, 10, make_rng(0))
@@ -718,6 +717,16 @@ class TestLabelTruths:
         values = GroundPlan(gt, 10, make_rng(0))._fixed_values.tolist()
         assert values == [truth_of(p, args) for _, args in want["atoms"]]
         assert sorted(set(values)) == [0.125, 0.25, 0.5, 1.0]
+
+    # a key of another arity, or not a tuple (the string "ab" has two
+    # in-domain letters), is refused, even over constants outside the domain
+    @pytest.mark.parametrize("key", [("a",), ("a", "b", "c"), ("z",), "ab"])
+    def test_malformed_label_key_is_refused(self, key):
+        p = LabelPredicate({("a", "b"): 0.25, key: 0.9})
+        gt = GroundedTheory(kb=parse_kb("pred S/2\nforall x,y: S(x,y)\n"),
+                            constants={c: np.zeros(1) for c in "abc"}, predicates={"S": p})
+        with pytest.raises(ValueError, match=f"predicate 'S' of arity 2 has a label key {re.escape(repr(key))} "):
+            GroundPlan(gt, 10, make_rng(0))
 
 
 def test_plan_is_freed_without_the_cycle_collector():
@@ -929,7 +938,7 @@ def assert_fold_exact(gt: GroundedTheory, budget: int = 10**6, rng=None) -> tupl
     assert np.array_equal(plan.formula_values(), want_values)
     sats, grads = plan.satisfiability_with_grads()
     assert np.array_equal(sats, want_sats)
-    got = {b.preds[0][1]: g for b, g in zip(plan.batches, grads)}
+    got = {heads[0][1]: g for heads, g in zip(batch_preds(plan), grads)}
     for pred, (_, expected) in want_grads.items():
         for name, g in expected.items():
             assert np.allclose(got[pred][name] if pred in got else 0.0, g, rtol=0.0, atol=1e-12)
@@ -988,7 +997,7 @@ class TestFold:
     def test_kinks(self, text, p, live):
         plan, _ = assert_fold_exact(fold_theory(text, p))
         assert plan.stats()["live_atoms"] == live
-        assert [b.preds for b in plan.batches] == [[(0, pred)] for pred, n in live.items() if n]
+        assert batch_preds(plan) == [[(0, pred)] for pred, n in live.items() if n]
 
     def test_plan_without_symbolic_atoms_bounds_nothing(self, monkeypatch):
         # with no symbolic leaf no op is dead, so building the plan keeps

@@ -1,53 +1,45 @@
 import numpy as np
 import pytest
 
-from rwfn.numerics import (
-    make_rng,
-    sample_normal_matrix,
-    sample_sparse_binary,
-    sample_uniform_vector,
-)
+from rwfn.encoder import EncoderConfig, build_encoder
+from rwfn.numerics import make_rng, sample_sparse_binary
+
+
+def draws(seed, input_dim, width):
+    """An encoder's standard normal Fourier block (kernel_scale 1) and its
+    phase, uniform on [0, 2pi): the draws that follow the gate's."""
+    enc = build_encoder(EncoderConfig(input_dim=input_dim, hidden_width=width, fan_in=1, seed=seed))
+    return enc.fourier, enc.phase
 
 
 class TestNormal:
     def test_determinism(self):
-        a = sample_normal_matrix(10, 10, make_rng(42))
-        b = sample_normal_matrix(10, 10, make_rng(42))
-        assert np.array_equal(a, b)
+        assert np.array_equal(draws(42, 10, 10)[0], draws(42, 10, 10)[0])
 
     def test_seeds_differ(self):
-        a = sample_normal_matrix(10, 10, make_rng(1))
-        b = sample_normal_matrix(10, 10, make_rng(2))
-        assert (a != b).any()
+        assert (draws(1, 10, 10)[0] != draws(2, 10, 10)[0]).any()
 
     def test_mean_concentration(self):
         # 1e6 draws: the sample mean has sd 1e-3, so (-0.01, 0.01) holds whp
-        m = sample_normal_matrix(1000, 1000, make_rng(0))
+        m = draws(0, 1000, 1000)[0]
         assert -0.01 < m.mean() < 0.01
 
     def test_bad_dims(self):
         with pytest.raises(ValueError):
-            sample_normal_matrix(0, 3, make_rng(0))
+            EncoderConfig(input_dim=3, hidden_width=0)
 
 
 class TestUniform:
     def test_range(self):
-        v = sample_uniform_vector(1000, 0.0, 2 * np.pi, make_rng(3))
+        v = draws(3, 2, 1000)[1]
         assert (v >= 0).all() and (v < 2 * np.pi).all()
 
     def test_determinism(self):
-        assert np.array_equal(
-            sample_uniform_vector(50, -1, 1, make_rng(9)),
-            sample_uniform_vector(50, -1, 1, make_rng(9)),
-        )
+        assert np.array_equal(draws(9, 2, 50)[1], draws(9, 2, 50)[1])
 
     def test_mean(self):
-        v = sample_uniform_vector(10**5, 0.0, 1.0, make_rng(4))
+        v = draws(4, 2, 10**5)[1] / (2 * np.pi)
         assert 0.49 < v.mean() < 0.51
-
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            sample_uniform_vector(5, 1.0, 1.0, make_rng(0))
 
 
 class TestSparseBinary:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -464,6 +466,16 @@ class TestSerialization:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             model_from_spec({"format_version": 1, "kind": "mystery"}, name="model")
+
+    def test_spec_format_is_pinned(self):
+        # the model format is the spec's bytes: the sorted JSON of a fixed
+        # NTN's and RWFN's specs is pinned by its sha256
+        ntn = init_ntn(3, 4, make_rng(1))
+        rwfn = RwfnPredicate(encoder=build_encoder(EncoderConfig(input_dim=5, hidden_width=6, fan_in=2, seed=2)),
+                             beta=make_rng(3).standard_normal(12), mode="full")
+        assert [hashlib.sha256(json.dumps(model_to_spec(m), sort_keys=True).encode()).hexdigest()
+                for m in (ntn, rwfn)] == ["df872b5b006ed018ab1eb943428213db1d49a80f75acfd9521c4b45cba8803ce",
+                                          "c39076d7163938b67f65cc37ccb6dd73cc75f7df2523feed60409e96a7e74f05"]
 
     @pytest.mark.parametrize("block", ["gate", "fourier", "phase"])
     def test_tampered_block_checksum_refuses_to_load(self, block):

@@ -17,7 +17,7 @@ from rwfn.training import (
 )
 from rwfn.tasks import make_rwfn_classifier
 
-from oracles import stored_floats
+from oracles import batch_preds, stored_floats
 
 
 def literal_theory(spec, seed=0, input_dim=4, b=8):
@@ -374,19 +374,19 @@ class TestTrainMany:
         for kind in ("ntn", "rwfn"):
             plan = GroundPlan(merge_theories([generated_theory(i, kind, enc) for i in range(4)]), 20, make_rng(0))
             # U has no atoms; the four P read the same rows
-            assert [b.preds for b in plan.batches] == [[(i, "P") for i in range(4)]]
+            assert batch_preds(plan) == [[(i, "P") for i in range(4)]]
         sets = [POOL[:5], POOL[3:]]
         plan = GroundPlan(merge_theories([generated_theory(i, "rwfn", enc, constants=c) for i, c in enumerate(sets)]),
                           20, make_rng(0))
-        assert [b.preds for b in plan.batches] == [[(0, "P")], [(1, "P")]]
+        assert batch_preds(plan) == [[(0, "P")], [(1, "P")]]
 
     def test_one_theory_keeps_one_batch_per_predicate(self):
         # P and Q share a shape and read the same rows: they stack across
         # parts, never inside one, so one theory alone runs each own model
         theories = [two_predicate_theory(i) for i in range(2)]
-        assert [b.preds for b in GroundPlan(theories[0], 20, make_rng(0)).batches] == [[(0, "P")], [(0, "Q")]]
+        assert batch_preds(GroundPlan(theories[0], 20, make_rng(0))) == [[(0, "P")], [(0, "Q")]]
         merged = GroundPlan(merge_theories(theories), 20, make_rng(0))
-        assert [b.preds for b in merged.batches] == [[(0, "P"), (1, "P")], [(0, "Q"), (1, "Q")]]
+        assert batch_preds(merged) == [[(0, "P"), (1, "P")], [(0, "Q"), (1, "Q")]]
         assert_lockstep_matches(lambda: [two_predicate_theory(i) for i in range(3)], self.CFG, preds=("P", "Q"))
 
     def test_l2_adds_in_predicate_order(self):
