@@ -371,6 +371,9 @@ def main(argv=None) -> int:
         # only per-class rwfn classifiers have a frozen encoder to share
         parser.error(f"--shared-encoder applies to --model rwfn --task types, not --model {args.model} "
                      f"--task {args.task}")
+    if args.command == "compare" and Path(args.output).suffix == ".txt":
+        parser.error(f"compare would write its report to {args.output} and its table to "
+                     f"{Path(args.output).with_suffix('.txt')}, the same file; give -o another suffix")
     try:
         return args.func(args)
     except (CliError, DatasetError, TrainingError, ValueError, OSError, KeyError) as e:

@@ -159,9 +159,11 @@ def _as_slots(table: np.ndarray, args: np.ndarray, input_dim: int) -> tuple[np.n
     return table, args
 
 
-# Rows per block of _slot_features: each (rows, B) block temporary stays at
-# or under 400 KB for B <= 400.
+# Rows per block of _slot_features, and columns per strip of its Fourier
+# pass: a block temporary is (rows, B) in the ALBM pass, at or under 400 KB
+# for B <= 400, and (rows, strip) in the Fourier pass, 128 KB.
 SLOT_BLOCK_ROWS = 128
+SLOT_STRIP_COLS = 128
 
 
 def _slot_features(enc: RwfnEncoder, table: np.ndarray, args: np.ndarray, mode: str) -> np.ndarray:
@@ -176,44 +178,43 @@ def _slot_features(enc: RwfnEncoder, table: np.ndarray, args: np.ndarray, mode: 
     (c, s) <- (c cos F_j - s sin F_j, s cos F_j + c sin F_j), with
     sqrt(2/B) folded into slot 0. Rows are gathered and combined in blocks,
     so there is no (n, B) temporary and there are |D|*A cosines and sines
-    where the concatenated rows take n*B.
+    where the concatenated rows take n*B. One branch's tables are alive at
+    a time, the G_j, then the F_j with the cos and sin of one column strip;
+    every step after the table products is elementwise, so the passes and
+    strips change no bit.
     """
     n, arity = args.shape
     d, b = table.shape[1], enc.hidden_width
     h = np.empty((n, hidden_dim(enc, mode)))
-    albm, rff = mode != "rff", mode != "albm"
-    gates, cos, sin = [], [], []
-    for j in range(arity):
-        block = slice(j * d, (j + 1) * d)
-        if albm:
-            g = table @ enc.gate[block]
-            g -= enc.config.inhibition_strength * g.mean(axis=1, keepdims=True)
-            gates.append(g)
-        if rff:
-            z = table @ enc.fourier[block]
-            if j == 0:
-                z += enc.phase
-            c, s = np.cos(z), np.sin(z, out=z)
-            if j == 0:
-                c *= np.sqrt(2.0 / b)
-                s *= np.sqrt(2.0 / b)
-            cos.append(c)
-            sin.append(s)
-
-    for lo in range(0, n, SLOT_BLOCK_ROWS):
-        hi = lo + SLOT_BLOCK_ROWS
-        idx = args[lo:hi].T
-        if albm:
+    slots = [slice(j * d, (j + 1) * d) for j in range(arity)]
+    blocks = [(slice(lo, lo + SLOT_BLOCK_ROWS), args[lo:lo + SLOT_BLOCK_ROWS].T)
+              for lo in range(0, n, SLOT_BLOCK_ROWS)]
+    if mode != "rff":
+        gates = [table @ enc.gate[slot] for slot in slots]
+        for j in range(arity):
+            gates[j] -= enc.config.inhibition_strength * gates[j].mean(axis=1, keepdims=True)
+        for rows, idx in blocks:
             acc = gates[0][idx[0]]
             for j in range(1, arity):
                 acc += gates[j][idx[j]]
-            h[lo:hi, :b] = np.tanh(np.maximum(acc, 0.0))
-        if rff:
-            c, s = cos[0][idx[0]], sin[0][idx[0]]
-            for j in range(1, arity - 1):
-                cj, sj = cos[j][idx[j]], sin[j][idx[j]]
-                c, s = c * cj - s * sj, s * cj + c * sj
-            h[lo:hi, -b:] = np.tanh(c * cos[-1][idx[-1]] - s * sin[-1][idx[-1]])
+            h[rows, :b] = np.tanh(np.maximum(acc, 0.0))
+        del gates
+    if mode != "albm":
+        angles = [table @ enc.fourier[slot] for slot in slots]
+        angles[0] += enc.phase
+        out = h[:, -b:]
+        for lo in range(0, b, SLOT_STRIP_COLS):
+            strip = slice(lo, lo + SLOT_STRIP_COLS)
+            cos = [np.cos(z[:, strip]) for z in angles]
+            sin = [np.sin(z[:, strip]) for z in angles]
+            cos[0] *= np.sqrt(2.0 / b)
+            sin[0] *= np.sqrt(2.0 / b)
+            for rows, idx in blocks:
+                c, s = cos[0][idx[0]], sin[0][idx[0]]
+                for j in range(1, arity - 1):
+                    cj, sj = cos[j][idx[j]], sin[j][idx[j]]
+                    c, s = c * cj - s * sj, s * cj + c * sj
+                out[rows, strip] = np.tanh(c * cos[-1][idx[-1]] - s * sin[-1][idx[-1]])
     return h
 
 

@@ -410,6 +410,19 @@ class GroundPlan:
         self._counts = np.array([len(part.kb.formulas) for part in parts])
         ends = np.cumsum(self._counts).tolist()
         self._slices = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]  # each part's formulas
+        # grounding runs in methods of its own, whose intermediates are freed
+        # before the first lift: the memory peak is the cache and the plan
+        self._compile_all(rng)
+        rows = self._batch_rows()
+        self.batches: list[_Batch] = []
+        constants = np.stack([gt.constants[c] for c in self._domain]) if rows else None
+        for models, indices, args in rows:
+            model = models[0] if len(models) == 1 else stack(models)
+            self.batches.append(_Batch(members=list(models), model=model, indices=indices,
+                                       x=model.lift(constants, args)))
+
+    def _compile_all(self, rng: np.random.Generator) -> None:
+        """Group and ground every part's formulas; intern their atoms."""
         groups: dict[tuple, _Group] = {}
         slots = 0
         # per atom occurrence, in grounding order: predicate, argument code,
@@ -417,14 +430,14 @@ class GroundPlan:
         chunks: list = []
         closed: tuple = ([], [], [])
         roots = enumerate(self.roots)
-        for self._part, part in enumerate(parts):
+        for self._part, part in enumerate(self._parts):
             self._members = part.constants
             # a part's quantifiers range over its own constants, by position
             # in its own sorted domain; _positions maps those to the plan's
             self._size = len(part.constants)
             self._positions = None if self._size == len(self._domain) else \
                 np.array([self._index[c] for c in sorted(part.constants)], dtype=np.int64)
-            part_rng = copy.deepcopy(rng) if gt.parts else rng
+            part_rng = copy.deepcopy(rng) if self.gt.parts else rng
             for i, f in itertools.islice(roots, len(part.kb.formulas)):
                 ops: list[tuple] = []
                 nodes: list = []
@@ -460,6 +473,10 @@ class GroundPlan:
             group.pos = pos[group.slot:group.slot + group.leaves]
             group.atoms = [self._occurrences[p] for p in group.pos]
         self._groups = list(groups.values())
+
+    def _batch_rows(self) -> list:
+        """Fix the symbolic truths, and return each batch with a live atom:
+        its models, the indices of its live atoms and their arguments."""
         # symbolic truths are fixed, looked up by argument code in the labels
         # over the plan's domain (a label set may span more constants than a
         # split holds, but a key that is not a tuple of the predicate's arity
@@ -468,6 +485,7 @@ class GroundPlan:
         # built once. A part keeps one batch per predicate, so one theory
         # alone runs each predicate's own model.
         self._fixed_values = np.zeros(len(self._atoms))
+        self._live_rows: dict = {}  # (part, name) -> rows of its batch
         learnable = np.ones(len(self._atoms), dtype=bool)
         pred_of, code_of = np.divmod(self._atoms, self._span)
         same_rows: list = []  # [(pred, model, indices, args), ...] per batch
@@ -495,19 +513,15 @@ class GroundPlan:
             else:
                 same_rows.append([member])
         live = self._live(learnable)
-        self.batches: list[_Batch] = []
-        self._live_rows: dict = {}  # (part, name) -> rows of its batch
-        constants = np.stack([gt.constants[c] for c in self._domain]) if same_rows else None
+        rows = []
         for members in same_rows:
             preds, models, indices, args = zip(*members)
             indices = indices[0] if len(models) == 1 else np.stack(indices, axis=1)
             keep = live[indices] if indices.ndim == 1 else live[indices].any(axis=1)
             self._live_rows.update(dict.fromkeys(preds, int(keep.sum())))
-            if not keep.any():  # its predicates take no gradient from the logic
-                continue
-            model = models[0] if len(models) == 1 else stack(models)
-            self.batches.append(_Batch(members=list(models), model=model,
-                                       indices=indices[keep], x=model.lift(constants, args[0][keep])))
+            if keep.any():  # else its predicates take no gradient from the logic
+                rows.append((models, indices[keep], args[0][keep]))
+        return rows
 
     def _model(self, key: tuple):
         part, pred = key

@@ -376,6 +376,25 @@ class TestCompareAblate:
         assert reason in err and "ltn, rwfn, rwfn-shared" in err
         assert not out.exists()
 
+    def test_compare_table_suffix_usage_error(self, dataset_path, tmp_path, capsys):
+        # the table goes to the report's path with the suffix .txt
+        out = tmp_path / "r.txt"
+        assert run_cli(["compare", "--data", str(dataset_path), "--repeats", "1", "--epochs", "1",
+                        "--models", "ltn", "-o", str(out)]) == 2
+        assert f"report to {out} and its table to {out}, the same file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_compare_writes_report_and_table(self, dataset_path, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(["compare", "--data", str(dataset_path), "--repeats", "1", "--epochs", "1",
+                        "--budget", "100", "--b-types", "8", "--b-partof", "8", "--models", "ltn",
+                        "-o", str(out)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "r.json.manifest.json", "r.txt"]
+        assert json.loads(out.read_text())["rows"][-1]["model"] == "ir-baseline"
+        assert "ltn" in (tmp_path / "r.txt").read_text()
+        artifacts = json.loads((tmp_path / "r.json.manifest.json").read_text())["artifacts"]
+        assert artifacts == {"report": str(out), "table": str(tmp_path / "r.txt")}
+
     def test_ablate_has_no_ntn_width(self, dataset_path, tmp_path, capsys):
         out = tmp_path / "abl.json"
         assert run_cli(["ablate", "--data", str(dataset_path), "--k", "2", "-o", str(out)]) == 2

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rwfn.encoder import (
     SLOT_BLOCK_ROWS,
+    SLOT_STRIP_COLS,
     EncoderConfig,
     RwfnEncoder,
     albm_features,
@@ -158,6 +159,28 @@ def slot_case(arity, n, seed=0, constants=7, d=3, b=16):
     return enc, table, args
 
 
+def whole_array_recurrence(enc, table, args):
+    """The ALBM and Fourier halves of hidden_features(enc, table, "full",
+    args), from full-width slot tables combined over all rows at once."""
+    d, b = table.shape[1], enc.hidden_width
+    gates, cos, sin = [], [], []
+    for j in range(args.shape[1]):
+        rows = slice(j * d, (j + 1) * d)
+        g = table @ enc.gate[rows]
+        gates.append((g - enc.config.inhibition_strength * g.mean(axis=1, keepdims=True))[args[:, j]])
+        z = table @ enc.fourier[rows]
+        if j == 0:
+            z = z + enc.phase
+        scale = np.sqrt(2.0 / b) if j == 0 else 1.0
+        cos.append((np.cos(z) * scale)[args[:, j]])
+        sin.append((np.sin(z) * scale)[args[:, j]])
+    albm = np.tanh(np.maximum(sum(gates[1:], gates[0]), 0.0))
+    c, s = cos[0], sin[0]
+    for j in range(1, args.shape[1] - 1):
+        c, s = c * cos[j] - s * sin[j], s * cos[j] + c * sin[j]
+    return albm, np.tanh(c * cos[-1] - s * sin[-1])
+
+
 class TestSlotTables:
     """Atoms given as argument positions into a table of constants, against
     the rows concatenated and encoded as one input each."""
@@ -177,27 +200,22 @@ class TestSlotTables:
     def test_blocks_are_bit_identical_to_the_whole_array_recurrence(self, arity, mode):
         # the 1e-12 check above cannot see the order of operations; this one
         # rebuilds the slot tables and combines them over all rows at once
-        n = 2 * SLOT_BLOCK_ROWS + 5
-        enc, table, args = slot_case(arity, n)
-        d, b = table.shape[1], enc.hidden_width
-        gates, cos, sin = [], [], []
-        for j in range(arity):
-            rows = slice(j * d, (j + 1) * d)
-            g = table @ enc.gate[rows]
-            gates.append((g - enc.config.inhibition_strength * g.mean(axis=1, keepdims=True))[args[:, j]])
-            z = table @ enc.fourier[rows]
-            if j == 0:
-                z = z + enc.phase
-            scale = np.sqrt(2.0 / b) if j == 0 else 1.0
-            cos.append((np.cos(z) * scale)[args[:, j]])
-            sin.append((np.sin(z) * scale)[args[:, j]])
-        albm = np.tanh(np.maximum(sum(gates[1:], gates[0]), 0.0))
-        c, s = cos[0], sin[0]
-        for j in range(1, arity - 1):
-            c, s = c * cos[j] - s * sin[j], s * cos[j] + c * sin[j]
-        rff = np.tanh(c * cos[-1] - s * sin[-1])
+        enc, table, args = slot_case(arity, 2 * SLOT_BLOCK_ROWS + 5)
+        albm, rff = whole_array_recurrence(enc, table, args)
         expected = {"full": np.hstack([albm, rff]), "albm": albm, "rff": rff}[mode]
         assert np.array_equal(hidden_features(enc, table, mode, args), expected)
+
+    @pytest.mark.parametrize("b", [SLOT_STRIP_COLS // 2, SLOT_STRIP_COLS, 2 * SLOT_STRIP_COLS + 40],
+                             ids=["below-strip", "one-strip", "partial-strip"])
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_two_passes_are_bit_identical(self, arity, b):
+        # the branches are filled one after the other, the Fourier one in
+        # column strips: neither the pass nor the strip changes a bit
+        enc, table, args = slot_case(arity, SLOT_BLOCK_ROWS + 5, b=b)
+        full = hidden_features(enc, table, "full", args)
+        halves = np.hstack([hidden_features(enc, table, "albm", args), hidden_features(enc, table, "rff", args)])
+        assert np.array_equal(full, halves)
+        assert np.array_equal(full, np.hstack(whole_array_recurrence(enc, table, args)))
 
     @pytest.mark.parametrize("mode", ["full", "albm", "rff"])
     def test_one_slot_is_bit_identical(self, mode):
