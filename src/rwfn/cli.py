@@ -144,6 +144,7 @@ BUNDLE_CHECKS = (  # field, test, what it must be
     ("kind", lambda v: v in ("rwfn", "ltn"), "'rwfn' or 'ltn'"),
     ("split_ratio", lambda v: isinstance(v, float) and 0.0 < v < 1.0, "a float in (0, 1)"),
     ("split_seed", lambda v: isinstance(v, int) and not isinstance(v, bool), "an int"),
+    ("split_seed", lambda v: v >= 0, ">= 0"),
     ("predicates", lambda v: isinstance(v, dict) and v and all(isinstance(s, dict) for s in v.values()),
      "a non-empty object of objects"),
 )
@@ -246,18 +247,20 @@ def cmd_params(args) -> int:
 # Argument parsing
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def int_at_least(least: int, why: str = ""):
+    """An argparse type: an int >= least, why giving the bound's reason."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}{why}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
 
 
-def input_width(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2 for a gate of fan-in 1 <= fan_in < n, got {value}")
-    return value
+positive_int = int_at_least(1)
+non_negative_int = int_at_least(0)
+input_width = int_at_least(2, " for a gate of fan-in 1 <= fan_in < n")
 
 
 def width_list(text: str) -> tuple:
@@ -286,7 +289,7 @@ def open_unit_float(text: str) -> float:
 
 
 def _add_train_flags(p):
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--seed", type=non_negative_int, default=TrainConfig.seed)
     p.add_argument("--epochs", type=positive_int, default=TrainConfig.epochs)
     p.add_argument("--lr", dest="learning_rate", type=finite_float, default=TrainConfig.learning_rate)
     p.add_argument("--l2", type=finite_float, default=TrainConfig.l2)
@@ -308,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", dest="feature_noise", type=finite_float, default=SyntheticConfig.feature_noise)
     p.add_argument("--jitter", dest="geometry_jitter", type=finite_float, default=SyntheticConfig.geometry_jitter)
     p.add_argument("--neg-ratio", dest="negative_ratio", type=finite_float, default=SyntheticConfig.negative_ratio)
-    p.add_argument("--seed", type=int, default=SyntheticConfig.seed)
+    p.add_argument("--seed", type=non_negative_int, default=SyntheticConfig.seed)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen_synth)
 

@@ -48,6 +48,8 @@ class PartOfPair:
     def __post_init__(self):
         if self.part == self.whole:
             raise DatasetError(f"pair with identical endpoints {self.part!r}")
+        if not isinstance(self.positive, bool):  # bool("false") is True
+            raise DatasetError(f"pair ({self.part!r}, {self.whole!r}): positive must be a bool, got {self.positive!r}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,8 @@ class Dataset:
     pairs: list              # list[PartOfPair]
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise DatasetError(f"n must be an integer, got {self.n!r}")
         names = {c.name for c in self.classes}
         self._index = {r.id: r for r in self.records}
         if len(self._index) != len(self.records):
@@ -114,10 +118,9 @@ class SyntheticConfig:
         for name in ("feature_noise", "geometry_jitter", "negative_ratio"):
             if not math.isfinite(getattr(self, name)):
                 raise DatasetError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.feature_noise < 0:
-            raise DatasetError("feature_noise must be >= 0")
-        if self.geometry_jitter < 0:
-            raise DatasetError("geometry_jitter must be >= 0")
+        for name in ("feature_noise", "geometry_jitter", "seed"):
+            if getattr(self, name) < 0:
+                raise DatasetError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.negative_ratio <= 0:
             raise DatasetError("negative_ratio must be > 0")
         if not 0.0 <= self.overlap_fraction <= 1.0:
@@ -145,13 +148,14 @@ def dataset_to_json(ds: Dataset) -> dict:
 def dataset_from_json(obj: dict) -> Dataset:
     try:
         classes = [ClassInfo(c["name"], c["role"], tuple(c.get("parts", ()))) for c in obj["classes"]]
-        records = [
-            BoxRecord(r["id"], np.asarray(r["features"], dtype=np.float64),
-                      tuple(r["bbox"]), frozenset(r["labels"]))
-            for r in obj["records"]
-        ]
-        pairs = [PartOfPair(p["part"], p["whole"], bool(p["positive"])) for p in obj["pairs"]]
-        return Dataset(n=int(obj["n"]), classes=classes, records=records, pairs=pairs)
+        records = []
+        for r in obj["records"]:
+            if not (isinstance(r["labels"], list) and all(isinstance(lab, str) for lab in r["labels"])):
+                raise DatasetError(f"record {r['id']!r}: labels must be a list of strings, got {r['labels']!r}")
+            records.append(BoxRecord(r["id"], np.asarray(r["features"], dtype=np.float64),
+                                     tuple(r["bbox"]), frozenset(r["labels"])))
+        pairs = [PartOfPair(p["part"], p["whole"], p["positive"]) for p in obj["pairs"]]
+        return Dataset(n=obj["n"], classes=classes, records=records, pairs=pairs)
     except (KeyError, TypeError) as e:
         raise DatasetError(f"malformed dataset JSON: {e}") from e
 

@@ -37,6 +37,8 @@ class EncoderConfig:
             raise ValueError(f"inhibition_strength must be finite and > 0, got {self.inhibition_strength}")
         if not 0 < self.kernel_scale < math.inf:
             raise ValueError(f"kernel_scale must be finite and > 0, got {self.kernel_scale}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -261,6 +263,9 @@ def encoder_from_spec(spec: dict) -> RwfnEncoder:
     carries."""
     if spec.get("prng_id") != PRNG_ID:
         raise ValueError(f"unsupported prng_id {spec.get('prng_id')!r}, expected {PRNG_ID!r}")
+    missing = [repr(f.name) for f in fields(EncoderConfig) if spec.get(f.name) is None]
+    if missing:
+        raise ValueError(f"encoder spec has no {', '.join(missing)}")
     enc = build_encoder(EncoderConfig(**{f.name: spec[f.name] for f in fields(EncoderConfig)}))
     for key, checksum in CHECKSUMS.items():
         if spec.get(key) is not None and checksum(enc) != spec[key]:

@@ -91,24 +91,25 @@ class GroundedTheory:
 
 
 def merge_theories(theories: list) -> GroundedTheory:
-    """Several theories as one, whose parts they are: their formulas in
-    order, their constants united, and each predicate keyed (part, name), so
+    """Several theories over one set of constants as one, whose parts they
+    are: their formulas in order, and each predicate keyed (part, name), so
     the atoms of different parts stay distinct. A constant id must name one
     vector. A plan over the result runs every part in one pass, with its
-    own satisfiability, constant domain and quantifier samples."""
+    own satisfiability and quantifier samples."""
     if not theories:
         raise ValueError("no theories to merge")
-    constants: dict = {}
+    constants = theories[0].constants
     for i, gt in enumerate(theories):
+        if gt.constants.keys() != constants.keys():
+            raise ValueError(f"theory {i} is over other constants than theory 0; merged theories share one domain")
         for c, v in gt.constants.items():
-            seen = constants.setdefault(c, v)
-            if seen is not v and not np.array_equal(seen, v):
+            if constants[c] is not v and not np.array_equal(constants[c], v):
                 raise ValueError(f"constant {c!r} is bound to different vectors in theory {i} and an earlier one")
     return GroundedTheory(
         kb=KnowledgeBase(signatures={(i, name): a for i, gt in enumerate(theories)
                                      for name, a in gt.kb.signatures.items()},
                          formulas=[f for gt in theories for f in gt.kb.formulas]),
-        constants=constants,
+        constants=dict(constants),
         predicates={(i, name): m for i, gt in enumerate(theories) for name, m in gt.predicates.items()},
         parts=list(theories))
 
@@ -387,8 +388,8 @@ class _Batch:
 
 class GroundPlan:
     """The compiled grounding of a theory, or of the parts of a merged one
-    (merge_theories): every part's formulas run in the same groups, and
-    each part has its own satisfiability, constant domain and quantifier
+    (merge_theories). A part is a slice of the plan's formulas, quantified
+    over the plan's one domain, with its own satisfiability and quantifier
     samples, drawn from its own copy of rng."""
 
     def __init__(self, gt: GroundedTheory, budget: int, rng: np.random.Generator | None):
@@ -431,12 +432,6 @@ class GroundPlan:
         closed: tuple = ([], [], [])
         roots = enumerate(self.roots)
         for self._part, part in enumerate(self._parts):
-            self._members = part.constants
-            # a part's quantifiers range over its own constants, by position
-            # in its own sorted domain; _positions maps those to the plan's
-            self._size = len(part.constants)
-            self._positions = None if self._size == len(self._domain) else \
-                np.array([self._index[c] for c in sorted(part.constants)], dtype=np.int64)
             part_rng = copy.deepcopy(rng) if self.gt.parts else rng
             for i, f in itertools.islice(roots, len(part.kb.formulas)):
                 ops: list[tuple] = []
@@ -460,8 +455,8 @@ class GroundPlan:
                 leaf_slots.extend(range(group.slot, group.slot + group.leaves))
                 for atom in atoms:
                     pids.append(self._pids[self._part, atom.pred])
-                    codes.append(self._code(atom.args, self._constant))
-        del self._part, self._members, self._size, self._positions
+                    codes.append(self._code(atom.args))
+        del self._part
         chunks.append(closed)
         pids, codes, leaf_slots = (np.concatenate([np.asarray(c[j], dtype=np.int64) for c in chunks])
                                    for j in range(3))
@@ -480,15 +475,14 @@ class GroundPlan:
         # symbolic truths are fixed, looked up by argument code in the labels
         # over the plan's domain (a label set may span more constants than a
         # split holds, but a key that is not a tuple of the predicate's arity
-        # is an error); learnable predicates of different parts whose atoms
-        # have the same arguments are batched, and each batch's input is
-        # built once. A part keeps one batch per predicate, so one theory
-        # alone runs each predicate's own model.
+        # is an error); learnable predicates with equal stack_key() whose
+        # atoms have the same arguments are batched, in one part or across
+        # parts, and each batch's input is built once.
         self._fixed_values = np.zeros(len(self._atoms))
         self._live_rows: dict = {}  # (part, name) -> rows of its batch
         learnable = np.ones(len(self._atoms), dtype=bool)
         pred_of, code_of = np.divmod(self._atoms, self._span)
-        same_rows: list = []  # [(pred, model, indices, args), ...] per batch
+        same_rows: dict = {}  # (stack_key, rows) -> [(pred, model, indices, args), ...], one batch
         for pid, (pred, arity) in enumerate(self._preds.items()):
             model = self._model(pred)
             indices = np.flatnonzero(pred_of == pid)
@@ -497,24 +491,18 @@ class GroundPlan:
                     if not (isinstance(key, tuple) and len(key) == arity):
                         raise ValueError(f"predicate {pred[1]!r} of arity {arity} has a label key {key!r} "
                                          f"that is not a tuple of {arity} constants")
-                labels = {self._code(key, self._index.__getitem__): float(value)
+                labels = {self._code(key): float(value)
                           for key, value in model.truths.items() if all(a in self._index for a in key)}
                 default = float(model.default)
                 self._fixed_values[indices] = [labels.get(code, default) for code in code_of[indices].tolist()]
                 learnable[indices] = False
                 continue
             args = self._args(code_of[indices], arity)
-            member = (pred, model, indices, args)
-            for members in same_rows:
-                if (all(m[0][0] != pred[0] for m in members) and members[0][1].stack_key() == model.stack_key()
-                        and np.array_equal(members[0][3], args)):
-                    members.append(member)
-                    break
-            else:
-                same_rows.append([member])
+            key = (model.stack_key(), args.shape, args.tobytes())
+            same_rows.setdefault(key, []).append((pred, model, indices, args))
         live = self._live(learnable)
         rows = []
-        for members in same_rows:
+        for members in same_rows.values():
             preds, models, indices, args = zip(*members)
             indices = indices[0] if len(models) == 1 else np.stack(indices, axis=1)
             keep = live[indices] if indices.ndim == 1 else live[indices].any(axis=1)
@@ -565,16 +553,15 @@ class GroundPlan:
             raise ValueError(f"predicate {atom.pred!r} is used with {arity} and {len(atom.args)} arguments")
 
     def _constant(self, c) -> int:
-        if c not in self._members:
+        if c not in self._index:
             raise KeyError(f"constant {c!r} has no grounding vector")
         return self._index[c]
 
-    def _code(self, args: tuple, position) -> int:
-        """The argument code of the constants args, position(c) being the
-        position of constant c."""
+    def _code(self, args: tuple) -> int:
+        """The argument code of the constants args."""
         code = 0
         for a in reversed(args):
-            code = code * len(self._domain) + position(a)
+            code = code * len(self._domain) + self._constant(a)
         return code
 
     def _args(self, codes: np.ndarray, arity: int) -> np.ndarray:
@@ -648,8 +635,6 @@ class GroundPlan:
                 inst = np.concatenate(samples[j])
             else:
                 inst = np.tile(self._instantiations(len(node.variables), None), (rows, 1))
-            if self._positions is not None:
-                inst = self._positions[inst]
             self._quantifiers.append((root, node.variables, rows * m, j in samples))
             inner = {v: np.repeat(a, m) for v, a in env.items()}
             inner.update(zip(node.variables, inst.T))
@@ -660,23 +645,23 @@ class GroundPlan:
         return np.hstack((left, right)), np.concatenate((ll, lr))
 
     def _instantiation_count(self, variables: tuple) -> int:
-        if not self._size:
+        if not self._domain:
             raise ValueError("quantified formula over an empty constant domain")
-        total = self._size ** len(variables)
+        total = len(self._domain) ** len(variables)
         if total > _INT64_MAX:
-            raise ValueError(f"quantifier over {', '.join(variables)}: {self._size}^{len(variables)} "
+            raise ValueError(f"quantifier over {', '.join(variables)}: {len(self._domain)}^{len(variables)} "
                              f"instantiations exceed the int64 range")
         return min(total, self.budget)
 
     def _sampled(self, variables: tuple) -> bool:
-        return self._size ** len(variables) > self.budget
+        return len(self._domain) ** len(variables) > self.budget
 
     def _instantiations(self, n_vars: int, rng) -> np.ndarray:
-        """(m, n_vars) constant positions in the part's domain: every tuple
+        """(m, n_vars) constant positions in the plan's domain: every tuple
         in itertools.product order when they fit the budget, else a sorted
         sample drawn from rng whose flat index has the first variable as its
         lowest digit."""
-        d = self._size
+        d = len(self._domain)
         total = d ** n_vars
         if total <= self.budget:
             flat, digits = np.arange(total), range(n_vars - 1, -1, -1)

@@ -302,32 +302,39 @@ def model_to_spec(model) -> dict:
 
 
 def model_from_spec(spec: dict, name: str):
-    """The model a spec describes; name is the predicate it grounds, for
-    error messages. Non-finite parameter values, parameters shaped for
-    another model or for a stack of heads, and an NTN's k or in_dim that
-    its parameters contradict, refuse to load."""
-    version = spec.get("format_version")
-    if version not in (1, MODEL_FORMAT_VERSION):
-        raise ValueError(f"unsupported model format version {version!r}")
-    if spec["kind"] == "rwfn":
-        missing = [key for key in CHECKSUMS if spec["encoder"].get(key) is None]
-        if version == MODEL_FORMAT_VERSION and missing:
-            raise ValueError(f"model format {version} encoder spec lacks {', '.join(missing)}")
-        encoder = encoder_from_spec(spec["encoder"])
-        model = RwfnPredicate(encoder=encoder, beta=np.asarray(spec["beta"], dtype=np.float64), mode=spec["mode"])
-        if model.beta.shape != (hidden_dim(encoder, model.mode),):
-            raise ValueError(f"predicate {name!r}: beta has shape {model.beta.shape}, "
-                             f"expected ({hidden_dim(encoder, model.mode)},)")
-    elif spec["kind"] == "ntn":
-        model = NtnPredicate(**{f.name: np.asarray(spec[f.name], dtype=np.float64) for f in fields(NtnPredicate)})
-        if model.heads:
-            raise ValueError(f"predicate {name!r}: parameters with a heads axis are a stack of models")
-        if (spec.get("k"), spec.get("in_dim")) != (model.slices, model.input_dim):
-            raise ValueError(f"predicate {name!r}: k={spec.get('k')!r}, in_dim={spec.get('in_dim')!r} disagree "
-                             f"with parameters of {model.slices} slices of width {model.input_dim}")
-    else:
-        raise ValueError(f"unknown model kind {spec['kind']!r}")
-    for param, value in model.learnable_params().items():
-        if not np.isfinite(value).all():
-            raise ValueError(f"predicate {name!r}: parameter {param!r} has non-finite values")
+    """The model a spec describes; name is the predicate it grounds, which
+    every refusal names. A missing or null field, non-finite values, arrays
+    shaped for another model or for a stack of heads, and an NTN's k or
+    in_dim that its arrays contradict, refuse to load."""
+    try:
+        version = spec.get("format_version")
+        if version not in (1, MODEL_FORMAT_VERSION):
+            raise ValueError(f"unsupported model format version {version!r}")
+        cls = {"rwfn": RwfnPredicate, "ntn": NtnPredicate}.get(spec.get("kind"))
+        required = [f.name for f in fields(cls)] if cls else ["kind"]  # an unknown kind is refused below
+        missing = [repr(key) for key in required if spec.get(key) is None]
+        if missing:
+            raise ValueError(f"model spec has no {', '.join(missing)}")
+        if cls is RwfnPredicate:
+            missing = [key for key in CHECKSUMS if spec["encoder"].get(key) is None]
+            if version == MODEL_FORMAT_VERSION and missing:
+                raise ValueError(f"model format {version} encoder spec lacks {', '.join(missing)}")
+            encoder = encoder_from_spec(spec["encoder"])
+            model = RwfnPredicate(encoder=encoder, beta=np.asarray(spec["beta"], dtype=np.float64), mode=spec["mode"])
+            if model.beta.shape != (hidden_dim(encoder, model.mode),):
+                raise ValueError(f"beta has shape {model.beta.shape}, expected ({hidden_dim(encoder, model.mode)},)")
+        elif cls is NtnPredicate:
+            model = NtnPredicate(**{f.name: np.asarray(spec[f.name], dtype=np.float64) for f in fields(NtnPredicate)})
+            if model.heads:
+                raise ValueError("parameters with a heads axis are a stack of models")
+            if (spec.get("k"), spec.get("in_dim")) != (model.slices, model.input_dim):
+                raise ValueError(f"k={spec.get('k')!r}, in_dim={spec.get('in_dim')!r} disagree "
+                                 f"with parameters of {model.slices} slices of width {model.input_dim}")
+        else:
+            raise ValueError(f"unknown model kind {spec['kind']!r}")
+        for param, value in model.learnable_params().items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"parameter {param!r} has non-finite values")
+    except ValueError as e:
+        raise ValueError(f"predicate {name!r}: {e}") from None
     return model

@@ -6,13 +6,13 @@ fixed across epochs (full-batch training on a fixed ground plan). This keeps
 runs deterministic and lets frozen-encoder models cache hidden features for
 every atom, so their epochs cost only decoder-sized dot products.
 
-Several theories train in lockstep (train_many): one plan over all of them,
-whose learnable predicates that read the same rows run as one stacked model
-with one RMSProp step per epoch. Every step updates the parameter arrays in
-place, and each stacked predicate's arrays are views into the stack's, so
-the step trains it and nothing is copied back. Each theory's
-loss, parameters and quantifier samples are those of training it alone, up
-to rounding.
+Theories over one set of constants train in lockstep (train_many): one
+plan, each theory a slice of its formulas. Learnable predicates of equal
+stack_key() that read the same rows, in one theory or several, run as one
+stacked model with one RMSProp step per epoch, which updates the arrays
+in place; a stacked predicate's arrays are views into the stack's, so
+nothing is copied back. Each theory's loss, parameters and quantifier
+samples are those of training it alone, up to rounding.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 from .encoder import EncoderConfig, RwfnEncoder, build_encoder
 from .logic import GroundedTheory, GroundPlan, merge_theories
 from .numerics import make_rng
-from .predicates import RwfnPredicate
 
 
 class TrainingError(RuntimeError):
@@ -49,8 +48,9 @@ class TrainConfig:
         for name in ("l2", "learning_rate", "rmsprop_eps"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
+        for name in ("l2", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if not 0.0 < self.rmsprop_decay < 1.0:
@@ -92,21 +92,14 @@ def train(gt: GroundedTheory, cfg: TrainConfig) -> TrainTrace:
 
 
 def train_many(theories: list, cfg: TrainConfig) -> list:
-    """train() each theory, all in one epoch loop over one merged plan;
-    returns their traces. Every theory draws its quantifier samples from
-    its own make_rng(cfg.seed). RWFN models of different theories must
-    share one encoder: each private one keeps its own hidden cache."""
+    """train() each theory, all in one epoch loop over one merged plan
+    (merge_theories); returns their traces. Every theory draws its
+    quantifier samples from its own make_rng(cfg.seed)."""
     if not theories:
         raise TrainingError("no theories to train")
     for i, gt in enumerate(theories):
         if not gt.learnable_predicates():
             raise TrainingError(f"grounded theory {i} has no learnable parameters")
-    if len(theories) > 1:
-        encoders = {id(m.encoder) for gt in theories for m in gt.learnable_predicates().values()
-                    if isinstance(m, RwfnPredicate)}
-        if len(encoders) > 1:
-            raise TrainingError(f"lockstep theories use {len(encoders)} frozen encoders, each with its own "
-                                f"hidden cache; share one, or train them one by one")
     gt = theories[0] if len(theories) == 1 else merge_theories(theories)
     plan = GroundPlan(gt, cfg.instantiation_budget, make_rng(cfg.seed))
     # the plan's models, then the learnable predicates without atoms, which

@@ -37,6 +37,11 @@ attribute somewhere in those modules. Its own methods count, since a field
 they compute with is used, but not its __post_init__: a field that only its
 own validation reads is stored for nothing. Like method names, a field name
 cannot be tied to its class, so a load of any attribute of that name counts.
+
+Only predicates.py tells model families apart by class: no other module of
+src/rwfn makes an isinstance test against RwfnPredicate, NtnPredicate or
+LabelPredicate. The others go through the predicate interface (lift,
+forward_batch, gradient_batch, stack_key, learnable_params, symbolic).
 """
 
 import ast
@@ -355,3 +360,28 @@ def test_guard_resolves_calls_of_module_level_functions():
     assert _overridden_defaults(trees, [path], set()) == [("m", "split", "ratio"), ("m", "A.go", "y")]
     del trees[path.with_name("caller.py")].body[-3:-1]
     assert _unturned_defaults(trees, [path], set()) == [("m", "split", "ratio")]
+
+
+MODEL_CLASSES = {"RwfnPredicate", "NtnPredicate", "LabelPredicate"}
+
+
+def _model_family_checks(trees: dict) -> list:
+    """(module, line) of each isinstance call in trees whose class argument
+    names a model class, plainly, through a module or in a tuple."""
+    return [(path.stem, n.lineno) for path, tree in trees.items() for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "isinstance"
+            and len(n.args) == 2 and MODEL_CLASSES & set(_names(n.args[1]))]
+
+
+def test_only_predicates_tells_model_families_apart():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in _modules() if path.name != "predicates.py"}
+    assert _model_family_checks(trees) == []
+
+
+def test_guard_sees_a_model_family_check():
+    src = ("from rwfn import predicates\nfrom rwfn.predicates import RwfnPredicate\n\n\n"
+           "def f(m):\n"
+           "    if isinstance(m, RwfnPredicate):\n        return 1\n"
+           "    if isinstance(m, (int, predicates.NtnPredicate)):\n        return 2\n"
+           "    return isinstance(m, dict) or m.symbolic\n")
+    assert _model_family_checks({Path("m.py"): ast.parse(src)}) == [("m", 6), ("m", 8)]

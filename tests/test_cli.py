@@ -40,6 +40,18 @@ def dataset_path(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def partof_bundles(dataset_path, tmp_path_factory):
+    """model kind -> a part-of bundle trained on dataset_path."""
+    out = {}
+    for kind in ("rwfn", "ltn"):
+        path = tmp_path_factory.mktemp(kind) / "m.json"
+        assert run_cli(["train", "--model", kind, "--task", "partof", "--data", str(dataset_path), "--b", "8",
+                        "--k", "2", "--epochs", "2", "--budget", "100", "--seed", "0", "-o", str(path)]) == 0
+        out[kind] = json.loads(path.read_text())
+    return out
+
+
 class TestGenSynth:
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -205,12 +217,13 @@ class TestTrainEval:
         (lambda b: {**b, "split_ratio": 1.5}, "'split_ratio' must be a float in (0, 1), got 1.5"),
         (lambda b: {**b, "split_seed": 1.5}, "'split_seed' must be an int, got 1.5"),
         (lambda b: {**b, "split_seed": True}, "'split_seed' must be an int, got True"),
+        (lambda b: {**b, "split_seed": -3}, "'split_seed' must be >= 0, got -3"),
         (lambda b: {**b, "predicates": {}}, "'predicates' must be a non-empty object of objects"),
         (lambda b: {**b, "predicates": {"partOf": []}}, "'predicates' must be a non-empty object of objects"),
         (lambda b: {**b, "predicates": {"isWhole": b["predicates"]["partOf"]}},
          "'predicates' must hold 'partOf' for task 'partof'"),
     ], ids=["list", "version-99", "no-version", "task", "kind", "ratio-string", "ratio-range",
-            "seed-float", "seed-bool", "no-predicates", "predicate-list", "no-partOf"])
+            "seed-float", "seed-bool", "seed-negative", "no-predicates", "predicate-list", "no-partOf"])
     def test_eval_malformed_bundle_runtime_error(self, dataset_path, tmp_path, capsys, edit, message):
         model = tmp_path / "m.json"
         assert run_cli(["train", "--model", "rwfn", "--task", "partof",
@@ -237,6 +250,28 @@ class TestTrainEval:
         assert run_cli(["eval", "--model", str(model), "--data", str(dataset_path), "-o", str(report)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: predicate 'partOf': ") and f"{field}=" in err and "disagree" in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("model_kind, field", [
+        ("rwfn", "kind"), ("rwfn", "mode"), ("rwfn", "encoder"), ("rwfn", "encoder.fan_in"), ("rwfn", "beta"),
+        ("ltn", "u"), ("ltn", "w"), ("ltn", "v"), ("ltn", "b"),
+    ])
+    @pytest.mark.parametrize("null", [False, True], ids=["missing", "null"])
+    def test_eval_spec_without_a_field_runtime_error(self, dataset_path, partof_bundles, tmp_path, capsys,
+                                                     model_kind, field, null):
+        spec = bundle = json.loads(json.dumps(partof_bundles[model_kind]))
+        *path, key = ["predicates", "partOf", *field.split(".")]
+        for step in path:
+            spec = spec[step]
+        if null:
+            spec[key] = None
+        else:
+            del spec[key]
+        model, report = tmp_path / "m.json", tmp_path / "r.json"
+        model.write_text(json.dumps(bundle))
+        assert run_cli(["eval", "--model", str(model), "--data", str(dataset_path), "-o", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: predicate 'partOf': ") and f"spec has no '{key}'" in err
         assert not report.exists()
 
     def test_unknown_model_usage_error(self, dataset_path, tmp_path):
@@ -331,6 +366,18 @@ class TestTrainEval:
                         "-o", str(tmp_path / "m.json")])
         assert code == 1
         assert "non-finite feature" in capsys.readouterr().err
+
+    # each used to exit 1 with numpy's "expected non-negative integer"
+    @pytest.mark.parametrize("command, seed", [("gen-synth", "-1"), ("train", "-5"), ("compare", "-5"),
+                                               ("ablate", "-5")])
+    def test_negative_seed_usage_error(self, dataset_path, tmp_path, capsys, command, seed):
+        args = {"gen-synth": ["gen-synth", "--scenes", "5"],
+                "train": ["train", "--model", "rwfn", "--task", "types", "--data", str(dataset_path)],
+                "compare": ["compare", "--data", str(dataset_path)],
+                "ablate": ["ablate", "--data", str(dataset_path)]}[command]
+        assert run_cli(args + ["--seed", seed, "-o", str(tmp_path / "out.json")]) == 2
+        assert f"argument --seed: must be >= 0, got {seed}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_dataset_runtime_error(self, tmp_path):
         assert run_cli(["train", "--model", "rwfn", "--task", "types",

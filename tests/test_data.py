@@ -80,6 +80,29 @@ class TestValidation:
         with pytest.raises(DatasetError):
             dataset_from_json({"n": 4})
 
+    @pytest.mark.parametrize("value", ["false", "true", 0.5, 1, 0, None])
+    def test_pair_positive_must_be_a_boolean(self, value):
+        # bool("false") would make a positive pair
+        obj = dataset_to_json(tiny_dataset())
+        obj["pairs"][0]["positive"] = value
+        with pytest.raises(DatasetError, match=r"pair \('p', 'w'\): positive must be a bool"):
+            dataset_from_json(obj)
+
+    @pytest.mark.parametrize("value", [6.0, 16.7, "6", True, None])
+    def test_n_must_be_an_integer(self, value):
+        obj = dataset_to_json(tiny_dataset())
+        obj["n"] = value
+        with pytest.raises(DatasetError, match="n must be an integer"):
+            dataset_from_json(obj)
+
+    @pytest.mark.parametrize("value", ["whole0", ["whole0", 1], {"whole0": True}, None])
+    def test_record_labels_must_be_a_list_of_strings(self, value):
+        # a string would be split into its characters
+        obj = dataset_to_json(tiny_dataset())
+        obj["records"][0]["labels"] = value
+        with pytest.raises(DatasetError, match="record 'w': labels must be a list of strings"):
+            dataset_from_json(obj)
+
 
 class TestInclusionRatio:
     def test_nested(self):
@@ -190,6 +213,10 @@ class TestGenerator:
         # features, and the others numpy errors in the generator
         with pytest.raises(DatasetError, match=match):
             SyntheticConfig(**{field: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DatasetError, match="seed must be >= 0, got -1"):
+            SyntheticConfig(seed=-1)
 
     def test_edge_config_accepted(self):
         cfg = SyntheticConfig(num_scenes=3, feature_noise=0.0, geometry_jitter=0.0, overlap_fraction=1.0, seed=1)

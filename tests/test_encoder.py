@@ -56,6 +56,11 @@ class TestBuild:
         with pytest.raises(ValueError, match=field):
             EncoderConfig(input_dim=8, hidden_width=4, **{field: bad})
 
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence would refuse it only when the encoder is drawn
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            EncoderConfig(input_dim=8, hidden_width=4, seed=-1)
+
     def test_blocks_immutable(self):
         enc = small_encoder()
         with pytest.raises(ValueError):

@@ -95,6 +95,10 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+            TrainConfig(seed=-5)
+
     @pytest.mark.parametrize("eps", [0.0, -1.0])
     def test_non_positive_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="rmsprop_eps"):
@@ -238,13 +242,13 @@ class TestSharing:
                   TrainConfig(epochs=25, seed=1))
             assert np.array_equal(model.beta, shared_model.beta)
 
-    def test_train_many_requires_one_encoder(self):
-        theories = []
-        for seed in (1, 2):
-            gt, _ = literal_theory([True], seed=seed)
-            theories.append(gt)
-        with pytest.raises(TrainingError, match="2 frozen encoders"):
-            train_many(theories, TrainConfig(epochs=1))
+    def test_train_many_private_encoders_match_train(self):
+        # which theories train together is the caller's choice (run_types):
+        # two private encoders run as two batches, each as train() runs it
+        traces = assert_lockstep_matches(
+            lambda: [literal_theory([True, False, True], seed=seed)[0] for seed in (1, 2)],
+            TrainConfig(epochs=30, seed=4), preds=("P",))
+        assert traces[0].lockstep["cache_bytes"] == 2 * 3 * 16 * 8
 
     def test_train_many_single_theory_degenerates(self):
         gt, model = literal_theory([True], seed=5)
@@ -361,13 +365,11 @@ class TestTrainMany:
 
     @pytest.mark.parametrize("kind", ["ntn", "rwfn"])
     def test_different_constant_sets(self, kind):
+        # lockstep parts share the plan's one domain
         enc = build_encoder(EncoderConfig(input_dim=3, hidden_width=8, fan_in=2, seed=1))
-        sets = [POOL[:5], POOL[3:], POOL[::2], POOL]
-        traces = assert_lockstep_matches(
-            lambda: [generated_theory(20 + i, kind, enc, constants=c) for i, c in enumerate(sets)], self.CFG)
-        for trace, c in zip(traces, sets):
-            # each part's quantifiers range over its own constants
-            assert [q["instantiations"] for q in trace.plan["quantifiers"]] == [len(c)] + [min(len(c) ** 2, 20)] * 2
+        theories = [generated_theory(20 + i, kind, enc, constants=c) for i, c in enumerate([POOL, POOL[:5]])]
+        with pytest.raises(ValueError, match="theory 1 is over other constants than theory 0"):
+            train_many(theories, TrainConfig(epochs=1))
 
     def test_same_rows_share_one_stacked_batch(self):
         enc = build_encoder(EncoderConfig(input_dim=3, hidden_width=8, fan_in=2, seed=1))
@@ -375,19 +377,49 @@ class TestTrainMany:
             plan = GroundPlan(merge_theories([generated_theory(i, kind, enc) for i in range(4)]), 20, make_rng(0))
             # U has no atoms; the four P read the same rows
             assert batch_preds(plan) == [[(i, "P") for i in range(4)]]
-        sets = [POOL[:5], POOL[3:]]
-        plan = GroundPlan(merge_theories([generated_theory(i, "rwfn", enc, constants=c) for i, c in enumerate(sets)]),
-                          20, make_rng(0))
+        # the same constants with P's literals in another order: P's atoms
+        # come in another order, so the two read different rows
+        orders = [POOL, POOL[::-1]]
+        plan = GroundPlan(merge_theories([generated_theory(i, "rwfn", enc, constants=c)
+                                          for i, c in enumerate(orders)]), 20, make_rng(0))
         assert batch_preds(plan) == [[(0, "P")], [(1, "P")]]
 
-    def test_one_theory_keeps_one_batch_per_predicate(self):
-        # P and Q share a shape and read the same rows: they stack across
-        # parts, never inside one, so one theory alone runs each own model
+    def test_one_theory_stacks_its_same_key_predicates(self):
+        # P and Q share a shape and read the same rows: they stack inside
+        # one theory as across theories
         theories = [two_predicate_theory(i) for i in range(2)]
-        assert batch_preds(GroundPlan(theories[0], 20, make_rng(0))) == [[(0, "P")], [(0, "Q")]]
+        assert batch_preds(GroundPlan(theories[0], 20, make_rng(0))) == [[(0, "P"), (0, "Q")]]
         merged = GroundPlan(merge_theories(theories), 20, make_rng(0))
-        assert batch_preds(merged) == [[(0, "P"), (1, "P")], [(0, "Q"), (1, "Q")]]
+        assert batch_preds(merged) == [[(0, "P"), (0, "Q"), (1, "P"), (1, "Q")]]
         assert_lockstep_matches(lambda: [two_predicate_theory(i) for i in range(3)], self.CFG, preds=("P", "Q"))
+
+    def test_shared_encoder_predicates_of_one_theory_share_one_cache(self):
+        # Q's encoder is P's, or an equal copy that keeps the two unstacked
+        def build(shared):
+            cfg = EncoderConfig(input_dim=3, hidden_width=8, fan_in=2, seed=5)
+            enc = build_encoder(cfg)
+            rng = make_rng(6)
+            p = RwfnPredicate(enc, 0.1 * rng.standard_normal(16))
+            q = RwfnPredicate(enc if shared else build_encoder(cfg), 0.1 * rng.standard_normal(16))
+            lines = ["pred P/1", "pred Q/1"] + [f"P({c}) -> ~Q({c})" for c in POOL] + ["exists x: P(x) & Q(x)"]
+            return GroundedTheory(kb=parse_kb("\n".join(lines)), constants=dict(VECTORS),
+                                  predicates={"P": p, "Q": q})
+
+        shared, private = (GroundPlan(build(s), 20, make_rng(0)) for s in (True, False))
+        assert batch_preds(shared) == [[(0, "P"), (0, "Q")]]
+        assert batch_preds(private) == [[(0, "P")], [(0, "Q")]]
+        assert 2 * shared.stats()["cache_bytes"] == private.stats()["cache_bytes"] == 2 * len(POOL) * 16 * 8
+        (sat,), (grads,) = shared.satisfiability_with_grads()
+        (want,), private_grads = private.satisfiability_with_grads()
+        assert abs(sat - want) <= 1e-12
+        # a stack of RWFN decoders holds head j in beta[:, j]
+        for j, g in enumerate(private_grads):
+            assert np.allclose(grads["beta"][:, j], g["beta"], rtol=0.0, atol=1e-12)
+        a, b = build(True), build(False)
+        train(a, self.CFG)
+        train(b, self.CFG)
+        for pred in ("P", "Q"):
+            assert np.allclose(a.predicates[pred].beta, b.predicates[pred].beta, rtol=0.0, atol=1e-12)
 
     def test_l2_adds_in_predicate_order(self):
         # Q comes first in the predicates, P first in the formulas; at this
@@ -401,9 +433,13 @@ class TestTrainMany:
         assert trace.loss[0] != (1.0 - trace.sat[0]) + sum(squares[half:] + squares[:half])
 
     def test_closed_theories_of_different_lengths(self):
-        assert_lockstep_matches(
-            lambda: [generated_theory(30 + i, "ntn", constants=POOL[: 3 + i], quantified=False) for i in range(3)],
-            self.CFG)
+        def build():
+            theories = [generated_theory(30 + i, "ntn", quantified=False) for i in range(3)]
+            for i, gt in enumerate(theories):
+                del gt.kb.formulas[3 + i:]  # literals of the first 3 + i constants
+            return theories
+
+        assert_lockstep_matches(build, self.CFG)
 
     def test_traces_split_the_epoch_and_describe_their_own_part(self):
         theories = [generated_theory(40 + i, "ntn") for i in range(3)]
