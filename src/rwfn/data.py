@@ -145,6 +145,10 @@ def dataset_to_json(ds: Dataset) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def dataset_from_json(obj: dict) -> Dataset:
     try:
         classes = [ClassInfo(c["name"], c["role"], tuple(c.get("parts", ()))) for c in obj["classes"]]
@@ -152,6 +156,10 @@ def dataset_from_json(obj: dict) -> Dataset:
         for r in obj["records"]:
             if not (isinstance(r["labels"], list) and all(isinstance(lab, str) for lab in r["labels"])):
                 raise DatasetError(f"record {r['id']!r}: labels must be a list of strings, got {r['labels']!r}")
+            if not (isinstance(r["bbox"], list) and len(r["bbox"]) == 4 and all(map(_is_number, r["bbox"]))):
+                raise DatasetError(f"record {r['id']!r}: bbox must be 4 numbers, got {r['bbox']!r}")
+            if not (isinstance(r["features"], list) and all(map(_is_number, r["features"]))):
+                raise DatasetError(f"record {r['id']!r}: features must be a list of numbers, got {r['features']!r}")
             records.append(BoxRecord(r["id"], np.asarray(r["features"], dtype=np.float64),
                                      tuple(r["bbox"]), frozenset(r["labels"])))
         pairs = [PartOfPair(p["part"], p["whole"], p["positive"]) for p in obj["pairs"]]

@@ -260,12 +260,18 @@ def encoder_to_spec(enc: RwfnEncoder) -> dict:
 
 def encoder_from_spec(spec: dict) -> RwfnEncoder:
     """Re-sample the encoder and check it against every checksum the spec
-    carries."""
+    carries. An int field takes an int, a float field any number; neither
+    takes a bool."""
     if spec.get("prng_id") != PRNG_ID:
         raise ValueError(f"unsupported prng_id {spec.get('prng_id')!r}, expected {PRNG_ID!r}")
     missing = [repr(f.name) for f in fields(EncoderConfig) if spec.get(f.name) is None]
     if missing:
         raise ValueError(f"encoder spec has no {', '.join(missing)}")
+    for f in fields(EncoderConfig):
+        value, is_int = spec[f.name], f.type == "int"
+        if isinstance(value, bool) or not isinstance(value, int if is_int else (int, float)):
+            raise ValueError(f"encoder spec field {f.name!r} must be {'an int' if is_int else 'a number'}, "
+                             f"got {value!r}")
     enc = build_encoder(EncoderConfig(**{f.name: spec[f.name] for f in fields(EncoderConfig)}))
     for key, checksum in CHECKSUMS.items():
         if spec.get(key) is not None and checksum(enc) != spec[key]:

@@ -318,10 +318,21 @@ def hmean(values: np.ndarray) -> float:
 # constant, since float +, -, min and max are monotone, and it passes back
 # exactly zero. An atom whose every occurrence lies under a dead op is left
 # out of the batches; it keeps its fixed value, 0, which is inside the box.
-# So, given the live atoms' truths, formula values are bit-identical to
-# evaluating every atom, and so are the live atoms' gradients. Only the
-# model's own row sums run over fewer rows. Quantifiers always pass their
-# gradient down (exists counts as passing it to every body row).
+# Quantifiers always pass their gradient down (exists counts as passing it
+# to every body row).
+#
+# An atom occurrence under no dead op is live. A row (a formula, or one
+# body row of a quantifier) that holds no live occurrence is constant: on
+# the way down from its top, every live op ends in a dead op, which sits at
+# its clamp constant. So the plan keeps only the rows that hold a live
+# occurrence, and their occurrences. A dropped row's value, which its lower
+# bound over the box already holds, fills its place once, at plan build: in
+# the formula values, or in its quantifier's (rows, m) body, which is still
+# reduced whole. Each of its occurrences would get a gradient of exactly
+# +-0, which adds nothing to its atom's sum. So, given the live atoms'
+# truths, formula values are bit-identical to evaluating every row and atom,
+# and so are the live atoms' gradients. Only the model's own row sums run
+# over fewer rows.
 
 _KIND = {Not: "not", And: "and", Or: "or", Implies: "implies", ForAll: "forall", Exists: "exists"}
 _QUANTIFIERS = ("forall", "exists")
@@ -343,9 +354,15 @@ class _Group:
 
     ops[i] is (kind, *operands): ("atom", leaf), (connective, child, child),
     ("not", child) or (quantifier, body, m), with children earlier in the
-    list; the last op is the formula. Leaf k gathers atoms[k] and its
-    gradient goes to the plan-wide occurrence slots pos[k]. Leaf k is also
-    plan-wide leaf slot + k, which sorts occurrences into pos.
+    list; the last op is the formula. An op runs on the kept rows of its
+    level, the group's formulas or a quantifier's body rows (see the
+    ground-plan comment). rows holds the kept formulas' root positions.
+    bodies[i] holds quantifier i's kept body rows as (keep, parents, fill):
+    their flat positions in its (rows, m) body, the row of each, and that
+    body with the dropped rows' values in place. Leaf k gathers atoms[k] on
+    its kept rows and its gradient goes to the plan-wide occurrence slots
+    pos[k]. Leaf k is also plan-wide leaf slot + k, which sorts occurrences
+    into pos.
     """
 
     def __init__(self, ops: tuple, slot: int):
@@ -356,16 +373,34 @@ class _Group:
         # +1 for an op whose value rises with the formula's, -1 for one
         # under an odd number of negations and implication antecedents
         self.signs = [1] * len(ops)
+        self.scale = [1] * len(ops)  # rows of each op per formula
         for i in range(len(ops) - 1, -1, -1):
             op, sign = ops[i], self.signs[i]
             if op[0] in ("and", "or", "implies"):
                 self.signs[op[1]] = -sign if op[0] == "implies" else sign
                 self.signs[op[2]] = sign
+                self.scale[op[1]] = self.scale[op[2]] = self.scale[i]
             elif op[0] != "atom":  # not, or a quantifier
                 self.signs[op[1]] = -sign if op[0] == "not" else sign
+                self.scale[op[1]] = self.scale[i] * (op[2] if op[0] in _QUANTIFIERS else 1)
         self.rows: list = []   # root positions
         self.pos: list = []    # per leaf, row-major
         self.atoms: list = []  # per leaf, row-major
+        self.bodies: dict = {}
+
+    def keep_all(self) -> None:
+        """Keep every body row, over the formulas in rows."""
+        for i, op in enumerate(self.ops):
+            if op[0] in _QUANTIFIERS:
+                keep = np.arange(len(self.rows) * self.scale[i] * op[2])
+                self.bodies[i] = (keep, keep // op[2], np.zeros(len(keep)))
+
+    def body(self, i: int, values: np.ndarray) -> np.ndarray:
+        """Quantifier i's (rows, m) body, given its kept rows' values."""
+        keep, _, fill = self.bodies[i]
+        body = fill.copy()
+        body[keep] = values
+        return body.reshape(-1, self.ops[i][2])
 
 
 @dataclass
@@ -406,8 +441,10 @@ class GroundPlan:
         self._index = {c: i for i, c in enumerate(self._domain)}
         self._preds: dict = {}          # (part, name) -> arity, in order of first occurrence
         self._pids: dict = {}           # (part, name) -> index in _preds
-        self._quantifiers: list = []    # (root, variables, instantiations, sampled)
+        self._quantifiers: list = []    # (root, op, variables, instantiations, sampled)
+        self._evaluated: dict = {}      # (root, op) -> its kept body rows, where rows were dropped
         self.roots = list(gt.kb.formulas)  # formula_values() follows this order
+        self._fill = np.zeros(len(self.roots))  # the dropped formulas' values
         self._counts = np.array([len(part.kb.formulas) for part in parts])
         ends = np.cumsum(self._counts).tolist()
         self._slices = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]  # each part's formulas
@@ -635,7 +672,7 @@ class GroundPlan:
                 inst = np.concatenate(samples[j])
             else:
                 inst = np.tile(self._instantiations(len(node.variables), None), (rows, 1))
-            self._quantifiers.append((root, node.variables, rows * m, j in samples))
+            self._quantifiers.append((root, j, node.variables, rows * m, j in samples))
             inner = {v: np.repeat(a, m) for v, a in env.items()}
             inner.update(zip(node.variables, inst.T))
             body, leaves = self._keys(root, ops, nodes, samples, op[1], inner, rows * m)
@@ -674,21 +711,25 @@ class GroundPlan:
 
     def _live(self, learnable: np.ndarray) -> np.ndarray:
         """Whether each atom has an occurrence under no dead op, over
-        learnable truths free in [0, 1] and symbolic ones at their values
-        (see the ground-plan comment). With no symbolic leaf no op is
-        dead, so every atom is live."""
+        learnable truths free in [0, 1] and symbolic ones at their values;
+        keeps only the rows that hold such an occurrence, and their
+        occurrences (see the ground-plan comment). With no symbolic leaf no
+        op is dead, so every atom is live and every row is kept."""
         if learnable.all():
+            for group in self._groups:
+                group.keep_all()
             return learnable
         live_occ = np.zeros(len(self._occurrences), dtype=bool)
         for group in self._groups:
+            group.keep_all()  # to be evaluated whole, then compacted
             signs = [group.signs[i] for i, op in enumerate(group.ops) if op[0] == "atom"]  # leaf order
-            corners = []
-            for sign in (-1, 1):  # the formula at its lowest, then at its highest
-                leaves = [np.where(learnable[a], float(s == sign), self._fixed_values[a])
-                          for s, a in zip(signs, group.atoms)]
-                corners.append(self._eval_group(group.ops, leaves))
-            lo = [np.minimum(a, b) for a, b in zip(*corners)]
-            hi = [np.maximum(a, b) for a, b in zip(*corners)]
+            # the formula at its lowest, then at its highest; then, in place,
+            # each op's lower and upper bounds
+            lo, hi = [self._eval_group(group, [np.where(learnable[a], float(s == sign), self._fixed_values[a])
+                                               for s, a in zip(signs, group.atoms)]) for sign in (-1, 1)]
+            for a, b in zip(lo, hi):
+                swap = a > b
+                a[swap], b[swap] = b[swap], a[swap]
             live = [None] * len(group.ops)
             live[-1] = np.ones(len(group.rows), dtype=bool)
             for i in range(len(group.ops) - 1, -1, -1):
@@ -705,9 +746,60 @@ class GroundPlan:
                     mask = mask & _passes(kind, (lo if kind == "or" else hi)[op[1]],
                                           (hi if kind == "and" else lo)[op[2]])
                     live[op[1]] = live[op[2]] = mask
+            del hi  # the compaction's arrays take its place
+            self._compact(group, live, lo)
         live = np.zeros(len(self._atoms), dtype=bool)
         live[self._occurrences[live_occ]] = True
+        # number the kept occurrences in grounding order
+        kept = np.zeros(len(self._occurrences), dtype=bool)
+        for group in self._groups:
+            for p in group.pos:
+                kept[p] = True
+        slots = np.cumsum(kept) - 1
+        self._occurrences = self._occurrences[kept]
+        for group in self._groups:
+            group.pos = [slots[p] for p in group.pos]
+            group.atoms = [self._occurrences[p] for p in group.pos]
         return live
+
+    def _compact(self, group: _Group, live: list, values: list) -> None:
+        """Keep group's rows that hold an occurrence whose leaf's live mask
+        is true: its formulas, each quantifier's body rows, and each leaf's
+        occurrences on them. A dropped row takes its value in values, the
+        ops' lower bounds over the box, which a constant row has everywhere
+        in it."""
+        holds = []  # per op and row, whether its subtree holds a live occurrence
+        for i, op in enumerate(group.ops):
+            kind = op[0]
+            if kind == "atom":
+                holds.append(live[i])
+            elif kind == "not":
+                holds.append(holds[op[1]])
+            elif kind in _QUANTIFIERS:
+                holds.append(holds[op[1]].reshape(-1, op[2]).any(axis=1))
+            else:
+                holds.append(holds[op[1]] | holds[op[2]])
+        kept = [None] * len(group.ops)  # per op, its kept rows among all of them
+        kept[-1] = np.flatnonzero(holds[-1])
+        roots = group.rows.tolist()
+        self._fill[group.rows] = values[-1]
+        group.rows = group.rows[kept[-1]]
+        for i in range(len(group.ops) - 1, -1, -1):
+            op = group.ops[i]
+            if op[0] == "atom":
+                group.pos[op[1]] = group.pos[op[1]][kept[i]]
+            elif op[0] in _QUANTIFIERS:
+                m = op[2]
+                rows = np.flatnonzero(holds[op[1]])
+                parents = np.searchsorted(kept[i], rows // m)
+                group.bodies[i] = (parents * m + rows % m, parents, values[op[1]].reshape(-1, m)[kept[i]].ravel())
+                kept[op[1]] = rows
+                # a level's rows are formula-major, scale rows per formula
+                counts = np.bincount(rows // group.scale[op[1]], minlength=len(roots)).tolist()
+                self._evaluated.update({(root, i): n for root, n in zip(roots, counts)})
+            else:
+                for child in op[1:]:
+                    kept[child] = kept[i]
 
     def stats(self) -> dict:
         """What the plan grounded: atoms per predicate, the live atoms of
@@ -731,8 +823,9 @@ class GroundPlan:
             "atoms": {pred: int(n) for (p, pred), n in zip(self._preds, counts) if p == part},
             "live_atoms": {pred: n for (p, pred), n in self._live_rows.items() if p == part},
             "roots": int(hi - lo),
-            "quantifiers": [{"formula": int(i - lo), "variables": list(v), "instantiations": n, "sampled": s}
-                            for i, v, n, s in self._quantifiers if lo <= i < hi],
+            "quantifiers": [{"formula": int(i - lo), "variables": list(v), "instantiations": n,
+                             "evaluated": self._evaluated.get((i, j), n), "sampled": s}
+                            for i, j, v, n, s in self._quantifiers if lo <= i < hi],
         }
 
     # -- evaluation --------------------------------------------------------
@@ -749,10 +842,10 @@ class GroundPlan:
         return values, saved
 
     @staticmethod
-    def _eval_group(ops: tuple, leaves: list) -> list:
-        """Each op's values, given each leaf's."""
+    def _eval_group(group: _Group, leaves: list) -> list:
+        """Each op's values on its kept rows, given each leaf's."""
         out = []
-        for op in ops:
+        for i, op in enumerate(group.ops):
             kind = op[0]
             if kind == "atom":
                 v = leaves[op[1]]
@@ -765,17 +858,17 @@ class GroundPlan:
             elif kind == "implies":
                 v = np.minimum(1.0, 1.0 - out[op[1]] + out[op[2]])
             elif kind == "forall":
-                body = out[op[1]].reshape(-1, op[2])
+                body = group.body(i, out[op[1]])
                 v = np.minimum(1.0, op[2] / np.sum(1.0 / (body + HMEAN_EPS), axis=1))
             else:
-                v = out[op[1]].reshape(-1, op[2]).max(axis=1)
+                v = group.body(i, out[op[1]]).max(axis=1)
             out.append(v)
         return out
 
     def _forward(self) -> tuple:
         atom_values, saved = self._atom_values()
-        per_group = [self._eval_group(g.ops, [atom_values[a] for a in g.atoms]) for g in self._groups]
-        values = np.empty(len(self.roots))
+        per_group = [self._eval_group(g, [atom_values[a] for a in g.atoms]) for g in self._groups]
+        values = self._fill.copy()
         for group, out in zip(self._groups, per_group):
             values[group.rows] = out[-1]
         return values, per_group, saved
@@ -811,15 +904,14 @@ class GroundPlan:
                 grads[op[1]] = -g if kind == "implies" else g
                 grads[op[2]] = g
             elif kind == "forall":
-                m = op[2]
-                body = out[op[1]].reshape(-1, m)
                 h = out[i]
-                grads[op[1]] = ((g * (h * h / m))[:, None] / (body + HMEAN_EPS) ** 2).ravel()
+                parents = group.bodies[i][1]
+                grads[op[1]] = (g * (h * h / op[2]))[parents] / (out[op[1]] + HMEAN_EPS) ** 2
             else:
-                body = out[op[1]].reshape(-1, op[2])
+                body = group.body(i, out[op[1]])
                 d = np.zeros_like(body)
                 d[np.arange(len(body)), np.argmax(body, axis=1)] = g  # first maximum
-                grads[op[1]] = d.ravel()
+                grads[op[1]] = d.ravel()[group.bodies[i][0]]
 
     def satisfiability_with_grads(self) -> tuple[np.ndarray, list]:
         """Returns each part's satisfiability, and for each batch the

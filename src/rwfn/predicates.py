@@ -316,6 +316,8 @@ def model_from_spec(spec: dict, name: str):
         if missing:
             raise ValueError(f"model spec has no {', '.join(missing)}")
         if cls is RwfnPredicate:
+            if not isinstance(spec["encoder"], dict):
+                raise ValueError(f"encoder spec must be an object, got {spec['encoder']!r}")
             missing = [key for key in CHECKSUMS if spec["encoder"].get(key) is None]
             if version == MODEL_FORMAT_VERSION and missing:
                 raise ValueError(f"model format {version} encoder spec lacks {', '.join(missing)}")

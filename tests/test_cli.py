@@ -123,17 +123,21 @@ class TestTrainEval:
         # pair literals first, then 3 + 2 axioms over (x, y), each sampling
         # 100 of the |D|^2 pairs; 4 shapes: P, ~P and the two axiom forms
         first = plan["roots"] - 5
+        evaluated = [q.pop("evaluated") for q in plan["quantifiers"]]
         assert plan["quantifiers"] == [
             {"formula": first + i, "variables": ["x", "y"], "instantiations": 100, "sampled": True}
             for i in range(5)
         ]
+        # the asymmetry axiom's rows all take a gradient; the labels fix
+        # the value of some rows of the other axioms, which are not evaluated
+        assert evaluated[0] == 100 and all(n <= 100 for n in evaluated) and sum(evaluated) < 500
         assert plan["groups"] == 4
         # the plan keeps 2B = 16 hidden features per live atom at B=8, and nothing more
         assert plan["cache_bytes"] == plan["live_atoms"]["partOf"] * 16 * 8
         assert plan["live_atoms"]["partOf"] < plan["atoms"]["partOf"]
         for artifact in (model, tmp_path / "m.json.trace.json"):
-            assert "plans" not in artifact.read_text()
-            assert "environment" not in artifact.read_text()
+            for field in ("plans", "environment", "evaluated"):
+                assert field not in artifact.read_text()
 
     @pytest.mark.parametrize("model_kind, shared", [("rwfn", True), ("ltn", False)])
     def test_types_manifest_reports_one_lockstep_plan(self, dataset_path, tmp_path, model_kind, shared):
@@ -272,6 +276,31 @@ class TestTrainEval:
         assert run_cli(["eval", "--model", str(model), "--data", str(dataset_path), "-o", str(report)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: predicate 'partOf': ") and f"spec has no '{key}'" in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("encoder", "x", "encoder spec must be an object, got 'x'"),
+        ("encoder", [1, 2], "encoder spec must be an object, got [1, 2]"),
+        ("encoder.input_dim", 16.0, "encoder spec field 'input_dim' must be an int, got 16.0"),
+        ("encoder.hidden_width", "8", "encoder spec field 'hidden_width' must be an int, got '8'"),
+        ("encoder.fan_in", "7", "encoder spec field 'fan_in' must be an int, got '7'"),
+        ("encoder.seed", True, "encoder spec field 'seed' must be an int, got True"),
+        ("encoder.inhibition_strength", "1.0", "encoder spec field 'inhibition_strength' must be a number, got '1.0'"),
+        ("encoder.kernel_scale", False, "encoder spec field 'kernel_scale' must be a number, got False"),
+    ], ids=["encoder-string", "encoder-list", "input_dim", "hidden_width", "fan_in", "seed",
+            "inhibition_strength", "kernel_scale"])
+    def test_eval_malformed_encoder_spec_runtime_error(self, dataset_path, partof_bundles, tmp_path, capsys,
+                                                        field, value, message):
+        spec = bundle = json.loads(json.dumps(partof_bundles["rwfn"]))
+        *path, key = ["predicates", "partOf", *field.split(".")]
+        for step in path:
+            spec = spec[step]
+        spec[key] = value
+        model, report = tmp_path / "m.json", tmp_path / "r.json"
+        model.write_text(json.dumps(bundle))
+        assert run_cli(["eval", "--model", str(model), "--data", str(dataset_path), "-o", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: predicate 'partOf': {message}\n"
         assert not report.exists()
 
     def test_unknown_model_usage_error(self, dataset_path, tmp_path):

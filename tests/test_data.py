@@ -103,6 +103,23 @@ class TestValidation:
         with pytest.raises(DatasetError, match="record 'w': labels must be a list of strings"):
             dataset_from_json(obj)
 
+    @pytest.mark.parametrize("value", [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 0.4, 0.5], [0.1, 0.2, 0.3, "0.4"],
+                                       [0.1, 0.2, 0.3, True], "0.1 0.2 0.3 0.4", None])
+    def test_record_bbox_must_be_four_numbers(self, value):
+        obj = dataset_to_json(tiny_dataset())
+        obj["records"][0]["bbox"] = value
+        with pytest.raises(DatasetError) as e:
+            dataset_from_json(obj)
+        assert str(e.value) == f"record 'w': bbox must be 4 numbers, got {value!r}"
+
+    @pytest.mark.parametrize("value", ["ab", [0.0] * 5 + ["x"], [0.0] * 5 + [None], [0.0] * 5 + [False], 1.0])
+    def test_record_features_must_be_a_list_of_numbers(self, value):
+        obj = dataset_to_json(tiny_dataset())
+        obj["records"][0]["features"] = value
+        with pytest.raises(DatasetError) as e:
+            dataset_from_json(obj)
+        assert str(e.value) == f"record 'w': features must be a list of numbers, got {value!r}"
+
 
 class TestInclusionRatio:
     def test_nested(self):

@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import re
@@ -580,21 +581,6 @@ def oracle_grounding(gt: GroundedTheory, budget: int, rng) -> dict:
     occurrences: list = []
     groups: dict = {}
 
-    def instantiations(n_vars):
-        total = len(domain) ** n_vars
-        if total <= budget:
-            return list(itertools.product(domain, repeat=n_vars))
-        picks = rng.choice(total, size=budget, replace=False)
-        picks.sort()
-        out = []
-        for flat in picks:
-            combo = []
-            for _ in range(n_vars):
-                flat, r = divmod(flat, len(domain))
-                combo.append(domain[r])
-            out.append(tuple(combo))
-        return out
-
     def shape(f):
         if isinstance(f, Atom):
             return ("atom",)
@@ -618,7 +604,7 @@ def oracle_grounding(gt: GroundedTheory, budget: int, rng) -> dict:
         if isinstance(f, (And, Or, Implies)):
             return ground(f.right, bindings, ground(f.left, bindings, leaf, pos), pos)
         end = leaf
-        for combo in instantiations(len(f.variables)):
+        for combo in oracle_instantiations(domain, len(f.variables), budget, rng):
             end = ground(f.body, {**bindings, **dict(zip(f.variables, combo))}, leaf, pos)
         return end
 
@@ -638,6 +624,34 @@ def oracle_grounding(gt: GroundedTheory, budget: int, rng) -> dict:
     return {"atoms": atoms, "occurrences": occurrences, "truths": truths,
             "groups": {rows[0]: (rows, [pos[k] for k in sorted(pos)]) for rows, pos in groups.values()},
             "inputs": {pred: (indices, np.array(positions)) for pred, (indices, positions) in inputs.items()}}
+
+
+def oracle_instantiations(domain: list, n_vars: int, budget: int, rng) -> list:
+    """Every n_vars-tuple of domain when they fit the budget, else a sorted
+    sample of budget of them drawn from rng, the first variable being the
+    lowest digit of a tuple's flat index."""
+    total = len(domain) ** n_vars
+    if total <= budget:
+        return list(itertools.product(domain, repeat=n_vars))
+    picks = rng.choice(total, size=budget, replace=False)
+    picks.sort()
+    out = []
+    for flat in picks:
+        combo = []
+        for _ in range(n_vars):
+            flat, r = divmod(flat, len(domain))
+            combo.append(domain[r])
+        out.append(tuple(combo))
+    return out
+
+
+def grounded_plan(gt: GroundedTheory, budget: int, rng) -> GroundPlan:
+    """A plan that keeps every row of every group, and so every atom
+    occurrence: the grounding as it is before compaction, with the same
+    batches."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GroundPlan, "_compact", lambda *args: None)
+        return GroundPlan(gt, budget, rng)
 
 
 def atom_keys(atoms: list, domain: list) -> np.ndarray:
@@ -677,7 +691,7 @@ grounding_kbs = st.lists(st.one_of(formulas(), side_by_side(), repeated()), min_
 def test_grounding_matches_recursive_oracle(fs, seed, budget, rng_seed):
     gt = oracle_theory(seed)
     gt.kb.formulas = fs + [rename_constants(f) for f in fs]
-    plan = GroundPlan(gt, budget, make_rng(rng_seed))
+    plan = grounded_plan(gt, budget, make_rng(rng_seed))
     want = oracle_grounding(gt, budget, make_rng(rng_seed))
     assert np.array_equal(plan._atoms, atom_keys(want["atoms"], sorted(gt.constants)))
     assert np.array_equal(plan._occurrences, want["occurrences"])
@@ -752,11 +766,12 @@ def test_plan_stats():
                               "P(a) | Q(b)\n"
                               "exists x: P(x)\n").formulas
     stats = GroundPlan(gt, budget=4, rng=make_rng(0)).stats()
-    # 3 x values, each with a sample of 4 of the 9 (y, z) pairs
+    # 3 x values, each with a sample of 4 of the 9 (y, z) pairs; every body
+    # row holds a live occurrence, and so is evaluated
     assert stats["quantifiers"] == [
-        {"formula": 0, "variables": ["x"], "instantiations": 3, "sampled": False},
-        {"formula": 0, "variables": ["y", "z"], "instantiations": 12, "sampled": True},
-        {"formula": 2, "variables": ["x"], "instantiations": 3, "sampled": False},
+        {"formula": 0, "variables": ["x"], "instantiations": 3, "evaluated": 3, "sampled": False},
+        {"formula": 0, "variables": ["y", "z"], "instantiations": 12, "evaluated": 12, "sampled": True},
+        {"formula": 2, "variables": ["x"], "instantiations": 3, "evaluated": 3, "sampled": False},
     ]
     assert (stats["roots"], stats["groups"]) == (3, 3)
     assert list(stats["atoms"]) == ["R", "Q", "P"] and stats["atoms"]["P"] == 3
@@ -892,7 +907,7 @@ def full_evaluation(plan: GroundPlan) -> tuple:
     """Formula values, satisfiabilities, per-atom gradients and, per
     learnable predicate, its atoms and its parameter gradients, with every
     learnable atom evaluated through its model and the plan's group ops and
-    backprop run over all of them.
+    backprop run over all of them. plan keeps every row (grounded_plan).
 
     A model's forward pass over more rows can round a row's truth
     differently (BLAS GEMV blocks rows), so the atoms the plan's batches
@@ -914,7 +929,7 @@ def full_evaluation(plan: GroundPlan) -> tuple:
         kept = b.model.forward_batch(b.x)[0]
         assert np.allclose(values[b.indices], kept, rtol=0.0, atol=1e-12)
         values[b.indices] = kept
-    per_group = [plan._eval_group(g.ops, [values[a] for a in g.atoms]) for g in plan._groups]
+    per_group = [plan._eval_group(g, [values[a] for a in g.atoms]) for g in plan._groups]
     formula_values = np.empty(len(plan.roots))
     for g, out in zip(plan._groups, per_group):
         formula_values[g.rows] = out[-1]
@@ -929,15 +944,33 @@ def full_evaluation(plan: GroundPlan) -> tuple:
     return formula_values, sats, atom_grads, grads
 
 
+def sat_grads_and_upstreams(plan: GroundPlan) -> tuple:
+    """plan.satisfiability_with_grads(), and the atom gradients that each
+    batch's gradient_batch received."""
+    upstreams = []
+    with pytest.MonkeyPatch.context() as mp:
+        for b in plan.batches:
+            mp.setattr(b.model, "gradient_batch",
+                       lambda x, up, saved, grad=b.model.gradient_batch: upstreams.append(up) or grad(x, up, saved))
+        return (*plan.satisfiability_with_grads(), upstreams)
+
+
 def assert_fold_exact(gt: GroundedTheory, budget: int = 10**6, rng=None) -> tuple:
-    """The plan against full_evaluation: values and satisfiability equal,
-    gradients within 1e-12, and every atom the batches leave out gets
-    exactly zero gradient. Returns the plan and the dropped atoms."""
-    plan = GroundPlan(gt, budget, rng if rng is not None else make_rng(0))
-    want_values, want_sats, atom_grads, want_grads = full_evaluation(plan)
+    """The plan against full_evaluation of the plan that keeps every row:
+    formula values, satisfiabilities and the gradients of the atoms the
+    batches read equal bit for bit, parameter gradients within 1e-12 of
+    evaluating every learnable atom, and every atom the batches leave out
+    gets exactly zero gradient. Returns the plan and the dropped atoms."""
+    rng = rng if rng is not None else make_rng(0)
+    full = grounded_plan(gt, budget, copy.deepcopy(rng))
+    plan = GroundPlan(gt, budget, rng)
+    want_values, want_sats, atom_grads, want_grads = full_evaluation(full)
     assert np.array_equal(plan.formula_values(), want_values)
-    sats, grads = plan.satisfiability_with_grads()
+    sats, grads, upstreams = sat_grads_and_upstreams(plan)
     assert np.array_equal(sats, want_sats)
+    assert len(upstreams) == len(plan.batches)
+    for b, upstream in zip(plan.batches, upstreams):
+        assert np.array_equal(upstream, atom_grads[b.indices])
     got = {heads[0][1]: g for heads, g in zip(batch_preds(plan), grads)}
     for pred, (_, expected) in want_grads.items():
         for name, g in expected.items():
@@ -946,6 +979,43 @@ def assert_fold_exact(gt: GroundedTheory, budget: int = 10**6, rng=None) -> tupl
     dropped = np.setdiff1d(learnable, [a for b in plan.batches for a in b.indices])
     assert np.all(atom_grads[dropped] == 0.0)
     return plan, dropped
+
+
+def oracle_bounds(gt: GroundedTheory, f, env: dict) -> tuple:
+    """The least and greatest truth of the quantifier-free f, with learnable
+    truths free in [0, 1] and symbolic ones at their labels."""
+    if isinstance(f, Atom):
+        model = gt.predicates[f.pred]
+        if model.symbolic:
+            v = truth_of(model, tuple(env.get(a, a) for a in f.args))
+            return v, v
+        return 0.0, 1.0
+    if isinstance(f, Not):
+        lo, hi = oracle_bounds(gt, f.body, env)
+        return luk_not(hi), luk_not(lo)
+    (alo, ahi), (blo, bhi) = oracle_bounds(gt, f.left, env), oracle_bounds(gt, f.right, env)
+    if isinstance(f, Implies):
+        return luk_implies(ahi, blo), luk_implies(alo, bhi)
+    op = luk_and if isinstance(f, And) else luk_or
+    return op(alo, blo), op(ahi, bhi)
+
+
+def oracle_holds_live(gt: GroundedTheory, f, env: dict) -> bool:
+    """Whether a gradient that reaches the quantifier-free f can reach one
+    of its atom occurrences: through connectives that each pass it at some
+    point of the box (max(0, .) passes at 0, min(1, .) stops at 1)."""
+    if isinstance(f, Atom):
+        return True
+    if isinstance(f, Not):
+        return oracle_holds_live(gt, f.body, env)
+    (alo, ahi), (blo, bhi) = oracle_bounds(gt, f.left, env), oracle_bounds(gt, f.right, env)
+    if isinstance(f, And):
+        passes = ahi + bhi - 1.0 >= 0.0
+    elif isinstance(f, Or):
+        passes = alo + blo < 1.0
+    else:
+        passes = 1.0 - ahi + blo < 1.0
+    return passes and (oracle_holds_live(gt, f.left, env) or oracle_holds_live(gt, f.right, env))
 
 
 def fold_theory(text: str, p: float = 0.0) -> GroundedTheory:
@@ -999,6 +1069,55 @@ class TestFold:
         assert plan.stats()["live_atoms"] == live
         assert batch_preds(plan) == [[(0, pred)] for pred, n in live.items() if n]
 
+    @pytest.mark.parametrize("kind", ["ltn", "rwfn"])
+    def test_golden_partof_evaluates_the_body_rows_with_a_live_occurrence(self, kind):
+        # every axiom is forall x,y over a quantifier-free body, and each
+        # draws its sample in formula order
+        gt = golden_partof_theory(kind)
+        plan = GroundPlan(gt, 60, make_rng(2))
+        rng, domain = make_rng(2), sorted(gt.constants)
+        want, occurrences = [], 0
+        for f in gt.kb.formulas:
+            if isinstance(f, ForAll):
+                rows = oracle_instantiations(domain, len(f.variables), 60, rng)
+                want.append(sum(oracle_holds_live(gt, f.body, dict(zip(f.variables, row))) for row in rows))
+                occurrences += want[-1] * repr(f.body).count("Atom(")
+            else:  # a pair literal, whose one atom is learnable
+                occurrences += 1
+        quantifiers = plan.stats()["quantifiers"]
+        assert [q["evaluated"] for q in quantifiers] == want
+        assert sum(want) < sum(q["instantiations"] for q in quantifiers)
+        # the plan keeps the occurrences of the rows it evaluates, and no other
+        assert len(plan._occurrences) == occurrences
+
+    def test_dropped_rows_are_not_evaluated(self):
+        # with P at 0, P(x) -> Q(x) is 1 whatever Q is: those body rows, and
+        # the formulas they make constant, are not evaluated; their values
+        # fill their places in the formula values and in their quantifier
+        gt = fold_theory("P(a) -> Q(b)\n"
+                         "forall x: P(x) -> Q(x)\n"
+                         "exists x: Q(x) & (forall y: P(y) -> R(x,y))\n"
+                         "forall x: Q(x) | (P(x) & R(x,x))\n")
+        plan, _ = assert_fold_exact(gt)
+        assert [(q["instantiations"], q["evaluated"]) for q in plan.stats()["quantifiers"]] == [
+            (3, 0), (3, 3), (9, 0), (3, 3)]
+        assert sorted(r for g in plan._groups for r in g.rows.tolist()) == [2, 3]
+        assert plan.formula_values()[:2].tolist() == [1.0, 1.0]
+        # Q(x) in formulas 2 and 3, and P(x) and R(x,x) in formula 3
+        assert len(plan._occurrences) == 3 + 3 * 3
+
+    def test_evaluated_rows_are_counted_per_formula(self):
+        # one shape, P at 0 on a alone: the first formula drops the inner
+        # rows with y = a, the second those with x = a or y = a, and so the
+        # outer row x = a too
+        gt = fold_theory("forall x: exists y: (P(y) & P(y)) -> R(x,y)\n"
+                         "forall x: exists y: (P(x) & P(y)) -> R(x,y)\n")
+        gt.predicates["P"] = LabelPredicate({("a",): 0.0, ("b",): 1.0, ("c",): 1.0})
+        plan, _ = assert_fold_exact(gt)
+        assert len(plan._groups) == 1
+        assert [(q["formula"], q["instantiations"], q["evaluated"]) for q in plan.stats()["quantifiers"]] == [
+            (0, 3, 3), (0, 9, 6), (1, 3, 2), (1, 9, 4)]
+
     def test_plan_without_symbolic_atoms_bounds_nothing(self, monkeypatch):
         # with no symbolic leaf no op is dead, so building the plan keeps
         # every atom and evaluates no group
@@ -1008,7 +1127,7 @@ class TestFold:
         calls = []
         eval_group = GroundPlan._eval_group
         monkeypatch.setattr(GroundPlan, "_eval_group",
-                            staticmethod(lambda ops, leaves: calls.append(ops) or eval_group(ops, leaves)))
+                            staticmethod(lambda group, leaves: calls.append(group) or eval_group(group, leaves)))
         plan = GroundPlan(gt, 10**6, make_rng(0))
         assert calls == []
         stats = plan.stats()
