@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 runtime or check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -60,20 +61,22 @@ def _environment() -> dict:
 def _write_manifest(args: argparse.Namespace, t0: float, artifacts: dict, seeds: dict,
                     extra: dict | None = None) -> None:
     """The run manifest of the command args ran, started at perf_counter()
-    t0, next to its output: <output>.manifest.json."""
+    t0, next to its output: <output>.manifest.json. Each artifact's sha256
+    sits beside its path, so runs can be compared byte for byte by digest."""
+    for p in artifacts.values():
+        if not Path(p).exists():
+            raise CliError(f"expected artifact {p} missing")
     manifest = {
         "command": args.command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "seeds": seeds,
         "artifacts": {k: str(v) for k, v in artifacts.items()},
+        "artifact_sha256": {k: hashlib.sha256(Path(v).read_bytes()).hexdigest() for k, v in artifacts.items()},
         "tool_version": __version__,
         "wall_ms": (time.perf_counter() - t0) * 1000.0,
         "environment": _environment(),
         **(extra or {}),
     }
-    for p in artifacts.values():
-        if not Path(p).exists():
-            raise CliError(f"expected artifact {p} missing")
     _dump_json(manifest, Path(args.output + ".manifest.json"))
 
 

@@ -77,10 +77,15 @@ class Dataset:
             for p in c.parts:
                 if p not in names:
                     raise DatasetError(f"ontology edge {c.name}->{p} references undeclared class")
-        for r in self.records:
+        # the first record with a non-finite feature value, if any, from one
+        # pass over every record's features
+        finite = np.isfinite(np.concatenate([r.features for r in self.records] + [np.zeros(0)], axis=None))
+        ends = np.cumsum([np.size(r.features) for r in self.records])
+        first_bad = -1 if finite.all() else int(np.searchsorted(ends, np.argmin(finite), side="right"))
+        for i, r in enumerate(self.records):
             if len(r.features) != self.n:
                 raise DatasetError(f"record {r.id}: feature length {len(r.features)} != n={self.n}")
-            if not np.all(np.isfinite(r.features)):
+            if i == first_bad:
                 raise DatasetError(f"record {r.id}: non-finite feature value")
             for lab in r.labels:
                 if lab not in names:
@@ -211,14 +216,6 @@ def default_classes(num_wholes: int, parts_per_whole: int) -> list:
     return classes
 
 
-def _features(class_index: int, num_classes: int, bbox, sigma: float, rng) -> np.ndarray:
-    scores = np.zeros(num_classes)
-    scores[class_index] = 1.0
-    if sigma > 0:
-        scores = scores + rng.normal(0.0, sigma, size=num_classes)
-    return np.clip(np.concatenate([scores, np.asarray(bbox)]), 0.0, 1.0)
-
-
 def _place_whole(rng) -> tuple:
     w = rng.uniform(0.30, 0.45)
     h = rng.uniform(0.30, 0.45)
@@ -255,7 +252,8 @@ def gen_synthetic(cfg: SyntheticConfig) -> Dataset:
     wholes = [c for c in classes if c.role == "whole"]
     nfeat = len(classes) + 4
 
-    records: list[BoxRecord] = []
+    boxes: list[tuple] = []  # (id, class name, bbox) of every record
+    noise: list = []  # each scene's (boxes, classes) class-score noise
     positives: list[PartOfPair] = []
     negative_pool: dict[tuple, None] = {}  # (part_id, whole_id), in insertion order
 
@@ -299,15 +297,22 @@ def gen_synthetic(cfg: SyntheticConfig) -> Dataset:
                 if a != b and parents.get(a) != b:
                     negative_pool.setdefault((a, b))
 
-        for rid, cname, bbox, _parent in scene_boxes:
-            feats = _features(class_index[cname], len(classes), bbox, cfg.feature_noise, rng)
-            records.append(BoxRecord(rid, feats, bbox, frozenset([cname])))
+        boxes.extend(b[:3] for b in scene_boxes)
+        if cfg.feature_noise > 0:
+            noise.append(rng.normal(0.0, cfg.feature_noise, size=(len(scene_boxes), len(classes))))
 
     pool = list(negative_pool)
     n_neg = min(len(pool), int(round(cfg.negative_ratio * len(positives))))
     order = rng.permutation(len(pool))[:n_neg]
     negatives = [PartOfPair(*pool[i], False) for i in sorted(order)]
 
+    # features: noisy one-hot class scores and the bbox, clipped to [0, 1]
+    scores = np.zeros((len(boxes), len(classes)))
+    scores[np.arange(len(boxes)), [class_index[cname] for _, cname, _ in boxes]] = 1.0
+    if noise:
+        scores = scores + np.concatenate(noise)
+    features = np.clip(np.hstack([scores, np.array([bbox for _, _, bbox in boxes])]), 0.0, 1.0)
+    records = [BoxRecord(rid, f, bbox, frozenset([cname])) for (rid, cname, bbox), f in zip(boxes, features)]
     return Dataset(n=nfeat, classes=classes, records=records, pairs=positives + negatives)
 
 
@@ -339,11 +344,11 @@ def split(ds: Dataset, ratio: float, rng: np.random.Generator) -> SplitResult:
         members = by_class[cname]
         if len(members) < 2:
             raise DatasetError(f"class {cname!r} has fewer than 2 records, cannot stratify")
-        order = rng.permutation(len(members))
+        order = rng.permutation(len(members)).tolist()
         n_train = int(round(ratio * len(members)))
         n_train = min(max(n_train, 1), len(members) - 1)
-        for i, idx in enumerate(order):
-            (train_ids if i < n_train else test_ids).add(members[idx].id)
+        train_ids.update(members[i].id for i in order[:n_train])
+        test_ids.update(members[i].id for i in order[n_train:])
 
     def subset(ids: set) -> Dataset:
         recs = [r for r in ds.records if r.id in ids]

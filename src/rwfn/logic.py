@@ -304,9 +304,9 @@ def hmean(values: np.ndarray) -> float:
 # Grounding works on integer keys. Constant c is its position in the sorted
 # domain D; an atom's argument code is sum_j pos(arg_j) * |D|**j, and its key
 # is pred_index * span + code, with span = |D|**(largest arity). Keys are
-# interned with one np.unique, ranked by first occurrence. A symbolic
-# predicate's labels are keyed by the same codes, so its atoms' truths are
-# looked up by key.
+# interned in order of first occurrence, from one sort (_intern_keys). A
+# symbolic predicate's labels are keyed by the same codes, so its atoms'
+# truths are looked up by key.
 #
 # Symbolic truths can fix a row: in forall x,y: isWhole(x) -> ~partOf(x,y),
 # each row where isWhole(x) is 0 is 1 whatever partOf(x,y) is, and the
@@ -349,6 +349,36 @@ def _passes(kind: str, a, b):
     return (1.0 - a + b) < 1.0
 
 
+def _intern_keys(keys: np.ndarray) -> tuple:
+    """The distinct keys in order of first occurrence, and each key's index
+    among them: np.unique's keys ranked by first index, from one sort.
+    The sort need not be stable: equal keys form one run of it, and the
+    least position in a run is that key's first occurrence."""
+    n = len(keys)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    starts = np.empty(n, dtype=bool)  # where a run of equal keys starts
+    starts[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    del sorted_keys
+    starts = np.flatnonzero(starts)
+    first = np.minimum.reduceat(order, starts)
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first] = True
+    rank = np.cumsum(is_first)[first] - 1  # of each run's key, among the first occurrences
+    occurrences = np.empty(n, dtype=np.int64)
+    occurrences[order] = np.repeat(rank, np.diff(starts, append=n))
+    return keys[is_first], occurrences
+
+
+def _positions_by_value(values: np.ndarray, n: int) -> list:
+    """For each v in range(n), the positions where the ints values equal v,
+    in order. numpy's stable sort of ints of 8 or 16 bits is a radix sort:
+    a counting sort per byte."""
+    order = np.argsort(values.astype(np.min_scalar_type(n)), kind="stable")
+    return np.split(order, np.cumsum(np.bincount(values, minlength=n))[:-1])
+
+
 class _Group:
     """Formulas that compile to the same ops.
 
@@ -359,10 +389,10 @@ class _Group:
     ground-plan comment). rows holds the kept formulas' root positions.
     bodies[i] holds quantifier i's kept body rows as (keep, parents, fill):
     their flat positions in its (rows, m) body, the row of each, and that
-    body with the dropped rows' values in place. Leaf k gathers atoms[k] on
-    its kept rows and its gradient goes to the plan-wide occurrence slots
-    pos[k]. Leaf k is also plan-wide leaf slot + k, which sorts occurrences
-    into pos.
+    body with the dropped rows' values in place, as body() holds them. Leaf
+    k gathers atoms[k] on its kept rows and its gradient goes to the
+    plan-wide occurrence slots pos[k]. Leaf k is also plan-wide leaf slot +
+    k, by which occurrences are sorted into pos.
     """
 
     def __init__(self, ops: tuple, slot: int):
@@ -396,10 +426,12 @@ class _Group:
                 self.bodies[i] = (keep, keep // op[2], np.zeros(len(keep)))
 
     def body(self, i: int, values: np.ndarray) -> np.ndarray:
-        """Quantifier i's (rows, m) body, given its kept rows' values."""
+        """Quantifier i's (rows, m) body, given its kept rows' values; a
+        forall's holds their reciprocals 1 / (v + HMEAN_EPS), which its
+        harmonic mean sums."""
         keep, _, fill = self.bodies[i]
         body = fill.copy()
-        body[keep] = values
+        body[keep] = 1.0 / (values + HMEAN_EPS) if self.ops[i][0] == "forall" else values
         return body.reshape(-1, self.ops[i][2])
 
 
@@ -498,8 +530,8 @@ class GroundPlan:
         pids, codes, leaf_slots = (np.concatenate([np.asarray(c[j], dtype=np.int64) for c in chunks])
                                    for j in range(3))
         self._intern(pids, codes)
-        order = np.argsort(leaf_slots, kind="stable")
-        pos = np.split(order, np.cumsum(np.bincount(leaf_slots, minlength=slots))[:-1])
+        del pids, codes
+        pos = _positions_by_value(leaf_slots, slots)
         for group in groups.values():
             group.rows = np.array(group.rows, dtype=np.int64)
             group.pos = pos[group.slot:group.slot + group.leaves]
@@ -520,18 +552,10 @@ class GroundPlan:
         learnable = np.ones(len(self._atoms), dtype=bool)
         pred_of, code_of = np.divmod(self._atoms, self._span)
         same_rows: dict = {}  # (stack_key, rows) -> [(pred, model, indices, args), ...], one batch
-        for pid, (pred, arity) in enumerate(self._preds.items()):
+        for (pred, arity), indices in zip(self._preds.items(), _positions_by_value(pred_of, len(self._preds))):
             model = self._model(pred)
-            indices = np.flatnonzero(pred_of == pid)
             if model.symbolic:
-                for key in model.truths:
-                    if not (isinstance(key, tuple) and len(key) == arity):
-                        raise ValueError(f"predicate {pred[1]!r} of arity {arity} has a label key {key!r} "
-                                         f"that is not a tuple of {arity} constants")
-                labels = {self._code(key): float(value)
-                          for key, value in model.truths.items() if all(a in self._index for a in key)}
-                default = float(model.default)
-                self._fixed_values[indices] = [labels.get(code, default) for code in code_of[indices].tolist()]
+                self._fixed_values[indices] = self._label_truths(pred[1], model, arity, code_of[indices])
                 learnable[indices] = False
                 continue
             args = self._args(code_of[indices], arity)
@@ -547,6 +571,29 @@ class GroundPlan:
             if keep.any():  # else its predicates take no gradient from the logic
                 rows.append((models, indices[keep], args[0][keep]))
         return rows
+
+    def _label_truths(self, name: str, model, arity: int, codes: np.ndarray) -> np.ndarray:
+        """The truths of a symbolic predicate's atoms, given their argument
+        codes: the label of each, or the default. Labels of constants
+        outside the plan's domain match no atom."""
+        for key in model.truths:
+            if not (isinstance(key, tuple) and len(key) == arity):
+                raise ValueError(f"predicate {name!r} of arity {arity} has a label key {key!r} "
+                                 f"that is not a tuple of {arity} constants")
+        # each label's argument code, or -1 where a constant is not in the domain
+        args = np.array([self._index.get(a, -1) for key in model.truths for a in key],
+                        dtype=np.int64).reshape(len(model.truths), arity)
+        labels = np.zeros(len(args), dtype=np.int64)
+        for j in range(arity - 1, -1, -1):
+            labels = labels * len(self._domain) + args[:, j]
+        labels[(args < 0).any(axis=1)] = -1
+        values = np.array([float(v) for v in model.truths.values()])
+        order = np.argsort(labels)
+        # a key past every code ends the table, so each lookup lands on a row
+        labels = np.append(labels[order], _INT64_MAX)
+        values = np.append(values[order], 0.0)
+        at = np.searchsorted(labels, codes)
+        return np.where(labels[at] == codes, values[at], float(model.default))
 
     def _model(self, key: tuple):
         part, pred = key
@@ -614,12 +661,7 @@ class GroundPlan:
         if len(self._preds) * self._span > _INT64_MAX + 1:
             raise ValueError(f"{len(self._preds)} predicates over {len(self._domain)} constants "
                              f"exceed the int64 atom key range")
-        keys, first, inverse = np.unique(pids * self._span + codes, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        self._atoms = keys[order]
-        self._occurrences = rank[inverse]
+        self._atoms, self._occurrences = _intern_keys(pids * self._span + codes)
 
     def _ground(self, root: int, ops: list, nodes: list, rng) -> tuple:
         """Argument codes and leaf numbers of a quantified formula's atom
@@ -792,7 +834,10 @@ class GroundPlan:
                 m = op[2]
                 rows = np.flatnonzero(holds[op[1]])
                 parents = np.searchsorted(kept[i], rows // m)
-                group.bodies[i] = (parents * m + rows % m, parents, values[op[1]].reshape(-1, m)[kept[i]].ravel())
+                fill = values[op[1]].reshape(-1, m)[kept[i]].ravel()
+                if op[0] == "forall":  # as body() holds it
+                    fill = 1.0 / (fill + HMEAN_EPS)
+                group.bodies[i] = (parents * m + rows % m, parents, fill)
                 kept[op[1]] = rows
                 # a level's rows are formula-major, scale rows per formula
                 counts = np.bincount(rows // group.scale[op[1]], minlength=len(roots)).tolist()
@@ -858,8 +903,7 @@ class GroundPlan:
             elif kind == "implies":
                 v = np.minimum(1.0, 1.0 - out[op[1]] + out[op[2]])
             elif kind == "forall":
-                body = group.body(i, out[op[1]])
-                v = np.minimum(1.0, op[2] / np.sum(1.0 / (body + HMEAN_EPS), axis=1))
+                v = np.minimum(1.0, op[2] / np.sum(group.body(i, out[op[1]]), axis=1))
             else:
                 v = group.body(i, out[op[1]]).max(axis=1)
             out.append(v)

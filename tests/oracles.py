@@ -1,7 +1,9 @@
 """Slow, obvious references that the package's array code is tested
 against: the scalar Lukasiewicz connectives, a label predicate's truth of
-one atom, the floats that frozen-encoder classifiers store, and the
-predicates a plan's batches evaluate."""
+one atom, the floats that frozen-encoder classifiers store, the
+predicates a plan's batches evaluate, and the interning of atom keys."""
+
+import numpy as np
 
 
 def _check_range(*values):
@@ -49,3 +51,14 @@ def batch_preds(plan) -> list:
     key = {id(model): (i, name) for i, part in enumerate(plan.gt.parts or [plan.gt])
            for name, model in part.predicates.items()}
     return [[key[id(m)] for m in b.members] for b in plan.batches]
+
+
+def intern_reference(keys):
+    """The distinct keys in order of first occurrence, and each key's index
+    among them: np.unique's keys and first indices, ranked by a sort of
+    those indices."""
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return distinct[order], rank[inverse]

@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import json
 import os
 import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,17 @@ def assert_environment(env):
     assert set(env["blas"]) == {"name", "version"}
     assert env["cpu_count"] == os.cpu_count()
     assert env["peak_rss_mb"] > 0
+
+
+def assert_artifact_digests(manifest_path):
+    """Each artifact a manifest names has its file's sha256 beside its
+    path, and no artifact carries a digest."""
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["artifact_sha256"].keys() == manifest["artifacts"].keys()
+    for name, path in manifest["artifacts"].items():
+        payload = Path(path).read_bytes()
+        assert manifest["artifact_sha256"][name] == hashlib.sha256(payload).hexdigest()
+        assert b"sha256" not in payload
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +80,7 @@ class TestGenSynth:
         assert manifest["seeds"] == {"seed": 1}
         assert "wall_ms" in manifest
         assert_environment(manifest["environment"])
+        assert_artifact_digests(tmp_path / "ds.json.manifest.json")
 
     def test_missing_output_usage_error(self):
         assert run_cli(["gen-synth", "--scenes", "5"]) == 2
@@ -100,6 +114,8 @@ class TestTrainEval:
         assert code == 0
         rep = json.loads(report.read_text())
         assert rep["task"] == "types" and 0.0 <= rep["auc"] <= 1.0
+        for manifest in ("model.json.manifest.json", "report.json.manifest.json"):
+            assert_artifact_digests(tmp_path / manifest)
 
     def test_partof_decoder_length(self, dataset_path, tmp_path):
         model = tmp_path / "m.json"
@@ -470,6 +486,7 @@ class TestCompareAblate:
         assert "ltn" in (tmp_path / "r.txt").read_text()
         artifacts = json.loads((tmp_path / "r.json.manifest.json").read_text())["artifacts"]
         assert artifacts == {"report": str(out), "table": str(tmp_path / "r.txt")}
+        assert_artifact_digests(tmp_path / "r.json.manifest.json")
 
     def test_ablate_has_no_ntn_width(self, dataset_path, tmp_path, capsys):
         out = tmp_path / "abl.json"

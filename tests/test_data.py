@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -56,6 +57,18 @@ class TestValidation:
         bad = BoxRecord("x", np.zeros(3), (0.1, 0.1, 0.2, 0.2), frozenset(["part0"]))
         with pytest.raises(DatasetError):
             Dataset(n=6, classes=ds.classes, records=ds.records + [bad], pairs=[])
+
+    def test_first_non_finite_record_is_named(self):
+        ds = tiny_dataset()
+        records = [BoxRecord(f"r{i}", np.full(6, value), (0.1, 0.1, 0.2, 0.2), frozenset(["part0"]))
+                   for i, value in enumerate([0.5, np.nan, 0.5, np.inf])]
+        with pytest.raises(DatasetError, match="^record r1: non-finite feature value$"):
+            Dataset(n=6, classes=ds.classes, records=records, pairs=[])
+        # one bad value among good ones, in a later record
+        records[1] = BoxRecord("r1", np.array([0.5] * 5 + [-np.inf]), (0.1, 0.1, 0.2, 0.2), frozenset(["part0"]))
+        records[3] = BoxRecord("r3", np.zeros(6), (0.1, 0.1, 0.2, 0.2), frozenset(["part0"]))
+        with pytest.raises(DatasetError, match="^record r1: non-finite feature value$"):
+            Dataset(n=6, classes=ds.classes, records=records, pairs=[])
 
     def test_unknown_label(self):
         ds = tiny_dataset()
@@ -162,6 +175,18 @@ class TestGenerator:
         a = gen_synthetic(SyntheticConfig(num_scenes=10, seed=3))
         b = gen_synthetic(SyntheticConfig(num_scenes=10, seed=3))
         assert dataset_to_json(a) == dataset_to_json(b)
+
+    # sha256 of save_dataset's output, as generated before generation was
+    # vectorized: the acceptance data and the hard regime, seed 3
+    @pytest.mark.parametrize("cfg, digest", [
+        (SyntheticConfig(num_scenes=150, feature_noise=0.15, negative_ratio=2.0, seed=3),
+         "534e4532780f215daa4b4253a55813e74efe217d380391de4335ab658fd9434f"),
+        (SyntheticConfig(num_scenes=250, num_whole_classes=6, feature_noise=0.35, negative_ratio=2.0, seed=3),
+         "4c7040f4ae414d3a5100a85885703f915bb2ea6510bfd72379564acd4e2ccf32"),
+    ], ids=["acceptance", "hard"])
+    def test_dataset_bytes_are_pinned(self, cfg, digest, tmp_path):
+        save_dataset(gen_synthetic(cfg), tmp_path / "ds.json")
+        assert hashlib.sha256((tmp_path / "ds.json").read_bytes()).hexdigest() == digest
 
     def test_noiseless_argmax(self):
         ds = gen_synthetic(SyntheticConfig(num_scenes=10, feature_noise=0.0, seed=4))

@@ -26,6 +26,8 @@ from rwfn.logic import (
     KnowledgeBase,
     Not,
     Or,
+    _intern_keys,
+    _positions_by_value,
     hmean,
     parse_kb,
     satisfiability,
@@ -34,7 +36,7 @@ from rwfn.numerics import make_rng
 from rwfn.predicates import LabelPredicate, NtnPredicate, RwfnPredicate, init_ntn
 from rwfn.tasks import build_partof_theory, make_rwfn_classifier
 
-from oracles import batch_preds, luk_and, luk_implies, luk_not, luk_or, truth_of
+from oracles import batch_preds, intern_reference, luk_and, luk_implies, luk_not, luk_or, truth_of
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -794,6 +796,56 @@ def test_plan_rejects_keys_beyond_int64(text, n_constants, match):
                         predicates={})
     with pytest.raises(ValueError, match=match):
         GroundPlan(gt, budget=10, rng=make_rng(0))
+
+
+class TestInterning:
+    """_intern_keys against np.unique ranked by first index, and the
+    counting sort of occurrences against a stable argsort."""
+
+    @staticmethod
+    def assert_interned(keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        atoms, occurrences = _intern_keys(keys)
+        want_atoms, want_occurrences = intern_reference(keys)
+        assert atoms.dtype == occurrences.dtype == np.int64
+        assert np.array_equal(atoms, want_atoms) and np.array_equal(occurrences, want_occurrences)
+        assert np.array_equal(atoms[occurrences], keys)
+
+    @given(st.lists(st.integers(0, 40), max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_random_keys_match_the_reference(self, keys):
+        self.assert_interned(keys)
+
+    @pytest.mark.parametrize("distinct", [1, 7, 1000, 10**5])
+    def test_many_ties_match_the_reference(self, distinct):
+        # long runs of equal keys, which an unstable sort permutes
+        self.assert_interned(make_rng(distinct).integers(0, distinct, size=20_000) * 9_973)
+
+    @pytest.mark.parametrize("keys", [[], [5], [3] * 50, [0, 2**62], [2**63 - 1, 2**63 - 2, 0, 2**63 - 1, 2**62]],
+                             ids=["none", "single", "all-equal", "two", "int64-max"])
+    def test_edge_cases_match_the_reference(self, keys):
+        self.assert_interned(keys)
+
+    def test_plan_keys_at_the_largest_code(self):
+        # two predicates of arity 62 over two constants: span 2**62, P the
+        # first, and Q(b, ..., b) has the key 2**63 - 1
+        atoms = [("P", ("b",) * 62), ("Q", ("b",) * 62), ("Q", ("a",) * 61 + ("b",)), ("P", ("a",) * 62),
+                 ("Q", ("b",) * 62)]
+        gt = GroundedTheory(kb=KnowledgeBase(signatures={"P": 62, "Q": 62}, formulas=[Atom(*a) for a in atoms]),
+                            constants={c: np.zeros(1) for c in "ab"},
+                            predicates={"P": LabelPredicate({}), "Q": LabelPredicate({("b",) * 62: 1.0})})
+        plan = GroundPlan(gt, budget=10, rng=make_rng(0))
+        assert plan._atoms.tolist() == [2**62 - 1, 2**63 - 1, 2**62 + 2**61, 0]
+        assert plan._occurrences.tolist() == [0, 1, 2, 3, 1]
+        assert plan._fixed_values.tolist() == [0.0, 1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("n", [1, 8, 300, 70_000])
+    def test_positions_by_value_match_a_stable_argsort(self, n):
+        values = make_rng(n).integers(0, n, size=5_000)
+        got = _positions_by_value(values, n)
+        want = np.split(np.argsort(values, kind="stable"), np.cumsum(np.bincount(values, minlength=n))[:-1])
+        assert len(got) == n and all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert [len(p) for p in _positions_by_value(np.zeros(0, dtype=np.int64), 3)] == [0, 0, 0]
 
 
 def test_plan_rejects_mixed_arity():
