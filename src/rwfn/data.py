@@ -234,8 +234,7 @@ def _place_part(whole: tuple, jitter: float, rng) -> tuple:
     py = rng.uniform(y1, y2 - ph)
     # jitter may push the part slightly out; keep inclusion ratio >= 0.9
     for _ in range(20):
-        dx = rng.uniform(-jitter, jitter)
-        dy = rng.uniform(-jitter, jitter)
+        dx, dy = rng.uniform(-jitter, jitter, size=2).tolist()
         cand = (px + dx, py + dy, px + dx + pw, py + dy + ph)
         if 0.0 <= cand[0] and cand[2] <= 1.0 and 0.0 <= cand[1] and cand[3] <= 1.0 \
                 and inclusion_ratio(cand, whole) >= 0.9:
@@ -271,8 +270,8 @@ def gen_synthetic(cfg: SyntheticConfig) -> Dataset:
             others = [c for c in wholes if c.name != primary.name]
             decoy = others[int(rng.integers(len(others)))]
             w, h = pbox[2] - pbox[0], pbox[3] - pbox[1]
-            dx1 = np.clip(pbox[0] + rng.uniform(-0.1, 0.1) * w, 0.0, 1.0 - w * 1.1)
-            dy1 = np.clip(pbox[1] + rng.uniform(-0.1, 0.1) * h, 0.0, 1.0 - h * 1.1)
+            dx1 = min(max(pbox[0] + rng.uniform(-0.1, 0.1) * w, 0.0), 1.0 - w * 1.1)
+            dy1 = min(max(pbox[1] + rng.uniform(-0.1, 0.1) * h, 0.0), 1.0 - h * 1.1)
             dbox = (dx1, dy1, min(1.0, dx1 + w * 1.1), min(1.0, dy1 + h * 1.1))
             decoy_id = f"s{s}_w1"
             scene_boxes.append((decoy_id, decoy.name, dbox, None))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -336,6 +337,7 @@ def hmean(values: np.ndarray) -> float:
 
 _KIND = {Not: "not", And: "and", Or: "or", Implies: "implies", ForAll: "forall", Exists: "exists"}
 _QUANTIFIERS = ("forall", "exists")
+_LITERAL_OPS = {False: (("atom", 0),), True: (("atom", 0), ("not", 0))}  # by negation
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -492,51 +494,111 @@ class GroundPlan:
                                        x=model.lift(constants, args)))
 
     def _compile_all(self, rng: np.random.Generator) -> None:
-        """Group and ground every part's formulas; intern their atoms."""
+        """Group and ground every part's formulas; intern their atoms. Each
+        run of closed literals, P(c) or ~P(c), is grounded in one pass
+        (_literals); every other formula on its own (_formula)."""
         groups: dict[tuple, _Group] = {}
-        slots = 0
+
+        def group_of(ops: tuple) -> _Group:
+            group = groups.get(ops)
+            if group is None:
+                last = next(reversed(groups.values()), None)
+                group = groups[ops] = _Group(ops, last.slot + last.leaves if last else 0)
+            return group
+
         # per atom occurrence, in grounding order: predicate, argument code,
-        # leaf slot; quantifier-free formulas add Python ints, the others arrays
+        # leaf slot; a chunk per formula or run of literals
         chunks: list = []
-        closed: tuple = ([], [], [])
-        roots = enumerate(self.roots)
+        first = 0  # the part's first root
         for self._part, part in enumerate(self._parts):
-            part_rng = copy.deepcopy(rng) if self.gt.parts else rng
-            for i, f in itertools.islice(roots, len(part.kb.formulas)):
-                ops: list[tuple] = []
-                nodes: list = []
-                atoms: list = []
-                self._compile(f, ops, nodes, atoms)
-                key = tuple(ops)
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = _Group(key, slots)
-                    slots += group.leaves
-                group.rows.append(i)
-                if group.quantified:
-                    chunks.append(closed)
-                    closed = ([], [], [])
-                    codes, leaves = self._ground(i, ops, nodes, part_rng)
-                    pids = np.array([self._pids[self._part, atom.pred] for atom in atoms])
-                    chunks.append((pids[leaves], codes, group.slot + leaves))
-                    continue
-                pids, codes, leaf_slots = closed
-                leaf_slots.extend(range(group.slot, group.slot + group.leaves))
-                for atom in atoms:
-                    pids.append(self._pids[self._part, atom.pred])
-                    codes.append(self._code(atom.args))
+            part_rng = None  # copied for the part's first compiled formula: literals draw nothing
+            formulas = part.kb.formulas
+            # each formula's atom where it is a literal, else None
+            literals = [f if type(f) is Atom else f.body if type(f) is Not and type(f.body) is Atom else None
+                        for f in formulas]
+            start = 0
+            for j in [i for i, atom in enumerate(literals) if atom is None] + [len(formulas)]:
+                if start < j:
+                    chunks.append(self._literals(formulas[start:j], literals[start:j], first + start, group_of))
+                if j < len(formulas):
+                    if part_rng is None:
+                        part_rng = copy.deepcopy(rng) if self.gt.parts else rng
+                    chunks.append(self._formula(first + j, formulas[j], part_rng, group_of))
+                start = j + 1
+            first += len(formulas)
         del self._part
-        chunks.append(closed)
-        pids, codes, leaf_slots = (np.concatenate([np.asarray(c[j], dtype=np.int64) for c in chunks])
-                                   for j in range(3))
+        pids, codes, leaf_slots = (np.concatenate([c[j] for c in chunks]) for j in range(3))
         self._intern(pids, codes)
         del pids, codes
-        pos = _positions_by_value(leaf_slots, slots)
+        pos = _positions_by_value(leaf_slots, sum(g.leaves for g in groups.values()))
         for group in groups.values():
             group.rows = np.array(group.rows, dtype=np.int64)
             group.pos = pos[group.slot:group.slot + group.leaves]
             group.atoms = [self._occurrences[p] for p in group.pos]
         self._groups = list(groups.values())
+
+    def _literals(self, formulas: list, atoms: list, first: int, group_of) -> tuple:
+        """Predicate ids, argument codes and leaf slots of a run of closed
+        literals, roots first, first + 1, ...: formulas[i] is atoms[i] or its
+        negation. The two literal groups are made in order of first
+        occurrence."""
+        negated = np.fromiter(map(operator.is_not, formulas, atoms), dtype=bool, count=len(atoms))
+        pids, codes = self._closed_atoms(atoms)
+        slots = np.empty(len(atoms), dtype=np.int64)
+        for neg in dict.fromkeys(negated.tolist()):
+            group = group_of(_LITERAL_OPS[neg])
+            rows = np.flatnonzero(negated == neg)
+            group.rows.extend((rows + first).tolist())
+            slots[rows] = group.slot
+        return pids, codes, slots
+
+    def _formula(self, root: int, f: Formula, rng, group_of) -> tuple:
+        """Predicate ids, argument codes and leaf slots of formula root's
+        atom occurrences, compiled on its own."""
+        ops: list[tuple] = []
+        nodes: list = []
+        atoms: list = []
+        self._compile(f, ops, nodes, atoms)
+        group = group_of(tuple(ops))
+        group.rows.append(root)
+        if not group.quantified:
+            pids, codes = self._closed_atoms(atoms)
+            return pids, codes, group.slot + np.arange(group.leaves)
+        codes, leaves = self._ground(root, ops, nodes, rng)
+        pids = np.array([self._pids[self._part, atom.pred] for atom in atoms], dtype=np.int64)
+        return pids[leaves], codes, group.slot + leaves
+
+    def _closed_atoms(self, atoms: list) -> tuple:
+        """Predicate ids and argument codes of atoms over constants, in one
+        pass. Their predicates are registered in order of first occurrence;
+        the first atom whose predicate _register refuses, or that has a
+        constant with no grounding vector, raises as it would on its own."""
+        names = [atom.pred for atom in atoms]
+        args = [atom.args for atom in atoms]
+        local = {name: k for k, name in enumerate(dict.fromkeys(names))}
+        ids = np.fromiter(map(local.__getitem__, names), dtype=np.int64, count=len(atoms))
+        lens = np.fromiter(map(len, args), dtype=np.int64, count=len(atoms))
+        ends = np.cumsum(lens)
+        flat = np.fromiter(map(self._index.get, itertools.chain.from_iterable(args), itertools.repeat(-1)),
+                           dtype=np.int64, count=int(ends[-1]))
+        unknown = np.flatnonzero(flat < 0)[:1]  # -1 marks a constant with no grounding vector
+        bad = int(np.searchsorted(ends, unknown[0], side="right")) if len(unknown) else len(atoms)
+        # each (predicate, arity) at its first occurrence, up to the bad atom
+        width = int(lens.max())
+        _, firsts = np.unique(ids[:bad + 1] * (width + 1) + lens[:bad + 1], return_index=True)
+        for i in np.sort(firsts).tolist():
+            self._register(names[i], int(lens[i]))
+        if bad < len(atoms):
+            for c in reversed(args[bad]):  # the last unknown one, as a Horner scheme meets them
+                self._constant(c)
+        pids = np.array([self._pids[self._part, name] for name in local], dtype=np.int64)[ids]
+        if (lens == width).all():
+            positions = flat.reshape(len(atoms), width)
+        else:  # zeros past an atom's arity add nothing to its code
+            positions = np.zeros((len(atoms), width), dtype=np.int64)
+            column = np.arange(len(flat)) - np.repeat(ends - lens, lens)
+            positions[np.repeat(np.arange(len(atoms)), lens), column] = flat
+        return pids, self._codes(positions)
 
     def _batch_rows(self) -> list:
         """Fix the symbolic truths, and return each batch with a live atom:
@@ -583,9 +645,7 @@ class GroundPlan:
         # each label's argument code, or -1 where a constant is not in the domain
         args = np.array([self._index.get(a, -1) for key in model.truths for a in key],
                         dtype=np.int64).reshape(len(model.truths), arity)
-        labels = np.zeros(len(args), dtype=np.int64)
-        for j in range(arity - 1, -1, -1):
-            labels = labels * len(self._domain) + args[:, j]
+        labels = self._codes(args)
         labels[(args < 0).any(axis=1)] = -1
         values = np.array([float(v) for v in model.truths.values()])
         order = np.argsort(labels)
@@ -607,7 +667,7 @@ class GroundPlan:
         nodes, and its atoms left to right to atoms (leaf k is atoms[k]);
         returns the index of f's op."""
         if isinstance(f, Atom):
-            self._register(f)
+            self._register(f.pred, len(f.args))
             op = ("atom", len(atoms))
             atoms.append(f)
         elif isinstance(f, Not):
@@ -624,29 +684,29 @@ class GroundPlan:
         nodes.append(f)
         return len(ops) - 1
 
-    def _register(self, atom: Atom) -> None:
-        key = (self._part, atom.pred)
-        arity = self._preds.get(key)
-        if arity is None:
-            arity = self._preds[key] = len(atom.args)
+    def _register(self, pred: str, arity: int) -> None:
+        key = (self._part, pred)
+        known = self._preds.get(key)
+        if known is None:
+            self._preds[key] = arity
             self._pids[key] = len(self._pids)
             if len(self._domain) ** arity > _INT64_MAX:
                 raise ValueError(f"the {len(self._domain)}^{arity} argument tuples of predicate "
-                                 f"{atom.pred!r} exceed the int64 atom key range")
-        elif arity != len(atom.args):
-            raise ValueError(f"predicate {atom.pred!r} is used with {arity} and {len(atom.args)} arguments")
+                                 f"{pred!r} exceed the int64 atom key range")
+        elif known != arity:
+            raise ValueError(f"predicate {pred!r} is used with {known} and {arity} arguments")
 
     def _constant(self, c) -> int:
         if c not in self._index:
             raise KeyError(f"constant {c!r} has no grounding vector")
         return self._index[c]
 
-    def _code(self, args: tuple) -> int:
-        """The argument code of the constants args."""
-        code = 0
-        for a in reversed(args):
-            code = code * len(self._domain) + self._constant(a)
-        return code
+    def _codes(self, args: np.ndarray) -> np.ndarray:
+        """Argument codes of (n, arity) constant positions; _args inverts it."""
+        codes = np.zeros(len(args), dtype=np.int64)
+        for j in range(args.shape[1] - 1, -1, -1):
+            codes = codes * len(self._domain) + args[:, j]
+        return codes
 
     def _args(self, codes: np.ndarray, arity: int) -> np.ndarray:
         """(len(codes), arity) constant positions of argument codes."""

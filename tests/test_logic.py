@@ -29,6 +29,7 @@ from rwfn.logic import (
     _intern_keys,
     _positions_by_value,
     hmean,
+    merge_theories,
     parse_kb,
     satisfiability,
 )
@@ -572,7 +573,8 @@ def test_sampled_plan_deterministic():
 def oracle_grounding(gt: GroundedTheory, budget: int, rng) -> dict:
     """Ground gt one Python call per formula node and instantiation, drawing
     samples in tree order (an inner quantifier once per enclosing
-    instantiation). Returns atoms as (pred, args) in order of first
+    instantiation); each part of a merged theory draws from its own copy of
+    rng. Returns atoms as ((part, pred), args) in order of first
     occurrence, each occurrence's atom, and per formula shape the rows and
     per leaf the occurrence positions, plus symbolic truths and each
     learnable predicate's atoms with their argument positions in the
@@ -594,7 +596,7 @@ def oracle_grounding(gt: GroundedTheory, budget: int, rng) -> dict:
 
     def ground(f, bindings, leaf, pos):
         if isinstance(f, Atom):
-            key = (f.pred, tuple(bindings.get(a, a) for a in f.args))
+            key = ((part, f.pred), tuple(bindings.get(a, a) for a in f.args))
             if key not in index:
                 index[key] = len(atoms)
                 atoms.append(key)
@@ -606,17 +608,22 @@ def oracle_grounding(gt: GroundedTheory, budget: int, rng) -> dict:
         if isinstance(f, (And, Or, Implies)):
             return ground(f.right, bindings, ground(f.left, bindings, leaf, pos), pos)
         end = leaf
-        for combo in oracle_instantiations(domain, len(f.variables), budget, rng):
+        for combo in oracle_instantiations(domain, len(f.variables), budget, part_rng):
             end = ground(f.body, {**bindings, **dict(zip(f.variables, combo))}, leaf, pos)
         return end
 
-    for i, f in enumerate(gt.kb.formulas):
-        rows, pos = groups.setdefault(shape(f), ([], {}))
-        rows.append(i)
-        ground(f, {}, 0, pos)
+    parts = gt.parts or [gt]
+    i = 0
+    for part, theory in enumerate(parts):
+        part_rng = copy.deepcopy(rng) if gt.parts else rng
+        for f in theory.kb.formulas:
+            rows, pos = groups.setdefault(shape(f), ([], {}))
+            rows.append(i)
+            ground(f, {}, 0, pos)
+            i += 1
     inputs, truths = {}, np.zeros(len(atoms))
     for i, (pred, args) in enumerate(atoms):
-        model = gt.predicates[pred]
+        model = parts[pred[0]].predicates[pred[1]]
         if model.symbolic:
             truths[i] = truth_of(model, args)
         else:
@@ -685,7 +692,33 @@ def repeated(draw):
     return draw(st.sampled_from((And, Or, Implies)))(f, f)
 
 
-grounding_kbs = st.lists(st.one_of(formulas(), side_by_side(), repeated()), min_size=1, max_size=4)
+@st.composite
+def literal(draw):
+    """A closed literal, bare or negated: P(c), ~Q(c), R(c,d) and the like."""
+    pred = draw(st.sampled_from(sorted(SIGNATURES)))
+    atom = Atom(pred, tuple(draw(st.sampled_from(DOMAIN)) for _ in range(SIGNATURES[pred])))
+    return Not(atom) if draw(st.booleans()) else atom
+
+
+# runs of closed literals, which a plan grounds in one pass, between
+# formulas that it compiles one by one
+grounding_kbs = st.lists(st.one_of(st.lists(literal(), min_size=1, max_size=6),
+                                   st.one_of(formulas(), side_by_side(), repeated()).map(lambda f: [f])),
+                         min_size=1, max_size=4).map(lambda runs: [f for run in runs for f in run])
+
+
+def assert_grounding(plan: GroundPlan, want: dict) -> None:
+    """plan's predicate numbering, interned atoms, occurrences, groups and
+    symbolic truths are the oracle's."""
+    assert list(plan._preds) == list(dict.fromkeys(pred for pred, _ in want["atoms"]))
+    assert np.array_equal(plan._atoms, atom_keys(want["atoms"], sorted(plan.gt.constants)))
+    assert np.array_equal(plan._occurrences, want["occurrences"])
+    # groups in order of creation, each at its first formula
+    assert [(int(g.rows[0]), g.rows.tolist(), [p.tolist() for p in g.pos]) for g in plan._groups] == \
+        [(rows[0], rows, pos) for rows, pos in want["groups"].values()]
+    for g in plan._groups:
+        assert all(np.array_equal(a, plan._occurrences[p]) for a, p in zip(g.atoms, g.pos))
+    assert np.array_equal(plan._fixed_values, want["truths"])
 
 
 @given(grounding_kbs, st.integers(0, 50), st.sampled_from([1, 2, 4, 8, 9, 10, 10**6]), st.integers(0, 3))
@@ -695,23 +728,58 @@ def test_grounding_matches_recursive_oracle(fs, seed, budget, rng_seed):
     gt.kb.formulas = fs + [rename_constants(f) for f in fs]
     plan = grounded_plan(gt, budget, make_rng(rng_seed))
     want = oracle_grounding(gt, budget, make_rng(rng_seed))
-    assert np.array_equal(plan._atoms, atom_keys(want["atoms"], sorted(gt.constants)))
-    assert np.array_equal(plan._occurrences, want["occurrences"])
-    assert {int(g.rows[0]): (g.rows.tolist(), [p.tolist() for p in g.pos]) for g in plan._groups} == want["groups"]
-    for g in plan._groups:
-        assert all(np.array_equal(a, plan._occurrences[p]) for a, p in zip(g.atoms, g.pos))
-    assert np.array_equal(plan._fixed_values, want["truths"])
+    assert_grounding(plan, want)
     # Q and R have their own encoders and arities: one batch each, over the
     # atoms that can take a gradient, in order (TestFold checks which)
     live = plan.stats()["live_atoms"]
-    assert list(live) == list(want["inputs"])
-    inputs = [(pred, *want["inputs"][pred]) for pred in live if live[pred]]
+    assert [(0, pred) for pred in live] == list(want["inputs"])
+    inputs = [(pred, *want["inputs"][0, pred]) for pred in live if live[pred]]
     assert batch_preds(plan) == [[(0, pred)] for pred, _, _ in inputs]
     table = np.stack([gt.constants[c] for c in sorted(gt.constants)])
     for b, (pred, indices, args) in zip(plan.batches, inputs):
         kept = np.isin(indices, b.indices)
         assert np.array_equal(b.indices, np.asarray(indices)[kept]) and len(b.indices) == live[pred]
         assert np.array_equal(b.x, b.model.lift(table, args[kept]))
+
+
+@given(st.lists(grounding_kbs, min_size=2, max_size=3), st.integers(0, 50), st.sampled_from([1, 4, 9, 10**6]),
+       st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_merged_grounding_matches_recursive_oracle(kbs, seed, budget, rng_seed):
+    # parts over one domain with models of their own: each part numbers its
+    # predicates anew, and a literal run may end one part and start the next
+    constants = oracle_theory(seed).constants
+    gt = merge_theories([GroundedTheory(kb=KnowledgeBase(signatures=dict(SIGNATURES), formulas=fs),
+                                        constants=constants, predicates=oracle_theory(seed + i).predicates)
+                         for i, fs in enumerate(kbs)])
+    assert_grounding(grounded_plan(gt, budget, make_rng(rng_seed)), oracle_grounding(gt, budget, make_rng(rng_seed)))
+
+
+Q2 = Atom("Q", ("x", "y"))  # Q at arity 2 under a quantifier; SIGNATURES has it at 1
+
+
+@pytest.mark.parametrize("fs, error, message", [
+    ([Atom("P", ("a",)), Not(Atom("Q", ("zz",)))], KeyError, "constant 'zz' has no grounding vector"),
+    # the last unknown constant of the first atom that has one
+    ([Atom("P", ("b",)), Atom("R", ("y1", "y2")), Atom("Q", ("y0",))], KeyError, "constant 'y2'"),
+    ([Atom("P", ("a",)), Not(Atom("P", ("a", "b")))], ValueError, "predicate 'P' is used with 1 and 2 arguments"),
+    ([Atom("P", ("a", "b")), Atom("P", ("a",))], ValueError, "predicate 'P' is used with 2 and 1 arguments"),
+    # a literal's arity is checked before its constants; the first bad literal raises
+    ([Atom("P", ("a",)), Atom("P", ("a", "zz"))], ValueError, "predicate 'P' is used with 1 and 2 arguments"),
+    ([Atom("P", ("a",)), Atom("P", ("zz",)), Atom("P", ("a", "b"))], KeyError, "constant 'zz'"),
+    ([Atom("P", ("a",)), Atom("P", ("a", "b")), Atom("P", ("zz",))], ValueError, "used with 1 and 2 arguments"),
+    # a literal, then a quantified atom; a quantified atom, then a literal
+    ([Not(Atom("Q", ("a",))), ForAll(("x", "y"), Q2)], ValueError, "predicate 'Q' is used with 1 and 2 arguments"),
+    ([ForAll(("x", "y"), Q2), Not(Atom("Q", ("a",)))], ValueError, "predicate 'Q' is used with 2 and 1 arguments"),
+    ([Atom("P", ("a",)), Exists(("x",), Atom("P", ("x",))), Atom("Q", ("zz",))], KeyError, "constant 'zz'"),
+], ids=["unknown", "last-unknown", "clash-in-run", "clash-in-run-reversed", "clash-before-constant",
+        "constant-before-clash", "clash-before-later-constant", "literal-then-quantified", "quantified-then-literal",
+        "after-quantified"])
+def test_literal_errors_match_the_formula_path(fs, error, message):
+    gt = oracle_theory(0)
+    gt.kb.formulas = fs
+    with pytest.raises(error, match=re.escape(message)):
+        GroundPlan(gt, budget=10, rng=make_rng(0))
 
 
 class TestLabelTruths:
