@@ -1,7 +1,8 @@
-"""Command-line surface: gen-synth, train, eval, compare, ablate, verify,
-params. JSON artifacts are deterministic under --seed; wall-clock timings
-live only in the run manifest so repeated runs stay byte-identical (compare's
-.txt table shows them too). eval checks a model bundle's fields first.
+"""Command-line surface: gen-synth, train, eval, compare, ablate (compare
+over the branch-ablation variants, one repeat), verify, params. JSON
+artifacts are deterministic under --seed; wall-clock timings live only in
+the run manifest and the .txt table, so repeated runs stay byte-identical.
+eval checks a model bundle's fields first.
 
 Exit codes: 0 success, 1 runtime or check failure, 2 usage error.
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .data import DatasetError, SyntheticConfig, gen_synthetic, load_dataset, save_dataset, split
-from .evaluation import (COMPARE_MODELS, check_models, compare, render_table, run_ablation, run_partof, run_types,
+from .evaluation import (ABLATION_MODELS, COMPARE_MODELS, check_models, compare, render_table, run_partof, run_types,
                          task_auc)
 from .numerics import make_rng
 from .predicates import count_params, model_from_spec, model_to_spec
@@ -109,8 +110,8 @@ def cmd_train(args) -> int:
     cfg = _config(TrainConfig, args)
 
     if args.task == "types":
-        res = run_types(args.model, sp.train, sp.test, cfg, b=args.b or DEFAULT_B_TYPES, k=args.k,
-                        shared=args.shared_encoder)
+        res = run_types(args.model, sp.train, sp.test, cfg, args.shared_encoder, b=args.b or DEFAULT_B_TYPES,
+                        k=args.k)
     else:
         res = run_partof(args.model, sp.train, sp.test, cfg, b=args.b or DEFAULT_B_PARTOF, k=args.k)
 
@@ -204,22 +205,6 @@ def cmd_compare(args) -> int:
     table_path.write_text(table)
     _write_manifest(args, t0, {"report": out, "table": table_path}, {"seed": args.seed}, {"mean_ms": mean_ms})
     print(table, end="")
-    return 0
-
-
-def cmd_ablate(args) -> int:
-    t0 = time.perf_counter()
-    ds = load_dataset(args.data)
-    cfg = _config(TrainConfig, args)
-    rows = run_ablation(ds, cfg, b_types=args.b_types, b_partof=args.b_partof,
-                        ratio=args.split_ratio)
-    report = {"rows": rows, "seed": args.seed}
-    out = Path(args.output)
-    _dump_json(report, out)
-    _write_manifest(args, t0, {"report": out}, {"seed": args.seed})
-    for row in rows:
-        print(f"{row['variant']:>5}: T1 AUC {row['auc_types']:.3f}  T2 AUC {row['auc_partof']:.3f}  "
-              f"decoder {row['decoder_len_types']}/{row['decoder_len_partof']}")
     return 0
 
 
@@ -347,13 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("ablate", help="branch-contribution ablation")
+    p = sub.add_parser("ablate", help=f"branch-contribution ablation: compare over {','.join(ABLATION_MODELS)}")
     p.add_argument("--data", required=True)
     p.add_argument("--b-types", type=positive_int, default=DEFAULT_B_TYPES)
     p.add_argument("--b-partof", type=positive_int, default=DEFAULT_B_PARTOF)
     _add_train_flags(p)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=cmd_compare, models=ABLATION_MODELS, repeats=1, k=DEFAULT_K)
 
     p = sub.add_parser("verify", help="kernel, gradient, and parameter-count self-checks")
     p.add_argument("--kernel-widths", type=width_list, default="100,1000,10000")
@@ -377,8 +362,8 @@ def main(argv=None) -> int:
         # only per-class rwfn classifiers have a frozen encoder to share
         parser.error(f"--shared-encoder applies to --model rwfn --task types, not --model {args.model} "
                      f"--task {args.task}")
-    if args.command == "compare" and Path(args.output).suffix == ".txt":
-        parser.error(f"compare would write its report to {args.output} and its table to "
+    if args.func is cmd_compare and Path(args.output).suffix == ".txt":
+        parser.error(f"{args.command} would write its report to {args.output} and its table to "
                      f"{Path(args.output).with_suffix('.txt')}, the same file; give -o another suffix")
     try:
         return args.func(args)

@@ -1,5 +1,6 @@
-"""Precision-recall evaluation, threshold classification, the ablation
-runner, and multi-model comparison with repeated seeded runs.
+"""Precision-recall evaluation, and the one experiment loop: repeated
+seeded runs over a list of VARIANTS. The model comparison and the branch
+ablation are two lists of variant names.
 
 AUC here is always the area under the precision-recall curve, integrated
 trapezoidally over recall with tied scores entering the sweep together.
@@ -107,9 +108,8 @@ class TaskResult:
     traces: dict
 
 
-def run_types(kind: str, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
-              b: int = DEFAULT_B_TYPES, k: int = DEFAULT_K, mode: str = "full",
-              shared: bool = False) -> TaskResult:
+def run_types(kind: str, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig, shared: bool,
+              b: int = DEFAULT_B_TYPES, k: int = DEFAULT_K, mode: str = "full") -> TaskResult:
     """Train one classifier per class and macro-average test AUC.
 
     NTN and shared-encoder classifiers train in lockstep (train_many);
@@ -150,33 +150,20 @@ def run_partof(kind: str, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
 
 
 # ---------------------------------------------------------------------------
-# Ablation (branch contributions)
+# Experiments: model variants over repeated seeded runs
 
-
-def run_ablation(ds: Dataset, cfg: TrainConfig, ratio: float, b_types: int, b_partof: int) -> list:
-    """Three frozen-encoder variants on an identical split and seeds:
-    gated-projection branch only, Fourier branch only, and the full model.
-    Ablated branches keep the hidden width, so their decoders have length B
-    while the full model's has 2B."""
-    sp = split(ds, ratio, make_rng(cfg.seed))
-    rows = []
-    for mode in ("albm", "rff", "full"):
-        t1 = run_types("rwfn", sp.train, sp.test, cfg, b=b_types, mode=mode)
-        t2 = run_partof("rwfn", sp.train, sp.test, cfg, b=b_partof, mode=mode)
-        rows.append({
-            "variant": mode,
-            "decoder_len_types": int(next(iter(t1.models.values())).beta.shape[0]),
-            "decoder_len_partof": int(t2.models["partOf"].beta.shape[0]),
-            "auc_types": t1.auc,
-            "auc_partof": t2.auc,
-        })
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Multi-model comparison
-
+# name: (kind, encoder mode, shared encoder). The ablated modes keep the
+# hidden width, so their decoders have length B where the full model's has 2B.
+VARIANTS = {
+    "ltn": ("ltn", "full", False),
+    "rwfn": ("rwfn", "full", False),
+    "rwfn-shared": ("rwfn", "full", True),
+    "rwfn-albm": ("rwfn", "albm", False),
+    "rwfn-rff": ("rwfn", "rff", False),
+}
 COMPARE_MODELS = ("ltn", "rwfn", "rwfn-shared")
+# the branch ablation: gated projection only, Fourier features only, both
+ABLATION_MODELS = ("rwfn-albm", "rwfn-rff", "rwfn")
 TASKS = ("types", "partof")
 # (minuend, subtrahend): per-seed AUC differences on the same split
 PAIRED = (("rwfn", "ltn"), ("rwfn", "ir-baseline"))
@@ -186,11 +173,11 @@ def check_models(models) -> tuple:
     """models as a tuple, or ValueError for an empty list, an unknown or
     repeated name, or the always-included inclusion-ratio baseline."""
     models = tuple(models)
-    allowed = ", ".join(COMPARE_MODELS)
+    allowed = ", ".join(VARIANTS)
     if not models:
         raise ValueError(f"no models to compare; choose from {allowed}")
     for name in models:
-        if name not in COMPARE_MODELS:
+        if name not in VARIANTS:
             reason = "is always included" if name == "ir-baseline" else "is not a model"
             raise ValueError(f"{name!r} {reason}; choose from {allowed}")
     if len(set(models)) < len(models):
@@ -209,7 +196,8 @@ class FitRecord(NamedTuple):
 
 def compare(ds: Dataset, repeats: int, ratio: float, models, cfg: TrainConfig, b_types: int, b_partof: int,
             k: int) -> dict:
-    """Repeated seeded runs; per model, mean AUC with a 2*SD band and
+    """Repeated seeded runs of the VARIANTS that models names, each on the
+    same splits and seeds; per model, mean AUC with a 2*SD band and
     parameter counts. The geometric inclusion-ratio baseline is always
     included for the part-of task. For each PAIRED pair whose models both
     ran, the per-seed AUC differences on the same split, with their mean and
@@ -227,11 +215,10 @@ def compare(ds: Dataset, repeats: int, ratio: float, models, cfg: TrainConfig, b
         fits["ir-baseline", "partof"].append(
             FitRecord(pr_auc(*baseline_ir_scores(sp.test)), None, ParamCount(total=0, learnable=0)))
         for name in models:
-            kind = "rwfn" if name.startswith("rwfn") else "ltn"
-            shared = name == "rwfn-shared"
-            results = {"types": run_types(kind, sp.train, sp.test, run_cfg, b=b_types, k=k, shared=shared)}
+            kind, mode, shared = VARIANTS[name]
+            results = {"types": run_types(kind, sp.train, sp.test, run_cfg, shared, b=b_types, k=k, mode=mode)}
             if not shared:  # part-of needs a single classifier; sharing buys nothing
-                results["partof"] = run_partof(kind, sp.train, sp.test, run_cfg, b=b_partof, k=k)
+                results["partof"] = run_partof(kind, sp.train, sp.test, run_cfg, b=b_partof, k=k, mode=mode)
             for task, res in results.items():
                 fits[name, task].append(FitRecord(res.auc, res.wall_ms, res.params))
 

@@ -12,7 +12,7 @@ import pytest
 from rwfn.cli import main as cli_main
 from rwfn.data import SyntheticConfig, gen_synthetic
 from rwfn.encoder import EncoderConfig, build_encoder
-from rwfn.evaluation import COMPARE_MODELS, compare, pr_auc, run_ablation
+from rwfn.evaluation import ABLATION_MODELS, COMPARE_MODELS, compare, pr_auc
 from rwfn.logic import Atom, GroundedTheory, GroundPlan, KnowledgeBase, Not, parse_kb
 from rwfn.numerics import make_rng
 from rwfn.predicates import LabelPredicate, RwfnPredicate, count_params, init_ntn
@@ -173,18 +173,19 @@ def test_criterion_07_runtime_ordering(comparison):
 
 def test_criterion_08_ablation_protocol(sii_dataset):
     cfg = TrainConfig(epochs=100, seed=0, instantiation_budget=500)
-    rows = run_ablation(sii_dataset, cfg, ratio=0.8, b_types=200, b_partof=400)
-    assert len(rows) == 3
-    by = {r["variant"]: r for r in rows}
-    assert by["full"]["decoder_len_types"] == 400 and by["full"]["decoder_len_partof"] == 800
-    for mode in ("albm", "rff"):
-        assert by[mode]["decoder_len_types"] == 200 and by[mode]["decoder_len_partof"] == 400
+    report = compare(sii_dataset, repeats=1, ratio=0.8, models=ABLATION_MODELS, cfg=cfg, b_types=200, b_partof=400,
+                     k=DEFAULT_K)
+    assert [r["model"] for r in report["rows"]] == ["rwfn-albm", "rwfn-rff", "rwfn", "ir-baseline"]
+    by = {r["model"]: r for r in report["rows"]}
+    assert by["rwfn"]["params_types"]["learnable"] == 400 and by["rwfn"]["params_partof"]["learnable"] == 800
+    for name in ("rwfn-albm", "rwfn-rff"):
+        assert by[name]["params_types"]["learnable"] == 200 and by[name]["params_partof"]["learnable"] == 400
     for task in ("auc_types", "auc_partof"):
-        floor = min(by["albm"][task], by["rff"][task]) - 0.02
-        assert by["full"][task] >= floor
+        floor = min(by["rwfn-albm"][task]["mean"], by["rwfn-rff"][task]["mean"]) - 0.02
+        assert by["rwfn"][task]["mean"] >= floor
     announce(8, "3 variants; decoder lengths 2B/B; full AUC >= min(branch AUCs) - 0.02; "
-                + ", ".join(f"{m}: T1 {by[m]['auc_types']:.3f} T2 {by[m]['auc_partof']:.3f}"
-                            for m in ("albm", "rff", "full")))
+                + ", ".join(f"{m}: T1 {by[m]['auc_types']['mean']:.3f} T2 {by[m]['auc_partof']['mean']:.3f}"
+                            for m in ABLATION_MODELS))
 
 
 def _oracle_auc(scores, labels):

@@ -465,16 +465,18 @@ class TestCompareAblate:
         out = tmp_path / "cmp.json"
         assert run_cli(["compare", "--data", str(dataset_path), "--models", models, "-o", str(out)]) == 2
         err = capsys.readouterr().err
-        assert reason in err and "ltn, rwfn, rwfn-shared" in err
+        assert reason in err and "ltn, rwfn, rwfn-shared, rwfn-albm, rwfn-rff" in err
         assert not out.exists()
 
     def test_compare_table_suffix_usage_error(self, dataset_path, tmp_path, capsys):
-        # the table goes to the report's path with the suffix .txt
+        # the table goes to the report's path with the suffix .txt, for
+        # compare and for ablate, which runs compare
         out = tmp_path / "r.txt"
-        assert run_cli(["compare", "--data", str(dataset_path), "--repeats", "1", "--epochs", "1",
-                        "--models", "ltn", "-o", str(out)]) == 2
-        assert f"report to {out} and its table to {out}, the same file" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        for command in ("compare", "ablate"):
+            assert run_cli([command, "--data", str(dataset_path), "--epochs", "1", "-o", str(out)]) == 2
+            assert f"{command} would write its report to {out} and its table to {out}, the same file" in \
+                capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
 
     def test_compare_writes_report_and_table(self, dataset_path, tmp_path):
         out = tmp_path / "r.json"
@@ -501,7 +503,30 @@ class TestCompareAblate:
                         "-o", str(out)])
         assert code == 0
         rows = json.loads(out.read_text())["rows"]
-        assert len(rows) == 3
+        assert len(rows) == 4
+        assert [r["model"] for r in rows] == ["rwfn-albm", "rwfn-rff", "rwfn", "ir-baseline"]
+
+    def test_ablate_is_compare_over_the_ablation_models(self, dataset_path, tmp_path):
+        flags = ["--data", str(dataset_path), "--epochs", "3", "--budget", "100", "--b-types", "8",
+                 "--b-partof", "8", "--seed", "4"]
+        abl, cmp = tmp_path / "abl" / "r.json", tmp_path / "cmp" / "r.json"
+        assert run_cli(["ablate", *flags, "-o", str(abl)]) == 0
+        assert run_cli(["compare", *flags, "--models", "rwfn-albm,rwfn-rff,rwfn", "--repeats", "1",
+                        "-o", str(cmp)]) == 0
+        assert abl.read_bytes() == cmp.read_bytes()
+
+        def rows(table):
+            """The table's model rows without their two wall-ms cells, and its paired rows."""
+            model_rows, _, paired = table.partition("\n\n")
+            return [line.split()[:-2] for line in model_rows.splitlines()[2:]], paired
+
+        abl_rows = rows(abl.with_suffix(".txt").read_text())
+        assert [r[0] for r in abl_rows[0]] == ["rwfn-albm", "rwfn-rff", "rwfn", "ir-baseline"]
+        assert abl_rows == rows(cmp.with_suffix(".txt").read_text())
+        manifest = json.loads(abl.with_suffix(".json.manifest.json").read_text())
+        assert manifest["artifacts"] == {"report": str(abl), "table": str(abl.with_suffix(".txt"))}
+        assert sorted(manifest["mean_ms"]) == ["rwfn", "rwfn-albm", "rwfn-rff"]
+        assert_artifact_digests(abl.with_suffix(".json.manifest.json"))
 
 
 class TestVerify:
@@ -545,7 +570,7 @@ def test_parser_defaults_are_the_config_defaults(argv, config, unset, given):
     assert fields.keys() & args.keys() == fields.keys() - unset
     assert {name: args[name] for name in fields.keys() & args.keys()} == {
         name: value for name, value in fields.items() if name not in unset}
-    if argv[0] in ("train", "compare"):  # ablate runs RWFN variants only
+    if argv[0] != "gen-synth":
         assert args["k"] == DEFAULT_K
 
 

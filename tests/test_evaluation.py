@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from rwfn.data import SyntheticConfig, gen_synthetic
 from rwfn.evaluation import (
+    ABLATION_MODELS,
     COMPARE_MODELS,
+    VARIANTS,
     PrCurve,
     auc,
     compare,
@@ -15,8 +18,9 @@ from rwfn.evaluation import (
     pr_auc,
     pr_curve,
     render_table,
-    run_ablation,
 )
+from rwfn.predicates import count_params
+from rwfn.tasks import make_classifier
 from rwfn.training import TrainConfig
 
 
@@ -189,14 +193,38 @@ def small_cfg():
 
 class TestAblation:
     def test_three_variants_and_decoder_lengths(self):
-        rows = run_ablation(small_dataset(), small_cfg(), ratio=0.8, b_types=16, b_partof=16)
-        assert [r["variant"] for r in rows] == ["albm", "rff", "full"]
-        for r in rows:
-            expect = 32 if r["variant"] == "full" else 16
-            assert r["decoder_len_types"] == expect
-            assert r["decoder_len_partof"] == expect
-            assert 0.0 <= r["auc_types"] <= 1.0
-            assert 0.0 <= r["auc_partof"] <= 1.0
+        ds = small_dataset()
+        report = compare(ds, repeats=1, ratio=0.8, models=ABLATION_MODELS, cfg=small_cfg(), b_types=16, b_partof=16,
+                         k=2)
+        rows = report["rows"][:-1]  # the last is the inclusion-ratio baseline
+        assert [r["model"] for r in report["rows"]] == ["rwfn-albm", "rwfn-rff", "rwfn", "ir-baseline"]
+        for r, mode in zip(rows, ("albm", "rff", "full")):
+            fresh = make_classifier("rwfn", ds.n, 0, 16, 2, mode)
+            assert r["params_types"] == dataclasses.asdict(count_params(fresh))
+            expect = 32 if r["model"] == "rwfn" else 16  # decoder lengths 2B and B
+            assert r["params_types"]["learnable"] == expect
+            assert r["params_partof"]["learnable"] == expect
+            assert 0.0 <= r["auc_types"]["mean"] <= 1.0
+            assert 0.0 <= r["auc_partof"]["mean"] <= 1.0
+
+
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_variant_rows_count_a_fresh_classifier(name):
+    # a variant's row reads its parameters off the classifier its fields
+    # make, and only a shared-encoder variant skips part-of
+    ds = small_dataset()
+    kind, mode, shared = VARIANTS[name]
+    report = compare(ds, repeats=1, ratio=0.8, models=(name,), cfg=small_cfg(), b_types=8, b_partof=12, k=2)
+    row = report["rows"][0]
+
+    def params(input_dim, b):
+        return dataclasses.asdict(count_params(make_classifier(kind, input_dim, 0, b, 2, mode)))
+
+    assert row["model"] == name
+    assert row["params_types"] == params(ds.n, 8)
+    assert row["auc_types"] is not None
+    assert (row["auc_partof"] is None) == shared
+    assert row["params_partof"] == (None if shared else params(2 * ds.n, 12))
 
 
 class TestCompare:

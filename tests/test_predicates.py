@@ -431,6 +431,10 @@ class TestParamCounts:
         enc = small_encoder()
         assert count_params(RwfnPredicate.create(enc, mode="albm")).learnable == 16
         assert count_params(RwfnPredicate.create(enc, mode="rff")).learnable == 16
+        # the learnable count is the decoder's length in every mode
+        for mode in ("full", "albm", "rff"):
+            m = RwfnPredicate.create(enc, mode=mode)
+            assert count_params(m).learnable == m.beta.size
 
     def test_label_predicate_is_free(self):
         assert count_params(LabelPredicate({})) == ParamCount(total=0, learnable=0)
