@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import operator
 import re
 from dataclasses import dataclass, field
 
@@ -72,10 +71,38 @@ class Exists:
 Formula = Atom | Not | And | Or | Implies | ForAll | Exists
 
 
+@dataclass(frozen=True)
+class LiteralTable:
+    """Ground literals of one predicate as columns: row i is the atom
+    pred(*args[i]) where sign[i] is true, else its negation."""
+
+    pred: str
+    args: np.ndarray  # (n, arity) constant ids
+    sign: np.ndarray  # (n,) bool
+
+    def __post_init__(self):
+        args, sign = np.asarray(self.args), np.asarray(self.sign)
+        if args.ndim != 2 or args.shape[1] < 1:
+            raise ValueError(f"literal table of {self.pred!r}: args must be an (n, arity) array of arity >= 1, "
+                             f"got shape {args.shape}")
+        if sign.dtype != bool or sign.shape != (len(args),):
+            raise ValueError(f"literal table of {self.pred!r}: sign must be {len(args)} bools, one per row, "
+                             f"got {sign.dtype} of shape {sign.shape}")
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "sign", sign)
+
+
 @dataclass
 class KnowledgeBase:
+    """Ground literals as tables (facts) and other formulas. A plan's roots
+    are the fact rows, table by table, then the formulas."""
+
     signatures: dict  # predicate name -> arity
     formulas: list = field(default_factory=list)
+    facts: list = field(default_factory=list)  # LiteralTables
+
+    def root_count(self) -> int:
+        return sum(len(t.sign) for t in self.facts) + len(self.formulas)
 
 
 @dataclass
@@ -93,10 +120,10 @@ class GroundedTheory:
 
 def merge_theories(theories: list) -> GroundedTheory:
     """Several theories over one set of constants as one, whose parts they
-    are: their formulas in order, and each predicate keyed (part, name), so
-    the atoms of different parts stay distinct. A constant id must name one
-    vector. A plan over the result runs every part in one pass, with its
-    own satisfiability and quantifier samples."""
+    are: their tables and formulas in order, and each predicate keyed
+    (part, name), so the atoms of different parts stay distinct. A
+    constant id must name one vector. A plan over the result runs every
+    part in one pass, with its own satisfiability and quantifier samples."""
     if not theories:
         raise ValueError("no theories to merge")
     constants = theories[0].constants
@@ -109,7 +136,8 @@ def merge_theories(theories: list) -> GroundedTheory:
     return GroundedTheory(
         kb=KnowledgeBase(signatures={(i, name): a for i, gt in enumerate(theories)
                                      for name, a in gt.kb.signatures.items()},
-                         formulas=[f for gt in theories for f in gt.kb.formulas]),
+                         formulas=[f for gt in theories for f in gt.kb.formulas],
+                         facts=[t for gt in theories for t in gt.kb.facts]),
         constants=dict(constants),
         predicates={(i, name): m for i, gt in enumerate(theories) for name, m in gt.predicates.items()},
         parts=list(theories))
@@ -301,6 +329,8 @@ def hmean(values: np.ndarray) -> float:
 # one batch with a row per formula. A quantifier with m instantiations runs
 # its body on rows*m rows and reduces them to rows. The instantiation sample
 # is fixed for the lifetime of one plan, so evaluation and backprop reuse it.
+# A literal table's rows join the groups of P(c) and ~P(c) as they are, one
+# root each, with no formula node.
 #
 # Grounding works on integer keys. Constant c is its position in the sorted
 # domain D; an atom's argument code is sum_j pos(arg_j) * |D|**j, and its key
@@ -337,7 +367,7 @@ def hmean(values: np.ndarray) -> float:
 
 _KIND = {Not: "not", And: "and", Or: "or", Implies: "implies", ForAll: "forall", Exists: "exists"}
 _QUANTIFIERS = ("forall", "exists")
-_LITERAL_OPS = {False: (("atom", 0),), True: (("atom", 0), ("not", 0))}  # by negation
+_LITERAL_OPS = {True: (("atom", 0),), False: (("atom", 0), ("not", 0))}  # by sign
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -400,7 +430,6 @@ class _Group:
     def __init__(self, ops: tuple, slot: int):
         self.ops = ops
         self.leaves = sum(op[0] == "atom" for op in ops)
-        self.quantified = any(op[0] in _QUANTIFIERS for op in ops)
         self.slot = slot
         # +1 for an op whose value rises with the formula's, -1 for one
         # under an odd number of negations and implication antecedents
@@ -415,7 +444,7 @@ class _Group:
             elif op[0] != "atom":  # not, or a quantifier
                 self.signs[op[1]] = -sign if op[0] == "not" else sign
                 self.scale[op[1]] = self.scale[i] * (op[2] if op[0] in _QUANTIFIERS else 1)
-        self.rows: list = []   # root positions
+        self.rows: list = []   # root positions; a list of runs of them while grounding
         self.pos: list = []    # per leaf, row-major
         self.atoms: list = []  # per leaf, row-major
         self.bodies: dict = {}
@@ -457,13 +486,15 @@ class _Batch:
 
 class GroundPlan:
     """The compiled grounding of a theory, or of the parts of a merged one
-    (merge_theories). A part is a slice of the plan's formulas, quantified
+    (merge_theories). A part is a slice of the plan's roots, quantified
     over the plan's one domain, with its own satisfiability and quantifier
-    samples, drawn from its own copy of rng."""
+    samples, drawn from its own copy of rng. A part's roots are its fact
+    rows, then its formulas."""
 
     def __init__(self, gt: GroundedTheory, budget: int, rng: np.random.Generator | None):
         parts = gt.parts or [gt]
-        if not all(part.kb.formulas for part in parts):
+        self._counts = np.array([part.kb.root_count() for part in parts])
+        if not self._counts.all():
             raise ValueError("cannot evaluate satisfiability of an empty knowledge base")
         if budget < 1:
             raise ValueError(f"instantiation budget must be >= 1, got {budget}")
@@ -477,11 +508,10 @@ class GroundPlan:
         self._pids: dict = {}           # (part, name) -> index in _preds
         self._quantifiers: list = []    # (root, op, variables, instantiations, sampled)
         self._evaluated: dict = {}      # (root, op) -> its kept body rows, where rows were dropped
-        self.roots = list(gt.kb.formulas)  # formula_values() follows this order
+        self.roots = range(int(self._counts.sum()))  # root positions; formula_values() follows them
         self._fill = np.zeros(len(self.roots))  # the dropped formulas' values
-        self._counts = np.array([len(part.kb.formulas) for part in parts])
         ends = np.cumsum(self._counts).tolist()
-        self._slices = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]  # each part's formulas
+        self._slices = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]  # each part's roots
         # grounding runs in methods of its own, whose intermediates are freed
         # before the first lift: the memory peak is the cache and the plan
         self._compile_all(rng)
@@ -494,9 +524,9 @@ class GroundPlan:
                                        x=model.lift(constants, args)))
 
     def _compile_all(self, rng: np.random.Generator) -> None:
-        """Group and ground every part's formulas; intern their atoms. Each
-        run of closed literals, P(c) or ~P(c), is grounded in one pass
-        (_literals); every other formula on its own (_formula)."""
+        """Group and ground every part's fact rows, one pass per table
+        (_facts), then its formulas one by one (_formula); intern their
+        atoms."""
         groups: dict[tuple, _Group] = {}
 
         def group_of(ops: tuple) -> _Group:
@@ -507,98 +537,62 @@ class GroundPlan:
             return group
 
         # per atom occurrence, in grounding order: predicate, argument code,
-        # leaf slot; a chunk per formula or run of literals
+        # leaf slot; a chunk per table or formula
         chunks: list = []
-        first = 0  # the part's first root
+        root = 0
         for self._part, part in enumerate(self._parts):
-            part_rng = None  # copied for the part's first compiled formula: literals draw nothing
-            formulas = part.kb.formulas
-            # each formula's atom where it is a literal, else None
-            literals = [f if type(f) is Atom else f.body if type(f) is Not and type(f.body) is Atom else None
-                        for f in formulas]
-            start = 0
-            for j in [i for i, atom in enumerate(literals) if atom is None] + [len(formulas)]:
-                if start < j:
-                    chunks.append(self._literals(formulas[start:j], literals[start:j], first + start, group_of))
-                if j < len(formulas):
-                    if part_rng is None:
-                        part_rng = copy.deepcopy(rng) if self.gt.parts else rng
-                    chunks.append(self._formula(first + j, formulas[j], part_rng, group_of))
-                start = j + 1
-            first += len(formulas)
+            for table in part.kb.facts:
+                if len(table.sign):
+                    chunks.append(self._facts(table, root, group_of))
+                    root += len(table.sign)
+            part_rng = copy.deepcopy(rng) if self.gt.parts and part.kb.formulas else rng
+            for f in part.kb.formulas:
+                chunks.append(self._formula(root, f, part_rng, group_of))
+                root += 1
         del self._part
         pids, codes, leaf_slots = (np.concatenate([c[j] for c in chunks]) for j in range(3))
         self._intern(pids, codes)
         del pids, codes
         pos = _positions_by_value(leaf_slots, sum(g.leaves for g in groups.values()))
         for group in groups.values():
-            group.rows = np.array(group.rows, dtype=np.int64)
+            group.rows = np.concatenate(group.rows, dtype=np.int64)
             group.pos = pos[group.slot:group.slot + group.leaves]
             group.atoms = [self._occurrences[p] for p in group.pos]
         self._groups = list(groups.values())
 
-    def _literals(self, formulas: list, atoms: list, first: int, group_of) -> tuple:
-        """Predicate ids, argument codes and leaf slots of a run of closed
-        literals, roots first, first + 1, ...: formulas[i] is atoms[i] or its
-        negation. The two literal groups are made in order of first
-        occurrence."""
-        negated = np.fromiter(map(operator.is_not, formulas, atoms), dtype=bool, count=len(atoms))
-        pids, codes = self._closed_atoms(atoms)
-        slots = np.empty(len(atoms), dtype=np.int64)
-        for neg in dict.fromkeys(negated.tolist()):
-            group = group_of(_LITERAL_OPS[neg])
-            rows = np.flatnonzero(negated == neg)
-            group.rows.extend((rows + first).tolist())
-            slots[rows] = group.slot
-        return pids, codes, slots
+    def _facts(self, table: LiteralTable, first: int, group_of) -> tuple:
+        """Predicate ids, argument codes and leaf slots of a table's rows,
+        roots first, first + 1, ...; the two literal groups are made in
+        order of first occurrence."""
+        n, arity = table.args.shape
+        self._register(table.pred, arity)
+        ids = table.args.ravel().tolist()
+        positions = np.fromiter(map(self._index.get, ids, itertools.repeat(-1)), dtype=np.int64, count=len(ids))
+        unknown = np.flatnonzero(positions < 0)  # -1 marks a constant with no grounding vector
+        if len(unknown):
+            raise KeyError(f"fact row {unknown[0] // arity} of predicate {table.pred!r}: "
+                           f"constant {ids[unknown[0]]!r} has no grounding vector")
+        slots = np.empty(n, dtype=np.int64)
+        for sign in (bool(table.sign[0]), not table.sign[0]):
+            rows = np.flatnonzero(table.sign == sign)
+            if len(rows):
+                group = group_of(_LITERAL_OPS[sign])
+                group.rows.append(rows + first)
+                slots[rows] = group.slot
+        return np.full(n, self._pids[self._part, table.pred]), self._codes(positions.reshape(n, arity)), slots
 
     def _formula(self, root: int, f: Formula, rng, group_of) -> tuple:
         """Predicate ids, argument codes and leaf slots of formula root's
-        atom occurrences, compiled on its own."""
+        atom occurrences."""
         ops: list[tuple] = []
         nodes: list = []
         atoms: list = []
         self._compile(f, ops, nodes, atoms)
         group = group_of(tuple(ops))
-        group.rows.append(root)
-        if not group.quantified:
-            pids, codes = self._closed_atoms(atoms)
-            return pids, codes, group.slot + np.arange(group.leaves)
+        group.rows.append([root])
         codes, leaves = self._ground(root, ops, nodes, rng)
         pids = np.array([self._pids[self._part, atom.pred] for atom in atoms], dtype=np.int64)
         return pids[leaves], codes, group.slot + leaves
-
-    def _closed_atoms(self, atoms: list) -> tuple:
-        """Predicate ids and argument codes of atoms over constants, in one
-        pass. Their predicates are registered in order of first occurrence;
-        the first atom whose predicate _register refuses, or that has a
-        constant with no grounding vector, raises as it would on its own."""
-        names = [atom.pred for atom in atoms]
-        args = [atom.args for atom in atoms]
-        local = {name: k for k, name in enumerate(dict.fromkeys(names))}
-        ids = np.fromiter(map(local.__getitem__, names), dtype=np.int64, count=len(atoms))
-        lens = np.fromiter(map(len, args), dtype=np.int64, count=len(atoms))
-        ends = np.cumsum(lens)
-        flat = np.fromiter(map(self._index.get, itertools.chain.from_iterable(args), itertools.repeat(-1)),
-                           dtype=np.int64, count=int(ends[-1]))
-        unknown = np.flatnonzero(flat < 0)[:1]  # -1 marks a constant with no grounding vector
-        bad = int(np.searchsorted(ends, unknown[0], side="right")) if len(unknown) else len(atoms)
-        # each (predicate, arity) at its first occurrence, up to the bad atom
-        width = int(lens.max())
-        _, firsts = np.unique(ids[:bad + 1] * (width + 1) + lens[:bad + 1], return_index=True)
-        for i in np.sort(firsts).tolist():
-            self._register(names[i], int(lens[i]))
-        if bad < len(atoms):
-            for c in reversed(args[bad]):  # the last unknown one, as a Horner scheme meets them
-                self._constant(c)
-        pids = np.array([self._pids[self._part, name] for name in local], dtype=np.int64)[ids]
-        if (lens == width).all():
-            positions = flat.reshape(len(atoms), width)
-        else:  # zeros past an atom's arity add nothing to its code
-            positions = np.zeros((len(atoms), width), dtype=np.int64)
-            column = np.arange(len(flat)) - np.repeat(ends - lens, lens)
-            positions[np.repeat(np.arange(len(atoms)), lens), column] = flat
-        return pids, self._codes(positions)
 
     def _batch_rows(self) -> list:
         """Fix the symbolic truths, and return each batch with a live atom:
@@ -724,9 +718,9 @@ class GroundPlan:
         self._atoms, self._occurrences = _intern_keys(pids * self._span + codes)
 
     def _ground(self, root: int, ops: list, nodes: list, rng) -> tuple:
-        """Argument codes and leaf numbers of a quantified formula's atom
-        occurrences, in grounding order: depth first, each quantifier body
-        once per instantiation. Samples are drawn first, in the same order."""
+        """Argument codes and leaf numbers of a formula's atom occurrences,
+        in grounding order: depth first, each quantifier body once per
+        instantiation. Samples are drawn first, in the same order."""
         draws = []  # whether the subtree of op j draws a sample
         for op, node in zip(ops, nodes):
             if op[0] == "atom":
@@ -763,8 +757,8 @@ class GroundPlan:
         op, node = ops[j], nodes[j]
         if op[0] == "atom":
             code = np.zeros(rows, dtype=np.int64)
-            for k, a in enumerate(node.args):
-                code += (env[a] if a in env else self._constant(a)) * len(self._domain) ** k
+            for a in reversed(node.args):  # a Horner scheme, as in _codes
+                code = code * len(self._domain) + (env[a] if a in env else self._constant(a))
             return code[:, None], np.array([op[1]])
         if op[0] == "not":
             return self._keys(root, ops, nodes, samples, op[1], env, rows)
@@ -908,12 +902,12 @@ class GroundPlan:
 
     def stats(self) -> dict:
         """What the plan grounded: atoms per predicate, the live atoms of
-        each learnable one (the rows its batch reads), formulas, groups, the
-        instantiations of each quantifier (counting every enclosing one) and
-        whether they were sampled, and the bytes of the rows its batches
-        keep (model.lift). A plan over several parts gives its parts,
-        formulas, groups and cache bytes here, and the rest per part
-        (part_stats)."""
+        each learnable one (the rows its batch reads), roots (fact rows and
+        formulas), groups, the instantiations of each quantifier (counting
+        every enclosing one) and whether they were sampled, and the bytes of
+        the rows its batches keep (model.lift). A plan over several parts
+        gives its parts, roots, groups and cache bytes here, and the rest
+        per part (part_stats)."""
         shared = {"groups": len(self._groups), "cache_bytes": sum(b.x.nbytes for b in self.batches)}
         if self.gt.parts:
             return {"parts": len(self._counts), "roots": len(self.roots), **shared}
@@ -921,7 +915,7 @@ class GroundPlan:
 
     def part_stats(self, part: int) -> dict:
         """A part's atoms per predicate, live atoms per learnable one,
-        formulas, and quantifiers, with its formulas numbered from 0."""
+        roots, and quantifiers, with its roots numbered from 0."""
         counts = np.bincount(self._atoms // self._span, minlength=len(self._preds))
         lo, hi = self._slices[part].start, self._slices[part].stop
         return {

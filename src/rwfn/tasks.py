@@ -2,11 +2,13 @@
 per-class box type classification and detection of the part-of relation.
 
 Type classification grounds one unary predicate per class over box feature
-vectors; the knowledge base holds one literal per training box (positive or
-negated). Part-of detection grounds a single binary predicate over
-concatenated pair features; its knowledge base holds the labelled pair
-literals plus mereological axioms whose class atoms are grounded directly
-from dataset labels (they carry no learnable parameters).
+vectors; the knowledge base holds one literal table, a row per training box
+whose sign is the box's membership of the class. Part-of detection grounds a
+single binary predicate over concatenated pair features; its knowledge base
+holds one literal table of the labelled pairs plus mereological axioms
+whose class atoms are grounded directly from dataset labels (they carry no
+learnable parameters). Both tables are filled in whole-array passes, with
+no formula node per row.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .data import Dataset, inclusion_ratio, pair_features
 from .encoder import EncoderConfig, build_encoder
-from .logic import Atom, GroundedTheory, KnowledgeBase, Not, parse_kb
+from .logic import GroundedTheory, KnowledgeBase, LiteralTable, parse_kb
 from .numerics import make_rng
 from .predicates import LabelPredicate, NtnPredicate, RwfnPredicate, init_ntn
 from .training import SharedEncoderRegistry
@@ -48,10 +50,9 @@ def make_classifier(kind: str, input_dim: int, seed: int, b: int, k: int, mode: 
 
 
 def build_type_theory(ds: Dataset, class_name: str, model) -> GroundedTheory:
-    kb = KnowledgeBase(signatures={class_name: 1})
-    for r in ds.records:
-        atom = Atom(class_name, (r.id,))
-        kb.formulas.append(atom if class_name in r.labels else Not(atom))
+    ids = np.array([r.id for r in ds.records], dtype=object).reshape(-1, 1)
+    sign = np.fromiter((class_name in r.labels for r in ds.records), dtype=bool, count=len(ds.records))
+    kb = KnowledgeBase(signatures={class_name: 1}, facts=[LiteralTable(class_name, ids, sign)])
     constants = {r.id: r.features for r in ds.records}
     return GroundedTheory(kb=kb, constants=constants, predicates={class_name: model})
 
@@ -108,11 +109,10 @@ def label_predicates(ds: Dataset) -> dict:
 
 def build_partof_theory(ds: Dataset, model) -> GroundedTheory:
     axioms_kb = parse_kb(ontology_kb_text(ds))
-    kb = KnowledgeBase(signatures=dict(axioms_kb.signatures))
-    for p in ds.pairs:
-        atom = Atom("partOf", (p.part, p.whole))
-        kb.formulas.append(atom if p.positive else Not(atom))
-    kb.formulas.extend(axioms_kb.formulas)
+    ends = np.array([(p.part, p.whole) for p in ds.pairs], dtype=object).reshape(-1, 2)
+    sign = np.fromiter((p.positive for p in ds.pairs), dtype=bool, count=len(ds.pairs))
+    kb = KnowledgeBase(signatures=axioms_kb.signatures, formulas=axioms_kb.formulas,
+                       facts=[LiteralTable("partOf", ends, sign)])
     constants = {r.id: r.features for r in ds.records}
     predicates = {"partOf": model}
     predicates.update(label_predicates(ds))

@@ -1,9 +1,12 @@
 """Slow, obvious references that the package's array code is tested
 against: the scalar Lukasiewicz connectives, a label predicate's truth of
 one atom, the floats that frozen-encoder classifiers store, the
-predicates a plan's batches evaluate, and the interning of atom keys."""
+predicates a plan's batches evaluate, the interning of atom keys, and a
+knowledge base's literal tables as formulas."""
 
 import numpy as np
+
+from rwfn.logic import Atom, KnowledgeBase, Not
 
 
 def _check_range(*values):
@@ -62,3 +65,11 @@ def intern_reference(keys):
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return distinct[order], rank[inverse]
+
+
+def expand_facts(kb: KnowledgeBase) -> KnowledgeBase:
+    """kb with its literal tables rewritten as one Atom or Not(Atom) formula
+    per row, table by table, in front of its other formulas."""
+    literals = [Atom(t.pred, tuple(args)) if sign else Not(Atom(t.pred, tuple(args)))
+                for t in kb.facts for args, sign in zip(t.args.tolist(), t.sign.tolist())]
+    return KnowledgeBase(signatures=kb.signatures, formulas=literals + kb.formulas)

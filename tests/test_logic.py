@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import itertools
 import re
 import weakref
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rwfn.data import SyntheticConfig, gen_synthetic
+from rwfn.data import SyntheticConfig, gen_synthetic, split
 from rwfn.encoder import EncoderConfig, build_encoder
 from rwfn.logic import (
     Atom,
@@ -24,6 +25,7 @@ from rwfn.logic import (
     MAX_DEPTH,
     KbSyntaxError,
     KnowledgeBase,
+    LiteralTable,
     Not,
     Or,
     _intern_keys,
@@ -35,9 +37,10 @@ from rwfn.logic import (
 )
 from rwfn.numerics import make_rng
 from rwfn.predicates import LabelPredicate, NtnPredicate, RwfnPredicate, init_ntn
-from rwfn.tasks import build_partof_theory, make_rwfn_classifier
+from rwfn.tasks import build_partof_theory, build_type_theory, make_classifier, make_rwfn_classifier
+from rwfn.training import SharedEncoderRegistry
 
-from oracles import batch_preds, intern_reference, luk_and, luk_implies, luk_not, luk_or, truth_of
+from oracles import batch_preds, expand_facts, intern_reference, luk_and, luk_implies, luk_not, luk_or, truth_of
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -721,6 +724,21 @@ def assert_grounding(plan: GroundPlan, want: dict) -> None:
     assert np.array_equal(plan._fixed_values, want["truths"])
 
 
+def assert_batch_inputs(plan: GroundPlan, want: dict) -> None:
+    """Q and R of one oracle_theory have their own encoders and arities:
+    one batch each, over the oracle's atoms that can take a gradient, in
+    order (TestFold checks which), with their lifted rows."""
+    live = plan.stats()["live_atoms"]
+    assert [(0, pred) for pred in live] == list(want["inputs"])
+    inputs = [(pred, *want["inputs"][0, pred]) for pred in live if live[pred]]
+    assert batch_preds(plan) == [[(0, pred)] for pred, _, _ in inputs]
+    table = np.stack([plan.gt.constants[c] for c in sorted(plan.gt.constants)])
+    for b, (pred, indices, args) in zip(plan.batches, inputs):
+        kept = np.isin(indices, b.indices)
+        assert np.array_equal(b.indices, np.asarray(indices)[kept]) and len(b.indices) == live[pred]
+        assert np.array_equal(b.x, b.model.lift(table, args[kept]))
+
+
 @given(grounding_kbs, st.integers(0, 50), st.sampled_from([1, 2, 4, 8, 9, 10, 10**6]), st.integers(0, 3))
 @settings(max_examples=80, deadline=None)
 def test_grounding_matches_recursive_oracle(fs, seed, budget, rng_seed):
@@ -729,17 +747,7 @@ def test_grounding_matches_recursive_oracle(fs, seed, budget, rng_seed):
     plan = grounded_plan(gt, budget, make_rng(rng_seed))
     want = oracle_grounding(gt, budget, make_rng(rng_seed))
     assert_grounding(plan, want)
-    # Q and R have their own encoders and arities: one batch each, over the
-    # atoms that can take a gradient, in order (TestFold checks which)
-    live = plan.stats()["live_atoms"]
-    assert [(0, pred) for pred in live] == list(want["inputs"])
-    inputs = [(pred, *want["inputs"][0, pred]) for pred in live if live[pred]]
-    assert batch_preds(plan) == [[(0, pred)] for pred, _, _ in inputs]
-    table = np.stack([gt.constants[c] for c in sorted(gt.constants)])
-    for b, (pred, indices, args) in zip(plan.batches, inputs):
-        kept = np.isin(indices, b.indices)
-        assert np.array_equal(b.indices, np.asarray(indices)[kept]) and len(b.indices) == live[pred]
-        assert np.array_equal(b.x, b.model.lift(table, args[kept]))
+    assert_batch_inputs(plan, want)
 
 
 @given(st.lists(grounding_kbs, min_size=2, max_size=3), st.integers(0, 50), st.sampled_from([1, 4, 9, 10**6]),
@@ -780,6 +788,98 @@ def test_literal_errors_match_the_formula_path(fs, error, message):
     gt.kb.formulas = fs
     with pytest.raises(error, match=re.escape(message)):
         GroundPlan(gt, budget=10, rng=make_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# Literal tables against their expansion into Atom and Not formulas
+
+
+@st.composite
+def literal_tables(draw):
+    """Up to three tables over P, Q and R, of up to five rows each."""
+    tables = []
+    for _ in range(draw(st.integers(0, 3))):
+        pred = draw(st.sampled_from(sorted(SIGNATURES)))
+        n, arity = draw(st.integers(0, 5)), SIGNATURES[pred]
+        args = draw(st.lists(st.sampled_from(DOMAIN), min_size=n * arity, max_size=n * arity))
+        sign = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        tables.append(LiteralTable(pred, np.array(args, dtype=object).reshape(n, arity), np.array(sign, dtype=bool)))
+    return tables
+
+
+def with_expanded_facts(gt: GroundedTheory) -> GroundedTheory:
+    """gt with its tables, or each part's, rewritten as formulas (expand_facts)."""
+    if gt.parts:
+        return merge_theories([with_expanded_facts(part) for part in gt.parts])
+    return GroundedTheory(kb=expand_facts(gt.kb), constants=gt.constants, predicates=gt.predicates)
+
+
+def assert_grounds_as_its_expansion(gt: GroundedTheory, budget: int, rng_seed: int) -> tuple:
+    """gt's plan against the oracle grounding of its expansion, and its
+    arrays, batches and formula values against the expansion's plan.
+    Returns the plan that keeps every row, and the oracle's grounding."""
+    expanded = with_expanded_facts(gt)
+    plan = grounded_plan(gt, budget, make_rng(rng_seed))
+    want = oracle_grounding(expanded, budget, make_rng(rng_seed))
+    assert_grounding(plan, want)
+    ours, theirs = (GroundPlan(t, budget, make_rng(rng_seed)) for t in (gt, expanded))
+    assert plan_digest(ours) == plan_digest(theirs)
+    assert batch_preds(ours) == batch_preds(theirs)
+    assert all(np.array_equal(a.x, b.x) for a, b in zip(ours.batches, theirs.batches, strict=True))
+    assert np.array_equal(ours.formula_values(), theirs.formula_values())
+    return plan, want
+
+
+@given(literal_tables(), grounding_kbs, st.integers(0, 50), st.sampled_from([1, 4, 9, 10**6]), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_tables_ground_as_their_expansion(tables, fs, seed, budget, rng_seed):
+    gt = oracle_theory(seed)
+    gt.kb.facts, gt.kb.formulas = tables, fs
+    assert_batch_inputs(*assert_grounds_as_its_expansion(gt, budget, rng_seed))
+
+
+@given(st.lists(st.tuples(literal_tables(), grounding_kbs), min_size=2, max_size=3), st.integers(0, 50),
+       st.sampled_from([1, 4, 9, 10**6]), st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_merged_tables_ground_as_their_expansion(kbs, seed, budget, rng_seed):
+    constants = oracle_theory(seed).constants
+    gt = merge_theories([GroundedTheory(kb=KnowledgeBase(signatures=dict(SIGNATURES), formulas=fs, facts=tables),
+                                        constants=constants, predicates=oracle_theory(seed + i).predicates)
+                         for i, (tables, fs) in enumerate(kbs)])
+    assert_grounds_as_its_expansion(gt, budget, rng_seed)
+
+
+class TestLiteralTableErrors:
+    @pytest.mark.parametrize("args, sign", [
+        (np.array(["a", "b"]), np.array([True, False])),
+        (np.empty((2, 0)), np.array([True, False])),
+        (np.array([["a"], ["b"]]), np.array([True])),
+        (np.array([["a"], ["b"]]), np.array([[True], [False]])),
+        (np.array([["a"], ["b"]]), np.array([1, 0])),
+    ], ids=["1-d-args", "no-arguments", "short-sign", "2-d-sign", "int-sign"])
+    def test_malformed_table_is_refused(self, args, sign):
+        with pytest.raises(ValueError, match="literal table of 'P': "):
+            LiteralTable("P", args, sign)
+
+    def test_unknown_constant_names_the_predicate_row_and_constant(self):
+        gt = oracle_theory(0)
+        gt.kb.facts = [LiteralTable("R", np.array([["a", "b"], ["c", "zz"], ["yy", "a"]], dtype=object),
+                                    np.array([True, False, True]))]
+        with pytest.raises(KeyError, match=re.escape("fact row 1 of predicate 'R': constant 'zz' has no grounding")):
+            GroundPlan(gt, budget=10, rng=make_rng(0))
+
+    def test_arity_clash_with_a_quantified_atom(self):
+        gt = oracle_theory(0)
+        gt.kb.facts = [LiteralTable("Q", np.array([["a"]], dtype=object), np.array([False]))]
+        gt.kb.formulas = [ForAll(("x", "y"), Q2)]
+        with pytest.raises(ValueError, match=re.escape("predicate 'Q' is used with 1 and 2 arguments")):
+            GroundPlan(gt, budget=10, rng=make_rng(0))
+
+    def test_kb_of_empty_tables_is_empty(self):
+        gt = oracle_theory(0)
+        gt.kb.facts = [LiteralTable("P", np.empty((0, 1), dtype=object), np.empty(0, dtype=bool))]
+        with pytest.raises(ValueError, match="cannot evaluate satisfiability of an empty knowledge base"):
+            GroundPlan(gt, budget=10, rng=make_rng(0))
 
 
 class TestLabelTruths:
@@ -1196,14 +1296,13 @@ class TestFold:
         gt = golden_partof_theory(kind)
         plan = GroundPlan(gt, 60, make_rng(2))
         rng, domain = make_rng(2), sorted(gt.constants)
-        want, occurrences = [], 0
+        (pairs,) = gt.kb.facts
+        want, occurrences = [], len(pairs.sign)  # a pair literal's one atom is learnable
         for f in gt.kb.formulas:
-            if isinstance(f, ForAll):
-                rows = oracle_instantiations(domain, len(f.variables), 60, rng)
-                want.append(sum(oracle_holds_live(gt, f.body, dict(zip(f.variables, row))) for row in rows))
-                occurrences += want[-1] * repr(f.body).count("Atom(")
-            else:  # a pair literal, whose one atom is learnable
-                occurrences += 1
+            assert isinstance(f, ForAll)
+            rows = oracle_instantiations(domain, len(f.variables), 60, rng)
+            want.append(sum(oracle_holds_live(gt, f.body, dict(zip(f.variables, row))) for row in rows))
+            occurrences += want[-1] * repr(f.body).count("Atom(")
         quantifiers = plan.stats()["quantifiers"]
         assert [q["evaluated"] for q in quantifiers] == want
         assert sum(want) < sum(q["instantiations"] for q in quantifiers)
@@ -1314,3 +1413,47 @@ def test_ntn_hidden_layer_runs_inside_its_forward_call(monkeypatch):
     plan.satisfiability_with_grads()
     assert calls == ["lift", "forward_batch", "gradient_batch"]
     assert tanh_in == [("forward_batch",)]
+
+
+# ---------------------------------------------------------------------------
+# Plans of the benchmark workloads, pinned bit for bit
+
+
+def plan_digest(plan: GroundPlan) -> str:
+    """sha256 over a plan's integer and exact arrays: atoms, occurrences,
+    each group's ops, rows, leaf positions and kept body rows, the filled
+    formula values, batch indices and symbolic truths."""
+    h = hashlib.sha256()
+    arrays = [plan._atoms, plan._occurrences, plan._fill, plan._fixed_values]
+    for g in plan._groups:
+        h.update(repr(g.ops).encode())
+        arrays += [g.rows, *g.pos, *(a for i in sorted(g.bodies) for a in g.bodies[i])]
+    arrays += [b.indices for b in plan.batches]
+    for a in arrays:
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def acceptance_plan(task: str) -> GroundPlan:
+    """The acceptance data at seed 3, split 0.8 as the benchmark splits it:
+    the lockstep plan of the twelve class theories over one shared encoder,
+    or an RWFN part-of plan at budget 1000."""
+    ds = gen_synthetic(SyntheticConfig(num_scenes=150, feature_noise=0.15, negative_ratio=2.0, seed=3))
+    train = split(ds, 0.8, make_rng(3)).train
+    if task == "types":
+        registry = SharedEncoderRegistry()
+        gt = merge_theories([build_type_theory(train, c.name, make_classifier("rwfn", train.n, 3, 8, 2, "full",
+                                                                              registry))
+                             for c in train.classes])
+    else:
+        gt = build_partof_theory(train, make_classifier("rwfn", 2 * train.n, 3, 8, 2, "full"))
+    return GroundPlan(gt, 1000, make_rng(3))
+
+
+@pytest.mark.parametrize("task, digest", [
+    ("types", "5d75467c0fbfdf555e4eee809bcb291af0bbf927e52976afa509f3a8d03b7e2f"),
+    ("partof", "730dd859cbf0a3fcdcad675e8ed7904a6e17ff1d4b89a5356705499abbb5c7ed"),
+])
+def test_plan_arrays_are_pinned(task, digest):
+    assert plan_digest(acceptance_plan(task)) == digest

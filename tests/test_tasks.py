@@ -54,8 +54,12 @@ class TestOntology:
 class TestTypeTheory:
     def test_one_literal_per_record(self, dataset):
         model = make_rwfn_classifier(dataset.n, 8, seed=0, mode="full", registry=None)
-        gt = build_type_theory(dataset, dataset.classes[0].name, model)
-        assert len(gt.kb.formulas) == len(dataset.records)
+        cname = dataset.classes[0].name
+        gt = build_type_theory(dataset, cname, model)
+        assert gt.kb.root_count() == len(dataset.records)
+        (table,) = gt.kb.facts
+        assert table.args[:, 0].tolist() == [r.id for r in dataset.records]
+        assert table.sign.tolist() == [cname in r.labels for r in dataset.records]
         assert set(gt.constants) == {r.id for r in dataset.records}
 
     def test_training_raises_satisfiability(self, dataset):
@@ -100,7 +104,7 @@ class TestPartofTheory:
         model = make_rwfn_classifier(2 * dataset.n, 8, seed=3, mode="full", registry=None)
         gt = build_partof_theory(dataset, model)
         n_axioms = 3 + len(dataset.whole_classes())
-        assert len(gt.kb.formulas) == len(dataset.pairs) + n_axioms
+        assert gt.kb.root_count() == len(dataset.pairs) + n_axioms
         assert gt.learnable_predicates().keys() == {"partOf"}
 
     def test_partof_scores(self, dataset):

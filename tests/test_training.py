@@ -449,10 +449,10 @@ class TestTrainMany:
             assert traces[0].ms[epoch] is traces[1].ms[epoch] is traces[2].ms[epoch]
         assert all(tr.lockstep is traces[0].lockstep for tr in traces)
         assert traces[0].lockstep["parts"] == 3
-        assert traces[0].lockstep["roots"] == sum(len(gt.kb.formulas) for gt in theories)
+        assert traces[0].lockstep["roots"] == sum(gt.kb.root_count() for gt in theories)
         for gt, tr in zip(theories, traces):
             assert tr.plan["atoms"] == {"P": len(POOL), "L": len(POOL)}
-            assert tr.plan["roots"] == len(gt.kb.formulas)
+            assert tr.plan["roots"] == gt.kb.root_count()
             assert [q["formula"] for q in tr.plan["quantifiers"]] == [len(POOL) + i for i in range(3)]
 
     def test_empty_list_rejected(self):
