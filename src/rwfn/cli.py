@@ -131,7 +131,8 @@ def cmd_train(args) -> int:
     trace_path = out.with_suffix(out.suffix + ".trace.json")
     _dump_json({name: tr.to_json() for name, tr in res.traces.items()}, trace_path)
     artifacts = {"model": out, "trace": trace_path}
-    extra = {"plans": {name: tr.plan for name, tr in res.traces.items()}}
+    extra = {"plans": {name: tr.plan for name, tr in res.traces.items()},
+             "final_sat": {name: _final_sat(tr.sat) for name, tr in res.traces.items()}}
     lockstep = next(iter(res.traces.values())).lockstep
     if lockstep is not None:
         extra["lockstep"] = lockstep  # the one plan all classes trained on
@@ -140,6 +141,13 @@ def cmd_train(args) -> int:
     print(f"wrote {out}: {args.model}/{args.task}, test AUC {res.auc:.3f}, "
           f"params {pc.learnable}/{pc.total} learnable/total")
     return 0
+
+
+def _final_sat(sat: list) -> dict:
+    """A fit's last satisfiability, and its lowest over the last tenth of
+    the epochs (at least one), where a collapse that recovers by the end
+    still shows."""
+    return {"last_epoch": sat[-1], "min_last_10pct": min(sat[-math.ceil(len(sat) / 10):])}
 
 
 BUNDLE_CHECKS = (  # field, test, what it must be

@@ -128,6 +128,8 @@ def merge_theories(theories: list) -> GroundedTheory:
         raise ValueError("no theories to merge")
     constants = theories[0].constants
     for i, gt in enumerate(theories):
+        if _same_vectors(gt.constants, constants):
+            continue
         if gt.constants.keys() != constants.keys():
             raise ValueError(f"theory {i} is over other constants than theory 0; merged theories share one domain")
         for c, v in gt.constants.items():
@@ -141,6 +143,17 @@ def merge_theories(theories: list) -> GroundedTheory:
         constants=dict(constants),
         predicates={(i, name): m for i, gt in enumerate(theories) for name, m in gt.predicates.items()},
         parts=list(theories))
+
+
+def _same_vectors(a: dict, b: dict) -> bool:
+    """Whether a and b bind the same ids to the same vector objects, in one
+    C-level dict comparison: it tests each value by identity before numpy's
+    ==, whose result for two distinct vectors of more than one entry has no
+    truth value."""
+    try:
+        return a == b
+    except ValueError:
+        return False
 
 
 # ---------------------------------------------------------------------------

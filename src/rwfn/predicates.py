@@ -17,7 +17,9 @@ hidden layer runs inside its forward call. Learnable models with equal
 stack_key() read their rows the same way, so stack(models) makes one
 model of K heads that gives a row's K truths in one pass; each member's
 learnable arrays become views of its head, so training the stack in
-place trains the members. A third, non-learnable family grounds
+place trains the members. flatten(model, members) moves a model's
+arrays, and so its members' heads, into one vector, which training
+updates with one step per epoch. A third, non-learnable family grounds
 predicates directly from dataset labels; it is used for ontology axioms
 whose truth is known.
 """
@@ -203,10 +205,11 @@ class NtnPredicate:
         x = np.asarray(x, dtype=np.float64)
         t, p = saved
         dz = np.asarray(upstream) * p * (1.0 - p)  # (n,), or (n, K) for a stack
-        th = self._heads(t)
-        du = t.T @ dz if self.u.ndim == 1 else np.einsum("nhi,nh->hi", th, dz)
+        du = t.T @ dz if self.u.ndim == 1 else np.einsum("nhi,nh->hi", self._heads(t), dz)
         s, d = self.u.size, self.input_dim
-        ds = (dz[..., None] * self.u * (1.0 - th * th)).reshape(len(t), s)  # (n, K*k)
+        # (n, K*k) in t's layout: a stack repeats each head's dz over its slices
+        dz = dz[:, None] if self.u.ndim == 1 else np.repeat(dz, self.slices, axis=1)
+        ds = dz * self.u.ravel() * (1.0 - t * t)
         if self._lifted(x):
             g = ds.T @ x  # (K*k, d^2 + d + 1): [vec(dW_i) | dV_i | db_i]
             dw, dv, db = g[:, :d * d], g[:, d * d:-1], g[:, -1]
@@ -245,11 +248,52 @@ def stack(models: list):
     first = models[0]
     stacked = replace(first, **{name: np.stack([m.learnable_params()[name] for m in models], axis=first.heads_axis)
                                 for name in first.learnable_params()})
-    heads = {name: np.moveaxis(p, first.heads_axis, 0) for name, p in stacked.learnable_params().items()}
+    _bind_heads(stacked, models)
+    return stacked
+
+
+def _bind_heads(stacked, models: list) -> None:
+    heads = {name: np.moveaxis(p, stacked.heads_axis, 0) for name, p in stacked.learnable_params().items()}
     for j, m in enumerate(models):
         for name, h in heads.items():
             setattr(m, name, h[j])
-    return stacked
+
+
+def flatten(model, members: list) -> np.ndarray:
+    """One float64 vector that holds the learnable arrays of model, the
+    stack of members or their one member, in learnable_params() order:
+    each array is rebound to its view of the vector, and so is each
+    member's head, so one in-place update of the vector trains them all.
+    A model of one contiguous array keeps it, and the vector views it."""
+    params = model.learnable_params()
+    arrays = list(params.values())
+    if len(arrays) == 1 and arrays[0].flags.c_contiguous:
+        return arrays[0].reshape(-1)
+    flat = np.concatenate(arrays, axis=None)
+    lo = 0
+    for name, p in params.items():
+        setattr(model, name, flat[lo:lo + p.size].reshape(p.shape))
+        lo += p.size
+    if len(members) > 1:
+        _bind_heads(model, members)
+    return flat
+
+
+def square_sums(model, heads: int) -> list:
+    """sum(p * p) of each learnable array p of each head of a stack of
+    heads, or of a model that is not a stack (heads = 1): one list per
+    head, in learnable_params() order. Each head's squares are summed
+    alone over a contiguous row, so each sum equals np.sum(p * p) over
+    that head's own view, bit for bit."""
+    params = model.learnable_params().values()
+    if heads == 1:
+        return [[float((p * p).sum()) for p in params]]
+    rows = []
+    for p in params:
+        if model.heads_axis:  # else head-major already
+            p = np.ascontiguousarray(np.moveaxis(p, model.heads_axis, 0))
+        rows.append((p * p).reshape(heads, -1).sum(axis=1))
+    return np.array(rows).T.tolist()
 
 
 @dataclass

@@ -178,6 +178,21 @@ class TestTrainEval:
             for field in ("plans", "lockstep", "cache_bytes", "groups"):
                 assert field not in artifact.read_text()
 
+    @pytest.mark.parametrize("model_kind, task, epochs, tail", [("ltn", "partof", 25, 22), ("rwfn", "types", 3, 2)])
+    def test_train_manifest_reports_final_satisfiability(self, dataset_path, tmp_path, model_kind, task, epochs, tail):
+        # the last tenth of 25 epochs is the last 3, of 3 epochs the last one
+        model = tmp_path / "m.json"
+        assert run_cli(["train", "--model", model_kind, "--task", task, "--data", str(dataset_path), "--b", "8",
+                        "--k", "2", "--epochs", str(epochs), "--budget", "100", "--seed", "0", "-o", str(model)]) == 0
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        traces = json.loads((tmp_path / "m.json.trace.json").read_text())
+        assert manifest["final_sat"] == {name: {"last_epoch": tr["sat"][-1], "min_last_10pct": min(tr["sat"][tail:])}
+                                         for name, tr in traces.items()}
+        assert manifest["final_sat"].keys() == manifest["plans"].keys()
+        for artifact in (model, tmp_path / "m.json.trace.json"):
+            for field in ("final_sat", "last_epoch", "min_last_10pct"):
+                assert field not in artifact.read_text()
+
     @pytest.mark.parametrize("model_kind, task", [("ltn", "types"), ("rwfn", "partof"), ("ltn", "partof")])
     def test_shared_encoder_without_an_encoder_to_share_usage_error(self, dataset_path, tmp_path, capsys,
                                                                      model_kind, task):

@@ -432,6 +432,42 @@ class TestTrainMany:
         assert trace.loss[0] == (1.0 - trace.sat[0]) + sum(squares)
         assert trace.loss[0] != (1.0 - trace.sat[0]) + sum(squares[half:] + squares[:half])
 
+    @pytest.mark.parametrize("kind", ["ntn", "rwfn"])
+    def test_lockstep_l2_sums_each_theory_alone(self, kind, monkeypatch):
+        # four P heads stack on axis 0 (NTN) or axis 1 (shared-encoder
+        # RWFN); each theory's atom-less U is a model of its own. Decoders
+        # of 128 weights sum their squares pairwise, so a sum down the
+        # stack's strided columns would differ in the last bits
+        enc = build_encoder(EncoderConfig(input_dim=3, hidden_width=64, fan_in=2, seed=2))
+        theories = [generated_theory(60 + i, kind, enc) for i in range(4)]
+        for i, gt in enumerate(theories):
+            if kind == "rwfn":
+                gt.predicates["P"] = RwfnPredicate(enc, make_rng(70 + i).standard_normal(128))
+        params = [[p.copy() for m in gt.learnable_predicates().values() for p in m.learnable_params().values()]
+                  for gt in theories]
+        vectors = []
+        step = training.rmsprop_step
+        monkeypatch.setattr(training, "rmsprop_step",
+                            lambda p, g, a, cfg: vectors.append(next(iter(p.values()))) or step(p, g, a, cfg))
+        cfg = TrainConfig(epochs=3, l2=1.0, instantiation_budget=20)
+        traces = train_many(theories, cfg)
+        for trace, own in zip(traces, params):
+            assert trace.loss[0] == (1.0 - trace.sat[0]) + sum(float(np.sum(p * p)) for p in own)
+        # one step per model and epoch, each over one vector that every
+        # array of the model's members is a view of
+        assert len(vectors) == cfg.epochs * 5
+        stack, *own_vectors = vectors[-5:]
+        members = [gt.predicates["P"] for gt in theories]
+        assert stack.ndim == 1 and stack.size == sum(p.size for m in members for p in m.learnable_params().values())
+        for gt, vec in zip(theories, own_vectors):
+            for p in gt.predicates["P"].learnable_params().values():
+                assert np.shares_memory(p, stack) and not np.shares_memory(p, vec)
+            for p in gt.predicates["U"].learnable_params().values():
+                assert np.shares_memory(p, vec) and not np.shares_memory(p, stack)
+        for a, b in zip(members, members[1:]):
+            assert not any(np.shares_memory(p, q) for p in a.learnable_params().values()
+                           for q in b.learnable_params().values())
+
     def test_closed_theories_of_different_lengths(self):
         def build():
             theories = [generated_theory(30 + i, "ntn", quantified=False) for i in range(3)]
