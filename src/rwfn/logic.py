@@ -482,9 +482,10 @@ class _Group:
 @dataclass
 class _Batch:
     """Learnable predicates whose atoms read the same rows, evaluated as one
-    model: the predicate's own, or the stack of all of them (one head each,
-    see predicates.stack). Building the plan rebinds a stack's members to
-    views of their heads, so training the model trains them. indices holds
+    model: the stack of all of them, one head each, or of the one
+    (predicates.stack). theta holds the model's learnable arrays in one
+    vector, and building the plan rebinds the members' arrays to views of
+    it, so one in-place step on theta trains them all. indices holds
     the live atom of each row, (n,), or of each row and head, (n, heads),
     as the model's truths: a row is kept when one of its atoms has an
     occurrence that can pass a gradient (see the ground-plan comment). x
@@ -493,6 +494,7 @@ class _Batch:
 
     members: list
     model: object
+    theta: np.ndarray
     indices: np.ndarray
     x: np.ndarray
 
@@ -532,8 +534,8 @@ class GroundPlan:
         self.batches: list[_Batch] = []
         constants = np.stack([gt.constants[c] for c in self._domain]) if rows else None
         for models, indices, args in rows:
-            model = models[0] if len(models) == 1 else stack(models)
-            self.batches.append(_Batch(members=list(models), model=model, indices=indices,
+            model, theta = stack(models)
+            self.batches.append(_Batch(members=list(models), model=model, theta=theta, indices=indices,
                                        x=model.lift(constants, args)))
 
     def _compile_all(self, rng: np.random.Generator) -> None:

@@ -15,11 +15,10 @@ gradient_batch(x, upstream, saved) takes that back. An RWFN saves its
 truths, an NTN its hidden layer tanh(s) and its truths, so the NTN's
 hidden layer runs inside its forward call. Learnable models with equal
 stack_key() read their rows the same way, so stack(models) makes one
-model of K heads that gives a row's K truths in one pass; each member's
-learnable arrays become views of its head, so training the stack in
-place trains the members. flatten(model, members) moves a model's
-arrays, and so its members' heads, into one vector, which training
-updates with one step per epoch. A third, non-learnable family grounds
+model of K heads that gives a row's K truths in one pass, and packs its
+learnable arrays into one vector; each member's arrays become views of
+its head in that vector, so one training step per epoch on the vector
+trains every member. A third, non-learnable family grounds
 predicates directly from dataset labels; it is used for ontology axioms
 whose truth is known.
 """
@@ -240,43 +239,25 @@ def init_ntn(k: int, in_dim: int, rng: np.random.Generator) -> NtnPredicate:
     )
 
 
-def stack(models: list):
-    """One model of K heads, head j being models[j], which must have equal
-    stack_key(): each learnable parameter gains a heads axis. Each member's
-    learnable arrays are then rebound to views of its head, so an in-place
-    update of the stack trains every member."""
-    first = models[0]
-    stacked = replace(first, **{name: np.stack([m.learnable_params()[name] for m in models], axis=first.heads_axis)
-                                for name in first.learnable_params()})
-    _bind_heads(stacked, models)
-    return stacked
-
-
-def _bind_heads(stacked, models: list) -> None:
-    heads = {name: np.moveaxis(p, stacked.heads_axis, 0) for name, p in stacked.learnable_params().items()}
-    for j, m in enumerate(models):
-        for name, h in heads.items():
-            setattr(m, name, h[j])
-
-
-def flatten(model, members: list) -> np.ndarray:
-    """One float64 vector that holds the learnable arrays of model, the
-    stack of members or their one member, in learnable_params() order:
-    each array is rebound to its view of the vector, and so is each
-    member's head, so one in-place update of the vector trains them all.
-    A model of one contiguous array keeps it, and the vector views it."""
-    params = model.learnable_params()
-    arrays = list(params.values())
-    if len(arrays) == 1 and arrays[0].flags.c_contiguous:
-        return arrays[0].reshape(-1)
-    flat = np.concatenate(arrays, axis=None)
-    lo = 0
-    for name, p in params.items():
-        setattr(model, name, flat[lo:lo + p.size].reshape(p.shape))
-        lo += p.size
-    if len(members) > 1:
-        _bind_heads(model, members)
-    return flat
+def stack(models: list) -> tuple:
+    """(model, theta): one model of K heads, head j being models[j], which
+    must have equal stack_key(), and one float64 vector theta that holds
+    the model's learnable arrays in learnable_params() order, each with a
+    heads axis at heads_axis when K > 1. The model's arrays, and each
+    member's, are views of theta, so one in-place update of theta trains
+    them all. K = 1 packs one model, whose arrays keep their shapes."""
+    first, axis = models[0], models[0].heads_axis
+    theta = np.empty(len(models) * sum(p.size for p in first.learnable_params().values()))
+    arrays, lo = {}, 0
+    for name, p in first.learnable_params().items():
+        full = theta[lo:lo + len(models) * p.size].reshape(*p.shape[:axis], len(models), *p.shape[axis:])
+        np.stack([m.learnable_params()[name] for m in models], axis=axis, out=full)
+        lo += full.size
+        heads = np.moveaxis(full, axis, 0)
+        for m, head in zip(models, heads):
+            setattr(m, name, head)
+        arrays[name] = full if len(models) > 1 else heads[0]
+    return replace(first, **arrays), theta
 
 
 def square_sums(model, heads: int) -> list:

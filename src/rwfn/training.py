@@ -9,11 +9,11 @@ every atom, so their epochs cost only decoder-sized dot products.
 Theories over one set of constants train in lockstep (train_many): one
 plan, each theory a slice of its formulas. Learnable predicates of equal
 stack_key() that read the same rows, in one theory or several, run as one
-stacked model. Each model, and each learnable predicate without atoms,
-holds its arrays in one float64 vector (predicates.flatten): its named
-arrays, and a stack's member heads, are views into it, so one RMSProp
-step per model and epoch updates them all in place and nothing is copied
-back. A theory's L2 term adds, in its predicates' order, one sum of
+stacked model. Each plan model, and each learnable predicate without
+atoms, holds its arrays in the one float64 vector predicates.stack packs:
+its named arrays, and a stack's member heads, are views into it, so one
+RMSProp step per model and epoch updates them all in place and nothing is
+copied back. A theory's L2 term adds, in its predicates' order, one sum of
 squares per array of its own, taken per head from one reduction over each
 stacked array (predicates.square_sums). Each theory's loss, parameters and
 quantifier samples are those of training it alone, up to rounding; the L2
@@ -31,7 +31,7 @@ import numpy as np
 from .encoder import EncoderConfig, RwfnEncoder, build_encoder
 from .logic import GroundedTheory, GroundPlan, merge_theories
 from .numerics import make_rng
-from .predicates import flatten, square_sums
+from .predicates import square_sums, stack
 
 
 class TrainingError(RuntimeError):
@@ -49,8 +49,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("epochs", "instantiation_budget", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        for name in ("epochs", "instantiation_budget"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("l2", "learning_rate", "rmsprop_eps"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -65,27 +70,23 @@ class TrainConfig:
             raise ValueError("rmsprop_eps must be > 0")
 
 
-def rmsprop_step(params: dict, grads: dict, acc: dict, cfg: TrainConfig) -> None:
-    """One RMSProp update of each parameter array in place; acc holds its
-    accumulator, zero at the first step. train_many passes each model's
-    one vector."""
-    for name, theta in params.items():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {theta.shape} for {name!r}")
-        a = acc[name]
-        a *= cfg.rmsprop_decay
-        # (1 - decay) * g * g, then lr * g / sqrt(a + eps), in that order
-        # of operations but in two temporaries, not six: a stacked model's
-        # vector is big enough that each fresh temporary is page-faulted in
-        t = (1.0 - cfg.rmsprop_decay) * g
-        t *= g
-        a += t
-        root = a + cfg.rmsprop_eps
-        np.sqrt(root, out=root)
-        np.multiply(cfg.learning_rate, g, out=t)
-        t /= root
-        theta -= t
+def rmsprop_step(theta: np.ndarray, grad: np.ndarray, acc: np.ndarray, cfg: TrainConfig) -> None:
+    """One RMSProp update of theta in place; acc holds its accumulator,
+    zero at the first step. train_many passes each model's one vector."""
+    if grad.shape != theta.shape:
+        raise ValueError(f"gradient shape {grad.shape} != parameter shape {theta.shape}")
+    acc *= cfg.rmsprop_decay
+    # (1 - decay) * g * g, then lr * g / sqrt(acc + eps), in that order of
+    # operations but in two temporaries, not six: a stacked model's vector
+    # is big enough that each fresh temporary is page-faulted in
+    t = (1.0 - cfg.rmsprop_decay) * grad
+    t *= grad
+    acc += t
+    root = acc + cfg.rmsprop_eps
+    np.sqrt(root, out=root)
+    np.multiply(cfg.learning_rate, grad, out=t)
+    t /= root
+    theta -= t
 
 
 @dataclass
@@ -100,12 +101,6 @@ class TrainTrace:
         # wall-clock times live in run manifests, so the artifact payload
         # stays deterministic
         return {"epoch": list(range(len(self.loss))), "loss": self.loss, "sat": self.sat}
-
-
-def _flat(grads: dict, names: list) -> np.ndarray:
-    """A model's gradient arrays in its vector's layout; one array is not
-    copied."""
-    return grads[names[0]].reshape(-1) if len(names) == 1 else np.concatenate([grads[n] for n in names], axis=None)
 
 
 def train(gt: GroundedTheory, cfg: TrainConfig) -> TrainTrace:
@@ -127,15 +122,13 @@ def train_many(theories: list, cfg: TrainConfig) -> list:
     # the plan's models, then the learnable predicates without atoms, which
     # still take their L2 steps; each holds its arrays, and a stack its
     # members' heads, in one vector that one step per epoch updates in place
-    units = [(b.model, b.members) for b in plan.batches]
+    units = [(b.model, b.theta, b.members) for b in plan.batches]
     batched = {id(m) for b in plan.batches for m in b.members}
-    units += [(m, [m]) for t in theories for m in t.learnable_predicates().values() if id(m) not in batched]
-    vectors = [flatten(model, members) for model, members in units]
-    accs = [np.zeros_like(v) for v in vectors]
-    names = [list(model.learnable_params()) for model, _ in units]
+    units += [(*stack([m]), [m]) for t in theories for m in t.learnable_predicates().values() if id(m) not in batched]
+    accs = [np.zeros_like(theta) for _, theta, _ in units]
     # each theory's (model, head) per learnable predicate: its L2 term adds
     # its arrays' sums in its predicates' order, as train() of it alone does
-    heads = {id(m): (i, j) for i, (_, members) in enumerate(units) for j, m in enumerate(members)}
+    heads = {id(m): (i, j) for i, (*_, members) in enumerate(units) for j, m in enumerate(members)}
     own = [[heads[id(m)] for m in t.learnable_predicates().values()] for t in theories]
     traces = [TrainTrace() for _ in theories]
     if len(theories) == 1:
@@ -148,7 +141,7 @@ def train_many(theories: list, cfg: TrainConfig) -> list:
         t0 = time.perf_counter()
         sats, sat_grads = plan.satisfiability_with_grads()
         sats = sats.tolist()
-        squares = [square_sums(model, len(members)) for model, members in units]
+        squares = [square_sums(model, len(members)) for model, _, members in units]
         # in Python floats, a huge l2 makes the loss inf without a warning
         losses = [(1.0 - sat) + cfg.l2 * sum([s for i, j in refs for s in squares[i][j]])
                   for sat, refs in zip(sats, own)]
@@ -156,11 +149,11 @@ def train_many(theories: list, cfg: TrainConfig) -> list:
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss} at epoch {epoch}"
                                     + (f" in theory {i}" if len(theories) > 1 else ""))
-        for i, (theta, acc) in enumerate(zip(vectors, accs)):
+        for i, ((_, theta, _), acc) in enumerate(zip(units, accs)):
             grad = 2.0 * cfg.l2 * theta
             if i < len(sat_grads):  # a model without atoms takes the L2 term alone
-                grad -= _flat(sat_grads[i], names[i])
-            rmsprop_step({"theta": theta}, {"theta": grad}, {"theta": acc}, cfg)
+                grad -= np.concatenate(list(sat_grads[i].values()), axis=None)
+            rmsprop_step(theta, grad, acc, cfg)
         ms = (time.perf_counter() - t0) * 1000.0 / len(theories)
         for trace, loss, sat in zip(traces, losses, sats):
             trace.loss.append(loss)

@@ -99,7 +99,7 @@ def gradcheck_stacked_ntn(trials: int) -> float:
     rng = make_rng(13)
     worst = 0.0
     for t in range(trials):
-        model = stack([init_ntn(2, 4, make_rng(13 + 100 * t + j)) for j in range(12)])
+        model, _ = stack([init_ntn(2, 4, make_rng(13 + 100 * t + j)) for j in range(12)])
         x = rng.random((5, 4))
         upstream = rng.standard_normal((5, 12))
         worst = max(worst, _gradient_error(model, x, upstream, forward_rows=x))

@@ -249,7 +249,7 @@ class TestNtnBlockedKernels:
         # twelve k=6 heads at d=22 on plain rows, the blocked kernels
         rng = make_rng(n)
         heads = [init_ntn(6, 22, rng) for _ in range(12)]
-        stacked = stack(heads)
+        stacked, _ = stack(heads)
         x, upstream = rng.random((n, 22)), rng.standard_normal((n, 12))
         out, saved = stacked.forward_batch(x)
         hidden = saved[0]
@@ -270,7 +270,7 @@ class TestNtnBlockedKernels:
         enc = build_encoder(EncoderConfig(input_dim=5, hidden_width=16, fan_in=2, seed=1))
         rng = make_rng(2)
         heads = [RwfnPredicate(enc, rng.standard_normal(32)) for _ in range(3)]
-        stacked = stack(heads)
+        stacked, _ = stack(heads)
         assert stacked.beta.shape == (32, 3) and stacked.encoder is enc
         x, upstream = rng.random((40, 5)), rng.standard_normal((40, 3))
         h = stacked.lift(x)  # the heads' one hidden layer
@@ -282,27 +282,39 @@ class TestNtnBlockedKernels:
             assert_close_rel(out[:, j], p)
             assert_close_rel(grads["beta"][:, j], m.gradient_batch(h, upstream[:, j], own)["beta"])
 
-    @pytest.mark.parametrize("family", ["ntn", "rwfn"])
-    def test_members_are_views_of_their_heads(self, family):
+    # K = 3 stacks, and K = 1 packs one model
+    @pytest.mark.parametrize("family, k", [pytest.param("ntn", 3, id="ntn"), pytest.param("rwfn", 3, id="rwfn"),
+                                           pytest.param("ntn", 1, id="ntn-one"), pytest.param("rwfn", 1, id="rwfn-one")])
+    def test_members_are_views_of_their_heads(self, family, k):
         rng = make_rng(4)
         if family == "ntn":
-            models = [init_ntn(3, 4, rng) for _ in range(3)]
+            models = [init_ntn(3, 4, rng) for _ in range(k)]
         else:
             enc = build_encoder(EncoderConfig(input_dim=5, hidden_width=16, fan_in=2, seed=1))
-            models = [RwfnPredicate(enc, rng.standard_normal(32)) for _ in range(3)]
+            models = [RwfnPredicate(enc, rng.standard_normal(32)) for _ in range(k)]
         before = [{name: p.copy() for name, p in m.learnable_params().items()} for m in models]
-        stacked = stack(models)
+        stacked, theta = stack(models)
+        assert theta.dtype == np.float64 and theta.ndim == 1
+        assert theta.size == sum(p.size for p in stacked.learnable_params().values())
+        packed = {name: p.copy() for name, p in stacked.learnable_params().items()}
         for name, p in stacked.learnable_params().items():
-            heads = p if family == "ntn" else p.T  # head j is p[j], or beta[:, j]
+            assert np.shares_memory(p, theta)
+            if k == 1:
+                assert p.shape == before[0][name].shape
+            # head j is p[j], or beta[:, j]
+            heads = [p] if k == 1 else p if family == "ntn" else p.T
             for j, m in enumerate(models):
                 mine = m.learnable_params()[name]
-                assert np.array_equal(mine, before[j][name])
+                assert np.array_equal(mine, before[j][name]) and np.shares_memory(mine, theta)
                 assert [np.shares_memory(mine, h) for h in heads] == [i == j for i in range(len(models))]
         for p in stacked.learnable_params().values():
             p += 1.0  # an in-place step on the stack moves every member
+        theta += 1.0  # and so does one on the vector
         for m, want in zip(models, before):
             for name, p in m.learnable_params().items():
-                assert np.array_equal(p, want[name] + 1.0)
+                assert np.array_equal(p, want[name] + 1.0 + 1.0)
+        for name, p in stacked.learnable_params().items():
+            assert np.array_equal(p, packed[name] + 1.0 + 1.0)
 
     def test_stack_keys(self):
         enc = build_encoder(EncoderConfig(input_dim=5, hidden_width=16, fan_in=2, seed=1))
@@ -353,7 +365,7 @@ class TestNtnLiftedKernels:
     def test_plan_input_matches_unblocked_oracle(self, heads, k, d):
         rng = make_rng(heads + 10 * k + 1000 * d)
         models = [init_ntn(k, d, rng) for _ in range(heads)]
-        model = models[0] if heads == 1 else stack(models)
+        model = models[0] if heads == 1 else stack(models)[0]
         n = 2 * block_rows(heads * k, d) + 3
         x, upstream = rng.random((n, d)), rng.standard_normal((n, heads))
         plan_x = model.lift(x)
@@ -523,7 +535,7 @@ class TestSerialization:
             model_from_spec(spec, name="partOf")
         rng = make_rng(0)
         spec = model_to_spec(init_ntn(2, 4, rng))
-        stacked = stack([init_ntn(2, 4, rng) for _ in range(3)])
+        stacked, _ = stack([init_ntn(2, 4, rng) for _ in range(3)])
         spec.update((name, p.tolist()) for name, p in stacked.learnable_params().items())
         with pytest.raises(ValueError, match="predicate 'partOf': parameters with a heads axis"):
             model_from_spec(spec, name="partOf")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rwfn import predicates, training
+from rwfn.data import SyntheticConfig, gen_synthetic
 from rwfn.encoder import EncoderConfig, build_encoder, hidden_features
 from rwfn.logic import Atom, GroundedTheory, GroundPlan, KnowledgeBase, Not, merge_theories, parse_kb, satisfiability
 from rwfn.numerics import make_rng
@@ -15,7 +16,7 @@ from rwfn.training import (
     train,
     train_many,
 )
-from rwfn.tasks import make_rwfn_classifier
+from rwfn.tasks import build_partof_theory, make_rwfn_classifier
 
 from oracles import batch_preds, stored_floats
 
@@ -36,33 +37,29 @@ def literal_theory(spec, seed=0, input_dim=4, b=8):
 class TestRmsProp:
     def test_single_step_reference(self):
         cfg = TrainConfig(epochs=1, learning_rate=0.01, rmsprop_decay=0.9, rmsprop_eps=1e-8)
-        acc = {"theta": np.zeros(1)}
+        acc = np.zeros(1)
         theta = np.array([1.0])
-        params = {"theta": theta}
-        rmsprop_step(params, {"theta": np.array([1.0])}, acc, cfg)
-        assert params["theta"] is theta
-        assert acc["theta"][0] == pytest.approx(0.1)
+        rmsprop_step(theta, np.array([1.0]), acc, cfg)
+        assert acc[0] == pytest.approx(0.1)
         assert theta[0] - 1.0 == pytest.approx(-0.0316228, abs=1e-6)
 
     def test_zero_gradient_no_move(self):
         cfg = TrainConfig(epochs=1)
         theta = np.array([2.0, -3.0])
-        params = {"theta": theta}
-        rmsprop_step(params, {"theta": np.zeros(2)}, {"theta": np.zeros(2)}, cfg)
-        assert params["theta"] is theta
+        rmsprop_step(theta, np.zeros(2), np.zeros(2), cfg)
         assert np.array_equal(theta, [2.0, -3.0])
 
     def test_constant_gradient_step_bound(self):
         # with constant g, acc_t = (1 - decay^t) g^2, so each |step| equals
         # lr*g/sqrt((1-decay^t)g^2 + eps) and approaches lr from above
         cfg = TrainConfig(epochs=1)
-        acc = {"theta": np.zeros(1)}
+        acc = np.zeros(1)
         theta = np.array([0.0])
-        g = {"theta": np.array([2.0])}
+        g = np.array([2.0])
         prev_step = np.inf
         for t in range(1, 100):
             before = float(theta[0])
-            rmsprop_step({"theta": theta}, g, acc, cfg)
+            rmsprop_step(theta, g, acc, cfg)
             step = abs(float(theta[0]) - before)
             bound = cfg.learning_rate * 2.0 / np.sqrt((1 - 0.9 ** t) * 4.0 + cfg.rmsprop_eps)
             assert step == pytest.approx(bound, rel=1e-9)
@@ -73,7 +70,7 @@ class TestRmsProp:
     def test_shape_mismatch(self):
         cfg = TrainConfig(epochs=1)
         with pytest.raises(ValueError):
-            rmsprop_step({"t": np.zeros(2)}, {"t": np.zeros(3)}, {"t": np.zeros(2)}, cfg)
+            rmsprop_step(np.zeros(2), np.zeros(3), np.zeros(2), cfg)
 
 
 class TestTrainConfig:
@@ -103,6 +100,14 @@ class TestTrainConfig:
     def test_non_positive_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="rmsprop_eps"):
             TrainConfig(rmsprop_eps=eps)
+
+    @pytest.mark.parametrize("field, value", [("epochs", 2.5), ("epochs", True), ("epochs", "3"),
+                                              ("instantiation_budget", 3.5), ("instantiation_budget", False),
+                                              ("instantiation_budget", 0), ("instantiation_budget", -2),
+                                              ("seed", 1.5), ("seed", True), ("seed", None)])
+    def test_bad_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
 
 class TestTrain:
@@ -156,12 +161,25 @@ class TestTrain:
         gt.predicates["U"] = unused
         cfg = TrainConfig(epochs=5, l2=1e-3, seed=0)
         params = {k: p.copy() for k, p in unused.learnable_params().items()}
-        acc = {k: np.zeros_like(p) for k, p in params.items()}
-        for _ in range(cfg.epochs):
-            rmsprop_step(params, {k: 2.0 * cfg.l2 * p for k, p in params.items()}, acc, cfg)
+        for p in params.values():
+            acc = np.zeros_like(p)
+            for _ in range(cfg.epochs):
+                rmsprop_step(p, 2.0 * cfg.l2 * p, acc, cfg)
         train(gt, cfg)
         for name, p in unused.learnable_params().items():
             assert np.array_equal(p, params[name])
+
+    def test_part_of_ntn_stays_a_view_of_its_batch_vector(self, monkeypatch):
+        ds = gen_synthetic(SyntheticConfig(num_scenes=3, seed=1))
+        model = init_ntn(2, 2 * len(ds.records[0].features), make_rng(0))
+        plans = []
+        monkeypatch.setattr(training, "GroundPlan", lambda *a: plans.append(GroundPlan(*a)) or plans[-1])
+        train(build_partof_theory(ds, model), TrainConfig(epochs=3, instantiation_budget=20))
+        [batch] = plans[0].batches
+        assert batch.members == [model]
+        for name, p in model.learnable_params().items():
+            assert np.shares_memory(p, batch.theta)
+            assert np.array_equal(p, batch.model.learnable_params()[name])
 
     def test_encoder_frozen_through_training(self):
         gt, model = literal_theory([True, False, True])
@@ -448,7 +466,7 @@ class TestTrainMany:
         vectors = []
         step = training.rmsprop_step
         monkeypatch.setattr(training, "rmsprop_step",
-                            lambda p, g, a, cfg: vectors.append(next(iter(p.values()))) or step(p, g, a, cfg))
+                            lambda theta, g, a, cfg: vectors.append(theta) or step(theta, g, a, cfg))
         cfg = TrainConfig(epochs=3, l2=1.0, instantiation_budget=20)
         traces = train_many(theories, cfg)
         for trace, own in zip(traces, params):
