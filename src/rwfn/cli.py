@@ -154,6 +154,7 @@ BUNDLE_CHECKS = (  # field, test, what it must be
     ("format_version", lambda v: v == 1, "1"),
     ("task", lambda v: v in ("types", "partof"), "'types' or 'partof'"),
     ("kind", lambda v: v in ("rwfn", "ltn"), "'rwfn' or 'ltn'"),
+    ("n", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1, "an int >= 1"),
     ("split_ratio", lambda v: isinstance(v, float) and 0.0 < v < 1.0, "a float in (0, 1)"),
     ("split_seed", lambda v: isinstance(v, int) and not isinstance(v, bool), "an int"),
     ("split_seed", lambda v: v >= 0, ">= 0"),
@@ -180,6 +181,9 @@ def cmd_eval(args) -> int:
     t0 = time.perf_counter()
     ds = load_dataset(args.data)
     bundle = _load_bundle(args.model)
+    if bundle["n"] != ds.n:
+        raise CliError(f"model bundle {args.model} takes n={bundle['n']} features per box, "
+                       f"but dataset {args.data} has n={ds.n}")
     test = split(ds, bundle["split_ratio"], make_rng(bundle["split_seed"])).test
     if any(not r.labels for r in test.records):
         raise CliError("test split contains unlabeled records; cannot evaluate")

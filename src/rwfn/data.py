@@ -118,6 +118,10 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_scenes", "num_whole_classes", "parts_per_whole", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DatasetError(f"{name} must be an int, got {value!r}")
         if self.num_scenes < 1 or self.num_whole_classes < 1 or self.parts_per_whole < 1:
             raise DatasetError("counts must be >= 1")
         for name in ("feature_noise", "geometry_jitter", "negative_ratio"):

@@ -29,6 +29,10 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("input_dim", "hidden_width", "fan_in", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not 1 <= self.fan_in < self.input_dim:
             raise ValueError(f"fan_in must satisfy 1 <= fan_in < input_dim, got {self.fan_in} vs {self.input_dim}")
         if self.hidden_width < 1:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import make_rng
 from .predicates import stack
 
 HMEAN_EPS = 1e-12
@@ -233,7 +232,10 @@ class _Parser:
             variables = [self.ident("variable name")]
             while self.peek() == ",":
                 self.take(",")
+                var_col = self.col()
                 variables.append(self.ident("variable name"))
+                if variables[-1] in variables[:-1]:
+                    raise KbSyntaxError(f"{kind} binds {variables[-1]!r} twice", self.line_no, var_col)
             self.take(":")
             body, h = self.formula(bound | set(variables), self.nest(depth + 1, col))
             cls = ForAll if kind == "forall" else Exists
@@ -317,22 +319,15 @@ def parse_kb(text: str) -> KnowledgeBase:
             name, arity = decl.group(1), int(decl.group(2))
             if arity < 1:
                 raise KbSyntaxError("arity must be >= 1", line_no, 1)
-            signatures[name] = arity
+            if name in ("forall", "exists"):
+                raise KbSyntaxError(f"{name!r} is a quantifier, not a predicate name", line_no, decl.start(1) + 1)
+            if signatures.setdefault(name, arity) != arity:
+                raise KbSyntaxError(f"predicate {name!r} is already declared with arity {signatures[name]}",
+                                    line_no, decl.start(2) + 1)
         else:
             pending.append((line_no, line))
     formulas = [_Parser(line, line_no, signatures).parse() for line_no, line in pending]
     return KnowledgeBase(signatures=signatures, formulas=formulas)
-
-
-# ---------------------------------------------------------------------------
-# Aggregation
-
-
-def hmean(values: np.ndarray) -> float:
-    """Harmonic mean with epsilon-stabilized reciprocals, capped at 1: the
-    epsilon alone lifts the mean of all-ones to 1 + 1e-12."""
-    v = np.asarray(values, dtype=np.float64)
-    return float(np.minimum(1.0, len(v) / np.sum(1.0 / (v + HMEAN_EPS))))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +501,7 @@ class GroundPlan:
     samples, drawn from its own copy of rng. A part's roots are its fact
     rows, then its formulas."""
 
-    def __init__(self, gt: GroundedTheory, budget: int, rng: np.random.Generator | None):
+    def __init__(self, gt: GroundedTheory, budget: int, rng: np.random.Generator):
         parts = gt.parts or [gt]
         self._counts = np.array([part.kb.root_count() for part in parts])
         if not self._counts.all():
@@ -515,7 +510,6 @@ class GroundPlan:
             raise ValueError(f"instantiation budget must be >= 1, got {budget}")
         self.gt = gt
         self.budget = budget
-        rng = rng if rng is not None else make_rng(0)
         self._parts = parts
         self._domain = sorted(gt.constants)
         self._index = {c: i for i, c in enumerate(self._domain)}
@@ -523,7 +517,7 @@ class GroundPlan:
         self._pids: dict = {}           # (part, name) -> index in _preds
         self._quantifiers: list = []    # (root, op, variables, instantiations, sampled)
         self._evaluated: dict = {}      # (root, op) -> its kept body rows, where rows were dropped
-        self.roots = range(int(self._counts.sum()))  # root positions; formula_values() follows them
+        self.roots = range(int(self._counts.sum()))  # root positions; _forward()'s values follow them
         self._fill = np.zeros(len(self.roots))  # the dropped formulas' values
         ends = np.cumsum(self._counts).tolist()
         self._slices = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]  # each part's roots
@@ -645,7 +639,7 @@ class GroundPlan:
 
     def _label_truths(self, name: str, model, arity: int, codes: np.ndarray) -> np.ndarray:
         """The truths of a symbolic predicate's atoms, given their argument
-        codes: the label of each, or the default. Labels of constants
+        codes: the label of each, or 0.0. Labels of constants
         outside the plan's domain match no atom."""
         for key in model.truths:
             if not (isinstance(key, tuple) and len(key) == arity):
@@ -662,7 +656,7 @@ class GroundPlan:
         labels = np.append(labels[order], _INT64_MAX)
         values = np.append(values[order], 0.0)
         at = np.searchsorted(labels, codes)
-        return np.where(labels[at] == codes, values[at], float(model.default))
+        return np.where(labels[at] == codes, values[at], 0.0)
 
     def _model(self, key: tuple):
         part, pred = key
@@ -986,15 +980,10 @@ class GroundPlan:
             values[group.rows] = out[-1]
         return values, per_group, saved
 
-    def formula_values(self) -> np.ndarray:
-        return self._forward()[0]
-
-    def satisfiability(self) -> float:
-        return hmean(self.formula_values())
-
     def _part_satisfiabilities(self, values: np.ndarray) -> np.ndarray:
-        """hmean of each part's formula values; one part gets hmean's
-        value exactly."""
+        """The harmonic mean of each part's formula values, over reciprocals
+        1 / (v + HMEAN_EPS) and capped at 1: the epsilon alone lifts the
+        mean of all-ones to 1 + 1e-12."""
         recip = 1.0 / (values + HMEAN_EPS)
         sums = np.array([recip[part].sum() for part in self._slices])
         return np.minimum(1.0, self._counts / sums)
@@ -1042,13 +1031,3 @@ class GroundPlan:
         grads = [b.model.gradient_batch(b.x, atom_grads[b.indices], state)
                  for b, state in zip(self.batches, saved)]
         return sats, grads
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-
-
-def satisfiability(gt: GroundedTheory, instantiation_budget: int = 10_000,
-                   rng: np.random.Generator | None = None) -> float:
-    """Aggregate truth of all KB formulas under the grounding."""
-    return GroundPlan(gt, instantiation_budget, rng).satisfiability()

@@ -281,8 +281,7 @@ def square_sums(model, heads: int) -> list:
 class LabelPredicate:
     """Non-learnable predicate whose truth is looked up from known labels."""
 
-    truths: dict  # tuple of constant ids -> truth in [0,1]
-    default: float = 0.0
+    truths: dict  # tuple of constant ids -> truth in [0,1]; 0.0 where absent
     symbolic = True
 
     def learnable_params(self) -> dict:
@@ -303,8 +302,6 @@ def count_params(model) -> ParamCount:
         if model.mode == "albm":
             return ParamCount(total=n * b + b, learnable=b)
         return ParamCount(total=n * b + b + b, learnable=b)  # rff: fourier + phase + beta
-    if isinstance(model, LabelPredicate):
-        return ParamCount(total=0, learnable=0)
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 

@@ -1,12 +1,15 @@
 """Slow, obvious references that the package's array code is tested
-against: the scalar Lukasiewicz connectives, a label predicate's truth of
-one atom, the floats that frozen-encoder classifiers store, the
-predicates a plan's batches evaluate, the interning of atom keys, and a
-knowledge base's literal tables as formulas."""
+against: the scalar Lukasiewicz connectives and harmonic mean, a label
+predicate's truth of one atom, the floats that frozen-encoder classifiers
+store, the predicates a plan's batches evaluate, the interning of atom keys,
+and a knowledge base's literal tables as formulas. Also the two readings of
+a plan that the package computes only inside its training step: a theory's
+satisfiability and a plan's formula values."""
 
 import numpy as np
 
-from rwfn.logic import Atom, KnowledgeBase, Not
+from rwfn.logic import HMEAN_EPS, Atom, GroundPlan, KnowledgeBase, Not
+from rwfn.numerics import make_rng
 
 
 def _check_range(*values):
@@ -35,9 +38,29 @@ def luk_implies(a: float, b: float) -> float:
     return min(1.0, 1.0 - a + b)
 
 
+def hmean(values) -> float:
+    """Harmonic mean with epsilon-stabilized reciprocals, capped at 1: the
+    epsilon alone lifts the mean of all-ones to 1 + 1e-12."""
+    v = np.asarray(values, dtype=np.float64)
+    return float(np.minimum(1.0, len(v) / np.sum(1.0 / (v + HMEAN_EPS))))
+
+
+def satisfiability(gt, budget: int = 10_000, rng=None) -> float:
+    """The satisfiability of the one-part theory gt, as a plan over it
+    (quantifier samples from rng, by default make_rng(0)) reports it to
+    training."""
+    (sat,), _ = GroundPlan(gt, budget, rng if rng is not None else make_rng(0)).satisfiability_with_grads()
+    return float(sat)
+
+
+def formula_values(plan) -> np.ndarray:
+    """Each root's truth under plan, in root order: its forward pass."""
+    return plan._forward()[0]
+
+
 def truth_of(model, args: tuple) -> float:
     """A LabelPredicate's truth of the atom over the constant ids args."""
-    return float(model.truths.get(tuple(args), model.default))
+    return float(model.truths.get(tuple(args), 0.0))
 
 
 def stored_floats(models) -> int:

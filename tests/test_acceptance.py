@@ -20,7 +20,7 @@ from rwfn.tasks import DEFAULT_B_PARTOF, DEFAULT_B_TYPES, DEFAULT_K, make_rwfn_c
 from rwfn.training import SharedEncoderRegistry, TrainConfig, train
 from rwfn.verify import gradcheck_ntn, gradcheck_rwfn, kernel_error_study
 
-from oracles import luk_and, luk_implies, luk_not, luk_or, stored_floats
+from oracles import formula_values, luk_and, luk_implies, luk_not, luk_or, stored_floats
 
 
 def announce(n: int, detail: str) -> None:
@@ -97,7 +97,7 @@ def test_criterion_04_fuzzy_logic_axioms():
     gt = GroundedTheory(kb=parse_kb(text), constants={c: np.zeros(1) for c in ids},
                         predicates={"A": LabelPredicate(dict(zip([(c,) for c in ids], a))),
                                     "B": LabelPredicate(dict(zip([(c,) for c in ids], b)))})
-    values = GroundPlan(gt, 1, make_rng(0)).formula_values().reshape(len(a), 4)
+    values = formula_values(GroundPlan(gt, 1, make_rng(0))).reshape(len(a), 4)
     expected = np.array([(luk_and(x, y), luk_or(x, y), luk_implies(x, y), luk_not(x)) for x, y in zip(a, b)])
     assert np.abs(values - expected).max() <= tol
     announce(4, "10^4 random (a,b): commutativity, monotonicity, boundaries, "

@@ -1,15 +1,20 @@
-"""Guard: every module-level function and class in src/rwfn has a caller
-outside its own definition, in src/rwfn (its __init__ included) or in the
-benchmark's non-test modules, perfbench/*.py. A helper that only tests call
-belongs in tests/. So has every method and property of a src/rwfn class,
-dunder methods aside: its name must appear outside the def statements of
-that name.
+"""Guard: every module-level function and class in src/rwfn, and every
+method and property of a src/rwfn class, is reachable from a root. A helper
+that only tests call belongs in tests/. The roots are the console entry
+point rwfn.cli:main, the benchmark's non-test modules (perfbench/*.py), and
+the module-level statements of the src/rwfn modules other than __init__,
+definitions and imports aside: a re-export alone keeps nothing alive. A
+definition is live when the closure of the names mentioned from the roots
+reaches it: a root or a live definition mentions its name, and a method's
+class is live. A live definition's mentions join the closure; a class's are
+its decorators, bases and body apart from its methods, and its dunder
+methods are live with it.
 
-A name counts as used where it appears as an identifier, an attribute, an
-imported name, or a string literal (perfbench patches attributes by name).
-An attribute name cannot be tied to one class without type information, so
-the guard misses a method that nothing calls when another class's method,
-or any other attribute, has the same name and is used.
+A name counts as mentioned where it appears as an identifier, an attribute,
+an imported name, or a string literal (perfbench patches attributes by
+name). An attribute name cannot be tied to one class without type
+information, so the guard misses a method that nothing reaches when another
+live class's method, or any other attribute, has the same name and is used.
 
 Every defaulted parameter of a module-level function or a method in src/rwfn
 is also passed by some call in those same modules: by keyword, by a
@@ -78,57 +83,89 @@ def _names(node: ast.AST) -> Counter:
     return out
 
 
-def unused_names() -> list:
-    """(module, name) of each module-level function or class of src/rwfn
-    that no caller names outside the definition itself."""
-    trees = _source_trees()
-    mentions = sum((_names(tree) for tree in trees.values()), Counter())
-    return [(path.stem, node.name) for path in _modules() for node in trees[path].body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and mentions[node.name] == _names(node)[node.name]]
-
-
-def _methods(tree: ast.AST) -> list:
-    """(class, method) of each non-dunder method or property of the classes
-    in tree."""
-    return [(cls.name, node.name) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-            for node in cls.body if isinstance(node, ast.FunctionDef)
-            and not (node.name.startswith("__") and node.name.endswith("__"))]
-
-
-def _unused_methods(trees: dict, modules: list) -> list:
-    """(module, class, method) of each method of the classes of modules
-    whose name trees mention only inside def statements of that name."""
-    mentions = sum((_names(tree) for tree in trees.values()), Counter())
-    in_defs = Counter()
-    for tree in trees.values():
-        for node in ast.walk(tree):
+def _definitions(src: dict) -> list:
+    """(key, name, class, mentions) of each module-level function and class
+    of src's modules and each method of their classes. key is (module, name) or
+    (module, class, method), class the key of a method's class (else None),
+    and name None for a dunder method, which its class alone keeps live."""
+    out = []
+    for path, tree in src.items():
+        for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                in_defs[node.name] += _names(node)[node.name]
-    return [(path.stem, cls, name) for path in modules for cls, name in _methods(trees[path])
-            if mentions[name] == in_defs[name]]
+                out.append(((path.stem, node.name), node.name, None, _names(node)))
+            elif isinstance(node, ast.ClassDef):
+                cls = (path.stem, node.name)
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+                own = [n for n in node.decorator_list + node.bases + node.keywords + node.body if n not in methods]
+                out.append((cls, node.name, None, sum(map(_names, own), Counter())))
+                for m in methods:
+                    dunder = m.name.startswith("__") and m.name.endswith("__")
+                    out.append(((*cls, m.name), None if dunder else m.name, cls, _names(m)))
+    return out
 
 
-def unused_methods() -> list:
-    return _unused_methods(_source_trees(), _modules())
+def _root_names(src: dict, bench: dict) -> set:
+    """The names the roots other than the entry point mention: bench's
+    modules whole, and the module-level statements of src's modules but
+    __init__, definitions and imports aside."""
+    statements = [n for path, tree in src.items() if path.name != "__init__.py" for n in tree.body
+                  if not isinstance(n, (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom))]
+    return set().union(*map(_names, statements), *map(_names, bench.values()))
+
+
+def _unreachable(src: dict, bench: dict, entry: tuple) -> list:
+    """The key (see _definitions) of each definition of src's modules that
+    the closure from entry, a (module, function) key, and the other roots
+    does not reach."""
+    defs = _definitions(src)
+    reached, live = _root_names(src, bench), set()
+    grew = True
+    while grew:
+        grew = False
+        for key, name, cls, mentions in defs:
+            if key not in live and (key == entry or name is None or name in reached) and (cls is None or cls in live):
+                live.add(key)
+                reached.update(mentions)
+                grew = True
+    return [key for key, *_ in defs if key not in live]
+
+
+def unreachable() -> list:
+    trees = _source_trees()
+    src = {path: trees[path] for path in _modules()}
+    return _unreachable(src, {path: tree for path, tree in trees.items() if path not in src}, ("cli", "main"))
 
 
 def test_every_module_level_name_in_src_has_a_caller():
-    assert unused_names() == []
+    assert [key for key in unreachable() if len(key) == 2] == []
 
 
 def test_guard_sees_an_unused_definition():
-    tree = ast.parse("def used():\n    return 1\n\n\ndef unused():\n    return used()\n\n\nX = used()\n")
-    used, unused = tree.body[:2]
-    assert _names(tree)["unused"] == _names(unused)["unused"] == 0
-    assert _names(tree)["used"] > _names(used)["used"]
-    # a recursive call is part of the definition
-    rec = ast.parse("def f(n):\n    return f(n - 1)\n").body[0]
-    assert _names(rec)["f"] == 1
+    m = ("def main():\n    return used()\n\n\n"
+         "def used():\n    return 1\n\n\n"
+         "def unused():\n    return used()\n\n\n"
+         "def bench_only():\n    return 2\n\n\n"
+         "def f(n):\n    return f(n - 1)\n\n\n"
+         "def g():\n    return 3\n\n\n"
+         "TABLE = {'g': g}\n")
+    src = {Path("pkg/m.py"): ast.parse(m)}
+    bench = {Path("bench.py"): ast.parse("from pkg.m import bench_only\n\nbench_only()\n")}
+    # f names only itself; a module-level statement keeps g, the benchmark bench_only
+    assert _unreachable(src, bench, ("m", "main")) == [("m", "unused"), ("m", "f")]
+
+
+def test_guard_sees_a_chain_named_only_by_a_re_export():
+    m = ("def main():\n    return 1\n\n\n"
+         "def head():\n    return tail()\n\n\n"
+         "def tail():\n    return 2\n")
+    src = {Path("pkg/__init__.py"): ast.parse("from .m import head, main\n\n__all__ = ['head', 'main']\n"),
+           Path("pkg/m.py"): ast.parse("from . import head\n\n\n" + m)}
+    # neither the re-export nor the module's own import keeps head alive
+    assert _unreachable(src, {}, ("m", "main")) == [("m", "head"), ("m", "tail")]
 
 
 def test_every_method_in_src_has_a_caller():
-    assert unused_methods() == []
+    assert [key for key in unreachable() if len(key) == 3] == []
 
 
 def test_guard_sees_an_unused_method():
@@ -138,9 +175,14 @@ def test_guard_sees_an_unused_method():
            "    def helper(self):\n        return self.x\n\n"
            "    @property\n    def unused(self):\n        return self.unused\n\n"
            "    def recursive(self, n):\n        return self.recursive(n - 1)\n\n\n"
+           "class Dead:\n"
+           "    def __len__(self):\n        return 0\n\n"
+           "    def used(self):\n        return 1\n\n\n"
            "A().used()\n")
     path = Path("m.py")
-    assert _unused_methods({path: ast.parse(src)}, [path]) == [("m", "A", "unused"), ("m", "A", "recursive")]
+    # a dead class's methods die with it, a used name and a dunder included
+    assert _unreachable({path: ast.parse(src)}, {}, ("m", "main")) == [
+        ("m", "A", "unused"), ("m", "A", "recursive"), ("m", "Dead"), ("m", "Dead", "__len__"), ("m", "Dead", "used")]
 
 
 def _attribute_loads(node: ast.AST) -> Counter:

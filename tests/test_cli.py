@@ -248,6 +248,10 @@ class TestTrainEval:
         (lambda b: {k: v for k, v in b.items() if k != "format_version"}, "'format_version' must be 1, got None"),
         (lambda b: {**b, "task": "mystery"}, "'task' must be 'types' or 'partof', got 'mystery'"),
         (lambda b: {**b, "kind": "svm"}, "'kind' must be 'rwfn' or 'ltn', got 'svm'"),
+        (lambda b: {k: v for k, v in b.items() if k != "n"}, "'n' must be an int >= 1, got None"),
+        (lambda b: {**b, "n": 10.0}, "'n' must be an int >= 1, got 10.0"),
+        (lambda b: {**b, "n": True}, "'n' must be an int >= 1, got True"),
+        (lambda b: {**b, "n": 0}, "'n' must be an int >= 1, got 0"),
         (lambda b: {**b, "split_ratio": "0.8"}, "'split_ratio' must be a float in (0, 1), got '0.8'"),
         (lambda b: {**b, "split_ratio": 1.5}, "'split_ratio' must be a float in (0, 1), got 1.5"),
         (lambda b: {**b, "split_seed": 1.5}, "'split_seed' must be an int, got 1.5"),
@@ -257,7 +261,8 @@ class TestTrainEval:
         (lambda b: {**b, "predicates": {"partOf": []}}, "'predicates' must be a non-empty object of objects"),
         (lambda b: {**b, "predicates": {"isWhole": b["predicates"]["partOf"]}},
          "'predicates' must hold 'partOf' for task 'partof'"),
-    ], ids=["list", "version-99", "no-version", "task", "kind", "ratio-string", "ratio-range",
+    ], ids=["list", "version-99", "no-version", "task", "kind", "no-n", "n-float", "n-bool", "n-zero",
+            "ratio-string", "ratio-range",
             "seed-float", "seed-bool", "seed-negative", "no-predicates", "predicate-list", "no-partOf"])
     def test_eval_malformed_bundle_runtime_error(self, dataset_path, tmp_path, capsys, edit, message):
         model = tmp_path / "m.json"
@@ -271,6 +276,19 @@ class TestTrainEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: model bundle {model}: ") and message in err
+        assert not report.exists()
+
+    def test_eval_dataset_of_another_width_runtime_error(self, dataset_path, partof_bundles, tmp_path, capsys,
+                                                         monkeypatch):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(partof_bundles["rwfn"]))
+        wider = tmp_path / "wider.json"
+        assert run_cli(["gen-synth", "--scenes", "10", "--wholes", "3", "--seed", "7", "-o", str(wider)]) == 0
+        monkeypatch.setattr("rwfn.cli.model_from_spec", lambda *a, **k: pytest.fail("a model was loaded"))
+        report = tmp_path / "r.json"
+        assert run_cli(["eval", "--model", str(model), "--data", str(wider), "-o", str(report)]) == 1
+        assert capsys.readouterr().err == (f"error: model bundle {model} takes n=10 features per box, "
+                                           f"but dataset {wider} has n=13\n")
         assert not report.exists()
 
     @pytest.mark.parametrize("field", ["k", "in_dim"])

@@ -249,10 +249,15 @@ class TestGenerator:
         ("overlap_fraction", -0.1, "overlap_fraction must be in"),
         ("overlap_fraction", 1.5, "overlap_fraction must be in"),
         ("overlap_fraction", float("nan"), "overlap_fraction must be in"),
+        ("num_scenes", 2.5, "num_scenes must be an int, got 2.5"),
+        ("num_whole_classes", True, "num_whole_classes must be an int, got True"),
+        ("parts_per_whole", "2", "parts_per_whole must be an int, got '2'"),
+        ("seed", 1.0, "seed must be an int, got 1.0"),
     ])
     def test_bad_float_config(self, field, value, match):
         # past the config, nan noise gives noise-free data, inf noise 0/1
-        # features, and the others numpy errors in the generator
+        # features, and the others numpy errors in the generator; a float
+        # count fails inside it, and True makes one whole class
         with pytest.raises(DatasetError, match=match):
             SyntheticConfig(**{field: value})
 

@@ -56,6 +56,15 @@ class TestBuild:
         with pytest.raises(ValueError, match=field):
             EncoderConfig(input_dim=8, hidden_width=4, **{field: bad})
 
+    @pytest.mark.parametrize("field, value", [("input_dim", 8.0), ("input_dim", True), ("hidden_width", 4.5),
+                                              ("hidden_width", "4"), ("fan_in", 2.0), ("fan_in", True),
+                                              ("seed", 1.5), ("seed", None)])
+    def test_non_int_fields_rejected(self, field, value):
+        # fan_in=2.0 would fail in numpy's argpartition with a message that
+        # names no field
+        with pytest.raises(ValueError, match=f"{field} must be an int, got {value!r}"):
+            EncoderConfig(**{"input_dim": 8, "hidden_width": 4, "fan_in": 2, field: value})
+
     def test_negative_seed_rejected(self):
         # numpy's SeedSequence would refuse it only when the encoder is drawn
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):

@@ -30,17 +30,16 @@ from rwfn.logic import (
     Or,
     _intern_keys,
     _positions_by_value,
-    hmean,
     merge_theories,
     parse_kb,
-    satisfiability,
 )
 from rwfn.numerics import make_rng
 from rwfn.predicates import LabelPredicate, NtnPredicate, RwfnPredicate, init_ntn
 from rwfn.tasks import build_partof_theory, build_type_theory, make_classifier, make_rwfn_classifier
 from rwfn.training import SharedEncoderRegistry
 
-from oracles import batch_preds, expand_facts, intern_reference, luk_and, luk_implies, luk_not, luk_or, truth_of
+from oracles import (batch_preds, expand_facts, formula_values, hmean, intern_reference, luk_and, luk_implies, luk_not,
+                     luk_or, satisfiability, truth_of)
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -124,6 +123,23 @@ class TestParser:
         gt = const_theory("pred P/1\n" + text + "\n", {"P": {("a",): 0.5}})
         sat, _ = sat_and_grads(gt)
         assert 0.0 <= sat <= 1.0
+
+    def test_redeclared_arity_is_a_syntax_error(self):
+        assert parse_kb("pred P/1\npred P/1\nP(a)\n").signatures == {"P": 1}
+        with pytest.raises(KbSyntaxError, match="'P' is already declared with arity 1") as e:
+            parse_kb("pred P/1\npred P/2\n")
+        assert (e.value.line, e.value.col) == (2, 8)
+
+    def test_variable_bound_twice_is_a_syntax_error(self):
+        with pytest.raises(KbSyntaxError, match="forall binds 'x' twice") as e:
+            parse_kb("pred P/1\nforall x, y,x: P(x)\n")
+        assert (e.value.line, e.value.col) == (2, 13)
+
+    @pytest.mark.parametrize("name", ["forall", "exists"])
+    def test_quantifier_named_predicate_is_a_syntax_error(self, name):
+        with pytest.raises(KbSyntaxError, match=f"'{name}' is a quantifier, not a predicate name") as e:
+            parse_kb(f"pred P/1\n  pred {name}/1\n")
+        assert (e.value.line, e.value.col) == (2, 8)
 
     def test_huge_arity_is_a_syntax_error(self):
         with pytest.raises(KbSyntaxError, match="arity out of range"):
@@ -233,17 +249,17 @@ def truths_constants(truths: dict) -> set:
     return out
 
 
-def formula_value(gt: GroundedTheory, f: Formula, budget: int = 10_000, rng=None) -> float:
+def formula_value(gt: GroundedTheory, f: Formula) -> float:
     """f's truth under gt's grounding, from a plan over f alone."""
     alone = GroundedTheory(kb=KnowledgeBase(signatures=gt.kb.signatures, formulas=[f]),
                            constants=gt.constants, predicates=gt.predicates)
-    return float(GroundPlan(alone, budget, rng).formula_values()[0])
+    return float(formula_values(GroundPlan(alone, 10_000, make_rng(0)))[0])
 
 
 def sat_and_grads(gt: GroundedTheory, budget: int = 10_000, rng=None) -> tuple:
     """gt's satisfiability and {pred: {param: grad}} from one plan. A single
     theory keeps one batch per learnable predicate, so no batch stacks."""
-    plan = GroundPlan(gt, budget, rng)
+    plan = GroundPlan(gt, budget, rng if rng is not None else make_rng(0))
     sats, grads = plan.satisfiability_with_grads()
     preds = batch_preds(plan)
     assert all(len(heads) == 1 for heads in preds)
@@ -310,8 +326,8 @@ class TestSatisfiability:
         # domain^2 = 64 > budget 10, so tuples are sampled; fixed rng => fixed value
         truths = {("c%d" % i,): (i % 3) / 2.0 for i in range(8)}
         gt = const_theory("pred P/1\nforall x,y: P(x) -> P(y)\n", {"P": truths})
-        a = satisfiability(gt, instantiation_budget=10, rng=make_rng(5))
-        b = satisfiability(gt, instantiation_budget=10, rng=make_rng(5))
+        a = satisfiability(gt, 10, make_rng(5))
+        b = satisfiability(gt, 10, make_rng(5))
         assert a == b
 
     def test_budget_full_product_when_small(self):
@@ -319,7 +335,7 @@ class TestSatisfiability:
             "pred P/1\nforall x: P(x)\n",
             {"P": {("a",): 0.5, ("b",): 1.0}},
         )
-        assert satisfiability(gt, instantiation_budget=100) == pytest.approx(2.0 / 3.0, abs=1e-9)
+        assert satisfiability(gt, 100) == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     def test_nested_quantifier(self):
         gt = const_theory(
@@ -524,8 +540,8 @@ class TestCompiledPlanOracle:
         gt.kb.formulas = fs + [rename_constants(f) for f in fs]
         expected = [oracle_truth(gt, f, {}, []) for f in gt.kb.formulas]
         plan = GroundPlan(gt, budget=10**6, rng=make_rng(0))
-        assert np.allclose(plan.formula_values(), expected, rtol=0.0, atol=1e-12)
-        assert abs(plan.satisfiability() - hmean(expected)) <= 1e-12
+        assert np.allclose(formula_values(plan), expected, rtol=0.0, atol=1e-12)
+        assert abs(satisfiability(gt, 10**6) - hmean(expected)) <= 1e-12
 
     @given(kbs, st.integers(0, 50))
     @settings(max_examples=40, deadline=None)
@@ -545,9 +561,9 @@ class TestCompiledPlanOracle:
             for i in range(len(model.beta)):
                 saved = model.beta[i]
                 model.beta[i] = saved + step
-                hi = satisfiability(gt, instantiation_budget=10**6)
+                hi = satisfiability(gt, 10**6)
                 model.beta[i] = saved - step
-                lo = satisfiability(gt, instantiation_budget=10**6)
+                lo = satisfiability(gt, 10**6)
                 model.beta[i] = saved
                 numeric[i] = (hi - lo) / (2 * step)
             analytic = grads[name]["beta"] if name in grads else np.zeros_like(numeric)
@@ -826,7 +842,7 @@ def assert_grounds_as_its_expansion(gt: GroundedTheory, budget: int, rng_seed: i
     assert plan_digest(ours) == plan_digest(theirs)
     assert batch_preds(ours) == batch_preds(theirs)
     assert all(np.array_equal(a.x, b.x) for a, b in zip(ours.batches, theirs.batches, strict=True))
-    assert np.array_equal(ours.formula_values(), theirs.formula_values())
+    assert np.array_equal(formula_values(ours), formula_values(theirs))
     return plan, want
 
 
@@ -893,14 +909,14 @@ class TestLabelTruths:
 
     def test_label_truths_match_truth_of(self):
         # a label over a constant outside the domain labels no atom
-        p = LabelPredicate({("a", "b"): 0.25, ("c", "c"): 1, ("b", "a"): 0.5, ("z", "a"): 0.75}, default=0.125)
+        p = LabelPredicate({("a", "b"): 0.25, ("c", "c"): 1, ("b", "a"): 0.5, ("z", "a"): 0.75})
         gt = GroundedTheory(kb=parse_kb("pred S/2\nforall x,y: S(x,y)\n"),
                             constants={c: np.zeros(1) for c in "abc"}, predicates={"S": p})
         want = oracle_grounding(gt, 10, make_rng(0))
         assert len(want["atoms"]) == 9
         values = GroundPlan(gt, 10, make_rng(0))._fixed_values.tolist()
         assert values == [truth_of(p, args) for _, args in want["atoms"]]
-        assert sorted(set(values)) == [0.125, 0.25, 0.5, 1.0]
+        assert sorted(set(values)) == [0.0, 0.25, 0.5, 1.0]
 
     # a key of another arity, or not a tuple (the string "ab" has two
     # in-domain letters), is refused, even over constants outside the domain
@@ -1185,7 +1201,7 @@ def assert_fold_exact(gt: GroundedTheory, budget: int = 10**6, rng=None) -> tupl
     full = grounded_plan(gt, budget, copy.deepcopy(rng))
     plan = GroundPlan(gt, budget, rng)
     want_values, want_sats, atom_grads, want_grads = full_evaluation(full)
-    assert np.array_equal(plan.formula_values(), want_values)
+    assert np.array_equal(formula_values(plan), want_values)
     sats, grads, upstreams = sat_grads_and_upstreams(plan)
     assert np.array_equal(sats, want_sats)
     assert len(upstreams) == len(plan.batches)
@@ -1321,7 +1337,7 @@ class TestFold:
         assert [(q["instantiations"], q["evaluated"]) for q in plan.stats()["quantifiers"]] == [
             (3, 0), (3, 3), (9, 0), (3, 3)]
         assert sorted(r for g in plan._groups for r in g.rows.tolist()) == [2, 3]
-        assert plan.formula_values()[:2].tolist() == [1.0, 1.0]
+        assert formula_values(plan)[:2].tolist() == [1.0, 1.0]
         # Q(x) in formulas 2 and 3, and P(x) and R(x,x) in formula 3
         assert len(plan._occurrences) == 3 + 3 * 3
 
@@ -1351,7 +1367,7 @@ class TestFold:
         assert calls == []
         stats = plan.stats()
         assert stats["live_atoms"] == stats["atoms"] == {"Q": 3, "R": 9}
-        plan.formula_values()
+        formula_values(plan)
         assert len(calls) == len(plan._groups)
         assert_fold_exact(gt)
 

@@ -448,8 +448,10 @@ class TestParamCounts:
             m = RwfnPredicate.create(enc, mode=mode)
             assert count_params(m).learnable == m.beta.size
 
-    def test_label_predicate_is_free(self):
-        assert count_params(LabelPredicate({})) == ParamCount(total=0, learnable=0)
+    def test_label_predicate_is_refused(self):
+        # a label predicate is no model family: nothing counts its parameters
+        with pytest.raises(TypeError, match="unknown model type LabelPredicate"):
+            count_params(LabelPredicate({}))
 
     def test_learnable_bounded_by_total(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rwfn.data import SyntheticConfig, gen_synthetic, split
-from rwfn.logic import ForAll, parse_kb, satisfiability
+from rwfn.logic import ForAll, parse_kb
 from rwfn.numerics import make_rng
 from rwfn.predicates import init_ntn
 from rwfn.tasks import (
@@ -19,7 +19,7 @@ from rwfn.tasks import (
 )
 from rwfn.training import SharedEncoderRegistry, TrainConfig, train
 
-from oracles import truth_of
+from oracles import satisfiability, truth_of
 
 ASSET = Path(__file__).resolve().parent.parent / "assets" / "partof_ontology.kb"
 

@@ -4,7 +4,7 @@ import pytest
 from rwfn import predicates, training
 from rwfn.data import SyntheticConfig, gen_synthetic
 from rwfn.encoder import EncoderConfig, build_encoder, hidden_features
-from rwfn.logic import Atom, GroundedTheory, GroundPlan, KnowledgeBase, Not, merge_theories, parse_kb, satisfiability
+from rwfn.logic import Atom, GroundedTheory, GroundPlan, KnowledgeBase, Not, merge_theories, parse_kb
 from rwfn.numerics import make_rng
 from rwfn.predicates import LabelPredicate, RwfnPredicate, init_ntn
 from rwfn.training import (
@@ -18,7 +18,7 @@ from rwfn.training import (
 )
 from rwfn.tasks import build_partof_theory, make_rwfn_classifier
 
-from oracles import batch_preds, stored_floats
+from oracles import batch_preds, satisfiability, stored_floats
 
 
 def literal_theory(spec, seed=0, input_dim=4, b=8):
