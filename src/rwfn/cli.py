@@ -184,6 +184,10 @@ def cmd_eval(args) -> int:
     if bundle["n"] != ds.n:
         raise CliError(f"model bundle {args.model} takes n={bundle['n']} features per box, "
                        f"but dataset {args.data} has n={ds.n}")
+    classes = sorted(c.name for c in ds.classes)
+    if bundle["task"] == "types" and sorted(bundle["predicates"]) != classes:
+        raise CliError(f"model bundle {args.model} grounds classes {sorted(bundle['predicates'])}, "
+                       f"but dataset {args.data} has classes {classes}")
     test = split(ds, bundle["split_ratio"], make_rng(bundle["split_seed"])).test
     if any(not r.labels for r in test.records):
         raise CliError("test split contains unlabeled records; cannot evaluate")

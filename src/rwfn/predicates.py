@@ -25,6 +25,7 @@ whose truth is known.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -52,23 +53,40 @@ def block_rows(slices: int, d: int) -> int:
 
 def lifts(slices: int, d: int) -> bool:
     """Whether a ground plan feeds an NTN of `slices` bilinear slices of
-    width d its lifted rows (quadratic_lift): when a lifted row, d^2 + d + 1
-    wide, is narrower than the blocked kernels' (rows, slices*d)
+    width d its lifted rows (quadratic_lift): when a lifted row, d(d+1)/2 +
+    d + 1 wide, is narrower than the blocked kernels' (rows, slices*d)
     intermediate. On the acceptance data
-    the twelve stacked k=6 type heads (d=16) lift, 273 < 1152; one type
-    class (273 > 96) and the part-of NTN (d=32: 1057 > 192; d=44: 1981 >
+    the twelve stacked k=6 type heads (d=16) lift, 153 < 1152; one type
+    class (153 > 96) and the part-of NTN (d=32: 561 > 192; d=44: 1035 >
     264) do not."""
-    return d * d + d + 1 < slices * d
+    return d * (d + 1) // 2 + d + 1 < slices * d
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(d: int) -> tuple:
+    """Read-only (upper, lower, factor) for width d: the flat positions in
+    a (d, d) matrix of the pairs i <= j in row-major order, those of their
+    mirrors (j, i), and 0.5 on the diagonal, 1.0 elsewhere. So
+    (W[upper] + W[lower]) * factor is W_ij + W_ji off the diagonal and
+    W_ii on it, each exactly."""
+    i, j = np.triu_indices(d)
+    pairs = (i * d + j, j * d + i, np.where(i == j, 0.5, 1.0))
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 def quadratic_lift(x: np.ndarray) -> np.ndarray:
-    """Rows x, (n, d), lifted to [vec(x x^T) | x | 1], (n, d^2 + d + 1). An
-    NTN's pre-activation is linear in its parameters on these rows:
-    s_i = quadratic_lift(x) . [vec(W_i) | V_i | b_i]."""
+    """Rows x, (n, d), lifted to [x_i x_j for i <= j, row-major | x | 1],
+    (n, d(d+1)/2 + d + 1). An NTN's pre-activation is linear in its
+    parameters on these rows: v^T W v reads only W + W^T, so
+    s_i = quadratic_lift(x) . [(W_i + W_i^T) on and above the diagonal,
+    halved on it | V_i | b_i]."""
     n, d = x.shape
-    out = np.empty((n, d * d + d + 1))
-    out[:, :d * d] = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
-    out[:, d * d:-1] = x
+    i, j = np.triu_indices(d)
+    out = np.empty((n, len(i) + d + 1))
+    np.multiply(x[:, i], x[:, j], out=out[:, :len(i)])
+    out[:, len(i):-1] = x
     out[:, -1] = 1.0
     return out
 
@@ -129,10 +147,13 @@ class NtnPredicate:
 
     A stack of K models has a leading heads axis on every parameter; its
     hidden layer holds all K*k slices, and it outputs K truths per row.
-    The batch calls take rows, (n, d), or their quadratic_lift, (n, d^2 +
-    d + 1), as lift gives them: lifted, the pre-activation is one GEMM
-    with the parameters flattened per slice, and so is the gradient of W,
-    V and b; rows run the blocked kernels."""
+    The batch calls take rows, (n, d), or their quadratic_lift, (n,
+    d(d+1)/2 + d + 1), as lift gives them: lifted, the pre-activation is
+    one GEMM with the parameters folded per slice onto the pairs i <= j,
+    and so is the gradient of W, V and b; rows run the blocked kernels.
+    The twelve stacked type heads of the acceptance data lift (153 <
+    1152); one type class (153 > 96) and the part-of NTN (561 > 192, 1035
+    > 264) run the blocked kernels."""
 
     u: np.ndarray  # (k,)
     w: np.ndarray  # (k, d, d)
@@ -165,7 +186,7 @@ class NtnPredicate:
 
     def _lifted(self, x: np.ndarray) -> bool:
         d = self.input_dim
-        return x.shape[1] == d * d + d + 1
+        return x.shape[1] == d * (d + 1) // 2 + d + 1
 
     def lift(self, table: np.ndarray, args: np.ndarray | None = None) -> np.ndarray:
         """The rows the batch calls read, lifted when lifts(slices, d)."""
@@ -185,7 +206,13 @@ class NtnPredicate:
         x = np.asarray(x, dtype=np.float64)
         s, d = self.u.size, self.input_dim
         if self._lifted(x):
-            theta = np.concatenate([self.w.reshape(s, d * d), self.v.reshape(s, d), self.b.reshape(s, 1)], axis=1)
+            upper, lower, factor = _pairs(d)
+            w, pairs = self.w.reshape(s, d * d), len(upper)
+            theta = np.empty((s, x.shape[1]))  # [(W_i + W_i^T) on the pairs, W_ii on the diagonal | V_i | b_i]
+            np.add(w[:, upper], w[:, lower], out=theta[:, :pairs])
+            theta[:, :pairs] *= factor
+            theta[:, pairs:-1] = self.v.reshape(s, d)
+            theta[:, -1] = self.b.ravel()
             t = np.tanh(x @ theta.T)
         else:
             if x.shape[1] != d:
@@ -210,8 +237,13 @@ class NtnPredicate:
         dz = dz[:, None] if self.u.ndim == 1 else np.repeat(dz, self.slices, axis=1)
         ds = dz * self.u.ravel() * (1.0 - t * t)
         if self._lifted(x):
-            g = ds.T @ x  # (K*k, d^2 + d + 1): [vec(dW_i) | dV_i | db_i]
-            dw, dv, db = g[:, :d * d], g[:, d * d:-1], g[:, -1]
+            upper, lower, _ = _pairs(d)
+            g = ds.T @ x  # (K*k, d(d+1)/2 + d + 1): [dW_i on the pairs | dV_i | db_i]
+            pairs = len(upper)
+            dw = np.empty((s, d * d))  # dW_i[a, b] = dW_i[b, a] = sum_n ds[n, i] x[n, a] x[n, b]
+            dw[:, upper] = g[:, :pairs]
+            dw[:, lower] = g[:, :pairs]
+            dv, db = g[:, pairs:-1], g[:, -1]
         else:
             db = ds.sum(axis=0)
             dv = ds.T @ x                                                   # (K*k, d)

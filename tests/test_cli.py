@@ -173,7 +173,7 @@ class TestTrainEval:
         # class; the NTN stack (six k=6 heads over d=10 rows) runs on lifted rows
         n = records.pop()
         assert lockstep == {"parts": len(plans), "roots": n * len(plans), "groups": 2,
-                            "cache_bytes": n * (16 if shared else 10 * 10 + 10 + 1) * 8}
+                            "cache_bytes": n * (16 if shared else 10 * 11 // 2 + 10 + 1) * 8}
         for artifact in (model, tmp_path / "m.json.trace.json"):
             for field in ("plans", "lockstep", "cache_bytes", "groups"):
                 assert field not in artifact.read_text()
@@ -289,6 +289,23 @@ class TestTrainEval:
         assert run_cli(["eval", "--model", str(model), "--data", str(wider), "-o", str(report)]) == 1
         assert capsys.readouterr().err == (f"error: model bundle {model} takes n=10 features per box, "
                                            f"but dataset {wider} has n=13\n")
+        assert not report.exists()
+
+    def test_eval_types_dataset_of_other_classes_runtime_error(self, dataset_path, tmp_path, capsys, monkeypatch):
+        model = tmp_path / "m.json"
+        assert run_cli(["train", "--model", "rwfn", "--task", "types", "--data", str(dataset_path), "--b", "8",
+                        "--epochs", "2", "--budget", "100", "--seed", "0", "-o", str(model)]) == 0
+        # the same n = 10, other classes
+        other = tmp_path / "other.json"
+        assert run_cli(["gen-synth", "--scenes", "40", "--wholes", "3", "--parts-per-whole", "1", "--seed", "7",
+                        "-o", str(other)]) == 0
+        monkeypatch.setattr("rwfn.cli.model_from_spec", lambda *a, **k: pytest.fail("a model was loaded"))
+        report = tmp_path / "r.json"
+        assert run_cli(["eval", "--model", str(model), "--data", str(other), "-o", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: model bundle {model} grounds classes ['part0_0', 'part0_1', 'part1_0', 'part1_1', 'whole0', "
+            f"'whole1'], but dataset {other} has classes ['part0_0', 'part1_0', 'part2_0', 'whole0', 'whole1', "
+            f"'whole2']\n")
         assert not report.exists()
 
     @pytest.mark.parametrize("field", ["k", "in_dim"])

@@ -245,7 +245,7 @@ class TestSlotTables:
         # lifted, as an NTN of more slices reads them
         wide = init_ntn(8, 6, make_rng(4))
         assert np.array_equal(wide.lift(table, args), wide.lift(rows))
-        assert wide.lift(rows).shape == (50, 6 * 6 + 6 + 1)
+        assert wide.lift(rows).shape == (50, 6 * 7 // 2 + 6 + 1)
         for mode in ("full", "albm", "rff"):
             model = RwfnPredicate.create(enc, mode)
             assert np.abs(model.lift(table, args) - model.lift(rows)).max() <= 1e-12

@@ -350,17 +350,19 @@ class TestNtnLiftedKernels:
     def test_rule(self):
         assert not lifts(6, 16) and lifts(12 * 6, 16)  # a type class; the twelve stacked
         assert not lifts(6, 32) and not lifts(6, 44)     # the part-of NTN
-        assert not lifts(3, 1) and lifts(4, 1)           # d^2 + d + 1 = 3 at d = 1
-        assert not lifts(4, 3) and lifts(5, 3)           # 13 against 12 and 15
+        assert not lifts(3, 1) and lifts(4, 1)           # d(d+1)/2 + d + 1 = 3 at d = 1
+        assert not lifts(3, 3) and lifts(4, 3)           # 10 against 9 and 12
 
     def test_lift_columns(self):
         x = make_rng(0).random((5, 3))
         lifted = quadratic_lift(x)
+        assert lifted.shape == (5, 6 + 3 + 1)
         for row, want in zip(lifted, x):
-            assert np.array_equal(row, np.concatenate([np.outer(want, want).ravel(), want, [1.0]]))
+            pairs = [want[i] * want[j] for i in range(3) for j in range(i, 3)]
+            assert np.array_equal(row, np.concatenate([pairs, want, [1.0]]))
 
     # (heads, k, d) on both sides of the rule; heads=1 is a plain model
-    @pytest.mark.parametrize("heads, k, d", [(1, 1, 4), (1, 6, 16), (1, 6, 44), (2, 2, 3),
+    @pytest.mark.parametrize("heads, k, d", [(1, 1, 4), (1, 6, 16), (1, 6, 44), (2, 1, 4), (2, 2, 3),
                                              (1, 6, 4), (1, 500, 3), (3, 2, 3), (12, 6, 16)])
     def test_plan_input_matches_unblocked_oracle(self, heads, k, d):
         rng = make_rng(heads + 10 * k + 1000 * d)
@@ -370,12 +372,14 @@ class TestNtnLiftedKernels:
         x, upstream = rng.random((n, d)), rng.standard_normal((n, heads))
         plan_x = model.lift(x)
         if lifts(heads * k, d):
-            assert plan_x.shape == (n, d * d + d + 1)
+            assert plan_x.shape == (n, d * (d + 1) // 2 + d + 1)
         else:
             assert plan_x is x
         out, saved = model.forward_batch(plan_x)
         hidden = saved[0]
         grads = model.gradient_batch(plan_x, upstream[:, 0] if heads == 1 else upstream, saved)
+        if lifts(heads * k, d):  # one pair column gives dW_ij and dW_ji
+            assert np.array_equal(grads["w"], np.swapaxes(grads["w"], -1, -2))
         for j, m in enumerate(models):
             want = ntn_hidden_oracle(m, x)
             assert_close_rel(hidden[:, j * k:(j + 1) * k], want)
@@ -387,6 +391,39 @@ class TestNtnLiftedKernels:
                 assert g.shape == m.learnable_params()[name].shape
                 assert_close_rel(g, expected[name])
 
+    @pytest.mark.parametrize("heads, k, d", [(1, 6, 4), (12, 6, 16)])
+    def test_antisymmetric_w_leaves_the_linear_part(self, heads, k, d):
+        # x, V and b are multiples of 1/8, so V x + b is exact in any
+        # summation order; W = A - A^T folds to exact zeros
+        rng = make_rng(d)
+        models = []
+        for _ in range(heads):
+            a = rng.standard_normal((k, d, d))
+            models.append(NtnPredicate(u=rng.standard_normal(k), w=a - a.transpose(0, 2, 1),
+                                       v=rng.integers(-8, 9, (k, d)) / 8, b=rng.integers(-8, 9, k) / 8))
+        model = models[0] if heads == 1 else stack(models)[0]
+        assert lifts(heads * k, d)
+        x = rng.integers(0, 9, (50, d)) / 8
+        hidden = model.forward_batch(model.lift(x))[1][0]
+        assert np.array_equal(hidden, np.tanh(np.hstack([x @ m.v.T + m.b for m in models])))
+
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "general"])
+    def test_lifted_operand_reads_back_the_symmetric_part(self, diagonal):
+        # the lifted rows of the identity read each operand column alone:
+        # W_ii on the diagonal pairs, W_ij + W_ji off it, then V and b
+        k, d = 6, 4
+        rng = make_rng(5)
+        w = rng.standard_normal((k, d, d))
+        if diagonal:
+            w *= np.eye(d)
+        model = NtnPredicate(u=rng.standard_normal(k), w=w, v=rng.standard_normal((k, d)), b=rng.standard_normal(k))
+        i, j = np.triu_indices(d)
+        width = len(i) + d + 1
+        assert lifts(k, d) and width == 15
+        hidden = model.forward_batch(np.eye(width))[1][0]
+        folded = np.where(i == j, w[:, i, j], w[:, i, j] + w[:, j, i])
+        assert np.array_equal(hidden, np.tanh(np.hstack([folded, model.v, model.b[:, None]])).T)
+
     def test_plan_lifts_the_type_stack_only(self):
         # acceptance-shaped data: twelve classes over d=16 rows, k=6
         ds = gen_synthetic(SyntheticConfig(num_scenes=10, seed=3))
@@ -395,7 +432,7 @@ class TestNtnLiftedKernels:
                     for i, c in enumerate(ds.classes)]
         rows = len(ds.records)
         stats = GroundPlan(merge_theories(theories), 100, make_rng(0)).stats()
-        assert stats["cache_bytes"] == rows * (16 * 16 + 16 + 1) * 8
+        assert stats["cache_bytes"] == rows * (16 * 17 // 2 + 16 + 1) * 8
         # the others keep their argument rows
         assert GroundPlan(theories[0], 100, make_rng(0)).stats()["cache_bytes"] == rows * 16 * 8
         partof = build_partof_theory(ds, init_ntn(DEFAULT_K, 2 * ds.n, make_rng(0)))

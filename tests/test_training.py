@@ -300,15 +300,16 @@ POOL = [f"c{i}" for i in range(8)]
 VECTORS = {c: make_rng(900 + i).random(3) for i, c in enumerate(POOL)}
 
 
-def generated_theory(seed: int, kind: str, encoder=None, constants=POOL, quantified=True) -> GroundedTheory:
+def generated_theory(seed: int, kind: str, encoder=None, constants=POOL, quantified=True, k=2) -> GroundedTheory:
     """A literal of a learnable P for each constant, in order, and with
     `quantified` a label predicate L and axioms whose two-variable
     quantifiers sample at budget 20 < |D|^2. P's atoms come in the same
-    order in any two of these theories over the same constants. A learnable
-    U has no atoms and moves by its L2 term alone."""
+    order in any two of these theories over the same constants. An NTN P
+    has k slices. A learnable U has no atoms and moves by its L2 term
+    alone."""
     rng = make_rng(seed)
     if kind == "ntn":
-        model = init_ntn(2, 3, rng)
+        model = init_ntn(k, 3, rng)
     else:
         model = RwfnPredicate(encoder, 0.1 * rng.standard_normal(16))
     lines = ["pred P/1", "pred L/1"]
@@ -355,16 +356,17 @@ class TestTrainMany:
     def test_ntn_stack_matches_train(self, seed):
         traces = assert_lockstep_matches(
             lambda: [generated_theory(seed * 10 + i, "ntn") for i in range(4)], self.CFG)
-        # four k=2 heads at d=3 run on lifted rows, d^2 + d + 1 = 13 wide
-        assert traces[0].lockstep["cache_bytes"] == len(POOL) * 13 * 8
+        # four k=2 heads at d=3 run on lifted rows, d(d+1)/2 + d + 1 = 10 wide
+        assert traces[0].lockstep["cache_bytes"] == len(POOL) * 10 * 8
 
     @pytest.mark.parametrize("theories", [2, 3, 12])
     def test_ntn_stack_matches_train_on_both_sides_of_the_lift(self, theories):
-        # 2 heads keep the blocked kernels (13 > 2*2*3); 3 and 12 lift,
-        # as the twelve type classes do
+        # 2 heads of k=1 keep the blocked kernels (10 > 2*1*3); 3 and 12 of
+        # k=2 lift, as the twelve type classes do
+        k = 1 if theories == 2 else 2
         traces = assert_lockstep_matches(
-            lambda: [generated_theory(50 + i, "ntn") for i in range(theories)], self.CFG)
-        assert traces[0].lockstep["cache_bytes"] == len(POOL) * (3 if theories == 2 else 13) * 8
+            lambda: [generated_theory(50 + i, "ntn", k=k) for i in range(theories)], self.CFG)
+        assert traces[0].lockstep["cache_bytes"] == len(POOL) * (3 if theories == 2 else 10) * 8
 
     def test_lift_is_built_once_per_plan(self, monkeypatch):
         calls = []
