@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=positive_int, default=None,
                    help=f"hidden width (default {DEFAULT_B_TYPES} types / {DEFAULT_B_PARTOF} partof)")
     p.add_argument("--shared-encoder", action="store_true")
-    p.add_argument("--k", type=positive_int, default=DEFAULT_K)
+    p.add_argument("--k", type=positive_int, default=None, help=f"NTN slices (default {DEFAULT_K})")
     _add_train_flags(p)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_train)
@@ -378,6 +378,11 @@ def main(argv=None) -> int:
         # only per-class rwfn classifiers have a frozen encoder to share
         parser.error(f"--shared-encoder applies to --model rwfn --task types, not --model {args.model} "
                      f"--task {args.task}")
+    if args.func is cmd_train:
+        for flag, model in (("b", "ltn"), ("k", "rwfn")):  # each width belongs to one model family
+            if args.model == model and getattr(args, flag) is not None:
+                parser.error(f"--{flag} does not apply to --model {model}")
+        args.k = DEFAULT_K if args.k is None else args.k
     if args.func is cmd_compare and Path(args.output).suffix == ".txt":
         parser.error(f"{args.command} would write its report to {args.output} and its table to "
                      f"{Path(args.output).with_suffix('.txt')}, the same file; give -o another suffix")

@@ -73,7 +73,11 @@ class Dataset:
         self._index = {r.id: r for r in self.records}
         if len(self._index) != len(self.records):
             raise DatasetError("duplicate record ids")
-        for c in self.classes:
+        for i, c in enumerate(self.classes):
+            if c.name in (d.name for d in self.classes[:i]):
+                raise DatasetError(f"class {c.name!r} is declared twice")
+            if c.role not in ("whole", "part"):
+                raise DatasetError(f"class {c.name!r}: role must be 'whole' or 'part', got {c.role!r}")
             for p in c.parts:
                 if p not in names:
                     raise DatasetError(f"ontology edge {c.name}->{p} references undeclared class")
@@ -337,6 +341,8 @@ def split(ds: Dataset, ratio: float, rng: np.random.Generator) -> SplitResult:
     """
     if not 0.0 < ratio < 1.0:
         raise DatasetError(f"split ratio must be in (0,1), got {ratio}")
+    if not ds.records:
+        raise DatasetError("dataset has no records to split")
 
     by_class: dict[str, list] = {}
     for r in ds.records:

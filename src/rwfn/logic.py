@@ -477,15 +477,14 @@ class _Group:
 @dataclass
 class _Batch:
     """Learnable predicates whose atoms read the same rows, evaluated as one
-    model: the stack of all of them, one head each, or of the one
-    (predicates.stack). theta holds the model's learnable arrays in one
-    vector, and building the plan rebinds the members' arrays to views of
-    it, so one in-place step on theta trains them all. indices holds
-    the live atom of each row, (n,), or of each row and head, (n, heads),
-    as the model's truths: a row is kept when one of its atoms has an
-    occurrence that can pass a gradient (see the ground-plan comment). x
-    holds the rows the model reads (model.lift): an RWFN's frozen hidden
-    layer, an NTN's argument rows or their quadratic lift."""
+    model: the stack of their K >= 1 models (predicates.stack). theta holds
+    the model's learnable arrays in one vector, and building the plan
+    rebinds the members' arrays to views of it, so one in-place step on
+    theta trains them all. indices holds the live atom of each row and
+    head, (n, K), as the model's truths: a row is kept when one of its
+    atoms has an occurrence that can pass a gradient (see the ground-plan
+    comment). x holds the rows the model reads (model.lift): an RWFN's
+    frozen hidden layer, an NTN's argument rows or their quadratic lift."""
 
     members: list
     model: object
@@ -630,8 +629,8 @@ class GroundPlan:
         rows = []
         for members in same_rows.values():
             preds, models, indices, args = zip(*members)
-            indices = indices[0] if len(models) == 1 else np.stack(indices, axis=1)
-            keep = live[indices] if indices.ndim == 1 else live[indices].any(axis=1)
+            indices = np.stack(indices, axis=1)
+            keep = live[indices].any(axis=1)
             self._live_rows.update(dict.fromkeys(preds, int(keep.sum())))
             if keep.any():  # else its predicates take no gradient from the logic
                 rows.append((models, indices[keep], args[0][keep]))

@@ -15,10 +15,10 @@ gradient_batch(x, upstream, saved) takes that back. An RWFN saves its
 truths, an NTN its hidden layer tanh(s) and its truths, so the NTN's
 hidden layer runs inside its forward call. Learnable models with equal
 stack_key() read their rows the same way, so stack(models) makes one
-model of K heads that gives a row's K truths in one pass, and packs its
-learnable arrays into one vector; each member's arrays become views of
-its head in that vector, so one training step per epoch on the vector
-trains every member. A third, non-learnable family grounds
+model of K >= 1 heads that gives a row's K truths in one pass, its
+learnable arrays led by a heads axis and packed into one vector; each
+member's arrays become views of its rows in it, so one training step per
+epoch on the vector trains every member. A third, non-learnable family grounds
 predicates directly from dataset labels; it is used for ontology axioms
 whose truth is known.
 """
@@ -105,13 +105,12 @@ class ParamCount:
 class RwfnPredicate:
     """sigma(beta . h(v)) with a frozen random encoder and trainable beta.
 
-    A stack of K decoders over one encoder has a (2B, K) beta."""
+    A stack of K decoders over one encoder has a (K, 2B) beta."""
 
     encoder: RwfnEncoder
     beta: np.ndarray
     mode: str = "full"  # "full" | "albm" | "rff"
     symbolic = False
-    heads_axis = 1
 
     def stack_key(self) -> tuple:
         return (RwfnPredicate, id(self.encoder), self.mode)
@@ -129,13 +128,14 @@ class RwfnPredicate:
     def forward_batch(self, h: np.ndarray) -> tuple:
         """The truths of the hidden rows h, twice: gradient_batch needs
         them alone."""
-        p = sigmoid(h @ self.beta)
+        # row-major beta^T: read in place, some shapes round otherwise and shared-encoder fits move by ulps
+        p = sigmoid(h @ np.ascontiguousarray(self.beta.T))
         return p, p
 
     def gradient_batch(self, h: np.ndarray, upstream: np.ndarray, p: np.ndarray) -> dict:
         """d(sum_i upstream_i * out_i)/d beta, p being the truths
         forward_batch(h) saved. The encoder receives no gradient."""
-        return {"beta": h.T @ (np.asarray(upstream) * p * (1.0 - p))}
+        return {"beta": (np.asarray(upstream) * p * (1.0 - p)).T @ h}
 
     def learnable_params(self) -> dict:
         return {"beta": self.beta}
@@ -145,8 +145,9 @@ class RwfnPredicate:
 class NtnPredicate:
     """sigma(u . tanh(s)), s_i = v^T W_i v + (V v)_i + b_i. Fully trainable.
 
-    A stack of K models has a leading heads axis on every parameter; its
-    hidden layer holds all K*k slices, and it outputs K truths per row.
+    A stack of K models has a leading heads axis on every parameter and
+    outputs K truths per row; its hidden layer holds all K*k slices, read
+    as (n, K, k), and one model's as (n, 1, k).
     The batch calls take rows, (n, d), or their quadratic_lift, (n,
     d(d+1)/2 + d + 1), as lift gives them: lifted, the pre-activation is
     one GEMM with the parameters folded per slice onto the pairs i <= j,
@@ -160,7 +161,6 @@ class NtnPredicate:
     v: np.ndarray  # (k, d)
     b: np.ndarray  # (k,)
     symbolic = False
-    heads_axis = 0
 
     def __post_init__(self):
         *heads, k, d = self.v.shape
@@ -195,10 +195,6 @@ class NtnPredicate:
             x = x[args].reshape(len(args), -1)
         return quadratic_lift(x) if lifts(self.u.size, self.input_dim) else x
 
-    def _heads(self, t: np.ndarray) -> np.ndarray:
-        """(n, K, k) view of a stack's hidden layer."""
-        return t.reshape(len(t), *self.u.shape)
-
     def forward_batch(self, x: np.ndarray) -> tuple:
         """The truths of the rows x, and (t, truths) for gradient_batch, t
         being the hidden layer tanh(s), s[n, i] = x_n^T W_i x_n + (V x_n)_i
@@ -224,17 +220,18 @@ class NtnPredicate:
                 xb = x[lo:lo + rows]
                 quad[lo:lo + len(xb)] = np.einsum("nie,ne->ni", (xb @ w2).reshape(len(xb), s, d), xb)
             t = np.tanh(quad + x @ self.v.reshape(s, d).T + self.b.ravel())
-        p = sigmoid(t @ self.u) if self.u.ndim == 1 else sigmoid(np.einsum("nhi,hi->nh", self._heads(t), self.u))
+        p = sigmoid(np.einsum("nhi,hi->nh", t.reshape(len(t), -1, self.slices), self.u.reshape(-1, self.slices)))
+        p = p.reshape(len(t), *self.heads)
         return p, (t, p)
 
     def gradient_batch(self, x: np.ndarray, upstream: np.ndarray, saved: tuple) -> dict:
         x = np.asarray(x, dtype=np.float64)
         t, p = saved
-        dz = np.asarray(upstream) * p * (1.0 - p)  # (n,), or (n, K) for a stack
-        du = t.T @ dz if self.u.ndim == 1 else np.einsum("nhi,nh->hi", self._heads(t), dz)
+        dz = (np.asarray(upstream) * p * (1.0 - p)).reshape(len(t), -1)  # (n, H)
+        du = np.einsum("nhi,nh->hi", t.reshape(len(t), -1, self.slices), dz).reshape(self.u.shape)
         s, d = self.u.size, self.input_dim
-        # (n, K*k) in t's layout: a stack repeats each head's dz over its slices
-        dz = dz[:, None] if self.u.ndim == 1 else np.repeat(dz, self.slices, axis=1)
+        # (n, H*k) in t's layout: each head's dz over its slices, a view for one head
+        dz = np.broadcast_to(dz[:, :, None], (*dz.shape, self.slices)).reshape(len(t), s)
         ds = dz * self.u.ravel() * (1.0 - t * t)
         if self._lifted(x):
             upper, lower, _ = _pairs(d)
@@ -275,38 +272,27 @@ def stack(models: list) -> tuple:
     """(model, theta): one model of K heads, head j being models[j], which
     must have equal stack_key(), and one float64 vector theta that holds
     the model's learnable arrays in learnable_params() order, each with a
-    heads axis at heads_axis when K > 1. The model's arrays, and each
-    member's, are views of theta, so one in-place update of theta trains
-    them all. K = 1 packs one model, whose arrays keep their shapes."""
-    first, axis = models[0], models[0].heads_axis
+    leading heads axis of length K, for any K >= 1. Each member's arrays
+    become the contiguous rows full[j] of the stacked arrays, and all are
+    views of theta, so one in-place update of theta trains them all."""
+    first = models[0]
     theta = np.empty(len(models) * sum(p.size for p in first.learnable_params().values()))
     arrays, lo = {}, 0
     for name, p in first.learnable_params().items():
-        full = theta[lo:lo + len(models) * p.size].reshape(*p.shape[:axis], len(models), *p.shape[axis:])
-        np.stack([m.learnable_params()[name] for m in models], axis=axis, out=full)
+        full = arrays[name] = theta[lo:lo + len(models) * p.size].reshape(len(models), *p.shape)
+        np.stack([m.learnable_params()[name] for m in models], out=full)
         lo += full.size
-        heads = np.moveaxis(full, axis, 0)
-        for m, head in zip(models, heads):
+        for m, head in zip(models, full):
             setattr(m, name, head)
-        arrays[name] = full if len(models) > 1 else heads[0]
     return replace(first, **arrays), theta
 
 
-def square_sums(model, heads: int) -> list:
-    """sum(p * p) of each learnable array p of each head of a stack of
-    heads, or of a model that is not a stack (heads = 1): one list per
-    head, in learnable_params() order. Each head's squares are summed
-    alone over a contiguous row, so each sum equals np.sum(p * p) over
-    that head's own view, bit for bit."""
-    params = model.learnable_params().values()
-    if heads == 1:
-        return [[float((p * p).sum()) for p in params]]
-    rows = []
-    for p in params:
-        if model.heads_axis:  # else head-major already
-            p = np.ascontiguousarray(np.moveaxis(p, model.heads_axis, 0))
-        rows.append((p * p).reshape(heads, -1).sum(axis=1))
-    return np.array(rows).T.tolist()
+def square_sums(model) -> list:
+    """sum(p * p) of each learnable array p of each head of a stack, K read
+    from the arrays' leading axis: one tuple per head, in learnable_params()
+    order. Each head's squares are summed alone over its contiguous row, so
+    each sum equals np.sum(p * p) over that head's own view, bit for bit."""
+    return list(zip(*[(p * p).reshape(len(p), -1).sum(axis=1).tolist() for p in model.learnable_params().values()]))
 
 
 @dataclass

@@ -9,11 +9,11 @@ every atom, so their epochs cost only decoder-sized dot products.
 Theories over one set of constants train in lockstep (train_many): one
 plan, each theory a slice of its formulas. Learnable predicates of equal
 stack_key() that read the same rows, in one theory or several, run as one
-stacked model. Each plan model, and each learnable predicate without
-atoms, holds its arrays in the one float64 vector predicates.stack packs:
-its named arrays, and a stack's member heads, are views into it, so one
-RMSProp step per model and epoch updates them all in place and nothing is
-copied back. A theory's L2 term adds, in its predicates' order, one sum of
+stacked model, a lone one as a stack of one head. Each plan model, and
+each learnable predicate without atoms, holds its arrays, led by a heads
+axis, in the one float64 vector predicates.stack packs, and its members'
+rows are views of it: one RMSProp step per model and epoch updates all in
+place. A theory's L2 term adds, in its predicates' order, one sum of
 squares per array of its own, taken per head from one reduction over each
 stacked array (predicates.square_sums). Each theory's loss, parameters and
 quantifier samples are those of training it alone, up to rounding; the L2
@@ -120,8 +120,8 @@ def train_many(theories: list, cfg: TrainConfig) -> list:
     gt = theories[0] if len(theories) == 1 else merge_theories(theories)
     plan = GroundPlan(gt, cfg.instantiation_budget, make_rng(cfg.seed))
     # the plan's models, then the learnable predicates without atoms, which
-    # still take their L2 steps; each holds its arrays, and a stack its
-    # members' heads, in one vector that one step per epoch updates in place
+    # still take their L2 steps; each, a stack of one head or more, holds its
+    # members' heads in one vector that one step per epoch updates in place
     units = [(b.model, b.theta, b.members) for b in plan.batches]
     batched = {id(m) for b in plan.batches for m in b.members}
     units += [(*stack([m]), [m]) for t in theories for m in t.learnable_predicates().values() if id(m) not in batched]
@@ -141,7 +141,7 @@ def train_many(theories: list, cfg: TrainConfig) -> list:
         t0 = time.perf_counter()
         sats, sat_grads = plan.satisfiability_with_grads()
         sats = sats.tolist()
-        squares = [square_sums(model, len(members)) for model, _, members in units]
+        squares = [square_sums(model) for model, _, _ in units]
         # in Python floats, a huge l2 makes the loss inf without a warning
         losses = [(1.0 - sat) + cfg.l2 * sum([s for i, j in refs for s in squares[i][j]])
                   for sat, refs in zip(sats, own)]

@@ -53,14 +53,18 @@ def dataset_path(tmp_path_factory):
     return path
 
 
+# the small width flag of each model family
+WIDTH = {"rwfn": ["--b", "8"], "ltn": ["--k", "2"]}
+
+
 @pytest.fixture(scope="module")
 def partof_bundles(dataset_path, tmp_path_factory):
     """model kind -> a part-of bundle trained on dataset_path."""
     out = {}
     for kind in ("rwfn", "ltn"):
         path = tmp_path_factory.mktemp(kind) / "m.json"
-        assert run_cli(["train", "--model", kind, "--task", "partof", "--data", str(dataset_path), "--b", "8",
-                        "--k", "2", "--epochs", "2", "--budget", "100", "--seed", "0", "-o", str(path)]) == 0
+        assert run_cli(["train", "--model", kind, "--task", "partof", "--data", str(dataset_path), *WIDTH[kind],
+                        "--epochs", "2", "--budget", "100", "--seed", "0", "-o", str(path)]) == 0
         out[kind] = json.loads(path.read_text())
     return out
 
@@ -159,8 +163,8 @@ class TestTrainEval:
     def test_types_manifest_reports_one_lockstep_plan(self, dataset_path, tmp_path, model_kind, shared):
         model = tmp_path / "m.json"
         assert run_cli(["train", "--model", model_kind, "--task", "types", "--data", str(dataset_path),
-                        "--b", "8", "--epochs", "2", "--seed", "0", "-o", str(model)]
-                       + ["--shared-encoder"] * shared) == 0
+                        "--epochs", "2", "--seed", "0", "-o", str(model)]
+                       + ["--b", "8", "--shared-encoder"] * shared) == 0
         manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
         plans, lockstep = manifest["plans"], manifest["lockstep"]
         # each class's plan is its own part: one literal per training record
@@ -182,8 +186,9 @@ class TestTrainEval:
     def test_train_manifest_reports_final_satisfiability(self, dataset_path, tmp_path, model_kind, task, epochs, tail):
         # the last tenth of 25 epochs is the last 3, of 3 epochs the last one
         model = tmp_path / "m.json"
-        assert run_cli(["train", "--model", model_kind, "--task", task, "--data", str(dataset_path), "--b", "8",
-                        "--k", "2", "--epochs", str(epochs), "--budget", "100", "--seed", "0", "-o", str(model)]) == 0
+        assert run_cli(["train", "--model", model_kind, "--task", task, "--data", str(dataset_path),
+                        *WIDTH[model_kind], "--epochs", str(epochs), "--budget", "100", "--seed", "0",
+                        "-o", str(model)]) == 0
         manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
         traces = json.loads((tmp_path / "m.json.trace.json").read_text())
         assert manifest["final_sat"] == {name: {"last_epoch": tr["sat"][-1], "min_last_10pct": min(tr["sat"][tail:])}
@@ -201,6 +206,30 @@ class TestTrainEval:
                         "--shared-encoder", "--epochs", "1", "-o", str(model)]) == 2
         assert f"not --model {model_kind} --task {task}" in capsys.readouterr().err
         assert not model.exists()
+
+    # each used to train with the flag ignored, and exit 0
+    @pytest.mark.parametrize("model_kind, flag", [("ltn", "--b"), ("rwfn", "--k")])
+    def test_width_of_the_other_model_usage_error(self, dataset_path, tmp_path, capsys, model_kind, flag):
+        model = tmp_path / "m.json"
+        assert run_cli(["train", "--model", model_kind, "--task", "types", "--data", str(dataset_path),
+                        flag, "7", "--epochs", "1", "-o", str(model)]) == 2
+        assert f"{flag} does not apply to --model {model_kind}" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("model_kind", ["ltn", "rwfn"])
+    def test_train_manifest_records_the_k_used(self, dataset_path, tmp_path, model_kind):
+        assert run_cli(["train", "--model", model_kind, "--task", "partof", "--data", str(dataset_path),
+                        "--epochs", "1", "--budget", "100", "-o", str(tmp_path / "m.json")]) == 0
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        assert manifest["config"]["k"] == DEFAULT_K and manifest["config"]["b"] is None
+
+    def test_empty_dataset_runtime_error(self, tmp_path, capsys):
+        # used to end in a StopIteration traceback after training nothing
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"format_version": 1, "n": 4, "classes": [], "records": [], "pairs": []}))
+        assert run_cli(["train", "--model", "rwfn", "--task", "types", "--data", str(empty),
+                        "-o", str(tmp_path / "m.json")]) == 1
+        assert "error: dataset has no records to split" in capsys.readouterr().err
 
     def test_train_determinism(self, dataset_path, tmp_path):
         outs = []
@@ -621,7 +650,9 @@ def test_parser_defaults_are_the_config_defaults(argv, config, unset, given):
     assert {name: args[name] for name in fields.keys() & args.keys()} == {
         name: value for name, value in fields.items() if name not in unset}
     if argv[0] != "gen-synth":
-        assert args["k"] == DEFAULT_K
+        # train leaves k unset, so that main can refuse it for rwfn, then
+        # resolves it to DEFAULT_K (test_train_manifest_records_the_k_used)
+        assert args["k"] == (None if argv[0] == "train" else DEFAULT_K)
 
 
 def test_console_script_entrypoint():

@@ -89,6 +89,22 @@ class TestValidation:
         with pytest.raises(DatasetError):
             Dataset(n=6, classes=ds.classes, records=ds.records + ds.records, pairs=[])
 
+    def test_repeated_class_refused(self):
+        # a copy of a class used to load, then train, and fail only in eval
+        obj = dataset_to_json(tiny_dataset())
+        obj["classes"].append(dict(obj["classes"][1]))
+        with pytest.raises(DatasetError, match="^class 'part0' is declared twice$"):
+            dataset_from_json(obj)
+
+    # "Whole" used to load as a class of neither role: no isWhole labels
+    @pytest.mark.parametrize("role", ["Whole", "", "object", None])
+    def test_class_role_must_be_whole_or_part(self, role):
+        obj = dataset_to_json(tiny_dataset())
+        obj["classes"][0]["role"] = role
+        with pytest.raises(DatasetError) as e:
+            dataset_from_json(obj)
+        assert str(e.value) == f"class 'whole0': role must be 'whole' or 'part', got {role!r}"
+
     def test_malformed_json(self):
         with pytest.raises(DatasetError):
             dataset_from_json({"n": 4})

@@ -258,12 +258,14 @@ def formula_value(gt: GroundedTheory, f: Formula) -> float:
 
 def sat_and_grads(gt: GroundedTheory, budget: int = 10_000, rng=None) -> tuple:
     """gt's satisfiability and {pred: {param: grad}} from one plan. A single
-    theory keeps one batch per learnable predicate, so no batch stacks."""
+    theory keeps one batch per learnable predicate, a stack of one head,
+    so each gradient is that head's: its row 0."""
     plan = GroundPlan(gt, budget, rng if rng is not None else make_rng(0))
     sats, grads = plan.satisfiability_with_grads()
     preds = batch_preds(plan)
     assert all(len(heads) == 1 for heads in preds)
-    return float(sats[0]), {heads[0][1]: g for heads, g in zip(preds, grads)}
+    assert all(len(a) == 1 for g in grads for a in g.values())
+    return float(sats[0]), {heads[0][1]: {name: a[0] for name, a in g.items()} for heads, g in zip(preds, grads)}
 
 
 class TestEvalFormula:
@@ -750,8 +752,9 @@ def assert_batch_inputs(plan: GroundPlan, want: dict) -> None:
     assert batch_preds(plan) == [[(0, pred)] for pred, _, _ in inputs]
     table = np.stack([plan.gt.constants[c] for c in sorted(plan.gt.constants)])
     for b, (pred, indices, args) in zip(plan.batches, inputs):
+        assert b.indices.shape == (live[pred], 1)  # one head
         kept = np.isin(indices, b.indices)
-        assert np.array_equal(b.indices, np.asarray(indices)[kept]) and len(b.indices) == live[pred]
+        assert np.array_equal(b.indices[:, 0], np.asarray(indices)[kept])
         assert np.array_equal(b.x, b.model.lift(table, args[kept]))
 
 
@@ -1469,7 +1472,9 @@ def acceptance_plan(task: str) -> GroundPlan:
 
 @pytest.mark.parametrize("task, digest", [
     ("types", "5d75467c0fbfdf555e4eee809bcb291af0bbf927e52976afa509f3a8d03b7e2f"),
-    ("partof", "730dd859cbf0a3fcdcad675e8ed7904a6e17ff1d4b89a5356705499abbb5c7ed"),
+    # its one-head batch's indices are (n, 1); raveled to (n,) they hash to
+    # 730dd859..., the digest of the (n,) indices before every batch stacked
+    ("partof", "de2eaabbbeba2c2299c2db73075a2b856b4a0ed8bf0cd47b9f2ec733d0dafb97"),
 ])
 def test_plan_arrays_are_pinned(task, digest):
     assert plan_digest(acceptance_plan(task)) == digest

@@ -259,11 +259,11 @@ class TestNtnBlockedKernels:
         grads = stacked.gradient_batch(x, upstream, saved)
         for j, m in enumerate(heads):
             expected = ntn_gradient_oracle(m, x, upstream[:, j])
-            got = {name: np.take(g, j, axis=stacked.heads_axis) for name, g in grads.items()}
+            got = {name: g[j] for name, g in grads.items()}
             assert got.keys() == expected.keys()
             for name, g in got.items():
                 assert_close_rel(g, expected[name])
-            assert all(np.array_equal(np.take(p, j, axis=stacked.heads_axis), m.learnable_params()[name])
+            assert all(np.array_equal(p[j], m.learnable_params()[name])
                        for name, p in stacked.learnable_params().items())
 
     def test_rwfn_stack_matches_its_heads(self):
@@ -271,7 +271,7 @@ class TestNtnBlockedKernels:
         rng = make_rng(2)
         heads = [RwfnPredicate(enc, rng.standard_normal(32)) for _ in range(3)]
         stacked, _ = stack(heads)
-        assert stacked.beta.shape == (32, 3) and stacked.encoder is enc
+        assert stacked.beta.shape == (3, 32) and stacked.encoder is enc
         x, upstream = rng.random((40, 5)), rng.standard_normal((40, 3))
         h = stacked.lift(x)  # the heads' one hidden layer
         assert np.array_equal(h, heads[0].lift(x))
@@ -280,9 +280,48 @@ class TestNtnBlockedKernels:
         for j, m in enumerate(heads):
             p, own = m.forward_batch(h)
             assert_close_rel(out[:, j], p)
-            assert_close_rel(grads["beta"][:, j], m.gradient_batch(h, upstream[:, j], own)["beta"])
+            assert_close_rel(grads["beta"][j], m.gradient_batch(h, upstream[:, j], own)["beta"])
 
-    # K = 3 stacks, and K = 1 packs one model
+    def test_rwfn_stack_truths_are_the_row_major_gemm(self):
+        # bit for bit the GEMM of h and its heads' decoders as (2B, K)
+        # columns; reading the (K, 2B) beta in place rounds differently here
+        enc = build_encoder(EncoderConfig(input_dim=5, hidden_width=16, fan_in=2, seed=1))
+        rng = make_rng(3)
+        heads = [RwfnPredicate(enc, rng.standard_normal(32)) for _ in range(12)]
+        columns = np.stack([m.beta for m in heads], axis=1)
+        stacked, _ = stack(heads)
+        h = stacked.lift(rng.random((40, 5)))
+        assert np.array_equal(stacked.forward_batch(h)[0], sigmoid(h @ columns))
+
+    # an RWFN, an NTN on the blocked kernels (15 > 2 * 4) and one that lifts
+    # (15 < 6 * 4)
+    @pytest.mark.parametrize("family, k", [("rwfn", None), ("ntn", 2), ("ntn", 6)], ids=["rwfn", "ntn", "ntn-lifted"])
+    def test_stack_of_one_is_its_model(self, family, k):
+        rng = make_rng(5)
+        if family == "ntn":
+            model = init_ntn(k, 4, rng)
+            assert lifts(k, 4) == (k == 6)
+        else:
+            enc = build_encoder(EncoderConfig(input_dim=4, hidden_width=16, fan_in=2, seed=3))
+            model = RwfnPredicate(enc, rng.standard_normal(32))
+        x = rng.random((37, 4))
+        upstream = rng.standard_normal(37)
+        own = model.lift(x)
+        p, saved = model.forward_batch(own)
+        grads = model.gradient_batch(own, upstream, saved)
+        stacked, _ = stack([model])
+        rows = stacked.lift(x)
+        assert np.array_equal(rows, own)
+        out, state = stacked.forward_batch(rows)
+        assert out.shape == (37, 1) and np.array_equal(out[:, 0], p)
+        got = stacked.gradient_batch(rows, upstream[:, None], state)
+        assert got.keys() == grads.keys()
+        for name, g in got.items():
+            assert g.shape == (1, *grads[name].shape) and np.array_equal(g[0], grads[name])
+        # the model, now a view of the stack's row 0, still gives the same
+        assert np.array_equal(model.forward_batch(own)[0], p)
+
+    # K = 3 and K = 1: every stacked array leads with its K heads
     @pytest.mark.parametrize("family, k", [pytest.param("ntn", 3, id="ntn"), pytest.param("rwfn", 3, id="rwfn"),
                                            pytest.param("ntn", 1, id="ntn-one"), pytest.param("rwfn", 1, id="rwfn-one")])
     def test_members_are_views_of_their_heads(self, family, k):
@@ -299,14 +338,12 @@ class TestNtnBlockedKernels:
         packed = {name: p.copy() for name, p in stacked.learnable_params().items()}
         for name, p in stacked.learnable_params().items():
             assert np.shares_memory(p, theta)
-            if k == 1:
-                assert p.shape == before[0][name].shape
-            # head j is p[j], or beta[:, j]
-            heads = [p] if k == 1 else p if family == "ntn" else p.T
-            for j, m in enumerate(models):
+            assert p.shape == (k, *before[0][name].shape)
+            for j, m in enumerate(models):  # head j is the contiguous row p[j]
                 mine = m.learnable_params()[name]
                 assert np.array_equal(mine, before[j][name]) and np.shares_memory(mine, theta)
-                assert [np.shares_memory(mine, h) for h in heads] == [i == j for i in range(len(models))]
+                assert mine.flags.c_contiguous
+                assert [np.shares_memory(mine, h) for h in p] == [i == j for i in range(len(models))]
         for p in stacked.learnable_params().values():
             p += 1.0  # an in-place step on the stack moves every member
         theta += 1.0  # and so does one on the vector
@@ -384,7 +421,7 @@ class TestNtnLiftedKernels:
             want = ntn_hidden_oracle(m, x)
             assert_close_rel(hidden[:, j * k:(j + 1) * k], want)
             assert_close_rel(out if heads == 1 else out[:, j], sigmoid(want @ m.u))
-            got = grads if heads == 1 else {name: np.take(g, j, axis=model.heads_axis) for name, g in grads.items()}
+            got = grads if heads == 1 else {name: g[j] for name, g in grads.items()}
             expected = ntn_gradient_oracle(m, x, upstream[:, j])
             assert got.keys() == expected.keys()
             for name, g in got.items():

@@ -179,7 +179,7 @@ class TestTrain:
         assert batch.members == [model]
         for name, p in model.learnable_params().items():
             assert np.shares_memory(p, batch.theta)
-            assert np.array_equal(p, batch.model.learnable_params()[name])
+            assert np.array_equal(p[None], batch.model.learnable_params()[name])  # a stack of one head
 
     def test_encoder_frozen_through_training(self):
         gt, model = literal_theory([True, False, True])
@@ -432,9 +432,10 @@ class TestTrainMany:
         (sat,), (grads,) = shared.satisfiability_with_grads()
         (want,), private_grads = private.satisfiability_with_grads()
         assert abs(sat - want) <= 1e-12
-        # a stack of RWFN decoders holds head j in beta[:, j]
+        # a stack of RWFN decoders holds head j in beta[j]; each private
+        # batch is a stack of one head
         for j, g in enumerate(private_grads):
-            assert np.allclose(grads["beta"][:, j], g["beta"], rtol=0.0, atol=1e-12)
+            assert np.allclose(grads["beta"][j], g["beta"][0], rtol=0.0, atol=1e-12)
         a, b = build(True), build(False)
         train(a, self.CFG)
         train(b, self.CFG)
