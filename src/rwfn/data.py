@@ -69,7 +69,7 @@ class Dataset:
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool):
             raise DatasetError(f"n must be an integer, got {self.n!r}")
-        names = {c.name for c in self.classes}
+        roles = {c.name: c.role for c in self.classes}
         self._index = {r.id: r for r in self.records}
         if len(self._index) != len(self.records):
             raise DatasetError("duplicate record ids")
@@ -78,9 +78,13 @@ class Dataset:
                 raise DatasetError(f"class {c.name!r} is declared twice")
             if c.role not in ("whole", "part"):
                 raise DatasetError(f"class {c.name!r}: role must be 'whole' or 'part', got {c.role!r}")
+            if c.role == "part" and c.parts:
+                raise DatasetError(f"part class {c.name!r} lists parts {list(c.parts)}")
             for p in c.parts:
-                if p not in names:
+                if p not in roles:
                     raise DatasetError(f"ontology edge {c.name}->{p} references undeclared class")
+                if roles[p] == "whole":
+                    raise DatasetError(f"class {c.name!r} lists the whole class {p!r} as a part")
         # the first record with a non-finite feature value, if any, from one
         # pass over every record's features
         finite = np.isfinite(np.concatenate([r.features for r in self.records] + [np.zeros(0)], axis=None))
@@ -92,11 +96,15 @@ class Dataset:
             if i == first_bad:
                 raise DatasetError(f"record {r.id}: non-finite feature value")
             for lab in r.labels:
-                if lab not in names:
+                if lab not in roles:
                     raise DatasetError(f"record {r.id}: unknown label {lab!r}")
+        listed = set()
         for p in self.pairs:
             if p.part not in self._index or p.whole not in self._index:
                 raise DatasetError(f"pair ({p.part}, {p.whole}) references unknown record id")
+            if (p.part, p.whole) in listed:
+                raise DatasetError(f"pair ({p.part}, {p.whole}) is listed twice")
+            listed.add((p.part, p.whole))
 
     def by_id(self, rid: str) -> BoxRecord:
         return self._index[rid]

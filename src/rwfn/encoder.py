@@ -94,16 +94,20 @@ def _warn_range(x: np.ndarray) -> None:
         )
 
 
-# The branches work in place and can write into a caller's array, so that
-# encoding a batch holds one (n, B) temporary besides its (n, 2B) result.
+# The random branches of each encoder mode, ALBM columns first, and the
+# random blocks each branch reads. A branch works in place and writes into
+# the caller's hidden layer, so that encoding a batch holds one (n, B)
+# temporary besides its result.
+BRANCHES = {"full": ("albm", "rff"), "albm": ("albm",), "rff": ("rff",)}
+BLOCKS = {"albm": ("gate",), "rff": ("fourier", "phase")}
 
 
-def albm_features(enc: RwfnEncoder, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def albm_features(enc: RwfnEncoder, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Sparse gated projection of the rows x, centered by global inhibition,
-    then ReLU."""
+    then ReLU, into out."""
     vbar = x @ enc.gate
     vbar -= enc.config.inhibition_strength * vbar.mean(axis=1, keepdims=True)
-    return np.maximum(0.0, vbar, out=vbar if out is None else out)
+    return np.maximum(0.0, vbar, out=out)
 
 
 def fourier_features(enc: RwfnEncoder, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -119,10 +123,10 @@ def hidden_features(enc: RwfnEncoder, v: np.ndarray, mode: str, args: np.ndarray
     """Hidden representation of the rows v, (n, input_dim), for a branch
     selection.
 
-    mode: "full" (tanh of [h1; h2], 2B columns), "albm" (tanh h1, B
-    columns), or "rff" (tanh h2, B columns). Ablated branches keep the tanh
-    squashing so decoders see the same value range as the full model. Warns
-    if any input lies outside [0,1].
+    mode: a key of BRANCHES, "full" (tanh of [h1; h2], 2B columns), "albm"
+    (tanh h1, B columns) or "rff" (tanh h2, B columns). Ablated branches
+    keep the tanh squashing so decoders see the same value range as the
+    full model. Warns if any input lies outside [0,1].
 
     With args, an (n, A) array of row positions, v is a table of constants
     and the inputs are the n rows v[args].reshape(n, A * v.shape[1]), each
@@ -138,17 +142,11 @@ def hidden_features(enc: RwfnEncoder, v: np.ndarray, mode: str, args: np.ndarray
     else:
         x = _as_batch(v, enc.input_dim)
         _warn_range(x)
-    if mode == "full":
-        b = enc.hidden_width
-        h = np.empty((len(x), 2 * b))
+    h, b = np.empty((len(x), hidden_dim(enc, mode))), enc.hidden_width
+    if "albm" in BRANCHES[mode]:
         albm_features(enc, x, out=h[:, :b])
-        fourier_features(enc, x, out=h[:, b:])
-    elif mode == "albm":
-        h = albm_features(enc, x)
-    elif mode == "rff":
-        h = fourier_features(enc, x)
-    else:
-        raise ValueError(f"unknown encoder mode {mode!r}")
+    if "rff" in BRANCHES[mode]:
+        fourier_features(enc, x, out=h[:, -b:])
     return np.tanh(h, out=h)
 
 
@@ -195,7 +193,7 @@ def _slot_features(enc: RwfnEncoder, table: np.ndarray, args: np.ndarray, mode: 
     slots = [slice(j * d, (j + 1) * d) for j in range(arity)]
     blocks = [(slice(lo, lo + SLOT_BLOCK_ROWS), args[lo:lo + SLOT_BLOCK_ROWS].T)
               for lo in range(0, n, SLOT_BLOCK_ROWS)]
-    if mode != "rff":
+    if "albm" in BRANCHES[mode]:
         gates = [table @ enc.gate[slot] for slot in slots]
         for j in range(arity):
             gates[j] -= enc.config.inhibition_strength * gates[j].mean(axis=1, keepdims=True)
@@ -205,7 +203,7 @@ def _slot_features(enc: RwfnEncoder, table: np.ndarray, args: np.ndarray, mode: 
                 acc += gates[j][idx[j]]
             h[rows, :b] = np.tanh(np.maximum(acc, 0.0))
         del gates
-    if mode != "albm":
+    if "rff" in BRANCHES[mode]:
         angles = [table @ enc.fourier[slot] for slot in slots]
         angles[0] += enc.phase
         out = h[:, -b:]
@@ -225,11 +223,10 @@ def _slot_features(enc: RwfnEncoder, table: np.ndarray, args: np.ndarray, mode: 
 
 
 def hidden_dim(enc: RwfnEncoder, mode: str) -> int:
-    if mode == "full":
-        return 2 * enc.hidden_width
-    if mode in ("albm", "rff"):
-        return enc.hidden_width
-    raise ValueError(f"unknown encoder mode {mode!r}")
+    """Width of the hidden layer of a mode: B columns per branch."""
+    if mode not in BRANCHES:
+        raise ValueError(f"unknown encoder mode {mode!r}")
+    return len(BRANCHES[mode]) * enc.hidden_width
 
 
 def kernel_estimate(enc: RwfnEncoder, x: np.ndarray, y: np.ndarray) -> float:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, split
+from .data import Dataset, DatasetError, split
 from .numerics import make_rng
 from .predicates import ParamCount, count_params
 from .tasks import (
@@ -140,6 +140,12 @@ def run_types(kind: str, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig, 
 
 def run_partof(kind: str, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
                b: int = DEFAULT_B_PARTOF, k: int = DEFAULT_K, mode: str = "full") -> TaskResult:
+    """Train the part-of predicate and score its test pairs, which must hold
+    a positive and a negative pair: that is checked before the fit."""
+    positives = sum(p.positive for p in test_ds.pairs)
+    if not 0 < positives < len(test_ds.pairs):
+        raise DatasetError(f"the test split has {len(test_ds.pairs)} part-of pairs, {positives} positive: "
+                           f"scoring needs at least one positive and one negative pair")
     t0 = time.perf_counter()
     model = make_classifier(kind, 2 * train_ds.n, cfg.seed, b, k, mode)
     trace = train(build_partof_theory(train_ds, model), cfg)

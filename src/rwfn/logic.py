@@ -760,14 +760,15 @@ class GroundPlan:
                 self._draw(ops, nodes, draws, child, rng, samples)
 
     def _keys(self, root: int, ops: list, nodes: list, samples: dict, j: int, env: dict, rows: int) -> tuple:
-        """(rows, L) argument codes and (L,) leaf numbers of op j's subtree,
-        where env holds each bound variable's constant position per row."""
+        """(rows, L) argument codes (_codes) and (L,) leaf numbers of op j's
+        subtree, where env holds each bound variable's constant position per
+        row. An atom's first unknown constant raises, as in _facts."""
         op, node = ops[j], nodes[j]
         if op[0] == "atom":
-            code = np.zeros(rows, dtype=np.int64)
-            for a in reversed(node.args):  # a Horner scheme, as in _codes
-                code = code * len(self._domain) + (env[a] if a in env else self._constant(a))
-            return code[:, None], np.array([op[1]])
+            args = np.empty((rows, len(node.args)), dtype=np.int64)
+            for i, a in enumerate(node.args):
+                args[:, i] = env[a] if a in env else self._constant(a)
+            return self._codes(args)[:, None], np.array([op[1]])
         if op[0] == "not":
             return self._keys(root, ops, nodes, samples, op[1], env, rows)
         if op[0] in _QUANTIFIERS:
@@ -800,18 +801,12 @@ class GroundPlan:
     def _instantiations(self, n_vars: int, rng) -> np.ndarray:
         """(m, n_vars) constant positions in the plan's domain: every tuple
         in itertools.product order when they fit the budget, else a sorted
-        sample drawn from rng whose flat index has the first variable as its
-        lowest digit."""
-        d = len(self._domain)
-        total = d ** n_vars
+        sample of argument codes drawn from rng, decoded by _args, so that
+        the first variable is their lowest digit."""
+        total = len(self._domain) ** n_vars
         if total <= self.budget:
-            flat, digits = np.arange(total), range(n_vars - 1, -1, -1)
-        else:
-            flat, digits = np.sort(rng.choice(total, size=self.budget, replace=False)), range(n_vars)
-        out = np.empty((len(flat), n_vars), dtype=np.int64)
-        for j in digits:
-            flat, out[:, j] = np.divmod(flat, d)
-        return out
+            return self._args(np.arange(total), n_vars)[:, ::-1]
+        return self._args(np.sort(rng.choice(total, size=self.budget, replace=False)), n_vars)
 
     def _live(self, learnable: np.ndarray) -> np.ndarray:
         """Whether each atom has an occurrence under no dead op, over

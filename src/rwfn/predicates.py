@@ -30,7 +30,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .encoder import CHECKSUMS, RwfnEncoder, encoder_from_spec, encoder_to_spec, hidden_dim, hidden_features
+from .encoder import (BLOCKS, BRANCHES, CHECKSUMS, RwfnEncoder, encoder_from_spec, encoder_to_spec, hidden_dim,
+                      hidden_features)
 
 
 def sigmoid(z):
@@ -307,20 +308,15 @@ class LabelPredicate:
 
 
 def count_params(model) -> ParamCount:
-    """Stored vs learnable float counts per model family."""
-    if isinstance(model, NtnPredicate):
-        k, d = model.slices, model.input_dim
-        n = (d * d + d + 2) * k
-        return ParamCount(total=n, learnable=n)
-    if isinstance(model, RwfnPredicate):
-        n, b = model.encoder.input_dim, model.encoder.hidden_width
-        if model.mode == "full":
-            # gate nB + fourier nB + phase B + beta 2B
-            return ParamCount(total=(2 * n + 3) * b, learnable=2 * b)
-        if model.mode == "albm":
-            return ParamCount(total=n * b + b, learnable=b)
-        return ParamCount(total=n * b + b + b, learnable=b)  # rff: fourier + phase + beta
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    """Stored vs learnable float counts of a model or a stack, read from its
+    arrays: the sizes of learnable_params(), and for an RWFN the frozen
+    blocks its mode's branches read, counted once for a shared encoder."""
+    if not isinstance(model, (NtnPredicate, RwfnPredicate)):
+        raise TypeError(f"unknown model type {type(model).__name__}")
+    learnable = sum(p.size for p in model.learnable_params().values())
+    frozen = (sum(getattr(model.encoder, block).size for branch in BRANCHES[model.mode] for block in BLOCKS[branch])
+              if isinstance(model, RwfnPredicate) else 0)
+    return ParamCount(total=learnable + frozen, learnable=learnable)
 
 
 # Version 2 checksums every random encoder block; version 1 files carry the

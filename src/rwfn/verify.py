@@ -1,6 +1,6 @@
 """Self-checks bundling the package's numerical oracles: Gaussian-kernel
 approximation quality, finite-difference gradient checks for both predicate
-families, and the closed-form parameter-count identities.
+families, and the parameter counts at reference configurations.
 """
 
 from __future__ import annotations
@@ -106,57 +106,49 @@ def gradcheck_stacked_ntn(trials: int) -> float:
     return worst
 
 
-def param_count_checks() -> list:
-    """The closed-form count identities at the reference configuration."""
-    checks = []
-    ltn = init_ntn(6, 64, make_rng(0))
-    pc = count_params(ltn)
-    checks.append(("ltn params (n=64, k=6)", pc.total == 24972 and pc.learnable == 24972,
-                   f"{pc.learnable}/{pc.total}"))
-    enc = build_encoder(EncoderConfig(input_dim=64, hidden_width=200, fan_in=7, seed=0))
-    pc = count_params(RwfnPredicate.create(enc))
-    checks.append(("rwfn params (n=64, B=200)", pc.total == 26200 and pc.learnable == 400,
-                   f"{pc.learnable}/{pc.total}"))
-    enc2 = build_encoder(EncoderConfig(input_dim=128, hidden_width=400, fan_in=7, seed=0))
-    pc = count_params(RwfnPredicate.create(enc2))
-    checks.append(("rwfn params (n=128, B=400)", pc.total == 103600 and pc.learnable == 800,
-                   f"{pc.learnable}/{pc.total}"))
-    return checks
+def _rwfn(n: int, b: int) -> RwfnPredicate:
+    return RwfnPredicate.create(build_encoder(EncoderConfig(input_dim=n, hidden_width=b)))
+
+
+# name, model factory and expected (learnable, total) of each parameter
+# count at a reference configuration
+PARAM_CHECKS = [
+    ("ltn params (n=64, k=6)", lambda: init_ntn(6, 64, make_rng(0)), (24972, 24972)),
+    ("rwfn params (n=64, B=200)", lambda: _rwfn(64, 200), (400, 26200)),
+    ("rwfn params (n=128, B=400)", lambda: _rwfn(128, 400), (800, 103600)),
+]
+
+# name, check and the prefix of its detail text of each gradient check
+GRADCHECKS = [
+    ("rwfn gradient vs finite differences", gradcheck_rwfn, ""),
+    ("ntn gradient vs finite differences", gradcheck_ntn, ""),
+    ("stacked ntn gradient vs finite differences", gradcheck_stacked_ntn, "12 heads of k=2 at d=4 on lifted rows, "),
+]
 
 
 def run_verification(kernel_widths, gradcheck_trials: int) -> dict:
-    """Run all checks; returns a report with per-check pass flags."""
-    report = {"checks": [], "passed": True}
+    """Run all checks, in order: PARAM_CHECKS, the kernel error study, then
+    GRADCHECKS; returns a report with per-check pass flags."""
+    report = {"checks": []}
 
-    for name, ok, detail in param_count_checks():
-        report["checks"].append({"name": name, "passed": bool(ok), "detail": detail})
+    def check(name: str, passed, detail: str) -> None:
+        report["checks"].append({"name": name, "passed": bool(passed), "detail": detail})
+
+    for name, model, expected in PARAM_CHECKS:
+        pc = count_params(model())
+        check(name, (pc.learnable, pc.total) == expected, f"{pc.learnable}/{pc.total}")
 
     errs = kernel_error_study(widths=tuple(kernel_widths))
     seq = [errs[b] for b in sorted(errs)]
-    monotone = all(a >= b - 1e-12 for a, b in zip(seq, seq[1:]))
     report["kernel_errors"] = {str(b): errs[b] for b in errs}
-    report["checks"].append({
-        "name": "kernel error non-increasing in width",
-        "passed": bool(monotone),
-        "detail": ", ".join(f"B={b}: {errs[b]:.4f}" for b in sorted(errs)),
-    })
+    check("kernel error non-increasing in width", all(a >= b - 1e-12 for a, b in zip(seq, seq[1:])),
+          ", ".join(f"B={b}: {errs[b]:.4f}" for b in sorted(errs)))
     if 1000 in errs:
-        report["checks"].append({
-            "name": "kernel error at B=1000 <= 0.05",
-            "passed": bool(errs[1000] <= 0.05),
-            "detail": f"{errs[1000]:.4f}",
-        })
+        check("kernel error at B=1000 <= 0.05", errs[1000] <= 0.05, f"{errs[1000]:.4f}")
 
-    r1 = gradcheck_rwfn(trials=gradcheck_trials)
-    report["checks"].append({"name": "rwfn gradient vs finite differences",
-                             "passed": bool(r1 < 1e-4), "detail": f"max rel err {r1:.2e}"})
-    r2 = gradcheck_ntn(trials=gradcheck_trials)
-    report["checks"].append({"name": "ntn gradient vs finite differences",
-                             "passed": bool(r2 < 1e-4), "detail": f"max rel err {r2:.2e}"})
-    r3 = gradcheck_stacked_ntn(trials=gradcheck_trials)
-    report["checks"].append({"name": "stacked ntn gradient vs finite differences",
-                             "passed": bool(r3 < 1e-4),
-                             "detail": f"12 heads of k=2 at d=4 on lifted rows, max rel err {r3:.2e}"})
+    for name, gradcheck, prefix in GRADCHECKS:
+        err = gradcheck(trials=gradcheck_trials)
+        check(name, err < 1e-4, f"{prefix}max rel err {err:.2e}")
 
     report["passed"] = all(c["passed"] for c in report["checks"])
     return report

@@ -503,6 +503,36 @@ class TestTrainEval:
         assert f"argument --seed: must be >= 0, got {seed}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_repeated_pair_refused(self, dataset_path, tmp_path, capsys):
+        # with its label flipped, a repeated pair used to train with exit 0
+        obj = json.loads(dataset_path.read_text())
+        pair = obj["pairs"][0]
+        obj["pairs"].append({**pair, "positive": not pair["positive"]})
+        bad = tmp_path / "twice.json"
+        bad.write_text(json.dumps(obj))
+        assert run_cli(["train", "--model", "rwfn", "--task", "partof", "--data", str(bad), "--b", "8",
+                        "--epochs", "2", "-o", str(tmp_path / "m.json")]) == 1
+        assert f"pair ({pair['part']}, {pair['whole']}) is listed twice" in capsys.readouterr().err
+
+    # an unscorable test split used to fail only after the whole fit
+    @pytest.mark.parametrize("pairs, message", [
+        ("negative", "part-of pairs, 0 positive: scoring needs at least one positive and one negative pair"),
+        ("none", "error: the test split has 0 part-of pairs, 0 positive"),
+    ], ids=["negative", "none"])
+    def test_unscorable_partof_split_refused_before_training(self, dataset_path, tmp_path, capsys, monkeypatch,
+                                                             pairs, message):
+        def no_fit(*_args, **_kwargs):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr("rwfn.evaluation.train", no_fit)
+        obj = json.loads(dataset_path.read_text())
+        obj["pairs"] = [{**p, "positive": False} for p in obj["pairs"]] if pairs == "negative" else []
+        bad = tmp_path / "unscorable.json"
+        bad.write_text(json.dumps(obj))
+        assert run_cli(["train", "--model", "ltn", "--task", "partof", "--data", str(bad), "--k", "2",
+                        "--epochs", "2", "-o", str(tmp_path / "m.json")]) == 1
+        assert message in capsys.readouterr().err
+
     def test_missing_dataset_runtime_error(self, tmp_path):
         assert run_cli(["train", "--model", "rwfn", "--task", "types",
                         "--data", str(tmp_path / "nope.json"),
@@ -619,6 +649,17 @@ class TestVerify:
         assert "[OK] stacked ntn gradient vs finite differences" in printed
         report = json.loads(out.read_text())
         assert report["passed"] is True
+
+    def test_report_names_its_checks_in_order_and_repeats_byte_for_byte(self, tmp_path):
+        outs = [tmp_path / f"verify{i}.json" for i in range(2)]
+        for out in outs:
+            assert run_cli(["verify", "--kernel-widths", "100,1000", "--gradcheck-trials", "1", "-o", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert [c["name"] for c in json.loads(outs[0].read_text())["checks"]] == [
+            "ltn params (n=64, k=6)", "rwfn params (n=64, B=200)", "rwfn params (n=128, B=400)",
+            "kernel error non-increasing in width", "kernel error at B=1000 <= 0.05",
+            "rwfn gradient vs finite differences", "ntn gradient vs finite differences",
+            "stacked ntn gradient vs finite differences"]
 
 
 class TestParams:

@@ -105,6 +105,24 @@ class TestValidation:
             dataset_from_json(obj)
         assert str(e.value) == f"class 'whole0': role must be 'whole' or 'part', got {role!r}"
 
+    # each used to load, then train --task partof with exit 0
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj["classes"][1].update(parts=["part0_1"]), "part class 'part0_0' lists parts ['part0_1']"),
+        (lambda obj: obj["classes"][0]["parts"].append("whole1"),
+         "class 'whole0' lists the whole class 'whole1' as a part"),
+        (lambda obj: obj["pairs"].append(dict(obj["pairs"][0])), "pair ({part}, {whole}) is listed twice"),
+        (lambda obj: obj["pairs"].append({**obj["pairs"][0], "positive": not obj["pairs"][0]["positive"]}),
+         "pair ({part}, {whole}) is listed twice"),
+    ], ids=["part-with-parts", "whole-as-part", "repeated-pair", "repeated-pair-flipped"])
+    def test_contradictory_declarations_refused(self, edit, message):
+        obj = dataset_to_json(gen_synthetic(SyntheticConfig(num_scenes=3, num_whole_classes=2, seed=1)))
+        assert [c["name"] for c in obj["classes"][:4]] == ["whole0", "part0_0", "part0_1", "whole1"]
+        message = message.format(**obj["pairs"][0])
+        edit(obj)
+        with pytest.raises(DatasetError) as e:
+            dataset_from_json(obj)
+        assert str(e.value) == message
+
     def test_malformed_json(self):
         with pytest.raises(DatasetError):
             dataset_from_json({"n": 4})

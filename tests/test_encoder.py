@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwfn.encoder import (
+    BRANCHES,
     SLOT_BLOCK_ROWS,
     SLOT_STRIP_COLS,
     EncoderConfig,
@@ -20,6 +21,7 @@ from rwfn.encoder import (
     hidden_features,
     kernel_estimate,
 )
+from rwfn.evaluation import VARIANTS
 from rwfn.numerics import make_rng
 from rwfn.predicates import RwfnPredicate, init_ntn
 from rwfn.verify import gaussian_kernel
@@ -82,21 +84,21 @@ class TestAlbm:
         enc = fixture_encoder(np.eye(4), np.zeros((4, 4)), np.zeros(4), fan_in=1)
         v = np.array([[2.0, 4.0, 6.0, 8.0]])
         # mean 5, centered [-3,-1,1,3], relu keeps [0,0,1,3]
-        assert np.allclose(albm_features(enc, v), [[0.0, 0.0, 1.0, 3.0]])
+        assert np.allclose(albm_features(enc, v, out=np.empty((1, 4))), [[0.0, 0.0, 1.0, 3.0]])
 
     def test_constant_projection_zeroed(self):
         enc = small_encoder(fan_in=3)
         # equal fan-in means a constant input projects to a constant vector
-        h1 = albm_features(enc, np.full((1, 8), 0.4))
+        h1 = albm_features(enc, np.full((1, 8), 0.4), out=np.empty((1, 16)))
         assert np.allclose(h1, 0.0, atol=1e-12)
 
     def test_zero_input(self):
         enc = small_encoder()
-        assert np.allclose(albm_features(enc, np.zeros((1, 8))), 0.0)
+        assert np.allclose(albm_features(enc, np.zeros((1, 8)), out=np.empty((1, 16))), 0.0)
 
     def test_nonnegative(self):
         enc = small_encoder()
-        assert (albm_features(enc, np.random.default_rng(0).random((1, 8))) >= 0).all()
+        assert (albm_features(enc, np.random.default_rng(0).random((1, 8)), out=np.empty((1, 16))) >= 0).all()
 
 
 class TestFourier:
@@ -160,6 +162,14 @@ class TestEncode:
         assert hidden_dim(enc, "full") == 32 and hidden_dim(enc, "albm") == 16
         with pytest.raises(ValueError):
             hidden_features(enc, v, "bogus", None)
+
+
+@pytest.mark.parametrize("mode", sorted({mode for _, mode, _ in VARIANTS.values()}))
+def test_every_variant_mode_is_a_branch_selection(mode):
+    enc = small_encoder()
+    assert mode in BRANCHES
+    v = np.random.default_rng(5).random((3, 8))
+    assert hidden_features(enc, v, mode, None).shape == (3, hidden_dim(enc, mode))
 
 
 def slot_case(arity, n, seed=0, constants=7, d=3, b=16):

@@ -787,8 +787,8 @@ Q2 = Atom("Q", ("x", "y"))  # Q at arity 2 under a quantifier; SIGNATURES has it
 
 @pytest.mark.parametrize("fs, error, message", [
     ([Atom("P", ("a",)), Not(Atom("Q", ("zz",)))], KeyError, "constant 'zz' has no grounding vector"),
-    # the last unknown constant of the first atom that has one
-    ([Atom("P", ("b",)), Atom("R", ("y1", "y2")), Atom("Q", ("y0",))], KeyError, "constant 'y2'"),
+    # the first unknown constant of the first atom that has one
+    ([Atom("P", ("b",)), Atom("R", ("y1", "y2")), Atom("Q", ("y0",))], KeyError, "constant 'y1'"),
     ([Atom("P", ("a",)), Not(Atom("P", ("a", "b")))], ValueError, "predicate 'P' is used with 1 and 2 arguments"),
     ([Atom("P", ("a", "b")), Atom("P", ("a",))], ValueError, "predicate 'P' is used with 2 and 1 arguments"),
     # a literal's arity is checked before its constants; the first bad literal raises

@@ -522,6 +522,26 @@ class TestParamCounts:
             m = RwfnPredicate.create(enc, mode=mode)
             assert count_params(m).learnable == m.beta.size
 
+    # the paper's closed forms, (total, learnable): an NTN of k slices at
+    # width n, and an RWFN at width n and hidden width B per encoder mode
+    @pytest.mark.parametrize("n", [3, 16, 64])
+    @pytest.mark.parametrize("b", [1, 16, 200])
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_counts_match_the_closed_forms(self, n, b, k):
+        ntn = (n * n + n + 2) * k
+        assert count_params(init_ntn(k, n, make_rng(0))) == ParamCount(total=ntn, learnable=ntn)
+        enc = build_encoder(EncoderConfig(input_dim=n, hidden_width=b, fan_in=2, seed=0))
+        forms = {"full": ((2 * n + 3) * b, 2 * b), "albm": (n * b + b, b), "rff": (n * b + 2 * b, b)}
+        for mode, (total, learnable) in forms.items():
+            assert count_params(RwfnPredicate.create(enc, mode)) == ParamCount(total=total, learnable=learnable)
+
+    def test_stack_counts_every_head_and_a_shared_encoder_once(self):
+        enc = build_encoder(EncoderConfig(input_dim=16, hidden_width=200))
+        decoders, _ = stack([RwfnPredicate.create(enc) for _ in range(12)])
+        assert count_params(decoders) == ParamCount(total=11400, learnable=4800)  # 2nB + B + 12 * 2B
+        heads, _ = stack([init_ntn(6, 16, make_rng(j)) for j in range(12)])
+        assert count_params(heads) == ParamCount(total=19728, learnable=19728)  # 12 * (d^2 + d + 2)k
+
     def test_label_predicate_is_refused(self):
         # a label predicate is no model family: nothing counts its parameters
         with pytest.raises(TypeError, match="unknown model type LabelPredicate"):
