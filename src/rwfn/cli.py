@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .data import DatasetError, SyntheticConfig, gen_synthetic, load_dataset, save_dataset, split
 from .evaluation import (ABLATION_MODELS, COMPARE_MODELS, check_models, compare, render_table, run_partof, run_types,
-                         task_auc)
+                         task_auc, unscored_classes)
 from .numerics import make_rng
 from .predicates import count_params, model_from_spec, model_to_spec
 from .tasks import DEFAULT_B_PARTOF, DEFAULT_B_TYPES, DEFAULT_K
@@ -132,22 +132,17 @@ def cmd_train(args) -> int:
     _dump_json({name: tr.to_json() for name, tr in res.traces.items()}, trace_path)
     artifacts = {"model": out, "trace": trace_path}
     extra = {"plans": {name: tr.plan for name, tr in res.traces.items()},
-             "final_sat": {name: _final_sat(tr.sat) for name, tr in res.traces.items()}}
+             "final_sat": {name: tr.final_sat() for name, tr in res.traces.items()}}
     lockstep = next(iter(res.traces.values())).lockstep
     if lockstep is not None:
         extra["lockstep"] = lockstep  # the one plan all classes trained on
+    if args.task == "types":
+        extra["unscored_classes"] = unscored_classes(res.models, sp.test)
     _write_manifest(args, t0, artifacts, {"seed": args.seed, "split_seed": split_seed}, extra)
     pc = res.params
     print(f"wrote {out}: {args.model}/{args.task}, test AUC {res.auc:.3f}, "
           f"params {pc.learnable}/{pc.total} learnable/total")
     return 0
-
-
-def _final_sat(sat: list) -> dict:
-    """A fit's last satisfiability, and its lowest over the last tenth of
-    the epochs (at least one), where a collapse that recovers by the end
-    still shows."""
-    return {"last_epoch": sat[-1], "min_last_10pct": min(sat[-math.ceil(len(sat) / 10):])}
 
 
 BUNDLE_CHECKS = (  # field, test, what it must be
@@ -201,7 +196,8 @@ def cmd_eval(args) -> int:
         report.update({"auc_mode": "macro", "per_class": per_class})
     out = Path(args.output)
     _dump_json(report, out)
-    _write_manifest(args, t0, {"report": out}, {"split_seed": bundle["split_seed"]})
+    _write_manifest(args, t0, {"report": out}, {"split_seed": bundle["split_seed"]},
+                    {"unscored_classes": unscored_classes(models, test)} if per_class is not None else None)
     print(f"wrote {out}: task {report['task']}, AUC {report['auc']:.3f}")
     return 0
 
@@ -214,12 +210,13 @@ def cmd_compare(args) -> int:
                      b_types=args.b_types, b_partof=args.b_partof, k=args.k,
                      ratio=args.split_ratio)
     table = render_table(report)
-    mean_ms = report.pop("mean_ms")  # wall-clock, so the report stays byte-identical
+    # wall-clock and training readings go to the manifest, so the report stays byte-identical
+    readings = {key: report.pop(key) for key in ("mean_ms", "final_sat")}
     out = Path(args.output)
     _dump_json(report, out)
     table_path = out.with_suffix(".txt")
     table_path.write_text(table)
-    _write_manifest(args, t0, {"report": out, "table": table_path}, {"seed": args.seed}, {"mean_ms": mean_ms})
+    _write_manifest(args, t0, {"report": out, "table": table_path}, {"seed": args.seed}, readings)
     print(table, end="")
     return 0
 

@@ -27,6 +27,7 @@ from .tasks import (
     build_type_theory,
     make_classifier,
     partof_scores,
+    type_labels,
     type_scores,
 )
 from .training import SharedEncoderRegistry, TrainConfig, train, train_many
@@ -74,16 +75,28 @@ def pr_auc(scores, labels) -> float:
     return auc(pr_curve(scores, labels))
 
 
+def _both_labels(labels: np.ndarray) -> bool:
+    """Whether 0/1 labels hold a positive and a negative, so that their PR
+    curve exists."""
+    return 0 < labels.sum() < len(labels)
+
+
 def macro_auc(per_class: dict) -> tuple:
     """Macro-average AUC over classes having both label values; returns
-    (macro, {class: auc}) and skips degenerate classes."""
+    (macro, {class: auc}) and skips degenerate classes (unscored_classes)."""
     per = {}
     for cname, (scores, labels) in per_class.items():
-        if 0 < labels.sum() < len(labels):
+        if _both_labels(labels):
             per[cname] = pr_auc(scores, labels)
     if not per:
         raise ValueError("no class has both positive and negative test labels")
     return float(np.mean(list(per.values()))), per
+
+
+def unscored_classes(names, ds: Dataset) -> list:
+    """The classes among names that macro_auc leaves out on ds: those that
+    every record carries, or none."""
+    return [name for name in names if not _both_labels(type_labels(name, ds))]
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +128,14 @@ def run_types(kind: str, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig, 
     NTN and shared-encoder classifiers train in lockstep (train_many);
     private-encoder ones one by one, so only one hidden cache is alive.
     Wall time covers theory grounding plus training, per the running-time
-    comparison protocol.
+    comparison protocol. A test split on which no class has both label
+    values is refused before the fit, since no class could be scored.
     """
+    classes = [c.name for c in train_ds.classes]
+    if len(unscored_classes(classes, test_ds)) == len(classes):
+        raise DatasetError(f"the test split ({len(test_ds.records)} records, {len(classes)} classes) has no class "
+                           f"carried by some records and not others: scoring needs a class with a positive and a "
+                           f"negative test record")
     t0 = time.perf_counter()
     shared = shared and kind == "rwfn"  # an NTN has no encoder to share
     registry = SharedEncoderRegistry() if shared else None
@@ -193,11 +212,15 @@ def check_models(models) -> tuple:
 
 class FitRecord(NamedTuple):
     """What a comparison keeps of one fit. The inclusion-ratio baseline
-    trains nothing: its records have no wall time and no parameters."""
+    trains nothing: its records have no wall time, no parameters and no
+    satisfiability. final_sat is the final satisfiability
+    (TrainTrace.final_sat) of the fit's predicate whose last epoch ended
+    lowest, with its name: a types fit's worst class."""
 
     auc: float
     wall_ms: float | None
     params: ParamCount
+    final_sat: dict | None
 
 
 def compare(ds: Dataset, repeats: int, ratio: float, models, cfg: TrainConfig, b_types: int, b_partof: int,
@@ -207,8 +230,10 @@ def compare(ds: Dataset, repeats: int, ratio: float, models, cfg: TrainConfig, b
     parameter counts. The geometric inclusion-ratio baseline is always
     included for the part-of task. For each PAIRED pair whose models both
     ran, the per-seed AUC differences on the same split, with their mean and
-    2*SD band. "mean_ms" holds each model's mean wall ms per fit and task:
-    wall-clock, so `rwfn compare` writes it to the manifest, not the report."""
+    2*SD band. "mean_ms" holds each model's mean wall ms per fit and task,
+    and "final_sat" each fit's FitRecord.final_sat per model, task and seed:
+    `rwfn compare` writes both to the manifest, not the report, which
+    stays byte-identical."""
     models = check_models(models)
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -219,14 +244,16 @@ def compare(ds: Dataset, repeats: int, ratio: float, models, cfg: TrainConfig, b
         sp = split(ds, ratio, make_rng(seed))
         run_cfg = replace(cfg, seed=seed)
         fits["ir-baseline", "partof"].append(
-            FitRecord(pr_auc(*baseline_ir_scores(sp.test)), None, ParamCount(total=0, learnable=0)))
+            FitRecord(pr_auc(*baseline_ir_scores(sp.test)), None, ParamCount(total=0, learnable=0), None))
         for name in models:
             kind, mode, shared = VARIANTS[name]
             results = {"types": run_types(kind, sp.train, sp.test, run_cfg, shared, b=b_types, k=k, mode=mode)}
             if not shared:  # part-of needs a single classifier; sharing buys nothing
                 results["partof"] = run_partof(kind, sp.train, sp.test, run_cfg, b=b_partof, k=k, mode=mode)
             for task, res in results.items():
-                fits[name, task].append(FitRecord(res.auc, res.wall_ms, res.params))
+                worst, trace = min(res.traces.items(), key=lambda item: item[1].sat[-1])
+                fits[name, task].append(FitRecord(res.auc, res.wall_ms, res.params,
+                                                  {"predicate": worst, **trace.final_sat()}))
 
     def stats(xs):
         a = np.asarray(xs)
@@ -254,6 +281,8 @@ def compare(ds: Dataset, repeats: int, ratio: float, models, cfg: TrainConfig, b
                    for a, b in PAIRED if a in names and b in names],
         "mean_ms": {name: {task: float(np.mean([r.wall_ms for r in fits[name, task]]))
                            for task in TASKS if (name, task) in fits} for name in models},
+        "final_sat": {name: {task: [r.final_sat for r in fits[name, task]] for task in TASKS if (name, task) in fits}
+                      for name in models},
     }
 
 

@@ -338,7 +338,9 @@ def parse_kb(text: str) -> KnowledgeBase:
 # its body on rows*m rows and reduces them to rows. The instantiation sample
 # is fixed for the lifetime of one plan, so evaluation and backprop reuse it.
 # A literal table's rows join the groups of P(c) and ~P(c) as they are, one
-# root each, with no formula node.
+# root each, with no formula node. A plan of nothing but such rows, each
+# reading its own cell of one batch, runs its epochs on those cells and
+# not on the groups (_column_roots), with the same floats.
 #
 # Grounding works on integer keys. Constant c is its position in the sorted
 # domain D; an atom's argument code is sum_j pos(arg_j) * |D|**j, and its key
@@ -530,6 +532,22 @@ class GroundPlan:
             model, theta = stack(models)
             self.batches.append(_Batch(members=list(models), model=model, theta=theta, indices=indices,
                                        x=model.lift(constants, args)))
+        self._columns = self._column_roots()
+
+    def _column_roots(self) -> tuple | None:
+        """(sign, flat) of each root when the plan is only literal columns:
+        every root a fact row, every atom occurring once and every atom a
+        row of the one batch. sign is the root's literal sign and flat its
+        atom's position in the batch's flattened (n, K) truths, so each
+        batch cell is read by exactly one root. Else None, and epochs run
+        the groups."""
+        if (any(part.kb.formulas for part in self._parts) or len(self._occurrences) != len(self._atoms)
+                or len(self.batches) != 1 or self.batches[0].indices.size != len(self._atoms)):
+            return None
+        cell = np.empty(len(self._atoms), dtype=np.int64)
+        cell[self.batches[0].indices.ravel()] = np.arange(len(self._atoms))
+        # a fact root's one occurrence is in root order
+        return np.concatenate([t.sign for part in self._parts for t in part.kb.facts]), cell[self._occurrences]
 
     def _compile_all(self, rng: np.random.Generator) -> None:
         """Group and ground every part's fact rows, one pass per table
@@ -1009,14 +1027,30 @@ class GroundPlan:
                 d[np.arange(len(body)), np.argmax(body, axis=1)] = g  # first maximum
                 grads[op[1]] = d.ravel()[group.bodies[i][0]]
 
+    def _upstream(self, values: np.ndarray) -> tuple:
+        """Each part's satisfiability, and the gradient of their sum with
+        respect to each root's value."""
+        sats = self._part_satisfiabilities(values)
+        return sats, np.repeat(sats * sats / self._counts, self._counts) / (values + HMEAN_EPS) ** 2
+
     def satisfiability_with_grads(self) -> tuple[np.ndarray, list]:
         """Returns each part's satisfiability, and for each batch the
         gradient of their sum, {param: grad}, with respect to its model's
         parameters. A head's atoms lie in one part, so its gradient is that
-        part's alone."""
+        part's alone. A plan of literal columns (_column_roots) gathers its
+        root values from the batch truths and scatters their signed
+        gradients back, in one array op each; the groups give the same
+        floats."""
+        if self._columns is not None:
+            (b,), (sign, flat) = self.batches, self._columns
+            truths, state = b.model.forward_batch(b.x)
+            values = truths.ravel()[flat]
+            sats, upstream = self._upstream(np.where(sign, values, 1.0 - values))
+            grad = np.empty(truths.size)
+            grad[flat] = np.where(sign, upstream, -upstream)
+            return sats, [b.model.gradient_batch(b.x, grad.reshape(truths.shape), state)]
         values, per_group, saved = self._forward()
-        sats = self._part_satisfiabilities(values)
-        upstream = np.repeat(sats * sats / self._counts, self._counts) / (values + HMEAN_EPS) ** 2
+        sats, upstream = self._upstream(values)
         occ_grads = np.empty(len(self._occurrences))
         for group, out in zip(self._groups, per_group):
             self._backprop_group(group, out, upstream[group.rows], occ_grads)

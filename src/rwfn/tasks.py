@@ -67,9 +67,13 @@ def type_scores(models: dict, ds: Dataset) -> dict:
     for cname, model in models.items():
         if model.stack_key() != key:
             key, rows = model.stack_key(), model.lift(x)
-        labels = np.array([cname in r.labels for r in ds.records], dtype=int)
-        out[cname] = (model.forward_batch(rows)[0], labels)
+        out[cname] = (model.forward_batch(rows)[0], type_labels(cname, ds))
     return out
+
+
+def type_labels(class_name: str, ds: Dataset) -> np.ndarray:
+    """1 for each record of ds that carries class_name, else 0."""
+    return np.array([class_name in r.labels for r in ds.records], dtype=int)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ term is bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -97,6 +98,12 @@ class TrainTrace:
     plan: dict = field(default_factory=dict)  # the theory's GroundPlan stats, for run manifests
     lockstep: dict | None = None  # the merged plan's stats, one dict shared by its theories
 
+    def final_sat(self) -> dict:
+        """The fit's last satisfiability, and its lowest over the last tenth
+        of the epochs (at least one), where a collapse that recovers by the
+        end still shows."""
+        return {"last_epoch": self.sat[-1], "min_last_10pct": min(self.sat[-math.ceil(len(self.sat) / 10):])}
+
     def to_json(self) -> dict:
         # wall-clock times live in run manifests, so the artifact payload
         # stays deterministic
@@ -126,6 +133,7 @@ def train_many(theories: list, cfg: TrainConfig) -> list:
     batched = {id(m) for b in plan.batches for m in b.members}
     units += [(*stack([m]), [m]) for t in theories for m in t.learnable_predicates().values() if id(m) not in batched]
     accs = [np.zeros_like(theta) for _, theta, _ in units]
+    grads = [np.empty_like(theta) for _, theta, _ in units]
     # each theory's (model, head) per learnable predicate: its L2 term adds
     # its arrays' sums in its predicates' order, as train() of it alone does
     heads = {id(m): (i, j) for i, (*_, members) in enumerate(units) for j, m in enumerate(members)}
@@ -149,10 +157,14 @@ def train_many(theories: list, cfg: TrainConfig) -> list:
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss} at epoch {epoch}"
                                     + (f" in theory {i}" if len(theories) > 1 else ""))
-        for i, ((_, theta, _), acc) in enumerate(zip(units, accs)):
-            grad = 2.0 * cfg.l2 * theta
-            if i < len(sat_grads):  # a model without atoms takes the L2 term alone
-                grad -= np.concatenate(list(sat_grads[i].values()), axis=None)
+        # a model without atoms has no satisfiability gradient and takes the L2 term alone
+        for (_, theta, _), acc, grad, sat_grad in itertools.zip_longest(units, accs, grads, sat_grads, fillvalue={}):
+            np.multiply(2.0 * cfg.l2, theta, out=grad)
+            lo = 0  # theta holds the arrays in the gradient's order
+            for g in sat_grad.values():
+                part = grad[lo:lo + g.size].reshape(g.shape)
+                part -= g
+                lo += g.size
             rmsprop_step(theta, grad, acc, cfg)
         ms = (time.perf_counter() - t0) * 1000.0 / len(theories)
         for trace, loss, sat in zip(traces, losses, sats):

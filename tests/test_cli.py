@@ -533,6 +533,52 @@ class TestTrainEval:
                         "--epochs", "2", "-o", str(tmp_path / "m.json")]) == 1
         assert message in capsys.readouterr().err
 
+    def test_unscorable_types_split_refused_before_training(self, tmp_path, capsys, monkeypatch):
+        # every record of whole0 alone carries its one class, so no class
+        # has a negative test record; this used to fail after the whole fit
+        def no_fit(*_args, **_kwargs):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr("rwfn.evaluation.train", no_fit)
+        monkeypatch.setattr("rwfn.evaluation.train_many", no_fit)
+        full = tmp_path / "full.json"
+        assert run_cli(["gen-synth", "--scenes", "30", "--seed", "1", "-o", str(full)]) == 0
+        obj = json.loads(full.read_text())
+        obj["classes"] = [{"name": "whole0", "role": "whole", "parts": []}]
+        obj["records"] = [r for r in obj["records"] if r["labels"] == ["whole0"]]
+        obj["pairs"] = []
+        bad = tmp_path / "whole0.json"
+        bad.write_text(json.dumps(obj))
+        assert run_cli(["train", "--model", "ltn", "--task", "types", "--data", str(bad), "--k", "2",
+                        "--epochs", "200", "-o", str(tmp_path / "m.json")]) == 1
+        assert ("records, 1 classes) has no class carried by some records and not others: scoring needs a class "
+                "with a positive and a negative test record") in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_manifests_name_the_unscored_classes(self, tmp_path):
+        # a class that no record carries trains on negatives alone, and the
+        # macro AUC leaves it out; the manifests say so, the artifacts do not
+        data = tmp_path / "ghost.json"
+        assert run_cli(["gen-synth", "--scenes", "30", "--seed", "1", "-o", str(data)]) == 0
+        obj = json.loads(data.read_text())
+        obj["classes"].append({"name": "ghost", "role": "part", "parts": []})
+        data.write_text(json.dumps(obj))
+        model, report = tmp_path / "m.json", tmp_path / "r.json"
+        assert run_cli(["train", "--model", "rwfn", "--task", "types", "--data", str(data), "--b", "8",
+                        "--epochs", "2", "-o", str(model)]) == 0
+        assert run_cli(["eval", "--model", str(model), "--data", str(data), "-o", str(report)]) == 0
+        for path in (model, report):
+            assert json.loads(path.with_suffix(".json.manifest.json").read_text())["unscored_classes"] == ["ghost"]
+        assert "ghost" not in json.loads(report.read_text())["per_class"]
+        for artifact in (model, tmp_path / "m.json.trace.json", report):
+            assert "unscored" not in artifact.read_text()
+
+    def test_partof_manifests_name_no_unscored_classes(self, dataset_path, partof_bundles, tmp_path):
+        bundle, report = tmp_path / "m.json", tmp_path / "r.json"
+        bundle.write_text(json.dumps(partof_bundles["rwfn"]))
+        assert run_cli(["eval", "--model", str(bundle), "--data", str(dataset_path), "-o", str(report)]) == 0
+        assert "unscored_classes" not in json.loads((tmp_path / "r.json.manifest.json").read_text())
+
     def test_missing_dataset_runtime_error(self, tmp_path):
         assert run_cli(["train", "--model", "rwfn", "--task", "types",
                         "--data", str(tmp_path / "nope.json"),
@@ -563,6 +609,24 @@ class TestCompareAblate:
                                                                     "ltn": ["partof", "types"]}
         assert all(ms > 0 for row in mean_ms.values() for ms in row.values())
         assert "T1 ms" in outs[0].with_suffix(".txt").read_text()
+
+    def test_compare_manifest_reports_each_fits_final_satisfiability(self, dataset_path, tmp_path):
+        out = tmp_path / "cmp.json"
+        assert run_cli(["compare", "--data", str(dataset_path), "--models", "rwfn-shared,ltn", "--repeats", "2",
+                        "--epochs", "3", "--budget", "100", "--b-types", "8", "--b-partof", "8", "--k", "2",
+                        "-o", str(out)]) == 0
+        final = json.loads(out.with_suffix(".json.manifest.json").read_text())["final_sat"]
+        assert {name: sorted(tasks) for name, tasks in final.items()} == {"rwfn-shared": ["types"],
+                                                                         "ltn": ["partof", "types"]}
+        classes = {c["name"] for c in json.loads(dataset_path.read_text())["classes"]}
+        for name, tasks in final.items():
+            for task, fits in tasks.items():
+                assert len(fits) == 2  # one per seed
+                for fit in fits:
+                    assert sorted(fit) == ["last_epoch", "min_last_10pct", "predicate"]
+                    assert fit["predicate"] in (classes if task == "types" else {"partOf"})
+                    assert 0.0 <= fit["min_last_10pct"] <= fit["last_epoch"] <= 1.0
+        assert "final_sat" not in out.read_text()
 
     @pytest.mark.parametrize("models, reason", [
         ("foo", "'foo' is not a model"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwfn.data import SyntheticConfig, gen_synthetic
+from rwfn.data import SyntheticConfig, gen_synthetic, split
 from rwfn.evaluation import (
     ABLATION_MODELS,
     COMPARE_MODELS,
@@ -19,6 +19,7 @@ from rwfn.evaluation import (
     pr_curve,
     render_table,
 )
+from rwfn.numerics import make_rng
 from rwfn.predicates import count_params
 from rwfn.tasks import make_classifier
 from rwfn.training import TrainConfig
@@ -281,3 +282,50 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(small_dataset(), repeats=0, ratio=0.8, models=COMPARE_MODELS, cfg=small_cfg(), b_types=8,
                     b_partof=8, k=2)
+
+    def test_final_sat_is_each_fits_worst_predicate(self, monkeypatch):
+        # a types fit reports the class whose last epoch ended lowest, a
+        # part-of fit its one predicate, in seed order
+        from rwfn import evaluation
+
+        results = []
+
+        def recording(run):
+            def wrapper(kind, *args, **kwargs):
+                results.append((kind, run(kind, *args, **kwargs)))
+                return results[-1][1]
+            return wrapper
+
+        for name in ("run_types", "run_partof"):
+            monkeypatch.setattr(evaluation, name, recording(getattr(evaluation, name)))
+        report = compare(small_dataset(), repeats=2, ratio=0.8, models=("ltn",), cfg=small_cfg(), b_types=8,
+                         b_partof=8, k=2)
+        want = {"types": [], "partof": []}
+        for _, res in results:
+            name, trace = min(res.traces.items(), key=lambda item: item[1].sat[-1])
+            want["partof" if "partOf" in res.traces else "types"].append({"predicate": name, **trace.final_sat()})
+        assert report["final_sat"] == {"ltn": want}
+        assert len(want["types"]) == len(want["partof"]) == 2
+
+
+def test_types_plans_run_as_columns_and_partof_plans_as_groups(monkeypatch):
+    # every plan run_types builds is literal columns, whichever model family
+    # and sharing; a part-of plan holds axioms, so it runs its groups
+    from rwfn import training
+    from rwfn.evaluation import run_partof, run_types
+
+    plans = []
+    build = training.GroundPlan
+    monkeypatch.setattr(training, "GroundPlan", lambda *a, **k: plans.append(build(*a, **k)) or plans[-1])
+    ds = small_dataset()
+    sp = split(ds, 0.8, make_rng(0))
+    cfg = dataclasses.replace(small_cfg(), epochs=2)
+    for kind, shared in (("ltn", False), ("rwfn", False), ("rwfn", True)):
+        run_types(kind, sp.train, sp.test, cfg, shared, b=8, k=2)
+    assert len(plans) == 1 + len(ds.classes) + 1
+    assert all(p._columns is not None for p in plans)
+    plans.clear()
+    for kind in ("ltn", "rwfn"):
+        run_partof(kind, sp.train, sp.test, cfg, b=8, k=2)
+    assert len(plans) == 2
+    assert all(p._columns is None for p in plans)

@@ -868,6 +868,86 @@ def test_merged_tables_ground_as_their_expansion(kbs, seed, budget, rng_seed):
     assert_grounds_as_its_expansion(gt, budget, rng_seed)
 
 
+# ---------------------------------------------------------------------------
+# Plans of literal columns against the groups of their expansion
+
+
+def assert_epoch_matches_expansion(gt: GroundedTheory) -> GroundPlan:
+    """gt's plan and that of its expansion into formulas, which runs its
+    groups, give the same satisfiabilities and gradient arrays, bit for
+    bit. Returns gt's plan."""
+    plan, ref = (GroundPlan(t, 10, make_rng(0)) for t in (gt, with_expanded_facts(gt)))
+    assert ref._columns is None
+    (sats, grads), (want_sats, want_grads) = plan.satisfiability_with_grads(), ref.satisfiability_with_grads()
+    assert np.array_equal(sats, want_sats)
+    assert [list(g) for g in grads] == [list(g) for g in want_grads]
+    for g, want in zip(grads, want_grads):
+        assert all(np.array_equal(g[name], want[name]) for name in g)
+    return plan
+
+
+@st.composite
+def column_tables(draw):
+    """Up to three tables over one learnable predicate, Q or R, that hold
+    each of its atoms in one row at most."""
+    pred = draw(st.sampled_from(("Q", "R")))
+    atoms = list(itertools.product(DOMAIN, repeat=SIGNATURES[pred]))
+    rows = draw(st.permutations(atoms))[:draw(st.integers(1, len(atoms)))]
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=2)))
+    tables = []
+    for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+        sign = draw(st.lists(st.booleans(), min_size=hi - lo, max_size=hi - lo))
+        tables.append(LiteralTable(pred, np.array(rows[lo:hi], dtype=object).reshape(hi - lo, SIGNATURES[pred]),
+                                   np.array(sign, dtype=bool)))
+    return tables
+
+
+@given(column_tables(), st.integers(0, 50))
+@settings(max_examples=60, deadline=None)
+def test_literal_columns_match_their_expansion(tables, seed):
+    gt = oracle_theory(seed)
+    gt.kb.facts = tables
+    assert assert_epoch_matches_expansion(gt)._columns is not None
+
+
+@given(literal_tables(), st.integers(0, 50))
+@settings(max_examples=60, deadline=None)
+def test_a_plan_is_columns_when_each_root_reads_its_own_batch_cell(tables, seed):
+    # one learnable predicate, so one batch, and no row repeated
+    rows = [(t.pred, tuple(args)) for t in tables for args in t.args.tolist()]
+    assume(rows)
+    gt = oracle_theory(seed)
+    gt.kb.facts = tables
+    columns = {pred for pred, _ in rows} in ({"Q"}, {"R"}) and len(set(rows)) == len(rows)
+    assert (assert_epoch_matches_expansion(gt)._columns is not None) == columns
+
+
+Q_AB = LiteralTable("Q", np.array([["a"], ["b"]], dtype=object), np.array([True, False]))
+
+
+@pytest.mark.parametrize("facts, fs", [
+    ([LiteralTable("Q", np.array([["a"], ["b"], ["a"]], dtype=object), np.array([True, False, False]))], []),
+    ([Q_AB, LiteralTable("P", np.array([["a"], ["c"]], dtype=object), np.array([True, False]))], []),
+    ([Q_AB], [Not(Atom("Q", ("c",)))]),
+], ids=["repeated-row", "label-predicate-table", "one-formula"])
+def test_plans_that_are_not_columns_run_their_groups(facts, fs):
+    gt = oracle_theory(3)
+    gt.kb.facts, gt.kb.formulas = facts, fs
+    assert assert_epoch_matches_expansion(gt)._columns is None
+
+
+@pytest.mark.parametrize("kind", ["rwfn", "ltn"])
+def test_twelve_class_stacks_are_columns(kind):
+    # the lockstep plans of rwfn-shared and ltn on types: twelve heads, one batch
+    ds = gen_synthetic(SyntheticConfig(num_scenes=12, feature_noise=0.15, negative_ratio=2.0, seed=3))
+    registry = SharedEncoderRegistry()
+    gt = merge_theories([build_type_theory(ds, c.name, make_classifier(kind, ds.n, 3, 8, 2, "full", registry))
+                         for c in ds.classes])
+    plan = assert_epoch_matches_expansion(gt)
+    assert plan._columns is not None
+    assert [b.indices.shape[1] for b in plan.batches] == [12]
+
+
 class TestLiteralTableErrors:
     @pytest.mark.parametrize("args, sign", [
         (np.array(["a", "b"]), np.array([True, False])),

@@ -16,9 +16,9 @@ from rwfn.training import (
     train,
     train_many,
 )
-from rwfn.tasks import build_partof_theory, make_rwfn_classifier
+from rwfn.tasks import build_partof_theory, build_type_theory, make_classifier, make_rwfn_classifier
 
-from oracles import batch_preds, satisfiability, stored_floats
+from oracles import batch_preds, expand_facts, satisfiability, stored_floats
 
 
 def literal_theory(spec, seed=0, input_dim=4, b=8):
@@ -530,3 +530,47 @@ class TestTrainMany:
         b.constants["c2"] = VECTORS["c2"] + 1.0
         with pytest.raises(ValueError, match="constant 'c2' is bound to different vectors"):
             train_many([a, b], TrainConfig(epochs=1))
+
+
+# ---------------------------------------------------------------------------
+# Literal columns against the groups of their expansion
+
+
+def class_theories(kind: str, shared: bool, expanded: bool) -> list:
+    """Fresh class theories of a small 12-class dataset, NTN or RWFN
+    classifiers (over one encoder when shared), each a literal table or,
+    expanded, one Atom or Not(Atom) formula per row (oracles.expand_facts)."""
+    ds = gen_synthetic(SyntheticConfig(num_scenes=12, feature_noise=0.15, negative_ratio=2.0, seed=3))
+    registry = SharedEncoderRegistry() if shared else None
+    theories = [build_type_theory(ds, c.name, make_classifier(kind, ds.n, 3 if shared else 3 + i, 8, 2, "full",
+                                                              registry))
+                for i, c in enumerate(ds.classes)]
+    if expanded:
+        theories = [GroundedTheory(kb=expand_facts(gt.kb), constants=gt.constants, predicates=gt.predicates)
+                    for gt in theories]
+    return theories
+
+
+@pytest.mark.parametrize("kind, shared, lockstep", [
+    ("rwfn", False, False),  # one class, as run_types trains a private encoder's
+    ("rwfn", True, True),    # twelve classes over one shared encoder
+    ("ltn", False, True),    # twelve stacked NTN heads
+], ids=["rwfn-class", "rwfn-shared-lockstep", "ltn-lockstep"])
+def test_literal_columns_train_as_their_expansion(kind, shared, lockstep, monkeypatch):
+    plans = []
+    build = training.GroundPlan
+    monkeypatch.setattr(training, "GroundPlan", lambda *a, **k: plans.append(build(*a, **k)) or plans[-1])
+    cfg = TrainConfig(epochs=20, learning_rate=0.05, seed=3)
+    runs = []
+    for expanded in (False, True):
+        theories = class_theories(kind, shared, expanded)
+        theories = theories if lockstep else theories[:1]
+        runs.append((theories, train_many(theories, cfg)))
+    assert [p._columns is not None for p in plans] == [True, False]
+    (theories, traces), (ref_theories, ref_traces) = runs
+    assert len(theories) == (12 if lockstep else 1)
+    for gt, ref, trace, ref_trace in zip(theories, ref_theories, traces, ref_traces, strict=True):
+        assert (trace.loss, trace.sat) == (ref_trace.loss, ref_trace.sat)
+        (model,), (ref_model,) = gt.predicates.values(), ref.predicates.values()
+        for name, p in model.learnable_params().items():
+            assert np.array_equal(p, ref_model.learnable_params()[name])
